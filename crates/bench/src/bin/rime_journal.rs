@@ -8,12 +8,16 @@
 //!   map, op counters). It then tears the final record — the signature
 //!   of a crash mid-append — recovers again, and verifies the torn
 //!   tail is detected, the interrupted command reported, and the
-//!   resubmitted command converges on the same state. Exits nonzero on
-//!   any divergence; CI gates on it (see `.github/workflows/ci.yml`).
+//!   resubmitted command converges on the same state. It does so on
+//!   `RimeConfig::small()` and again on `RimeConfig::table1()` with a
+//!   4096-key region, where every checkpoint must stay under 256 KiB
+//!   (checkpoints cost the device's live state, not its capacity).
+//!   Exits nonzero on any divergence; CI gates on it (see
+//!   `.github/workflows/ci.yml`).
 //! * `--inspect <file>` scans a journal file and prints a summary:
-//!   record counts by kind, the committed ordinal, and whether the
-//!   tail is torn. Interior corruption is a typed error and a nonzero
-//!   exit.
+//!   record counts and bytes by kind, the largest checkpoint, the
+//!   committed ordinal, and whether the tail is torn. Interior
+//!   corruption is a typed error and a nonzero exit.
 //!
 //! The wire format and recovery protocol are specified in DESIGN.md
 //! §12.
@@ -84,8 +88,34 @@ fn rime(result: Result<(), RimeError>, what: &str) -> Result<(), String> {
     result.map_err(|e| format!("selfcheck failed: {what}: {e}"))
 }
 
+/// Largest checkpoint state either selfcheck leg may write: a checkpoint
+/// costs the device's live state, while a Table I device's exclusion
+/// flags alone span 32 × 2 Mi slots (8 MiB if stored densely).
+const CHECKPOINT_BOUND: usize = 256 * 1024;
+
 fn selfcheck() -> Result<(), String> {
-    let config = RimeConfig::small();
+    for (name, config, n_keys) in [
+        ("small", RimeConfig::small(), 64),
+        ("table1", RimeConfig::table1(), 4096),
+    ] {
+        let leg = selfcheck_leg(config, n_keys).map_err(|e| format!("{name}: {e}"))?;
+        println!(
+            "selfcheck OK ({name}): {} commands journaled ({} bytes, largest checkpoint {} \
+             bytes), clean and torn-tail recovery both bit-identical",
+            leg.committed, leg.bytes, leg.largest_checkpoint
+        );
+    }
+    Ok(())
+}
+
+/// What one selfcheck leg journaled.
+struct Leg {
+    committed: u64,
+    bytes: usize,
+    largest_checkpoint: usize,
+}
+
+fn selfcheck_leg(config: RimeConfig, n_keys: u32) -> Result<Leg, String> {
     let store = MemJournalStore::new();
     let jconfig = JournalConfig {
         checkpoint_every: 3,
@@ -99,7 +129,7 @@ fn selfcheck() -> Result<(), String> {
         device.attach_journal(Box::new(store.clone()), jconfig),
         "attach_journal",
     )?;
-    let keys: Vec<u32> = (0..64u32).map(|i| (i * 37) % 251 + 1).collect();
+    let keys: Vec<u32> = (0..n_keys).map(|i| (i * 37) % 251 + 1).collect();
     let region = device
         .alloc(keys.len() as u64)
         .map_err(|e| format!("selfcheck failed: alloc: {e}"))?;
@@ -130,6 +160,20 @@ fn selfcheck() -> Result<(), String> {
         .journal_committed()
         .ok_or("selfcheck failed: no journal attached")?;
     let bytes = store.snapshot();
+    let largest_checkpoint = journal::scan(&bytes)
+        .map_err(|e| format!("selfcheck failed: scan: {e}"))?
+        .records
+        .iter()
+        .filter_map(|(_, record)| match record {
+            JournalRecord::Checkpoint { state, .. } => Some(state.len()),
+            _ => None,
+        })
+        .max()
+        .unwrap_or(0);
+    check(
+        largest_checkpoint <= CHECKPOINT_BOUND,
+        &format!("a checkpoint of {largest_checkpoint} bytes exceeds {CHECKPOINT_BOUND}"),
+    )?;
 
     // Clean recovery: the rebuilt device must be bit-identical.
     let (recovered, report) = RimeDevice::recover(
@@ -184,35 +228,47 @@ fn selfcheck() -> Result<(), String> {
         "resubmission did not re-commit",
     )?;
 
-    println!(
-        "selfcheck OK: {committed} commands journaled ({} bytes), clean and torn-tail \
-         recovery both bit-identical",
-        bytes.len()
-    );
-    Ok(())
+    Ok(Leg {
+        committed,
+        bytes: bytes.len(),
+        largest_checkpoint,
+    })
 }
 
 fn inspect(path: &str) -> Result<(), String> {
     let bytes = std::fs::read(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let report = journal::scan(&bytes).map_err(|e| format!("`{path}`: {e}"))?;
 
-    let (mut intents, mut outcomes, mut checkpoints) = (0u64, 0u64, 0u64);
+    // (count, framed bytes) per record kind; a record runs to the next
+    // record's offset, the last one to the end of the valid prefix.
+    let (mut intents, mut outcomes, mut checkpoints) = ((0u64, 0u64), (0u64, 0u64), (0u64, 0u64));
+    let mut largest_checkpoint = 0u64;
     let mut committed = 0u64;
-    for (_, record) in &report.records {
-        match record {
-            JournalRecord::Intent { .. } => intents += 1,
+    let ends = report
+        .records
+        .iter()
+        .skip(1)
+        .map(|&(offset, _)| offset)
+        .chain([report.valid_len]);
+    for ((offset, record), end) in report.records.iter().zip(ends) {
+        let size = end - offset;
+        let tally = match record {
+            JournalRecord::Intent { .. } => &mut intents,
             JournalRecord::Outcome { ordinal, .. } => {
-                outcomes += 1;
                 committed = committed.max(ordinal + 1);
+                &mut outcomes
             }
             JournalRecord::Checkpoint {
                 committed: at_checkpoint,
                 ..
             } => {
-                checkpoints += 1;
                 committed = committed.max(*at_checkpoint);
+                largest_checkpoint = largest_checkpoint.max(size);
+                &mut checkpoints
             }
-        }
+        };
+        tally.0 += 1;
+        tally.1 += size;
     }
 
     println!(
@@ -220,9 +276,12 @@ fn inspect(path: &str) -> Result<(), String> {
         bytes.len(),
         report.records.len()
     );
-    println!("  intents:     {intents}");
-    println!("  outcomes:    {outcomes}");
-    println!("  checkpoints: {checkpoints}");
+    println!("  intents:     {} ({} bytes)", intents.0, intents.1);
+    println!("  outcomes:    {} ({} bytes)", outcomes.0, outcomes.1);
+    println!(
+        "  checkpoints: {} ({} bytes, largest {largest_checkpoint})",
+        checkpoints.0, checkpoints.1
+    );
     println!("  committed:   {committed}");
     println!("  valid_len:   {}", report.valid_len);
     if report.torn_tail {
@@ -234,7 +293,7 @@ fn inspect(path: &str) -> Result<(), String> {
     } else {
         println!("  torn tail:   none");
     }
-    if intents > outcomes {
+    if intents.0 > outcomes.0 {
         println!("  in doubt:    an intent without an outcome — the journal records an interrupted command");
     }
     Ok(())

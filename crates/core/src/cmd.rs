@@ -1286,7 +1286,7 @@ impl Executor {
         }
         let mut chips = Vec::with_capacity(chip_count);
         for idx in 0..chip_count {
-            let state = journal::get_chip_state(&mut d)?;
+            let state = journal::get_chip_state(&mut d, chip_slots)?;
             let mut chip = Chip::new(config.chip_geometry);
             if !chip.restore_state(&state) {
                 return Err(JournalError::CheckpointMismatch {
@@ -2072,6 +2072,76 @@ mod tests {
         );
         run_workload(&rec);
         assert_eq!(rec.journal_committed(), Some(4));
+    }
+
+    #[test]
+    fn a_table1_checkpoint_tracks_live_state_not_capacity() {
+        // One live 4096-key region on a Table I device (32 chips of 2 Mi
+        // slots each). Its checkpoint holds the region's materialized
+        // mats, a few set exclusion words and one presence byte per mat;
+        // the exclusion flags alone would take 8 MiB stored densely.
+        let config = RimeConfig::table1();
+        let exec = Executor::new(config);
+        let store = MemJournalStore::new();
+        exec.attach_journal(Box::new(store.clone()), JournalConfig::default())
+            .unwrap();
+        let r = region_of(exec.execute(Command::Alloc { len: 4096 }).unwrap());
+        let keys: Vec<u64> = (0..4096u64)
+            .map(|i| (i * 2_654_435_761) % 100_003)
+            .collect();
+        exec.execute(Command::Write {
+            region: r,
+            offset: 0,
+            raw: Cow::Borrowed(&keys),
+            format: KeyFormat::UNSIGNED64,
+        })
+        .unwrap();
+        exec.execute(Command::Init {
+            region: r,
+            offset: 0,
+            len: 4096,
+            format: KeyFormat::UNSIGNED64,
+        })
+        .unwrap();
+        exec.execute(Command::ExtractBatch {
+            region: r,
+            format: KeyFormat::UNSIGNED64,
+            direction: Direction::Min,
+            k: 16,
+        })
+        .unwrap();
+        for _ in 0..3 {
+            exec.execute(Command::Extract {
+                region: r,
+                format: KeyFormat::UNSIGNED64,
+                direction: Direction::Min,
+            })
+            .unwrap();
+        }
+        assert!(exec.checkpoint_now().unwrap());
+        let want = fingerprint(&exec);
+        drop(exec);
+        let scanned = journal::scan(&store.snapshot()).unwrap();
+        let sizes: Vec<usize> = scanned
+            .records
+            .iter()
+            .filter_map(|(_, record)| match record {
+                JournalRecord::Checkpoint { state, .. } => Some(state.len()),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(sizes.len(), 2, "attach + forced");
+        for size in sizes {
+            assert!(size < 256 * 1024, "checkpoint of {size} bytes");
+        }
+        let (rec, report) =
+            Executor::recover(config, Box::new(store), JournalConfig::default()).unwrap();
+        assert!(report.from_checkpoint);
+        assert_eq!(
+            report.replayed, 0,
+            "the forced checkpoint is the last record"
+        );
+        assert_eq!(fingerprint(&rec), want, "recovery is bit-identical");
     }
 
     #[test]

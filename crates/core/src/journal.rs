@@ -11,14 +11,17 @@
 //!   [`Effects`] — little-endian, length-prefixed, append-only;
 //! * **framing** with a per-record CRC-32 so torn writes are *detected*,
 //!   never silently half-applied: `[u32 len][kind + body][u32 crc]`
-//!   under the `RIMEWAL1` magic;
+//!   under the `RIMEWAL2` magic;
 //! * the **commit-marker protocol**: an [`JournalRecord::Intent`] is
 //!   appended *before* a command dispatches and an
 //!   [`JournalRecord::Outcome`] *after*, so recovery can always tell a
 //!   committed command from an interrupted one;
 //! * periodic [`JournalRecord::Checkpoint`]s carrying the executor's
 //!   full marshalled state (driver allocator, region tables, sessions,
-//!   per-chip snapshots), bounding replay work;
+//!   per-chip snapshots), bounding replay work. A chip snapshot stores
+//!   only materialized mats and the nonzero words of its exclusion
+//!   flags, so a checkpoint's size tracks the device's live state, not
+//!   its capacity;
 //! * [`scan`] — a strict, typed reader that distinguishes a torn *tail*
 //!   (tolerated, truncated on recovery) from interior corruption
 //!   (refused with [`JournalError::BadChecksum`]);
@@ -50,7 +53,9 @@ use crate::error::RimeError;
 use crate::telemetry::Effects;
 
 /// Journal file magic: identifies format and version in one probe.
-pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL1";
+/// Version 2 stores exclusion flags sparsely; a version-1 journal is
+/// refused with [`JournalError::BadMagic`] rather than misread.
+pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL2";
 
 const KIND_INTENT: u8 = 1;
 const KIND_OUTCOME: u8 = 2;
@@ -81,7 +86,7 @@ pub enum JournalError {
         /// Human-readable OS error text.
         message: String,
     },
-    /// The store's first bytes are not the `RIMEWAL1` magic.
+    /// The store's first bytes are not the `RIMEWAL2` magic.
     BadMagic,
     /// Decoding ran past the end of the buffer at `offset` — a record
     /// or blob was cut short.
@@ -154,20 +159,64 @@ fn io_err(op: &str, e: std::io::Error) -> JournalError {
 
 // ---------------------------------------------------------------------
 // CRC-32 (IEEE 802.3, reflected) — the workspace is offline, so it is
-// hand-rolled; journal records are small enough that the bitwise form
-// is not a bottleneck.
+// hand-rolled. Every record is checksummed on append and on scan, and a
+// Table I checkpoint runs to hundreds of KiB, so the CRC is
+// slicing-by-8: eight table lookups per 8-byte word instead of eight
+// shift/xor steps per byte.
 // ---------------------------------------------------------------------
+
+const CRC_POLY: u32 = 0xEDB8_8320;
+
+/// Slicing-by-8 tables, built at compile time. `CRC_TABLES[0][b]` is the
+/// CRC register after shifting in byte `b`; `CRC_TABLES[k][b]` is the
+/// same followed by `k` zero bytes, so the eight bytes of a word fold in
+/// with one lookup each.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
 
 /// CRC-32 over `bytes` (IEEE polynomial, reflected, init/xorout all-1s).
 pub(crate) fn crc32(bytes: &[u8]) -> u32 {
-    const POLY: u32 = 0xEDB8_8320;
+    let t = &CRC_TABLES;
     let mut crc = u32::MAX;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (POLY & mask);
-        }
+    let mut words = bytes.chunks_exact(8);
+    for word in &mut words {
+        let v = u64::from_le_bytes(word.try_into().expect("len 8")) ^ u64::from(crc);
+        crc = t[7][v as u8 as usize]
+            ^ t[6][(v >> 8) as u8 as usize]
+            ^ t[5][(v >> 16) as u8 as usize]
+            ^ t[4][(v >> 24) as u8 as usize]
+            ^ t[3][(v >> 32) as u8 as usize]
+            ^ t[2][(v >> 40) as u8 as usize]
+            ^ t[1][(v >> 48) as u8 as usize]
+            ^ t[0][(v >> 56) as usize];
+    }
+    for &b in words.remainder() {
+        crc = (crc >> 8) ^ t[0][usize::from(crc as u8 ^ b)];
     }
     !crc
 }
@@ -791,39 +840,78 @@ pub(crate) fn get_effects(d: &mut Dec<'_>) -> Result<Effects, JournalError> {
 // Chip-state codec (checkpoint payloads)
 // ---------------------------------------------------------------------
 
-fn put_bitmap(buf: &mut Vec<u8>, bitmap: &Bitmap) {
-    put_u64(buf, bitmap.len() as u64);
-    for &word in bitmap.words() {
-        put_u64(buf, word);
-    }
-}
-
-fn get_bitmap(d: &mut Dec<'_>) -> Result<Bitmap, JournalError> {
-    let len = d.u64()?;
-    if len > MAX_DECODE_ITEMS {
-        return Err(JournalError::Decode {
-            what: format!("bitmap length {len} exceeds sanity cap"),
-        });
-    }
-    let len = len as usize;
-    let mut bitmap = Bitmap::zeros(len);
-    for word_idx in 0..len.div_ceil(64) {
-        let word = d.u64()?;
-        for bit in 0..64 {
-            let idx = word_idx * 64 + bit;
-            let set = (word >> bit) & 1 == 1;
-            if idx < len {
-                if set {
-                    bitmap.set(idx, true);
-                }
-            } else if set {
-                return Err(JournalError::Decode {
-                    what: "bitmap tail bits set".to_string(),
-                });
-            }
+/// Exclusion flags are sparse: `[u64 len][u32 n]` then `n` ×
+/// `(u32 word index, u64 word)` for the nonzero words only, indices
+/// strictly increasing. A chip's flags span its whole capacity (2 Mi
+/// bits at Table I scale) but only the slots of extracted keys are set.
+fn put_exclusion(buf: &mut Vec<u8>, flags: &Bitmap) {
+    put_u64(buf, flags.len() as u64);
+    let count_at = buf.len();
+    put_u32(buf, 0);
+    let mut n = 0u32;
+    for (idx, &word) in flags.words().iter().enumerate() {
+        if word != 0 {
+            put_u32(
+                buf,
+                u32::try_from(idx).expect("chips hold under 2^38 slots"),
+            );
+            put_u64(buf, word);
+            n += 1;
         }
     }
-    Ok(bitmap)
+    buf[count_at..count_at + 4].copy_from_slice(&n.to_le_bytes());
+}
+
+/// Decodes [`put_exclusion`]'s form for a chip of `slots` key slots.
+/// The length is checked against `slots` before anything is allocated,
+/// and only the canonical encoding is accepted: every listed word
+/// nonzero, indices strictly increasing and in range, no bits past
+/// `slots` — anything else is a typed [`JournalError::Decode`].
+fn get_exclusion(d: &mut Dec<'_>, slots: u64) -> Result<Bitmap, JournalError> {
+    let len = d.u64()?;
+    if len != slots {
+        return Err(JournalError::Decode {
+            what: format!("exclusion flags span {len} slots, chips hold {slots}"),
+        });
+    }
+    let len = usize::try_from(len).map_err(|_| JournalError::Decode {
+        what: "exclusion length exceeds usize".to_string(),
+    })?;
+    let words = len.div_ceil(64);
+    let n = d.len_prefix(4 + 8)?;
+    let tail_mask = match len % 64 {
+        0 => u64::MAX,
+        rem => (1u64 << rem) - 1,
+    };
+    let mut flags = Bitmap::zeros(len);
+    let mut next = 0;
+    for _ in 0..n {
+        let idx = d.u32()? as usize;
+        let word = d.u64()?;
+        let problem = if idx < next {
+            Some("index not strictly increasing")
+        } else if idx >= words {
+            Some("index past the last word")
+        } else if word == 0 {
+            Some("zero word listed")
+        } else if idx == words - 1 && word & !tail_mask != 0 {
+            Some("tail bits set")
+        } else {
+            None
+        };
+        if let Some(problem) = problem {
+            return Err(JournalError::Decode {
+                what: format!("exclusion word {idx}: {problem}"),
+            });
+        }
+        let mut rest = word;
+        while rest != 0 {
+            flags.set(idx * 64 + rest.trailing_zeros() as usize, true);
+            rest &= rest - 1;
+        }
+        next = idx + 1;
+    }
+    Ok(flags)
 }
 
 fn put_array_state(buf: &mut Vec<u8>, state: &ArrayState) {
@@ -894,7 +982,7 @@ pub(crate) fn put_chip_state(buf: &mut Vec<u8>, state: &ChipState) {
             }
         }
     }
-    put_bitmap(buf, &state.excluded);
+    put_exclusion(buf, &state.excluded);
     match state.format {
         None => put_u8(buf, 0),
         Some(format) => {
@@ -913,7 +1001,9 @@ pub(crate) fn put_chip_state(buf: &mut Vec<u8>, state: &ChipState) {
     put_counters(buf, &state.counters);
 }
 
-pub(crate) fn get_chip_state(d: &mut Dec<'_>) -> Result<ChipState, JournalError> {
+/// Decodes one chip snapshot for a chip of `slots` key slots (already
+/// validated against the device configuration by the caller).
+pub(crate) fn get_chip_state(d: &mut Dec<'_>, slots: u64) -> Result<ChipState, JournalError> {
     let n = d.len_prefix(1)?;
     let mut mats = Vec::with_capacity(n);
     for _ in 0..n {
@@ -927,7 +1017,7 @@ pub(crate) fn get_chip_state(d: &mut Dec<'_>) -> Result<ChipState, JournalError>
             }
         });
     }
-    let excluded = get_bitmap(d)?;
+    let excluded = get_exclusion(d, slots)?;
     let format = match d.u8()? {
         0 => None,
         1 => Some(get_format(d)?),
@@ -992,13 +1082,12 @@ pub enum JournalRecord {
 }
 
 fn encode_record(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(1 + body.len());
-    payload.push(kind);
-    payload.extend_from_slice(body);
-    let mut record = Vec::with_capacity(8 + payload.len());
-    put_u32(&mut record, payload.len() as u32);
-    record.extend_from_slice(&payload);
-    put_u32(&mut record, crc32(&payload));
+    let mut record = Vec::with_capacity(4 + 1 + body.len() + 4);
+    put_u32(&mut record, (1 + body.len()) as u32);
+    record.push(kind);
+    record.extend_from_slice(body);
+    let crc = crc32(&record[4..]);
+    put_u32(&mut record, crc);
     record
 }
 
@@ -1421,10 +1510,136 @@ mod tests {
     use super::*;
     use std::borrow::Cow;
 
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+
+    /// The bitwise CRC-32 the tables are derived from: the oracle the
+    /// slicing-by-8 form must match.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = u32::MAX;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
+            }
+        }
+        !crc
+    }
+
     #[test]
     fn crc32_matches_the_ieee_check_value() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        assert_eq!(crc32_bitwise(b"123456789"), 0xCBF4_3926);
+    }
+
+    #[test]
+    fn table_driven_crc32_matches_the_bitwise_reference() {
+        // Every length through the 8-byte body and the byte-wise tail,
+        // at every start alignment.
+        let mut rng = StdRng::seed_from_u64(0xC3C3);
+        let buf: Vec<u8> = (0..257 + 8).map(|_| rng.gen::<u32>() as u8).collect();
+        for offset in 0..8 {
+            for len in 0..=257 {
+                let bytes = &buf[offset..offset + len];
+                assert_eq!(
+                    crc32(bytes),
+                    crc32_bitwise(bytes),
+                    "offset {offset}, len {len}"
+                );
+            }
+        }
+    }
+
+    fn decode_exclusion(bytes: &[u8], slots: u64) -> Result<Bitmap, JournalError> {
+        let mut d = Dec::new(bytes);
+        let flags = get_exclusion(&mut d, slots)?;
+        d.finish("exclusion flags")?;
+        Ok(flags)
+    }
+
+    #[test]
+    fn exclusion_flags_round_trip_sparsely() {
+        let mut rng = StdRng::seed_from_u64(7);
+        let mut cases = Vec::new();
+        for len in [0usize, 1, 63, 64, 65, 200, 4096 + 13] {
+            cases.push(Bitmap::zeros(len));
+            cases.push(Bitmap::ones(len));
+            if len > 0 {
+                let mut single = Bitmap::zeros(len);
+                single.set(len / 2, true);
+                cases.push(single);
+                let mut last = Bitmap::zeros(len);
+                last.set(len - 1, true);
+                cases.push(last);
+                let mut random = Bitmap::zeros(len);
+                for idx in 0..len {
+                    random.set(idx, rng.gen_bool(0.3));
+                }
+                cases.push(random);
+            }
+        }
+        for flags in cases {
+            let mut bytes = Vec::new();
+            put_exclusion(&mut bytes, &flags);
+            let nonzero = flags.words().iter().filter(|&&w| w != 0).count();
+            assert_eq!(bytes.len(), 8 + 4 + 12 * nonzero, "only nonzero words");
+            let back = decode_exclusion(&bytes, flags.len() as u64).expect("decode");
+            assert_eq!(back, flags);
+        }
+    }
+
+    /// Hand-builds an exclusion encoding for `len` slots listing `words`.
+    fn raw_exclusion(len: u64, words: &[(u32, u64)]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, len);
+        put_u32(&mut buf, words.len() as u32);
+        for &(idx, word) in words {
+            put_u32(&mut buf, idx);
+            put_u64(&mut buf, word);
+        }
+        buf
+    }
+
+    #[test]
+    fn non_canonical_exclusion_flags_fail_typed() {
+        // 130 slots: three words, the last holding two live bits.
+        let cases: [(&[(u32, u64)], &str); 5] = [
+            (&[(1, 1), (1, 2)], "strictly increasing"),
+            (&[(1, 1), (0, 1)], "strictly increasing"),
+            (&[(3, 1)], "past the last word"),
+            (&[(0, 0)], "zero word"),
+            (&[(2, 0b100)], "tail bits"),
+        ];
+        for (words, want) in cases {
+            let err = decode_exclusion(&raw_exclusion(130, words), 130).expect_err("refused");
+            assert!(
+                matches!(err, JournalError::Decode { ref what } if what.contains(want)),
+                "{words:?}: {err:?}"
+            );
+        }
+        // The canonical neighbours of those cases decode.
+        let flags = decode_exclusion(&raw_exclusion(130, &[(0, 1), (2, 0b11)]), 130).expect("ok");
+        assert_eq!(flags.iter_ones().collect::<Vec<_>>(), vec![0, 128, 129]);
+    }
+
+    #[test]
+    fn an_inflated_exclusion_length_is_refused_before_allocating() {
+        // A 2^28-slot length field (32 MiB of flags) for a chip of 4096
+        // slots fails on the length alone.
+        let bytes = raw_exclusion(1 << 28, &[]);
+        let err = decode_exclusion(&bytes, 4096).expect_err("refused");
+        assert!(
+            matches!(err, JournalError::Decode { ref what } if what.contains("268435456")),
+            "{err:?}"
+        );
+        // An inflated word count fails on the bytes actually present.
+        let mut bytes = raw_exclusion(4096, &[]);
+        bytes[8..12].copy_from_slice(&1_000_000u32.to_le_bytes());
+        assert!(matches!(
+            decode_exclusion(&bytes, 4096),
+            Err(JournalError::TruncatedRecord { .. })
+        ));
     }
 
     fn region(id: u64, start: u64, len: u64) -> Region {
@@ -1571,12 +1786,24 @@ mod tests {
         chip.init_range(0, 4, KeyFormat::UNSIGNED64).expect("init");
         chip.extract(Direction::Min).expect("extract");
         let state = chip.state();
+        let slots = state.excluded.len() as u64;
         let mut buf = Vec::new();
         put_chip_state(&mut buf, &state);
         let mut d = Dec::new(&buf);
-        let back = get_chip_state(&mut d).expect("decode");
+        let back = get_chip_state(&mut d, slots).expect("decode");
         d.finish("chip state").expect("fully consumed");
         assert_eq!(back, state);
+        // Every strict prefix fails typed, never panics.
+        for cut in 0..buf.len() {
+            let err = get_chip_state(&mut Dec::new(&buf[..cut]), slots).expect_err("prefix");
+            assert!(
+                matches!(
+                    err,
+                    JournalError::TruncatedRecord { .. } | JournalError::Decode { .. }
+                ),
+                "cut {cut}: unexpected error {err:?}"
+            );
+        }
     }
 
     #[test]
@@ -1690,6 +1917,17 @@ mod tests {
         assert_eq!(scan(b"NOTAWAL!rest"), Err(JournalError::BadMagic));
         assert_eq!(scan(b"RIME"), Err(JournalError::BadMagic));
         let store = MemJournalStore::from_bytes(b"GARBAGE-GARBAGE".to_vec());
+        assert_eq!(
+            Journal::new(Box::new(store), JournalConfig::default()).err(),
+            Some(JournalError::BadMagic)
+        );
+        // Version 1 stored exclusion flags densely; its records must not
+        // be read as version 2.
+        let (store, _journal) = journal_with_traffic();
+        let mut v1 = store.snapshot();
+        v1[..8].copy_from_slice(b"RIMEWAL1");
+        assert_eq!(scan(&v1), Err(JournalError::BadMagic));
+        let store = MemJournalStore::from_bytes(v1);
         assert_eq!(
             Journal::new(Box::new(store), JournalConfig::default()).err(),
             Some(JournalError::BadMagic)
