@@ -11,8 +11,9 @@
 //!   method builds the corresponding `Command`;
 //! * [`crate::mmio::MmioInterface`] — decodes register writes into the
 //!   same `Command`s and translates errors to register codes;
-//! * [`crate::trace`] — records commands from the executor's telemetry
-//!   stream and replays them by feeding `Command`s back in.
+//! * [`Executor::replay`] — feeds the `Command`s a journal recorded
+//!   back into a fresh executor, so a journal doubles as a debugging
+//!   trace.
 //!
 //! Because every path funnels through [`Executor::execute`], the
 //! [`crate::telemetry`] spine observes *all* device activity in one
@@ -172,6 +173,63 @@ impl Command<'_> {
             | Command::FifoNext { region } => Some(*region),
         }
     }
+
+    fn region_mut(&mut self) -> Option<&mut Region> {
+        match self {
+            Command::Alloc { .. } => None,
+            Command::Free { region }
+            | Command::Write { region, .. }
+            | Command::Read { region, .. }
+            | Command::Init { region, .. }
+            | Command::Extract { region, .. }
+            | Command::ExtractBatch { region, .. }
+            | Command::FifoNext { region } => Some(region),
+        }
+    }
+}
+
+/// One committed command of a journal: an intent and the outcome that
+/// committed it.
+struct Committed<'j> {
+    ordinal: u64,
+    command: &'j Command<'static>,
+    result: &'j Result<Outcome, RimeError>,
+    effects: &'j Effects,
+}
+
+/// Pairs each intent in `records` with its outcome, in log order,
+/// skipping checkpoints. A repeated intent for the same ordinal is the
+/// resume of a command whose first attempt crashed mid-dispatch. Also
+/// returns the ordinal of a final intent that never committed.
+fn committed_commands(
+    records: &[(u64, JournalRecord)],
+) -> Result<(Vec<Committed<'_>>, Option<u64>), RimeError> {
+    let mut pending: Option<(u64, &Command<'static>)> = None;
+    let mut committed = Vec::new();
+    for (_, record) in records {
+        match record {
+            JournalRecord::Intent { ordinal, command } => pending = Some((*ordinal, command)),
+            JournalRecord::Outcome {
+                ordinal,
+                result,
+                effects,
+            } => match pending.take() {
+                Some((intent, command)) if intent == *ordinal => committed.push(Committed {
+                    ordinal: *ordinal,
+                    command,
+                    result,
+                    effects,
+                }),
+                _ => {
+                    return Err(RimeError::Journal(JournalError::Decode {
+                        what: format!("outcome for ordinal {ordinal} without a matching intent"),
+                    }))
+                }
+            },
+            JournalRecord::Checkpoint { .. } => {}
+        }
+    }
+    Ok((committed, pending.map(|(ordinal, _)| ordinal)))
 }
 
 /// The marshalled result of a successfully executed [`Command`].
@@ -847,7 +905,8 @@ impl Executor {
         }
         self.apply_direction(&mut session, direction, fx)?;
         self.prefill_queues(&mut session, direction, k, fx)?;
-        let mut out = Vec::with_capacity(k);
+        let buffered: usize = session.queues.values().map(VecDeque::len).sum();
+        let mut out = Vec::with_capacity(k.min(buffered));
         while out.len() < k {
             match Self::pop_winner(&mut session, direction) {
                 None => break,
@@ -1363,53 +1422,21 @@ impl Executor {
             Some((_, state)) => Executor::from_checkpoint(config, state)?,
             None => Executor::new(config),
         };
-        // Pair intents with outcomes past the newest checkpoint. A
-        // repeated intent for the same ordinal is the resume of a
-        // command whose first attempt crashed mid-dispatch.
+        // Replay the commands committed past the newest checkpoint.
         let start = checkpoint.map_or(0, |(idx, _)| idx + 1);
-        let mut pending: Option<(u64, Command<'static>)> = None;
-        let mut tail: Vec<(u64, Command<'static>, Result<Outcome, RimeError>, Effects)> =
-            Vec::new();
-        for (_, record) in &scanned.records[start..] {
-            match record {
-                JournalRecord::Intent { ordinal, command } => {
-                    pending = Some((*ordinal, command.clone()));
-                }
-                JournalRecord::Outcome {
-                    ordinal,
-                    result,
-                    effects,
-                } => match pending.take() {
-                    Some((intent_ordinal, command)) if intent_ordinal == *ordinal => {
-                        tail.push((*ordinal, command, result.clone(), effects.clone()));
-                    }
-                    _ => {
-                        return Err(RimeError::Journal(JournalError::Decode {
-                            what: format!(
-                                "outcome for ordinal {ordinal} without a matching intent"
-                            ),
-                        }))
-                    }
-                },
-                JournalRecord::Checkpoint { .. } => {
-                    // Unreachable by construction (we started past the
-                    // newest checkpoint), but harmless.
-                }
-            }
-        }
+        let (tail, interrupted) = committed_commands(&scanned.records[start..])?;
         let replayed = tail.len() as u64;
         executor.replaying.store(true, Ordering::SeqCst);
-        for (ordinal, command, recorded_result, recorded_effects) in &tail {
-            let (result, effects) = executor.run(command);
-            if result != *recorded_result || effects != *recorded_effects {
+        for committed in &tail {
+            let (result, effects) = executor.run(committed.command);
+            if result != *committed.result || effects != *committed.effects {
                 executor.replaying.store(false, Ordering::SeqCst);
                 return Err(RimeError::Journal(JournalError::ReplayDivergence {
-                    ordinal: *ordinal,
+                    ordinal: committed.ordinal,
                 }));
             }
         }
         executor.replaying.store(false, Ordering::SeqCst);
-        let interrupted = pending.map(|(ordinal, _)| ordinal);
         if scanned.torn_tail {
             store.truncate(scanned.valid_len).map_err(RimeError::from)?;
         }
@@ -1452,6 +1479,50 @@ impl Executor {
             executor.attach_flight_recorder(recorder);
         }
         Ok((executor, report))
+    }
+
+    /// Replays a journal as a debugging trace: runs its committed,
+    /// successful commands on a fresh device for `config` and returns
+    /// the raw bits every extraction produced, in order (`None` marks an
+    /// exhausted range or a dry FIFO drain; an `ExtractBatch` adds one
+    /// entry per hit).
+    ///
+    /// To record a trace, attach a journal to a fresh device. Unlike
+    /// [`Executor::recover`], replay ignores checkpoints, skips the
+    /// commands that failed when recorded, and checks nothing against
+    /// the log, so `config` may differ from the recording device. Each
+    /// recorded region maps to the region its `Alloc` returns on replay.
+    /// A torn journal replays its committed prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`RimeError::Journal`] for an unreadable journal,
+    /// [`RimeError::InvalidRegion`] for a command naming a region the
+    /// log never allocated, and any error a replayed command hits.
+    pub fn replay(config: RimeConfig, journal: &[u8]) -> Result<Vec<Option<u64>>, RimeError> {
+        let scanned = journal::scan(journal)?;
+        let (commands, _) = committed_commands(&scanned.records)?;
+        let executor = Executor::new(config);
+        let mut regions: HashMap<Region, Region> = HashMap::new();
+        let mut extracted = Vec::new();
+        for committed in commands {
+            let Ok(recorded) = committed.result else {
+                continue;
+            };
+            let mut command = committed.command.clone();
+            if let Some(region) = command.region_mut() {
+                *region = *regions.get(&*region).ok_or(RimeError::InvalidRegion)?;
+            }
+            match (executor.run(&command).0?, recorded) {
+                (Outcome::Region(live), Outcome::Region(logged)) => {
+                    regions.insert(*logged, live);
+                }
+                (Outcome::Hit(hit), _) => extracted.push(hit.map(|(_, v)| v)),
+                (Outcome::Hits(hits), _) => extracted.extend(hits.iter().map(|&(_, v)| Some(v))),
+                _ => {}
+            }
+        }
+        Ok(extracted)
     }
 
     /// Installs (or clears) the crash-site fault injector.
@@ -1819,6 +1890,7 @@ mod tests {
 
     // ---- Journal + recovery ----
 
+    use crate::device::RimeDevice;
     use crate::journal::MemJournalStore;
     use crate::metrics::MetricValue;
 
@@ -2165,5 +2237,152 @@ mod tests {
         assert!(exec.detach_journal());
         assert!(!exec.detach_journal());
         assert_eq!(exec.journal_committed(), None);
+    }
+
+    // ---- Replay: a journal as a debugging trace ----
+
+    const U64: KeyFormat = KeyFormat::UNSIGNED64;
+
+    /// A small device recording into a fresh journal.
+    fn recording() -> (RimeDevice, MemJournalStore) {
+        let dev = RimeDevice::new(RimeConfig::small());
+        let store = MemJournalStore::new();
+        dev.attach_journal(Box::new(store.clone()), JournalConfig::default())
+            .unwrap();
+        (dev, store)
+    }
+
+    /// Stores `keys` in a fresh region and starts a ranking session.
+    fn loaded(dev: &RimeDevice, keys: &[u64]) -> Region {
+        let r = dev.alloc(keys.len() as u64).unwrap();
+        dev.write_raw(r, 0, keys, U64).unwrap();
+        dev.init_raw(r, 0, keys.len() as u64, U64).unwrap();
+        r
+    }
+
+    fn values(hits: &[(u64, u64)]) -> Vec<Option<u64>> {
+        hits.iter().map(|&(_, v)| Some(v)).collect()
+    }
+
+    #[test]
+    fn replay_reproduces_the_live_extractions() {
+        let (dev, store) = recording();
+        let r = loaded(&dev, &[9, 2, 7, 5]);
+        let mut live = Vec::new();
+        for _ in 0..5 {
+            let hit = dev.next_extreme_raw(r, U64, Direction::Min).unwrap();
+            live.push(hit.map(|(_, v)| v));
+            dev.checkpoint_now().unwrap(); // replay skips checkpoints
+        }
+        dev.free(r).unwrap();
+        assert_eq!(live, [Some(2), Some(5), Some(7), Some(9), None]);
+        assert_eq!(
+            Executor::replay(RimeConfig::small(), &store.snapshot()),
+            Ok(live)
+        );
+    }
+
+    #[test]
+    fn replay_works_on_a_different_geometry() {
+        let (dev, store) = recording();
+        let r = loaded(&dev, &[3, 1, 2]);
+        let hit = dev.next_extreme_raw(r, U64, Direction::Max).unwrap();
+        assert_eq!(hit.map(|(_, v)| v), Some(3));
+        // A bigger device must produce the same extraction results.
+        let big = RimeConfig {
+            chips_per_channel: 4,
+            ..RimeConfig::small()
+        };
+        assert_eq!(Executor::replay(big, &store.snapshot()), Ok(vec![Some(3)]));
+    }
+
+    #[test]
+    fn a_region_the_log_never_allocated_is_invalid_on_replay() {
+        let dev = RimeDevice::new(RimeConfig::small());
+        let r = dev.alloc(2).unwrap();
+        let store = MemJournalStore::new();
+        dev.attach_journal(Box::new(store.clone()), JournalConfig::default())
+            .unwrap();
+        dev.free(r).unwrap();
+        assert_eq!(
+            Executor::replay(RimeConfig::small(), &store.snapshot()),
+            Err(RimeError::InvalidRegion)
+        );
+    }
+
+    #[test]
+    fn failed_commands_are_logged_but_not_replayed() {
+        let (dev, store) = recording();
+        dev.alloc(dev.capacity() + 1).unwrap_err();
+        let r = dev.alloc(2).unwrap();
+        dev.next_extreme_raw(r, U64, Direction::Min).unwrap_err();
+        let scanned = journal::scan(&store.snapshot()).unwrap();
+        let failed = scanned
+            .records
+            .iter()
+            .filter(|(_, record)| matches!(record, JournalRecord::Outcome { result: Err(_), .. }))
+            .count();
+        assert_eq!(failed, 2);
+        // Either failure, replayed, would fail the replay.
+        assert_eq!(
+            Executor::replay(RimeConfig::small(), &store.snapshot()),
+            Ok(Vec::new())
+        );
+    }
+
+    #[test]
+    fn a_batch_drain_and_direction_switch_replay_bit_identically() {
+        let (dev, store) = recording();
+        // Span two chips so the batch leaves candidates buffered on the
+        // losing chip — the FIFO drain then has real work to do.
+        let n = dev.config().chip_slots() + 8;
+        let keys: Vec<u64> = (0..n).map(|i| (i * 7919) % 104_729).collect();
+        let r = loaded(&dev, &keys);
+        let mut live = values(&dev.next_extremes_raw(r, U64, Direction::Min, 7).unwrap());
+        assert_eq!(live.len(), 7);
+        while let Some((_, v)) = dev.fifo_next_raw(r).unwrap() {
+            live.push(Some(v));
+        }
+        assert!(live.len() > 7, "the batch left candidates to drain");
+        // The dry drain itself, then a direction switch, which re-arms
+        // every spanned chip.
+        live.push(None);
+        let top = values(&dev.next_extremes_raw(r, U64, Direction::Max, 3).unwrap());
+        let mut want = keys.clone();
+        want.sort_unstable_by(|a, b| b.cmp(a));
+        assert_eq!(top, want[..3].iter().map(|&v| Some(v)).collect::<Vec<_>>());
+        live.extend(top);
+        dev.free(r).unwrap();
+        assert_eq!(
+            Executor::replay(RimeConfig::small(), &store.snapshot()),
+            Ok(live)
+        );
+    }
+
+    #[test]
+    fn replay_of_every_truncation_is_typed_or_a_prefix() {
+        // A torn journal replays its committed prefix; a cut too short to
+        // scan is a typed journal error. No cut panics.
+        let (dev, store) = recording();
+        let r = loaded(&dev, &[9, 2, 7, 5, 3]);
+        let mut live = values(&dev.next_extremes_raw(r, U64, Direction::Min, 2).unwrap());
+        live.push(dev.fifo_next_raw(r).unwrap().map(|(_, v)| v));
+        live.push(
+            dev.next_extreme_raw(r, U64, Direction::Max)
+                .unwrap()
+                .map(|(_, v)| v),
+        );
+        dev.free(r).unwrap();
+        let bytes = store.snapshot();
+        assert_eq!(
+            Executor::replay(RimeConfig::small(), &bytes),
+            Ok(live.clone())
+        );
+        for cut in 0..bytes.len() {
+            match Executor::replay(RimeConfig::small(), &bytes[..cut]) {
+                Ok(replayed) => assert!(live.starts_with(&replayed), "cut {cut}: {replayed:?}"),
+                Err(err) => assert!(matches!(err, RimeError::Journal(_)), "cut {cut}: {err:?}"),
+            }
+        }
     }
 }

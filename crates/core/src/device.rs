@@ -17,8 +17,8 @@
 //! typed [`Command`] and hands it to the device's single
 //! [`crate::cmd::Executor`], which owns validation, chip dispatch, and
 //! result marshalling. The MMIO register file ([`crate::mmio`]) and
-//! trace replay ([`crate::trace`]) lower into the same executor, so all
-//! three front-ends share one semantics and one telemetry stream.
+//! journal replay ([`Executor::replay`]) lower into the same executor,
+//! so all three front-ends share one semantics and one telemetry stream.
 //!
 //! A RIME DIMM forbids fine-grained channel interleaving (§V): contiguous
 //! key ranges map contiguously onto chips, so one region spans as few

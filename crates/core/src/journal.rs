@@ -10,8 +10,9 @@
 //! * a **record codec** for [`Command`], [`Outcome`], [`RimeError`], and
 //!   [`Effects`] — little-endian, length-prefixed, append-only;
 //! * **framing** with a per-record CRC-32 so torn writes are *detected*,
-//!   never silently half-applied: `[u32 len][kind + body][u32 crc]`
-//!   under the `RIMEWAL2` magic;
+//!   never silently half-applied: `[u32 len][u32 crc(len)][kind + body]
+//!   [u32 crc]` under the `RIMEWAL3` magic. The length carries its own
+//!   checksum, so a corrupt length is never mistaken for a torn tail;
 //! * the **commit-marker protocol**: an [`JournalRecord::Intent`] is
 //!   appended *before* a command dispatches and an
 //!   [`JournalRecord::Outcome`] *after*, so recovery can always tell a
@@ -53,9 +54,13 @@ use crate::error::RimeError;
 use crate::telemetry::Effects;
 
 /// Journal file magic: identifies format and version in one probe.
-/// Version 2 stores exclusion flags sparsely; a version-1 journal is
-/// refused with [`JournalError::BadMagic`] rather than misread.
-pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL2";
+/// Version 2 stored exclusion flags sparsely; version 3 also checksums
+/// each record's length on its own. An older journal is refused with
+/// [`JournalError::BadMagic`] rather than misread.
+pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL3";
+
+/// Record header: `[u32 len][u32 crc32(len)]`.
+const HEADER: usize = 8;
 
 const KIND_INTENT: u8 = 1;
 const KIND_OUTCOME: u8 = 2;
@@ -86,7 +91,7 @@ pub enum JournalError {
         /// Human-readable OS error text.
         message: String,
     },
-    /// The store's first bytes are not the `RIMEWAL2` magic.
+    /// The store's first bytes are not the `RIMEWAL3` magic.
     BadMagic,
     /// Decoding ran past the end of the buffer at `offset` — a record
     /// or blob was cut short.
@@ -94,7 +99,8 @@ pub enum JournalError {
         /// Byte offset (within the decoded buffer) where data ran out.
         offset: u64,
     },
-    /// A record's stored CRC-32 does not match its payload.
+    /// A record's stored CRC-32 does not match its length or its
+    /// payload.
     BadChecksum {
         /// Byte offset of the corrupt record's length prefix.
         offset: u64,
@@ -200,7 +206,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
 }
 
 /// CRC-32 over `bytes` (IEEE polynomial, reflected, init/xorout all-1s).
-pub(crate) fn crc32(bytes: &[u8]) -> u32 {
+fn crc32(bytes: &[u8]) -> u32 {
     let t = &CRC_TABLES;
     let mut crc = u32::MAX;
     let mut words = bytes.chunks_exact(8);
@@ -313,7 +319,7 @@ impl<'a> Dec<'a> {
         Ok(n as usize)
     }
 
-    pub(crate) fn u64_vec(&mut self) -> Result<Vec<u64>, JournalError> {
+    fn u64_vec(&mut self) -> Result<Vec<u64>, JournalError> {
         let n = self.len_prefix(8)?;
         (0..n).map(|_| self.u64()).collect()
     }
@@ -378,7 +384,7 @@ pub(crate) fn get_format(d: &mut Dec<'_>) -> Result<KeyFormat, JournalError> {
     }
 }
 
-pub(crate) fn put_direction(buf: &mut Vec<u8>, direction: Direction) {
+fn put_direction(buf: &mut Vec<u8>, direction: Direction) {
     put_u8(
         buf,
         match direction {
@@ -388,7 +394,7 @@ pub(crate) fn put_direction(buf: &mut Vec<u8>, direction: Direction) {
     );
 }
 
-pub(crate) fn get_direction(d: &mut Dec<'_>) -> Result<Direction, JournalError> {
+fn get_direction(d: &mut Dec<'_>) -> Result<Direction, JournalError> {
     match d.u8()? {
         0 => Ok(Direction::Min),
         1 => Ok(Direction::Max),
@@ -1082,11 +1088,13 @@ pub enum JournalRecord {
 }
 
 fn encode_record(kind: u8, body: &[u8]) -> Vec<u8> {
-    let mut record = Vec::with_capacity(4 + 1 + body.len() + 4);
-    put_u32(&mut record, (1 + body.len()) as u32);
+    let len = (1 + body.len()) as u32;
+    let mut record = Vec::with_capacity(HEADER + len as usize + 4);
+    put_u32(&mut record, len);
+    put_u32(&mut record, crc32(&len.to_le_bytes()));
     record.push(kind);
     record.extend_from_slice(body);
-    let crc = crc32(&record[4..]);
+    let crc = crc32(&record[HEADER..]);
     put_u32(&mut record, crc);
     record
 }
@@ -1138,12 +1146,13 @@ pub struct ScanReport {
 
 /// Walks a journal byte image, validating framing and checksums.
 ///
-/// A short or checksum-failing record *at the end* is a torn tail —
-/// reported, not fatal, because a crash mid-append produces exactly
-/// that. The same damage anywhere *before* the end means interior
-/// corruption and fails with [`JournalError::BadChecksum`]; an
-/// undecodable payload behind a valid CRC fails with
-/// [`JournalError::Decode`].
+/// An image that ends inside a record header, or inside a record whose
+/// length passed its check, is a torn tail — reported, not fatal,
+/// because a crash mid-append produces exactly that; so is a final
+/// record whose payload fails its checksum. A length that fails its
+/// check is [`JournalError::BadChecksum`] wherever it sits, and so is a
+/// payload checksum failure before the end; an undecodable payload
+/// behind a valid CRC fails with [`JournalError::Decode`].
 pub fn scan(bytes: &[u8]) -> Result<ScanReport, JournalError> {
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(JournalError::BadMagic);
@@ -1165,18 +1174,20 @@ pub fn scan(bytes: &[u8]) -> Result<ScanReport, JournalError> {
                 torn_tail: true,
             })
         };
-        if bytes.len() - pos < 4 {
+        if bytes.len() - pos < HEADER {
             return torn(records);
         }
-        let len = u32::from_le_bytes(bytes[pos..pos + 4].try_into().expect("len 4")) as usize;
-        let total = 4 + len + 4;
+        let word = |at: usize| u32::from_le_bytes(bytes[at..at + 4].try_into().expect("len 4"));
+        if crc32(&bytes[pos..pos + 4]) != word(pos + 4) {
+            return Err(JournalError::BadChecksum { offset: pos as u64 });
+        }
+        let len = word(pos) as usize;
+        let total = HEADER + len + 4;
         if bytes.len() - pos < total {
             return torn(records);
         }
-        let payload = &bytes[pos + 4..pos + 4 + len];
-        let stored_crc =
-            u32::from_le_bytes(bytes[pos + 4 + len..pos + total].try_into().expect("len 4"));
-        if crc32(payload) != stored_crc {
+        let payload = &bytes[pos + HEADER..pos + HEADER + len];
+        if crc32(payload) != word(pos + HEADER + len) {
             if pos + total == bytes.len() {
                 // A torn write of the final record: the length prefix
                 // landed but part of the payload did not.
@@ -1903,13 +1914,34 @@ mod tests {
         let (first_offset, _) = report.records[0];
         // Flip a payload byte of the *first* record: damage before the
         // end of the log is corruption, not a torn tail.
-        bytes[first_offset as usize + 5] ^= 0xFF;
+        bytes[first_offset as usize + HEADER + 1] ^= 0xFF;
         assert_eq!(
             scan(&bytes),
             Err(JournalError::BadChecksum {
                 offset: first_offset
             })
         );
+        // Every bit of every record header. A length corrupted upward
+        // runs past the end of the image; were it trusted, every later
+        // record would read as a torn tail and recovery would truncate
+        // them away.
+        let clean = store.snapshot();
+        for &(offset, _) in &report.records {
+            for bit in 0..HEADER * 8 {
+                let mut bytes = clean.clone();
+                bytes[offset as usize + bit / 8] ^= 1 << (bit % 8);
+                let want = JournalError::BadChecksum { offset };
+                assert_eq!(scan(&bytes), Err(want.clone()), "bit {bit} @ {offset}");
+                let damaged = MemJournalStore::from_bytes(bytes.clone());
+                let recovered = crate::cmd::Executor::recover(
+                    crate::device::RimeConfig::small(),
+                    Box::new(damaged.clone()),
+                    JournalConfig::default(),
+                );
+                assert_eq!(recovered.err(), Some(RimeError::Journal(want)));
+                assert_eq!(damaged.snapshot(), bytes, "recovery truncated the store");
+            }
+        }
     }
 
     #[test]
@@ -1921,17 +1953,19 @@ mod tests {
             Journal::new(Box::new(store), JournalConfig::default()).err(),
             Some(JournalError::BadMagic)
         );
-        // Version 1 stored exclusion flags densely; its records must not
-        // be read as version 2.
-        let (store, _journal) = journal_with_traffic();
-        let mut v1 = store.snapshot();
-        v1[..8].copy_from_slice(b"RIMEWAL1");
-        assert_eq!(scan(&v1), Err(JournalError::BadMagic));
-        let store = MemJournalStore::from_bytes(v1);
-        assert_eq!(
-            Journal::new(Box::new(store), JournalConfig::default()).err(),
-            Some(JournalError::BadMagic)
-        );
+        // Older versions frame records differently; they must not be
+        // read as version 3.
+        for old in [b"RIMEWAL1", b"RIMEWAL2"] {
+            let (store, _journal) = journal_with_traffic();
+            let mut image = store.snapshot();
+            image[..8].copy_from_slice(old);
+            assert_eq!(scan(&image), Err(JournalError::BadMagic));
+            let store = MemJournalStore::from_bytes(image);
+            assert_eq!(
+                Journal::new(Box::new(store), JournalConfig::default()).err(),
+                Some(JournalError::BadMagic)
+            );
+        }
     }
 
     #[test]

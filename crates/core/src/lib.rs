@@ -11,7 +11,7 @@
 //!   and the single [`cmd::Executor`] that owns validation, chip
 //!   dispatch, and result marshalling for *every* front-end.
 //! * [`telemetry`] — the observer spine over the executor: one ordered
-//!   event stream feeding counters, energy, wear, and trace sinks.
+//!   event stream feeding counter, energy, and wear sinks.
 //! * [`metrics`] — the metrics registry and span layer over that spine:
 //!   counters, gauges, and log2-bucket histograms with Prometheus/JSON
 //!   export, deterministic for modeled quantities.
@@ -29,16 +29,15 @@
 //!   primitives with the bandwidth complexities of §III-B.
 //! * [`perf`] — the calibrated analytic performance model used by the
 //!   figure-regeneration harness at paper scale.
-//! * [`trace`] — operation trace recording and deterministic replay for
-//!   debugging and regression testing.
 //! * [`flight`] — end-to-end causal tracing: per-request trace
 //!   contexts, the fixed-size lock-striped flight recorder, and the
 //!   Chrome trace-event exporter behind `rime-trace`.
-//! * [`journal`] — the crash-consistency layer: an append-only,
-//!   checksummed write-ahead log of commands with commit markers and
-//!   periodic checkpoints, plus the typed [`journal::scan`] reader and
-//!   the `crash-test`-gated fault injector behind
-//!   [`cmd::Executor::recover`].
+//! * [`journal`] — the one command log: an append-only, checksummed
+//!   write-ahead log of commands with commit markers and periodic
+//!   checkpoints, plus the typed [`journal::scan`] reader and the
+//!   `crash-test`-gated fault injector. [`cmd::Executor::recover`]
+//!   rebuilds a crashed device from it; [`cmd::Executor::replay`] runs
+//!   it as a debugging trace on a fresh device.
 //!
 //! # Quickstart
 //!
@@ -76,7 +75,6 @@ pub mod mmio;
 pub mod ops;
 pub mod perf;
 pub mod telemetry;
-pub mod trace;
 
 pub use cmd::{Command, Executor, Outcome};
 pub use device::{Region, RimeConfig, RimeDevice};

@@ -2,13 +2,13 @@
 //!
 //! Every command the [`crate::cmd::Executor`] runs — no matter whether it
 //! entered through the typed [`crate::device::RimeDevice`] API, the MMIO
-//! register file ([`crate::mmio`]), or trace replay ([`crate::trace`]) —
-//! is published exactly once as a [`TelemetryEvent`] to every attached
-//! [`Telemetry`] sink. Publication happens under a single hub lock with a
-//! monotonically increasing sequence number, so all sinks observe the
-//! *same* event order (deterministic fan-in): counters, energy, wear, and
-//! trace recordings all describe one event stream instead of each layer
-//! keeping ad-hoc private plumbing.
+//! register file ([`crate::mmio`]), or journal replay
+//! ([`crate::cmd::Executor::replay`]) — is published exactly once as a
+//! [`TelemetryEvent`] to every attached [`Telemetry`] sink. Publication
+//! happens under a single hub lock with a monotonically increasing
+//! sequence number, so all sinks observe the *same* event order
+//! (deterministic fan-in): counters, energy, and wear all describe one
+//! event stream instead of each layer keeping ad-hoc private plumbing.
 //!
 //! The built-in [`DeviceStats`] sink is always attached; it is what
 //! `RimeDevice::{counters, interface_transfers, modeled_energy_nj,

@@ -685,8 +685,8 @@ impl Chip {
             }
         }
 
-        let mut hits = Vec::with_capacity(k);
         let mut selected = membership.count_ones() as u64;
+        let mut hits = Vec::with_capacity(k.min(selected as usize));
         let probe = self.probe.clone();
         match self.fanout(last_mat - first_mat + 1) {
             Fanout::Host(threads) => {

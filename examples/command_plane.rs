@@ -3,7 +3,7 @@
 //!
 //! Every mutation of a RIME device — whether issued through the typed
 //! Rust API, built programmatically as a `Command`, or replayed from a
-//! trace — lowers into the same `rime_core::cmd::Executor`. Telemetry
+//! journal — lowers into the same `rime_core::cmd::Executor`. Telemetry
 //! sinks attached to the device observe the identical event stream no
 //! matter which front-end produced it.
 //!
@@ -12,8 +12,9 @@
 use std::borrow::Cow;
 
 use rime_core::telemetry::{shared, CounterSink, WearSink};
-use rime_core::trace::{replay, TracedDevice};
-use rime_core::{Command, KeyFormat, Outcome, RimeConfig, RimeDevice};
+use rime_core::{
+    Command, Executor, JournalConfig, KeyFormat, MemJournalStore, Outcome, RimeConfig, RimeDevice,
+};
 use rime_energy::{EnergySink, PowerModel};
 
 fn main() {
@@ -73,23 +74,27 @@ fn main() {
         energy.lock().unwrap().dynamic_nj(),
     );
 
-    // Front-end 3: trace record + replay. The recorder is itself a
-    // telemetry sink; replay feeds the recorded Commands back through a
-    // fresh device's executor.
-    let mut traced = TracedDevice::new(RimeConfig::small());
-    let r = traced.alloc(6).unwrap();
-    traced
+    // Front-end 3: journal replay. The write-ahead journal that makes
+    // the device crash-consistent is also its trace: replay feeds the
+    // logged Commands back through a fresh device's executor.
+    let recorded = RimeDevice::new(RimeConfig::small());
+    let journal = MemJournalStore::new();
+    recorded
+        .attach_journal(Box::new(journal.clone()), JournalConfig::default())
+        .unwrap();
+    let r = recorded.alloc(6).unwrap();
+    recorded
         .write_raw(r, 0, &[31, 41, 5, 9, 2, 65], KeyFormat::UNSIGNED64)
         .unwrap();
-    traced.init_raw(r, 0, 6, KeyFormat::UNSIGNED64).unwrap();
-    let batch = traced
-        .extract_batch(r, KeyFormat::UNSIGNED64, rime_core::Direction::Min, 4)
+    recorded.init_raw(r, 0, 6, KeyFormat::UNSIGNED64).unwrap();
+    let batch = recorded
+        .next_extremes_raw(r, KeyFormat::UNSIGNED64, rime_core::Direction::Min, 4)
         .unwrap();
-    let trace = traced.into_trace();
-    let replayed = replay(&trace, RimeConfig::small()).unwrap();
+    let log = journal.snapshot();
+    let replayed = Executor::replay(RimeConfig::small(), &log).unwrap();
     println!(
-        "\ntrace: {} ops recorded; live batch {:?}; replayed {:?}",
-        trace.len(),
+        "\njournal: {} bytes recorded; live batch {:?}; replayed {:?}",
+        log.len(),
         batch.iter().map(|&(_, v)| v).collect::<Vec<_>>(),
         replayed
     );

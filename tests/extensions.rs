@@ -1,12 +1,14 @@
 //! Integration tests over the extension surfaces: the MMIO register
 //! interface, hybrid RIME kernels, external sorting, query operators,
-//! DIMM modes, and trace replay — all cross-checked against the typed
+//! DIMM modes, and journal replay — all cross-checked against the typed
 //! API and `std` reference implementations on shared data.
 
 use rime_apps::{external, query};
 use rime_core::mmio::{cmd, format_code, regs, MmioInterface, DATA_BASE};
-use rime_core::trace::{replay, TracedDevice};
-use rime_core::{dimm, ops, Direction, KeyFormat, RimeConfig, RimeDevice};
+use rime_core::{
+    dimm, ops, Direction, Executor, JournalConfig, KeyFormat, MemJournalStore, RimeConfig,
+    RimeDevice,
+};
 use rime_kernels::hybrid;
 use rime_workloads::keys::{generate_u64, generate_zipf, KeyDistribution};
 use rime_workloads::KvTable;
@@ -119,29 +121,26 @@ fn dimm_modes_partition_the_address_space() {
 #[test]
 fn recorded_trace_replays_on_a_larger_device() {
     let keys = generate_u64(64, KeyDistribution::Uniform, 305);
-    let mut traced = TracedDevice::new(RimeConfig::small());
-    let r = traced.alloc(keys.len() as u64).unwrap();
-    traced
-        .write_raw(r, 0, &keys, KeyFormat::UNSIGNED64)
+    let dev = RimeDevice::new(RimeConfig::small());
+    let journal = MemJournalStore::new();
+    dev.attach_journal(Box::new(journal.clone()), JournalConfig::default())
         .unwrap();
-    traced
-        .init_raw(r, 0, keys.len() as u64, KeyFormat::UNSIGNED64)
+    let r = dev.alloc(keys.len() as u64).unwrap();
+    dev.write_raw(r, 0, &keys, KeyFormat::UNSIGNED64).unwrap();
+    dev.init_raw(r, 0, keys.len() as u64, KeyFormat::UNSIGNED64)
         .unwrap();
-    let mut live = Vec::new();
-    for _ in 0..keys.len() {
-        live.push(
-            traced
-                .extract(r, KeyFormat::UNSIGNED64, Direction::Min)
+    let live: Vec<Option<u64>> = (0..keys.len())
+        .map(|_| {
+            dev.next_extreme_raw(r, KeyFormat::UNSIGNED64, Direction::Min)
                 .unwrap()
-                .map(|(_, v)| v),
-        );
-    }
-    let trace = traced.into_trace();
+                .map(|(_, v)| v)
+        })
+        .collect();
     let bigger = RimeConfig {
         channels: 4,
         ..RimeConfig::small()
     };
-    assert_eq!(replay(&trace, bigger).unwrap(), live);
+    assert_eq!(Executor::replay(bigger, &journal.snapshot()), Ok(live));
 }
 
 #[test]

@@ -5,7 +5,7 @@
 //! observes the same gap-free, strictly increasing `seq` stream — even
 //! when commands are issued concurrently from many threads against a
 //! multi-chip device. These tests wrap three heterogeneous sinks
-//! ([`MetricsSink`], [`CounterSink`], [`TraceRecorder`]) in a seq-logging
+//! ([`MetricsSink`], [`CounterSink`], [`WearSink`]) in a seq-logging
 //! shim and drive them from a threaded `ExtractBatch` workload, then pin
 //! the determinism contract of [`RimeDevice::metrics_snapshot`]: masked
 //! exports are byte-identical across identical runs, and the modeled
@@ -14,8 +14,7 @@
 use std::borrow::Cow;
 use std::sync::{Arc, Mutex, PoisonError};
 
-use rime_core::telemetry::{shared, CounterSink, Telemetry, TelemetryEvent};
-use rime_core::trace::TraceRecorder;
+use rime_core::telemetry::{shared, CounterSink, Telemetry, TelemetryEvent, WearSink};
 use rime_core::{
     ChipProbe, Command, Direction, DriverConfig, Executor, FlightConfig, KeyFormat, MetricValue,
     MetricsRegistry, MetricsSink, ParallelPolicy, RimeConfig, RimeDevice,
@@ -88,10 +87,10 @@ fn all_sinks_observe_identical_seq_streams_under_concurrency() {
         ArrayTiming::table1(),
     ));
     let (counters, counter_seqs) = SeqLog::new(CounterSink::default());
-    let (tracer, tracer_seqs) = SeqLog::new(TraceRecorder::new());
+    let (wear, wear_seqs) = SeqLog::new(WearSink::default());
     dev.attach_telemetry(shared(metrics));
     dev.attach_telemetry(shared(counters));
-    dev.attach_telemetry(shared(tracer));
+    dev.attach_telemetry(shared(wear));
 
     // One region per thread, spanning all four chips together, so
     // concurrent ExtractBatch commands race through the executor while
@@ -123,10 +122,10 @@ fn all_sinks_observe_identical_seq_streams_under_concurrency() {
 
     let a = drain(&metrics_seqs);
     let b = drain(&counter_seqs);
-    let c = drain(&tracer_seqs);
+    let c = drain(&wear_seqs);
     assert!(!a.is_empty(), "workload published events");
     assert_eq!(a, b, "MetricsSink and CounterSink saw different streams");
-    assert_eq!(a, c, "MetricsSink and TraceRecorder saw different streams");
+    assert_eq!(a, c, "MetricsSink and WearSink saw different streams");
     // Strictly increasing and gap-free: the hub assigns seq under one
     // lock, so interleaved publishers can never reorder or skip.
     for pair in a.windows(2) {

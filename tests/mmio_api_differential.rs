@@ -431,7 +431,10 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         (0usize..FORMATS.len()).prop_map(Op::SetFormat),
         (0u64..20, 0u64..24).prop_map(|(begin, end)| Op::Init { begin, end }),
         any::<bool>().prop_map(|max| Op::Extract { max }),
-        (any::<bool>(), 0u64..10).prop_map(|(max, k)| Op::ExtractBatch { max, k }),
+        // `u64::MAX` reaches the executor as `usize::MAX`: a batch size
+        // the caller controls must never size an allocation.
+        (any::<bool>(), prop_oneof![0u64..10, Just(u64::MAX)])
+            .prop_map(|(max, k)| Op::ExtractBatch { max, k }),
         Just(Op::FifoNext),
     ]
 }
