@@ -120,6 +120,30 @@ impl Bitmap {
         }
     }
 
+    /// Clears every bit in `[start, end)`, a whole word at a time — the
+    /// mirror of [`Bitmap::set_range`]: partial first/last words get
+    /// masked ANDs, fully covered words are zeroed directly.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start > end` or `end > len`.
+    pub(crate) fn clear_range(&mut self, start: usize, end: usize) {
+        assert!(start <= end && end <= self.len, "range out of bounds");
+        if start == end {
+            return;
+        }
+        let (first, last) = (start / 64, (end - 1) / 64);
+        let head = u64::MAX << (start % 64);
+        let tail = u64::MAX >> (63 - (end - 1) % 64);
+        if first == last {
+            self.words[first] &= !(head & tail);
+        } else {
+            self.words[first] &= !head;
+            self.words[first + 1..last].fill(0);
+            self.words[last] &= !tail;
+        }
+    }
+
     /// Clears all bits.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -642,6 +666,41 @@ mod tests {
             let rem = len % 64;
             if rem != 0 {
                 assert_eq!(bm.words.last().unwrap() >> rem, 0, "tail must stay zero");
+            }
+        }
+    }
+
+    #[test]
+    fn clear_range_matches_per_bit_across_words_and_tail() {
+        // Same alignments as `set_range_word_boundaries_and_tail`, applied
+        // to a patterned bitmap so bits outside the range must survive.
+        for (len, start, end) in [
+            (70, 0, 0),
+            (70, 3, 9),
+            (70, 0, 64),
+            (70, 63, 65),
+            (70, 1, 70),
+            (70, 0, 70),
+            (200, 60, 140),
+            (200, 64, 128),
+            (191, 120, 191),
+            (191, 0, 191),
+        ] {
+            let pattern: Bitmap = (0..len).map(|i| i % 3 != 0).collect();
+            let mut bm = pattern.clone();
+            bm.clear_range(start, end);
+            let mut want = pattern.clone();
+            for idx in start..end {
+                want.set(idx, false);
+            }
+            assert_eq!(bm, want, "clear_range({start}, {end}) on len {len}");
+            // Clearing all-ones leaves exactly the complement of the range.
+            let mut ones = Bitmap::ones(len);
+            ones.clear_range(start, end);
+            assert_eq!(ones.count_ones(), len - (end - start));
+            let rem = len % 64;
+            if rem != 0 {
+                assert_eq!(ones.words.last().unwrap() >> rem, 0, "tail must stay zero");
             }
         }
     }

@@ -109,15 +109,16 @@ const POOL_CROSSOVER_MIN: usize = 2;
 const POOL_CROSSOVER_MAX: usize = 1 << 20;
 
 /// Where a pooled descent's replay path finds the span's select
-/// membership: the batch loop already holds it as a shared `Arc`, while
-/// a single extraction rebuilds it from the exclusion flags on demand
+/// membership ([`Chip::span_membership`], indexed from the span's first
+/// slot): the batch loop already holds it as a shared `Arc`, while a
+/// single extraction rebuilds it from the exclusion flags on demand
 /// (replay never fires on the natural path, so the rebuild is free in
 /// the common case).
 #[derive(Clone, Copy)]
 enum MembershipSource<'a> {
     /// Clone this shared membership vector (batch path).
     Shared(&'a Arc<Bitmap>),
-    /// Rebuild `[begin, end)` minus the exclusion flags (single path).
+    /// Rebuild the span membership of `[begin, end)` (single path).
     Rebuild { begin: u64, end: u64 },
 }
 
@@ -181,9 +182,6 @@ pub struct Chip {
     /// extraction and kept across sessions. `None` until then (and in
     /// clones — worker threads are per-instance).
     pool: Option<MatPool>,
-    /// Reusable per-mat firsts buffer for the H-tree reduction —
-    /// allocation-free readout on the pooled path.
-    firsts_scratch: Vec<Option<u32>>,
     /// Extraction/pool observer (rime-core's metrics layer). `None` keeps
     /// every instrumented path free of clock reads.
     probe: Option<SharedProbe>,
@@ -228,7 +226,6 @@ impl Clone for Chip {
             // Worker threads are not shareable state; the clone builds
             // its own pool on first pooled extraction.
             pool: None,
-            firsts_scratch: Vec::new(),
             probe: self.probe.clone(),
         }
     }
@@ -253,7 +250,6 @@ impl Chip {
             pool_force_replay: None,
             pool_shard_plan: None,
             pool: None,
-            firsts_scratch: Vec::new(),
             probe: None,
         }
     }
@@ -473,9 +469,7 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
-        for slot in begin..end {
-            self.excluded.set(slot as usize, false);
-        }
+        self.excluded.clear_range(begin as usize, end as usize);
         self.load_selection(begin, end);
         self.format = Some(format);
         self.range = Some((begin, end));
@@ -487,38 +481,60 @@ impl Chip {
     /// excluded slots. This is what the controller performs between sort
     /// accesses to rearm the search.
     ///
-    /// Word-level: the membership vector (range minus exclusion flags) is
-    /// assembled over the touched mat span with masked word operations,
-    /// then each touched mat latches its window of it in one pass —
-    /// no per-slot walks. Counter semantics are unchanged (one select
-    /// load, one H-tree traversal).
+    /// Word-level: the span membership ([`Chip::span_membership`]) is
+    /// assembled with masked word operations, then each touched mat
+    /// latches its window of it in one pass — no per-slot walks. Counter
+    /// semantics are unchanged (one select load, one H-tree traversal).
     fn load_selection(&mut self, begin: u64, end: u64) {
-        // Clear selection on every materialized mat, then walk the tree.
-        for mat in self.mats.iter_mut().flatten() {
-            mat.clear_select();
-        }
-        let per_mat = self.geometry.slots_per_mat();
         let (first_mat, last_mat) = self.mat_span(begin, end);
-        let span_base = first_mat as u64 * per_mat;
-        let span_slots = (last_mat - first_mat + 1) * per_mat as usize;
-        let mut membership = Bitmap::zeros(span_slots);
-        membership.set_range((begin - span_base) as usize, (end - span_base) as usize);
-        let mut span_excluded = Bitmap::zeros(span_slots);
-        span_excluded.assign_slice(&self.excluded, span_base as usize);
-        membership.and_not_assign(&span_excluded);
+        self.clear_selects_outside(first_mat, last_mat);
+        let membership = self.span_membership(begin, end);
 
         // The downstream tree walk names the touched mats (and keeps the
         // node-visit accounting identical); each one latches its window.
         // Materializing via `mat_mut` keeps select latches available even
         // before data was stored (normal for sparse test setups).
+        let per_mat = self.geometry.slots_per_mat() as usize;
         let ranges = self.tree.init_range(begin, end);
         for range in ranges {
-            let window = (range.mat as u64 * per_mat - span_base) as usize;
+            let window = (range.mat as usize - first_mat) * per_mat;
             self.mat_mut(range.mat)
                 .load_select_window(&membership, window);
         }
         self.counters.select_loads += 1;
         self.counters.htree_traversals += 1;
+    }
+
+    /// The select membership of `[begin, end)` — the range minus its
+    /// exclusion flags — over the range's mat span only: bit `i` stands
+    /// for key slot `first_mat × slots_per_mat + i`. Every extraction
+    /// path (single, batch, pooled replay) latches its select windows
+    /// from this vector, so its host cost follows the span, not the chip.
+    fn span_membership(&self, begin: u64, end: u64) -> Bitmap {
+        let per_mat = self.geometry.slots_per_mat() as usize;
+        let (first_mat, last_mat) = self.mat_span(begin, end);
+        let span_base = first_mat * per_mat;
+        let span_slots = (last_mat - first_mat + 1) * per_mat;
+        let mut membership = Bitmap::zeros(span_slots);
+        membership.set_range(begin as usize - span_base, end as usize - span_base);
+        membership.and_not_assign(&self.excluded.slice(span_base, span_slots));
+        membership
+    }
+
+    /// Clears the stale select latches of materialized mats outside
+    /// `[first_mat, last_mat]` — the one pass over the chip's mats an
+    /// extraction call makes. In-span mats need no clearing: every rearm
+    /// overwrites their whole select vector. With nothing selected
+    /// outside the span, the span alone decides every step and the
+    /// index reduction ([`IndexTree::reduce_window`]).
+    fn clear_selects_outside(&mut self, first_mat: usize, last_mat: usize) {
+        for (idx, mat) in self.mats.iter_mut().enumerate() {
+            if !(first_mat..=last_mat).contains(&idx) {
+                if let Some(mat) = mat {
+                    mat.clear_select();
+                }
+            }
+        }
     }
 
     /// Number of not-yet-extracted keys in the active range.
@@ -667,23 +683,14 @@ impl Chip {
         }
         let plan = SearchPlan::new(format, direction);
         let (first_mat, last_mat) = self.mat_span(begin, end);
+        let per_mat = self.geometry.slots_per_mat() as usize;
+        let span_base = (first_mat * per_mat) as u64;
 
-        // Host-side membership vector: the range minus its exclusion
-        // flags, kept in sync as winners are extracted so each rearm is a
-        // word-parallel latch instead of a per-slot H-tree walk.
-        let mut membership = Bitmap::zeros(self.capacity() as usize);
-        membership.set_range(begin as usize, end as usize);
-        membership.and_not_assign(&self.excluded);
-
-        // Mats outside the span only need their stale selects cleared
-        // once; in-span mats are fully overwritten by every rearm.
-        for (idx, mat) in self.mats.iter_mut().enumerate() {
-            if !(first_mat..=last_mat).contains(&idx) {
-                if let Some(mat) = mat {
-                    mat.clear_select();
-                }
-            }
-        }
+        // Host-side span membership, kept in sync as winners are
+        // extracted so each rearm is a word-parallel latch instead of a
+        // per-slot H-tree walk.
+        let mut membership = self.span_membership(begin, end);
+        self.clear_selects_outside(first_mat, last_mat);
 
         let mut selected = membership.count_ones() as u64;
         let mut hits = Vec::with_capacity(k.min(selected as usize));
@@ -697,10 +704,9 @@ impl Chip {
                     // place — zero allocations per iteration.
                     let mut rearm_ns = 0u64;
                     timed(&probe, &mut rearm_ns, || {
-                        let per_mat = self.geometry.slots_per_mat() as usize;
                         for idx in first_mat..=last_mat {
                             self.mat_mut(idx as u32)
-                                .load_select_window(&membership, idx * per_mat);
+                                .load_select_window(&membership, (idx - first_mat) * per_mat);
                         }
                     });
                     if let Some(p) = &probe {
@@ -713,7 +719,7 @@ impl Chip {
                         break;
                     }
                     let hit = self.converge_host(first_mat, last_mat, &plan, selected, threads);
-                    membership.set(hit.slot as usize, false);
+                    membership.set((hit.slot - span_base) as usize, false);
                     selected -= 1;
                     hits.push(hit);
                 }
@@ -759,9 +765,10 @@ impl Chip {
                     // The next barrier (any reply-bearing request) has
                     // already passed by the time a hit returns, so the
                     // workers hold no clone and this mutates in place.
-                    Arc::make_mut(&mut membership).set(hit.slot as usize, false);
+                    let span_slot = hit.slot - span_base;
+                    Arc::make_mut(&mut membership).set(span_slot as usize, false);
                     selected -= 1;
-                    dirty_slot = Some(hit.slot);
+                    dirty_slot = Some(span_slot);
                     hits.push(hit);
                 }
                 self.restore_pool(first_mat, pool);
@@ -805,11 +812,9 @@ impl Chip {
             .map(Option::take)
             .collect();
         let slots_per_mat = self.geometry.slots_per_mat() as usize;
-        match self.pool_shard_plan.clone() {
-            Some(plan) => {
-                pool.lease_with_shards(first_mat, span, slots_per_mat, self.scalar_oracle, &plan);
-            }
-            None => pool.lease(first_mat, span, slots_per_mat, self.scalar_oracle),
+        match &self.pool_shard_plan {
+            Some(plan) => pool.lease_with_shards(span, slots_per_mat, self.scalar_oracle, plan),
+            None => pool.lease(span, slots_per_mat, self.scalar_oracle),
         }
         pool
     }
@@ -895,15 +900,15 @@ impl Chip {
             }
         }
 
-        // Upstream index reduction across all mats (Fig. 10).
+        // Upstream index reduction (Fig. 10) over the span's leaves: the
+        // caller cleared every select outside the span, so no other mat
+        // can raise E.
         let slot = timed(&probe, &mut reduce_ns, || {
-            let hits: Vec<Option<u32>> = self
-                .mats
-                .iter()
-                .map(|m| m.as_ref().and_then(Mat::first_selected))
-                .collect();
+            let mats = &self.mats;
             self.tree
-                .reduce(&hits)
+                .reduce_window(first_mat..=last_mat, |m| {
+                    mats[m].as_ref().and_then(Mat::first_selected)
+                })
                 .expect("non-empty selection must reduce to a winner")
         });
         self.counters.htree_traversals += 1;
@@ -953,8 +958,6 @@ impl Chip {
         let probe = self.probe.clone();
         let (mut descend_ns, mut reduce_ns) = (0u64, 0u64);
         let outcome = {
-            let excluded = &self.excluded;
-            let capacity = self.geometry.capacity_slots() as usize;
             // Shared membership doubles as the fused rearm payload: the
             // workers re-latch their select windows inside the descend
             // request (one wake cycle, not two). The rebuild path loads
@@ -963,15 +966,13 @@ impl Chip {
                 MembershipSource::Shared(m) => Some(m),
                 MembershipSource::Rebuild { .. } => None,
             };
-            // Replay membership (global slot indexing), materialized only
-            // if the fold actually replays — never on the natural path.
+            // Replay membership (indexed from the span's first slot),
+            // materialized only if the fold actually replays — never on
+            // the natural path.
             let mut membership_fn = || match membership {
                 MembershipSource::Shared(m) => Arc::clone(m),
                 MembershipSource::Rebuild { begin, end } => {
-                    let mut m = Bitmap::zeros(capacity);
-                    m.set_range(begin as usize, end as usize);
-                    m.and_not_assign(excluded);
-                    Arc::new(m)
+                    Arc::new(self.span_membership(begin, end))
                 }
             };
             timed(&probe, &mut descend_ns, || {
@@ -989,21 +990,13 @@ impl Chip {
             }
         }
 
-        // Upstream index reduction across all mats (Fig. 10): span
-        // entries came home with the fold, in mat order; mats outside
-        // the span stayed put (their selects were cleared by the
-        // caller). The scratch buffer keeps this allocation-free.
+        // Upstream index reduction (Fig. 10) over the span's leaves,
+        // whose entries came home with the fold in span order; mats
+        // outside the span hold no selects (the caller cleared them).
+        let last_mat = first_mat + outcome.firsts.len() - 1;
         let slot = timed(&probe, &mut reduce_ns, || {
-            self.firsts_scratch.clear();
-            self.firsts_scratch.extend(
-                self.mats
-                    .iter()
-                    .map(|m| m.as_ref().and_then(Mat::first_selected)),
-            );
-            self.firsts_scratch[first_mat..first_mat + outcome.firsts.len()]
-                .copy_from_slice(&outcome.firsts);
             self.tree
-                .reduce(&self.firsts_scratch)
+                .reduce_window(first_mat..=last_mat, |m| outcome.firsts[m - first_mat])
                 .expect("non-empty selection must reduce to a winner")
         });
         self.counters.htree_traversals += 1;

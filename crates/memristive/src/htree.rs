@@ -17,6 +17,8 @@
 //! [`IndexTree`] implements both walks over the chip's mats and counts node
 //! visits for the performance layer.
 
+use std::ops::RangeInclusive;
+
 /// The H-tree over a chip's mats.
 ///
 /// # Example
@@ -73,19 +75,47 @@ impl IndexTree {
     /// global slot of the winner — the lowest-addressed extreme value.
     pub fn reduce(&mut self, leaf_hits: &[Option<u32>]) -> Option<u64> {
         assert_eq!(leaf_hits.len(), self.n_mats, "one hit slot per mat");
-        self.reduce_span(leaf_hits, 0, self.n_mats)
+        self.reduce_window(0..=self.n_mats - 1, |mat| leaf_hits[mat])
     }
 
-    fn reduce_span(&mut self, hits: &[Option<u32>], lo: usize, hi: usize) -> Option<u64> {
+    /// Upstream index reduction over the leaves in `window` only: every
+    /// mat outside it is taken to raise no `E`, so branches wholly
+    /// outside the window are pruned like Fig. 11's downstream walk and
+    /// `leaf_hit` is asked only for in-window mats. Equal to
+    /// [`IndexTree::reduce`] over the full leaf vector with `None`
+    /// outside the window (the same lowest-address priority).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the window reaches past the last mat.
+    pub(crate) fn reduce_window(
+        &mut self,
+        window: RangeInclusive<usize>,
+        mut leaf_hit: impl FnMut(usize) -> Option<u32>,
+    ) -> Option<u64> {
+        assert!(*window.end() < self.n_mats, "window past the last mat");
+        self.reduce_span(&window, &mut leaf_hit, 0, self.n_mats)
+    }
+
+    fn reduce_span(
+        &mut self,
+        window: &RangeInclusive<usize>,
+        leaf_hit: &mut impl FnMut(usize) -> Option<u32>,
+        lo: usize,
+        hi: usize,
+    ) -> Option<u64> {
         self.node_visits += 1;
+        if hi <= *window.start() || lo > *window.end() {
+            return None; // pruned branch
+        }
         if hi - lo == 1 {
-            return hits[lo].map(|row| lo as u64 * self.slots_per_mat + row as u64);
+            return leaf_hit(lo).map(|row| lo as u64 * self.slots_per_mat + row as u64);
         }
         let mid = lo + (hi - lo).div_ceil(2);
         // E₀ has priority: the lower-address child wins ties.
-        match self.reduce_span(hits, lo, mid) {
+        match self.reduce_span(window, leaf_hit, lo, mid) {
             Some(idx) => Some(idx),
-            None => self.reduce_span(hits, mid, hi),
+            None => self.reduce_span(window, leaf_hit, mid, hi),
         }
     }
 
@@ -159,6 +189,49 @@ mod tests {
         let mut tree = IndexTree::new(3, 4);
         assert_eq!(tree.reduce(&[None, None, Some(2)]), Some(10));
         assert_eq!(tree.reduce(&[None, Some(1), Some(0)]), Some(5));
+    }
+
+    #[test]
+    fn windowed_reduce_equals_full_reduce_with_none_outside() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+
+        // 13 mats: not a power of two, so the tree's halves are uneven.
+        const MATS: usize = 13;
+        let mut rng = StdRng::seed_from_u64(0x5eed_0f10);
+        let mut windowed = IndexTree::new(MATS, 8);
+        let mut full = IndexTree::new(MATS, 8);
+        let mut windows = vec![(0, 0), (0, MATS - 1), (MATS - 1, MATS - 1), (0, 4), (9, 12)];
+        for _ in 0..200 {
+            let first = rng.gen_range(0..MATS);
+            windows.push((first, rng.gen_range(first..MATS)));
+        }
+        for (first, last) in windows {
+            for _ in 0..8 {
+                // Sparse hits so the winner is often deep in the window,
+                // and stale hits outside it that the window must ignore.
+                let hits: Vec<Option<u32>> = (0..MATS)
+                    .map(|_| rng.gen_bool(0.3).then(|| rng.gen_range(0..8u32)))
+                    .collect();
+                let masked: Vec<Option<u32>> = (0..MATS)
+                    .map(|m| {
+                        if (first..=last).contains(&m) {
+                            hits[m]
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                let got = windowed.reduce_window(first..=last, |m| {
+                    assert!((first..=last).contains(&m), "leaf {m} outside the window");
+                    hits[m]
+                });
+                assert_eq!(
+                    got,
+                    full.reduce(&masked),
+                    "window {first}..={last}, hits {hits:?}"
+                );
+            }
+        }
     }
 
     #[test]

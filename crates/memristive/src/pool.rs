@@ -125,7 +125,8 @@ enum Request {
     /// is FIFO, so the next reply-bearing request doubles as its
     /// barrier, and only reply-bearing requests carry epochs.
     Lease {
-        /// Global mat index of the shard's first mat.
+        /// Position of the shard's first mat within the leased span
+        /// (mats, counted from the span's first mat).
         base: usize,
         /// Key slots per mat (for select-window offsets).
         slots_per_mat: usize,
@@ -211,6 +212,7 @@ enum Reply {
 
 /// The mats a worker holds between lease and unlease.
 struct Shard {
+    /// Position of the shard's first mat within the leased span.
     base: usize,
     slots_per_mat: usize,
     scalar: bool,
@@ -261,6 +263,16 @@ impl ShardTrace {
 }
 
 impl Shard {
+    /// Latches every mat's select window from the span's membership
+    /// vector (indexed from the span's first slot).
+    fn load_windows(&mut self, membership: &Bitmap) {
+        for (offset, mat) in self.mats.iter_mut().enumerate() {
+            if let Some(mat) = mat {
+                mat.load_select_window(membership, (self.base + offset) * self.slots_per_mat);
+            }
+        }
+    }
+
     fn selected_total(&self) -> u64 {
         self.mats
             .iter()
@@ -385,12 +397,8 @@ impl Shard {
     /// Re-arms the shard from the membership vector and fast-forwards
     /// the authoritative exclusion prefix (steps below `resume`).
     fn rewind_to(&mut self, membership: &Bitmap, plan: &SearchPlan, prefix: Prefix) {
-        let (base, slots, scalar) = (self.base, self.slots_per_mat, self.scalar);
-        for (offset, mat) in self.mats.iter_mut().enumerate() {
-            if let Some(mat) = mat {
-                mat.load_select_window(membership, (base + offset) * slots);
-            }
-        }
+        self.load_windows(membership);
+        let scalar = self.scalar;
         for step in 0..prefix.resume {
             if prefix.decided >> step & 1 == 0 {
                 continue;
@@ -428,7 +436,8 @@ pub(crate) enum Dirty<'a> {
     /// Treat every shard as changed (first descent of a batch, or any
     /// path that rebuilt membership wholesale).
     All,
-    /// Only these global slots were cleared from the membership.
+    /// Only these slots were cleared from the membership (positions
+    /// within the leased span, like the membership itself).
     Slots(&'a [u64]),
 }
 
@@ -521,14 +530,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
             } => {
                 let s = shard.as_mut().expect("pool protocol desync: no lease");
                 if let Some(membership) = rearm {
-                    for (offset, mat) in s.mats.iter_mut().enumerate() {
-                        if let Some(mat) = mat {
-                            mat.load_select_window(
-                                &membership,
-                                (s.base + offset) * s.slots_per_mat,
-                            );
-                        }
-                    }
+                    s.load_windows(&membership);
                     // Drop before replying so the controller's
                     // `Arc::make_mut` after the fold mutates in place.
                     drop(membership);
@@ -560,11 +562,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
             }
             Request::Rearm { membership } => {
                 let s = shard.as_mut().expect("pool protocol desync: no lease");
-                for (offset, mat) in s.mats.iter_mut().enumerate() {
-                    if let Some(mat) = mat {
-                        mat.load_select_window(&membership, (s.base + offset) * s.slots_per_mat);
-                    }
-                }
+                s.load_windows(&membership);
                 // `membership` drops here: the worker keeps no reference,
                 // so the controller's `Arc::make_mut` stays in place.
                 true
@@ -634,17 +632,15 @@ impl Worker {
 /// session opened.
 struct LeaseInfo {
     shard_lens: Vec<usize>,
-    /// Global mat index of the span's first mat.
-    base: usize,
-    /// Key slots per mat (global slot → mat arithmetic).
+    /// Key slots per mat (span slot → span mat arithmetic).
     slots_per_mat: usize,
     started: Option<Instant>,
 }
 
 impl LeaseInfo {
-    /// Shard executor owning the given global slot.
+    /// Shard executor owning the given slot (a position within the span).
     fn shard_of_slot(&self, slot: u64) -> usize {
-        let mut mat = (slot as usize / self.slots_per_mat).saturating_sub(self.base);
+        let mut mat = slot as usize / self.slots_per_mat;
         for (i, &len) in self.shard_lens.iter().enumerate() {
             if mat < len {
                 return i;
@@ -800,19 +796,14 @@ impl MatPool {
 
     /// Opens a session: shards `span` (the mats of `[first, last]`,
     /// already materialized) contiguously across the shard executors
-    /// (leader first). `base` is the global index of the first mat in
-    /// the span.
+    /// (leader first). Everything the session is handed afterwards —
+    /// membership bitmaps and dirty slots — indexes key slots from
+    /// the span's first slot, so the pool never sees a chip address.
     ///
     /// # Panics
     ///
     /// Panics if a session is already open.
-    pub fn lease(
-        &mut self,
-        base: usize,
-        span: Vec<Option<Mat>>,
-        slots_per_mat: usize,
-        scalar: bool,
-    ) {
+    pub fn lease(&mut self, span: Vec<Option<Mat>>, slots_per_mat: usize, scalar: bool) {
         let shards = self.workers();
         let chunk = span.len().div_ceil(shards).max(1);
         let mut shard_lens = Vec::with_capacity(shards);
@@ -822,7 +813,7 @@ impl MatPool {
             shard_lens.push(take);
             left -= take;
         }
-        self.lease_with_shards(base, span, slots_per_mat, scalar, &shard_lens);
+        self.lease_with_shards(span, slots_per_mat, scalar, &shard_lens);
     }
 
     /// [`MatPool::lease`] with an explicit shard plan: `shard_lens[i]`
@@ -838,7 +829,6 @@ impl MatPool {
     /// span.
     pub fn lease_with_shards(
         &mut self,
-        base: usize,
         span: Vec<Option<Mat>>,
         slots_per_mat: usize,
         scalar: bool,
@@ -859,7 +849,7 @@ impl MatPool {
         let mut rest = span;
         let timed = self.probe.is_some();
         self.local = Some(Shard {
-            base,
+            base: 0,
             slots_per_mat,
             scalar,
             mats: rest.drain(..shard_lens[0]).collect(),
@@ -869,7 +859,7 @@ impl MatPool {
         for (worker, &take) in self.workers.iter().zip(&shard_lens[1..]) {
             let mats: Vec<Option<Mat>> = rest.drain(..take).collect();
             worker.send(Request::Lease {
-                base: base + offset,
+                base: offset,
                 slots_per_mat,
                 scalar,
                 timed,
@@ -889,7 +879,6 @@ impl MatPool {
         self.cache_plan = None;
         self.lease = Some(LeaseInfo {
             shard_lens: shard_lens.to_vec(),
-            base,
             slots_per_mat,
             started,
         });
@@ -1045,8 +1034,9 @@ impl MatPool {
     /// every shard runs fresh.
     ///
     /// `membership` lazily materializes the span's select membership
-    /// (global slot indexing) — it is only invoked if a replay must
-    /// re-arm a shard, which never happens on the natural path.
+    /// (indexed from the span's first slot) — it is only invoked if a
+    /// replay must re-arm a shard, which never happens on the natural
+    /// path.
     pub(crate) fn descend(
         &mut self,
         plan: &SearchPlan,
@@ -1110,14 +1100,7 @@ impl MatPool {
             let local = self.local.as_mut().expect("no pool session open");
             let local_trace = local_timed(timed, &mut self.local_busy_ns, || {
                 if let Some(membership) = rearm {
-                    for (offset, mat) in local.mats.iter_mut().enumerate() {
-                        if let Some(mat) = mat {
-                            mat.load_select_window(
-                                membership,
-                                (local.base + offset) * local.slots_per_mat,
-                            );
-                        }
-                    }
+                    local.load_windows(membership);
                 }
                 local.speculate(plan, 0, false, bail_at)
             });
@@ -1406,11 +1389,7 @@ impl MatPool {
         let timed = self.timed();
         let local = self.local.as_mut().expect("no pool session open");
         local_timed(timed, &mut self.local_busy_ns, || {
-            for (offset, mat) in local.mats.iter_mut().enumerate() {
-                if let Some(mat) = mat {
-                    mat.load_select_window(membership, (local.base + offset) * local.slots_per_mat);
-                }
-            }
+            local.load_windows(membership)
         });
     }
 
@@ -1519,7 +1498,7 @@ pub fn pool_calibration() -> PoolCalibration {
         // scheduler noise is excluded).
         let mut pool = MatPool::new(2);
         let span = vec![Some(Mat::new(1, 1)), Some(Mat::new(1, 1))];
-        pool.lease(0, span, 1, false);
+        pool.lease(span, 1, false);
         let mut best = u64::MAX;
         for _ in 0..64 {
             let t = Instant::now();
@@ -1587,7 +1566,7 @@ mod tests {
             Some(mat_with(8, &[9])),
             Some(mat_with(8, &[4, 5])),
         ];
-        pool.lease(2, span, 8, false);
+        pool.lease(span, 8, false);
         let back = pool.unlease();
         assert_eq!(back.len(), 4);
         assert!(back[1].is_none());
@@ -1618,7 +1597,7 @@ mod tests {
             }
             // Pool under test.
             let mut pool = MatPool::new(workers);
-            pool.lease(0, std::mem::take(&mut mats), 8, false);
+            pool.lease(std::mem::take(&mut mats), 8, false);
             let (got, active) = pool.sense(1);
             assert_eq!((got.any_one, got.any_zero), (want.any_one, want.any_zero));
             assert_eq!(active, want_active);
@@ -1632,7 +1611,7 @@ mod tests {
         let span: Vec<Option<Mat>> = (0..5)
             .map(|i| Some(mat_with(8, &[i as u64 * 100 + 7])))
             .collect();
-        pool.lease(0, span, 8, false);
+        pool.lease(span, 8, false);
         for mat in 0..5 {
             assert_eq!(pool.read_slot(mat, 0), mat as u64 * 100 + 7);
         }
@@ -1661,7 +1640,7 @@ mod tests {
         let run = |workers: usize, force: Option<u16>| {
             let mut pool = MatPool::new(workers);
             pool.set_force_replay(force);
-            pool.lease(0, build_span(), slots, false);
+            pool.lease(build_span(), slots, false);
             let mut membership = || {
                 let mut b = Bitmap::zeros(40);
                 b.set_range(0, 40);
@@ -1716,7 +1695,7 @@ mod tests {
         type DescentRecord = (Vec<Option<u32>>, Vec<u64>, u16, u64);
         let run = |use_dirty_slots: bool| -> Vec<DescentRecord> {
             let mut pool = MatPool::new(3);
-            pool.lease(0, build_span(), slots, false);
+            pool.lease(build_span(), slots, false);
             let mut membership = Arc::new({
                 let mut b = Bitmap::zeros(40);
                 b.set_range(0, 40);
@@ -1763,7 +1742,7 @@ mod tests {
             let span: Vec<Option<Mat>> = (0..5)
                 .map(|i| Some(mat_with(8, &[i as u64 * 100 + 7])))
                 .collect();
-            pool.lease_with_shards(0, span, 8, false, &shard_lens);
+            pool.lease_with_shards(span, 8, false, &shard_lens);
             for mat in 0..5 {
                 assert_eq!(
                     pool.read_slot(mat, 0),
@@ -1788,7 +1767,7 @@ mod tests {
     fn rearm_updates_selection_through_shared_bitmap() {
         let mut pool = MatPool::new(2);
         let span: Vec<Option<Mat>> = (0..2).map(|_| Some(mat_with(8, &[1, 2, 3]))).collect();
-        pool.lease(0, span, 8, false);
+        pool.lease(span, 8, false);
         let mut membership = Arc::new({
             let mut b = Bitmap::zeros(16);
             b.set_range(0, 3);

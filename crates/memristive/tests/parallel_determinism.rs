@@ -17,6 +17,14 @@
 //! path) and under adversarial shard plans (1-mat shards, maximal
 //! imbalance with empty shards), pinning that speculation + replay is
 //! bit-identical to `Sequential` too.
+//!
+//! Every property runs its range twice: at slot 0, and at an offset
+//! that is neither mat- nor word-aligned and starts past mat 0, after a
+//! decoy extraction on the mats before it. Host membership, select
+//! windows, dirty slots and the index reduction are all indexed from
+//! the span's first slot, so only the offset placement pins that
+//! arithmetic; the decoy leaves stale selects and exclusion flags
+//! outside the span that must not leak into it.
 
 use proptest::prelude::*;
 use rime_memristive::{
@@ -39,46 +47,79 @@ fn geometry(mats: u16) -> ChipGeometry {
     }
 }
 
-/// Runs one full scenario under `policy`: store, fault injection, init,
-/// one batch extraction, one single-extract continuation. Returns
-/// everything observable.
-fn run_policy<T: SortableBits>(
-    keys: &[T],
+/// One determinism scenario: the keys and where the range sits, the
+/// faults, and what gets extracted.
+struct Scenario<'a, T> {
+    keys: &'a [T],
+    /// Mats in the chip.
     mats: u16,
-    faults: &[(u64, u16, bool)],
+    /// First slot of the range. From the second mat on, the slots before
+    /// it hold keys too and a decoy extraction runs first (see [`run`]).
+    offset: u64,
+    /// `(slot, bit, stuck)`; slots index the range modulo its length.
+    faults: &'a [(u64, u16, bool)],
     direction: Direction,
     k: usize,
-    policy: ParallelPolicy,
-) -> (Vec<ExtractHit>, Option<ExtractHit>, OpCounters) {
-    run_policy_with(keys, mats, faults, direction, k, policy, None, None)
 }
 
-/// [`run_policy`] with the speculative-path knobs armed: `force_replay`
-/// bails every initial speculation after that many steps (driving the
-/// fold through divergence replay) and `shard_plan` pins an explicit
-/// per-worker shard split for every pool lease.
-#[allow(clippy::too_many_arguments)]
-fn run_policy_with<T: SortableBits>(
-    keys: &[T],
-    mats: u16,
-    faults: &[(u64, u16, bool)],
-    direction: Direction,
-    k: usize,
+impl<T> Scenario<'_, T> {
+    /// Mats the range spans.
+    fn span(&self) -> usize {
+        let first = self.offset / SLOTS_PER_MAT;
+        let last = (self.offset + self.keys.len() as u64 - 1) / SLOTS_PER_MAT;
+        (last - first + 1) as usize
+    }
+}
+
+/// Everything a scenario run observes: the batch hits, the
+/// single-extract continuation, and the chip's counters.
+type Observed = (Vec<ExtractHit>, Option<ExtractHit>, OpCounters);
+
+/// Runs `scenario` under `policy`: store, fault injection, the decoy (if
+/// the range starts past mat 0), init, one batch extraction, one
+/// single-extract continuation. `force_replay` bails every initial
+/// speculation after that many steps (driving the fold through
+/// divergence replay) and `shard_plan` pins an explicit per-worker
+/// shard split for every pool lease of the range.
+fn run<T: SortableBits>(
+    scenario: &Scenario<'_, T>,
     policy: ParallelPolicy,
     force_replay: Option<u16>,
     shard_plan: Option<Vec<usize>>,
-) -> (Vec<ExtractHit>, Option<ExtractHit>, OpCounters) {
+) -> Observed {
+    let Scenario {
+        keys,
+        mats,
+        offset,
+        faults,
+        direction,
+        k,
+    } = *scenario;
     let mut chip = Chip::new(geometry(mats));
     chip.set_parallel_policy(policy);
     chip.set_pool_force_replay(force_replay);
-    chip.set_pool_shard_plan(shard_plan);
     let raw: Vec<u64> = keys.iter().map(|v| v.to_raw_bits()).collect();
-    chip.store_keys(0, &raw, T::FORMAT).unwrap();
+    let len = raw.len() as u64;
+    // The slots before the range hold keys as well; those in the range's
+    // first mat are in its span but outside the range.
+    let lead: Vec<u64> = (0..offset as usize).map(|i| raw[i % raw.len()]).collect();
+    chip.store_keys(0, &lead, T::FORMAT).unwrap();
+    chip.store_keys(offset, &raw, T::FORMAT).unwrap();
     for &(slot, bit, stuck) in faults {
-        chip.inject_stuck_cell(slot % raw.len() as u64, bit % T::FORMAT.bits(), stuck)
+        chip.inject_stuck_cell(offset + slot % len, bit % T::FORMAT.bits(), stuck)
             .unwrap();
     }
-    chip.init_range(0, raw.len() as u64, T::FORMAT).unwrap();
+    // Decoy: extract from the mats wholly before the range, ending on a
+    // batch so their select latches are left stale, with exclusion
+    // flags set outside the range's span.
+    let decoy_end = offset / SLOTS_PER_MAT * SLOTS_PER_MAT;
+    if decoy_end > 0 {
+        chip.init_range(0, decoy_end, T::FORMAT).unwrap();
+        chip.extract(direction).unwrap();
+        chip.extract_batch(direction, 3).unwrap();
+    }
+    chip.set_pool_shard_plan(shard_plan);
+    chip.init_range(offset, offset + len, T::FORMAT).unwrap();
     let hits = chip.extract_batch(direction, k).unwrap();
     let next = chip.extract(direction).unwrap();
     (hits, next, *chip.counters())
@@ -88,20 +129,16 @@ fn run_policy_with<T: SortableBits>(
 /// bit for bit: hits (slots, raw bits, step counts), the single-extract
 /// continuation, and all counters.
 fn assert_policies_agree<T: SortableBits>(
-    keys: &[T],
-    mats: u16,
-    faults: &[(u64, u16, bool)],
-    direction: Direction,
-    k: usize,
+    scenario: &Scenario<'_, T>,
     threads: usize,
 ) -> Result<(), TestCaseError> {
-    let want = run_policy(keys, mats, faults, direction, k, ParallelPolicy::Sequential);
+    let want = run(scenario, ParallelPolicy::Sequential, None, None);
     for policy in [
         ParallelPolicy::Threads(threads),
         ParallelPolicy::SpawnPerStep(threads),
         ParallelPolicy::Auto,
     ] {
-        let got = run_policy(keys, mats, faults, direction, k, policy);
+        let got = run(scenario, policy, None, None);
         prop_assert_eq!(&got.0, &want.0, "hit stream under {:?}", policy);
         prop_assert_eq!(got.1, want.1, "continuation under {:?}", policy);
         prop_assert_eq!(got.2, want.2, "counters under {:?}", policy);
@@ -112,7 +149,7 @@ fn assert_policies_agree<T: SortableBits>(
     // every shard a single mat, and one worker owning the whole span
     // while the rest sit on empty shards. All must still be
     // bit-identical to the Sequential oracle.
-    let span = (keys.len() - 1) / SLOTS_PER_MAT as usize + 1;
+    let span = scenario.span();
     let single_mat_shards = vec![1usize; span];
     let mut max_imbalance = vec![0usize; 3];
     max_imbalance[0] = span;
@@ -124,16 +161,7 @@ fn assert_policies_agree<T: SortableBits>(
     ];
     for (force, plan) in scenarios {
         let label = (force, plan.clone());
-        let got = run_policy_with(
-            keys,
-            mats,
-            faults,
-            direction,
-            k,
-            ParallelPolicy::Threads(threads),
-            force,
-            plan,
-        );
+        let got = run(scenario, ParallelPolicy::Threads(threads), force, plan);
         prop_assert_eq!(&got.0, &want.0, "hit stream under knobs {:?}", &label);
         prop_assert_eq!(got.1, want.1, "continuation under knobs {:?}", &label);
         prop_assert_eq!(got.2, want.2, "counters under knobs {:?}", &label);
@@ -152,6 +180,24 @@ fn zip_faults(slots: &[u64], bits: &[u16], stuck: &[bool]) -> Vec<(u64, u16, boo
         .collect()
 }
 
+/// Checks a scenario whose range starts at slot 0, then the same
+/// scenario moved to slot `lead_mats × 16 + lead_slots` (with
+/// `lead_slots` in `1..16`: neither mat- nor word-aligned, first mat >
+/// 0) on a chip grown to fit.
+fn assert_both_placements_agree<T: SortableBits>(
+    at_zero: Scenario<'_, T>,
+    (lead_mats, lead_slots): (u64, u64),
+    threads: usize,
+) -> Result<(), TestCaseError> {
+    assert_policies_agree(&at_zero, threads)?;
+    let moved = Scenario {
+        mats: at_zero.mats + lead_mats as u16 + 1,
+        offset: lead_mats * SLOTS_PER_MAT + lead_slots,
+        ..at_zero
+    };
+    assert_policies_agree(&moved, threads)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
@@ -165,11 +211,21 @@ proptest! {
         k in 0usize..32,
         threads in 2usize..6,
         max in any::<bool>(),
+        lead_mats in 1u64..4,
+        lead_slots in 1u64..16,
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, direction, k, threads)?;
+        let scenario = Scenario {
+            keys: &keys,
+            mats,
+            offset: 0,
+            faults: &faults,
+            direction,
+            k,
+        };
+        assert_both_placements_agree(scenario, (lead_mats, lead_slots), threads)?;
     }
 
     #[test]
@@ -181,10 +237,20 @@ proptest! {
         fault_stuck in prop::collection::vec(any::<bool>(), 5..=5),
         k in 0usize..32,
         threads in 2usize..6,
+        lead_mats in 1u64..4,
+        lead_slots in 1u64..16,
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, Direction::Min, k, threads)?;
+        let scenario = Scenario {
+            keys: &keys,
+            mats,
+            offset: 0,
+            faults: &faults,
+            direction: Direction::Min,
+            k,
+        };
+        assert_both_placements_agree(scenario, (lead_mats, lead_slots), threads)?;
     }
 
     #[test]
@@ -197,11 +263,21 @@ proptest! {
         k in 0usize..32,
         threads in 2usize..6,
         max in any::<bool>(),
+        lead_mats in 1u64..4,
+        lead_slots in 1u64..16,
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
-        assert_policies_agree(&keys, mats, &faults, direction, k, threads)?;
+        let scenario = Scenario {
+            keys: &keys,
+            mats,
+            offset: 0,
+            faults: &faults,
+            direction,
+            k,
+        };
+        assert_both_placements_agree(scenario, (lead_mats, lead_slots), threads)?;
     }
 }
 
