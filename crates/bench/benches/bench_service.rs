@@ -8,7 +8,7 @@
 //! control engages). The fused service coalesces doorbell rings into
 //! dispatch passes, fuses same-key extracts from different tenants
 //! into one `ExtractBatch { k }`, and posts completions in ordinal
-//! order; the naive baseline (`ServiceConfig { fuse: false }`)
+//! order; the naive baseline (`ServiceConfig { max_fuse: 1 }`)
 //! dispatches every drained command individually through the same
 //! ring, scheduler, and completion path — so the ratio isolates what
 //! fusion buys, not what the ring costs.
@@ -191,9 +191,13 @@ fn latency_percentiles_us(snap: &Snapshot) -> (f64, f64, f64) {
 /// `flight`, a recorder is attached and each worker tracks per-request
 /// submit→reap wall time against its attribution.
 fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunStats {
-    let config = ServiceConfig {
-        fuse,
-        ..ServiceConfig::default()
+    let config = if fuse {
+        ServiceConfig::default()
+    } else {
+        ServiceConfig {
+            max_fuse: 1,
+            ..ServiceConfig::default()
+        }
     };
     let service = if flight {
         let exec = Arc::new(Executor::new(RimeConfig::small()));

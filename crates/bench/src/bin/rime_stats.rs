@@ -33,7 +33,7 @@ use std::process::ExitCode;
 use rime_bench::heatmap;
 use rime_core::metrics::validate_prometheus;
 use rime_core::{DriverConfig, KeyFormat, ParallelPolicy, RimeConfig, RimeDevice, Snapshot};
-use rime_energy::{EnergySink, PowerModel};
+use rime_energy::{rime_energy, PowerModel};
 use rime_memristive::{ArrayTiming, ChipGeometry};
 
 /// One chip of 64 mats (4×4×4), 64 slots per mat: 4096 keys total. Small
@@ -63,9 +63,6 @@ fn run_workload() -> RimeDevice {
     let dev = RimeDevice::new(config());
     dev.enable_extraction_metrics();
     dev.set_parallel_policy(ParallelPolicy::Threads(4));
-    let mut energy = EnergySink::new(PowerModel::table1());
-    energy.bind_metrics(dev.metrics());
-    dev.attach_telemetry(rime_core::telemetry::shared(energy));
 
     let n = dev.capacity();
     let region = dev.alloc(n).expect("alloc fixed workload");
@@ -87,7 +84,30 @@ fn run_workload() -> RimeDevice {
     let _ = dev.fifo_next_raw(region).expect("fifo drain");
     let _ = dev.next_extreme_raw(region, KeyFormat::FLOAT64, rime_core::Direction::Min);
     dev.free(region).expect("free region");
+    publish_energy(&dev);
     dev
+}
+
+/// Prices the workload's extractions and interface transfers with the
+/// Table I power model and publishes the result next to the executor's
+/// own series.
+fn publish_energy(dev: &RimeDevice) {
+    let (extractions, transfers) = (dev.counters().extractions, dev.interface_transfers());
+    // No elapsed time and no cores: only the dynamic RIME energy is left.
+    let dynamic = rime_energy(&PowerModel::table1(), 0.0, 0.0, extractions, transfers, 0);
+    let metrics = dev.metrics();
+    let help = "extractions priced by the energy model";
+    metrics
+        .counter("rime_energy_extractions_total", &[], help)
+        .add(extractions);
+    let help = "interface transfers priced by the energy model";
+    metrics
+        .counter("rime_energy_transfers_total", &[], help)
+        .add(transfers);
+    let help = "dynamic RIME energy of the workload in nanojoules";
+    metrics
+        .gauge("rime_energy_dynamic_nj", &[], help)
+        .set((dynamic.rime_j * 1e9) as i64);
 }
 
 fn selfcheck() -> Result<(), String> {

@@ -16,9 +16,10 @@
 //!   trace.
 //!
 //! Because every path funnels through [`Executor::execute`], the
-//! [`crate::telemetry`] spine observes *all* device activity in one
-//! deterministic event stream, and future queueing/sharding/async work
-//! is an executor feature rather than a three-way rewrite.
+//! executor records *all* device activity, one command at a time: its
+//! [`crate::telemetry::Effects`] feed the built-in stats and the metrics
+//! registry once each, and future queueing/sharding/async work is an
+//! executor feature rather than a three-way rewrite.
 //!
 //! Internal locks use poison *recovery* (`PoisonError::into_inner`), not
 //! `expect`: a worker thread that panics mid-operation may leave its own
@@ -27,11 +28,11 @@
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{
     Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard,
 };
+use std::time::Instant;
 
 use rime_memristive::{
     Chip, ChipState, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
@@ -47,7 +48,7 @@ use crate::journal::{
     self, Journal, JournalConfig, JournalError, JournalRecord, JournalStore, RecoveryReport,
 };
 use crate::metrics::{ChipProbe, MetricsRegistry, MetricsSink, Snapshot};
-use crate::telemetry::{DeviceStats, Effects, SharedSink, Telemetry, TelemetryEvent};
+use crate::telemetry::{DeviceStats, Effects};
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_recover<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -270,22 +271,45 @@ struct Tables {
     formats: HashMap<u64, KeyFormat>,  // id → stored key format
 }
 
-/// The telemetry hub: sequence counter, built-in stats, external sinks.
-/// One lock — every event is published to all sinks under it, so sinks
-/// observe a single deterministic stream.
-struct Hub {
+/// Where each executed command is recorded, once: the event sequence
+/// number, the built-in stats, and the metrics publisher, under one lock
+/// so `seq` order is publication order.
+#[derive(Debug)]
+struct Ledger {
     seq: u64,
     stats: DeviceStats,
-    sinks: Vec<SharedSink>,
+    metrics: MetricsSink,
 }
 
-impl fmt::Debug for Hub {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Hub")
-            .field("seq", &self.seq)
-            .field("stats", &self.stats)
-            .field("sinks", &self.sinks.len())
-            .finish()
+impl Ledger {
+    fn new(config: &RimeConfig, registry: &MetricsRegistry, seq: u64, stats: DeviceStats) -> Self {
+        let chips = config.total_chips() as usize;
+        Ledger {
+            seq,
+            stats,
+            metrics: MetricsSink::new(registry.clone(), config.timing, chips),
+        }
+    }
+
+    /// Records one executed command. A command re-executed by journal
+    /// recovery only ticks the replay counter in the metrics.
+    fn record(
+        &mut self,
+        command: &Command<'_>,
+        result: &Result<Outcome, RimeError>,
+        wall_ns: u64,
+        effects: &Effects,
+        replayed: bool,
+    ) {
+        self.stats.record(effects);
+        if replayed {
+            self.metrics.note_replayed();
+        } else {
+            let error = result.as_ref().err();
+            self.metrics
+                .observe(self.seq, command, error, wall_ns, effects);
+        }
+        self.seq += 1;
     }
 }
 
@@ -293,12 +317,12 @@ impl fmt::Debug for Hub {
 ///
 /// Owns the chips, the driver allocator, region/format tables, and the
 /// active sessions; validates and dispatches every [`Command`] and
-/// publishes one [`TelemetryEvent`] per command to the telemetry hub.
+/// records each one once, into its stats and its metrics registry.
 ///
 /// Every method takes `&self`: chips, allocator, and session state sit
 /// behind their own locks, so a shared executor supports the concurrent
 /// multi-range operation §III-B.3 requires. Lock order is tables →
-/// sessions map → one session → one chip at a time → telemetry hub; no
+/// sessions map → one session → one chip at a time → ledger; no
 /// path holds two chips or two sessions simultaneously, so the
 /// hierarchy is deadlock-free.
 #[derive(Debug)]
@@ -309,10 +333,9 @@ pub struct Executor {
     tables: RwLock<Tables>,
     sessions: RwLock<HashMap<u64, Arc<Mutex<Session>>>>, // region id → rime_init state
     next_id: AtomicU64,
-    hub: Mutex<Hub>,
-    /// Built-in metrics publisher: always on, lock-free after metric
-    /// registration, feeding the registry behind [`Executor::metrics`].
-    metrics: MetricsSink,
+    ledger: Mutex<Ledger>,
+    /// The registry the ledger's metrics publisher feeds; always on.
+    registry: MetricsRegistry,
     /// Write-ahead journal, when attached. Doubles as the serialization
     /// point for journaled execution: [`Executor::execute`] holds this
     /// lock across intent → dispatch → outcome, so the log order *is*
@@ -341,6 +364,8 @@ pub struct Executor {
 impl Executor {
     /// Brings up an executor with fresh chips for `config`.
     pub fn new(config: RimeConfig) -> Executor {
+        let registry = MetricsRegistry::new();
+        let stats = DeviceStats::new(config.total_chips() as usize);
         Executor {
             chips: (0..config.total_chips())
                 .map(|_| Mutex::new(Chip::new(config.chip_geometry)))
@@ -352,12 +377,8 @@ impl Executor {
             tables: RwLock::new(Tables::default()),
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            hub: Mutex::new(Hub {
-                seq: 0,
-                stats: DeviceStats::new(config.total_chips() as usize),
-                sinks: Vec::new(),
-            }),
-            metrics: MetricsSink::new(MetricsRegistry::new(), config.timing),
+            ledger: Mutex::new(Ledger::new(&config, &registry, 0, stats)),
+            registry,
             journal: Mutex::new(None),
             flight: OnceLock::new(),
             replaying: AtomicBool::new(false),
@@ -369,8 +390,8 @@ impl Executor {
         }
     }
 
-    /// Validates, dispatches, and marshals one command, publishing the
-    /// resulting event (success or failure) to every telemetry sink.
+    /// Validates, dispatches, and marshals one command, recording it
+    /// (success or failure) in the stats and metrics.
     /// With a journal attached, the command rides the commit-marker
     /// protocol: intent logged before dispatch, outcome after.
     pub fn execute(&self, command: Command<'_>) -> Result<Outcome, RimeError> {
@@ -401,18 +422,16 @@ impl Executor {
         self.execute(command)
     }
 
-    /// Dispatches one command and publishes its telemetry event,
-    /// returning both the result and the captured effects — the pair
-    /// the journal records and recovery replay compares against.
+    /// Dispatches one command and records it in the ledger, returning
+    /// both the result and the captured effects — the pair the journal
+    /// records and recovery replay compares against.
     fn run(&self, command: &Command<'_>) -> (Result<Outcome, RimeError>, Effects) {
-        let _span = crate::span!(
-            self.metrics.registry(),
-            "rime_command",
-            command = command.kind()
-        );
+        let start = Instant::now();
         let mut effects = Effects::default();
         let result = self.dispatch(command, &mut effects);
-        self.publish(command, &result, &effects);
+        let wall_ns = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        let replayed = self.replaying.load(Ordering::Relaxed);
+        lock_recover(&self.ledger).record(command, &result, wall_ns, &effects, replayed);
         (result, effects)
     }
 
@@ -442,40 +461,6 @@ impl Executor {
             self.crash_point(); // checkpoint durable
         }
         result
-    }
-
-    /// Attaches an external telemetry sink. Events from this point on
-    /// are delivered to it in execution order.
-    pub fn attach_sink(&self, sink: SharedSink) {
-        lock_recover(&self.hub).sinks.push(sink);
-    }
-
-    fn publish(
-        &self,
-        command: &Command<'_>,
-        result: &Result<Outcome, RimeError>,
-        effects: &Effects,
-    ) {
-        let mut hub = lock_recover(&self.hub);
-        let event = TelemetryEvent {
-            seq: hub.seq,
-            command,
-            result: match result {
-                Ok(outcome) => Ok(outcome),
-                Err(error) => Err(error),
-            },
-            effects,
-        };
-        hub.seq += 1;
-        hub.stats.record(&event);
-        if self.replaying.load(Ordering::Relaxed) {
-            self.metrics.note_replayed();
-        } else {
-            self.metrics.observe(&event);
-        }
-        for sink in &hub.sinks {
-            lock_recover(sink).record(&event);
-        }
     }
 
     fn dispatch(&self, command: &Command<'_>, fx: &mut Effects) -> Result<Outcome, RimeError> {
@@ -521,9 +506,9 @@ impl Executor {
     }
 
     /// Runs `f` under one chip's lock, publishing the chip's counter
-    /// delta into `fx` — the single point where chip work becomes
-    /// telemetry. Deltas are captured even when `f` fails, so partially
-    /// performed work is still accounted.
+    /// delta into `fx` — the single point where chip work becomes an
+    /// accounted effect. Deltas are captured even when `f` fails, so
+    /// partially performed work is still accounted.
     fn with_chip<R>(&self, idx: u32, fx: &mut Effects, f: impl FnOnce(&mut Chip) -> R) -> R {
         let mut chip = lock_recover(&self.chips[idx as usize]);
         let before = *chip.counters();
@@ -734,7 +719,7 @@ impl Executor {
     /// chip's mat fan-out. The merge is deterministic by construction:
     /// per-chip results come back keyed by chip index and are folded in
     /// ascending chip order, so buffered candidates, `Outcome::Hits`,
-    /// and the per-chip [`Effects`] deltas the telemetry spine observes
+    /// and the per-chip [`Effects`] deltas the ledger records
     /// are identical to the serial walk regardless of scheduling. On
     /// failure every chip's partial delta is still recorded (all chips
     /// ran) and the lowest-chip-index error is returned.
@@ -939,7 +924,7 @@ impl Executor {
         }
     }
 
-    // ---- Queries (reads of executor/telemetry state, not commands) ----
+    // ---- Queries (reads of executor/ledger state, not commands) ----
 
     /// The device configuration.
     pub fn config(&self) -> &RimeConfig {
@@ -952,35 +937,35 @@ impl Executor {
     }
 
     /// Aggregated operation counters across all chips, read from the
-    /// built-in telemetry stats.
+    /// built-in stats.
     pub fn counters(&self) -> OpCounters {
-        lock_recover(&self.hub).stats.counters()
+        lock_recover(&self.ledger).stats.counters()
     }
 
     /// Per-chip accumulated counters (indexed by chip), read from the
-    /// built-in telemetry stats.
+    /// built-in stats.
     pub fn per_chip_counters(&self) -> Vec<OpCounters> {
-        lock_recover(&self.hub).stats.per_chip().to_vec()
+        lock_recover(&self.ledger).stats.per_chip().to_vec()
     }
 
     /// Values transferred over the DDR4 interface so far (perf model).
     pub fn interface_transfers(&self) -> u64 {
-        lock_recover(&self.hub).stats.interface_transfers()
+        lock_recover(&self.ledger).stats.interface_transfers()
     }
 
-    /// Resets all chips' counters and the telemetry stats.
+    /// Resets all chips' counters and the built-in stats.
     pub fn reset_counters(&self) {
         for chip in &self.chips {
             lock_recover(chip).reset_counters();
         }
-        lock_recover(&self.hub).stats.reset();
+        lock_recover(&self.ledger).stats.reset();
     }
 
     /// Modeled array energy of everything done so far (nJ).
     pub fn modeled_energy_nj(&self) -> f64 {
         crate::perf::modeled_energy_nj(
             &self.config.timing,
-            lock_recover(&self.hub).stats.per_chip(),
+            lock_recover(&self.ledger).stats.per_chip(),
         )
     }
 
@@ -989,7 +974,7 @@ impl Executor {
     pub fn modeled_busy_ns(&self) -> f64 {
         crate::perf::modeled_busy_ns(
             &self.config.timing,
-            lock_recover(&self.hub).stats.per_chip(),
+            lock_recover(&self.ledger).stats.per_chip(),
         )
     }
 
@@ -1027,12 +1012,12 @@ impl Executor {
     /// published here; per-phase chip and pool metrics appear once
     /// [`Executor::enable_extraction_probes`] has run.
     pub fn metrics(&self) -> &MetricsRegistry {
-        self.metrics.registry()
+        &self.registry
     }
 
     /// A consistent point-in-time snapshot of the built-in registry.
     pub fn metrics_snapshot(&self) -> Snapshot {
-        self.metrics.registry().snapshot()
+        self.registry.snapshot()
     }
 
     /// Installs a registry-backed [`ChipProbe`] on every chip (and, via
@@ -1041,7 +1026,7 @@ impl Executor {
     /// so benchmarks leave them uninstalled.
     pub fn enable_extraction_probes(&self) {
         for (idx, chip) in self.chips.iter().enumerate() {
-            let mut probe = ChipProbe::new(self.metrics.registry(), self.config.timing, idx as u32);
+            let mut probe = ChipProbe::new(&self.registry, self.config.timing, idx as u32);
             if let Some(flight) = self.flight.get() {
                 probe = probe.with_flight(Arc::clone(flight));
             }
@@ -1146,7 +1131,7 @@ impl Executor {
     }
 
     /// Marshals the full executor state into a checkpoint blob:
-    /// configuration fingerprint, telemetry seq + stats, driver
+    /// configuration fingerprint, event seq + stats, driver
     /// allocator, region/format tables, sessions (with buffered
     /// candidates), and every chip's raw snapshot. All map-backed state
     /// is serialized in sorted key order, so equal devices produce
@@ -1157,12 +1142,12 @@ impl Executor {
         journal::put_u64(&mut buf, self.config.chip_slots());
         journal::put_u64(&mut buf, self.next_id.load(Ordering::SeqCst));
         {
-            let hub = lock_recover(&self.hub);
-            journal::put_u64(&mut buf, hub.seq);
-            for counters in hub.stats.per_chip() {
+            let ledger = lock_recover(&self.ledger);
+            journal::put_u64(&mut buf, ledger.seq);
+            for counters in ledger.stats.per_chip() {
                 journal::put_counters(&mut buf, counters);
             }
-            journal::put_u64(&mut buf, hub.stats.interface_transfers());
+            journal::put_u64(&mut buf, ledger.stats.interface_transfers());
         }
         {
             let allocator = lock_recover(&self.allocator);
@@ -1355,18 +1340,16 @@ impl Executor {
             chips.push(Mutex::new(chip));
         }
         d.finish("checkpoint")?;
+        let registry = MetricsRegistry::new();
+        let stats = DeviceStats::restore(per_chip, transfers);
         Ok(Executor {
             chips,
             allocator: Mutex::new(allocator),
             tables: RwLock::new(tables),
             sessions: RwLock::new(sessions),
             next_id: AtomicU64::new(next_id),
-            hub: Mutex::new(Hub {
-                seq,
-                stats: DeviceStats::restore(per_chip, transfers),
-                sinks: Vec::new(),
-            }),
-            metrics: MetricsSink::new(MetricsRegistry::new(), config.timing),
+            ledger: Mutex::new(Ledger::new(&config, &registry, seq, stats)),
+            registry,
             journal: Mutex::new(None),
             flight: OnceLock::new(),
             replaying: AtomicBool::new(false),
@@ -1757,24 +1740,9 @@ mod tests {
     #[test]
     fn multi_chip_dispatch_is_deterministic_and_ordered() {
         use crate::driver::DriverConfig;
-        use crate::telemetry::{Telemetry, TelemetryEvent};
+        use crate::journal::MemJournalStore;
+        use crate::metrics::MetricValue;
         use rime_memristive::{ArrayTiming, ChipGeometry};
-
-        // Records, per event, the chip order of the published deltas:
-        // concurrent chip dispatch must still fold them in ascending
-        // chip order (the deterministic merge).
-        struct OrderSink(Arc<Mutex<Vec<Vec<u32>>>>);
-        impl Telemetry for OrderSink {
-            fn record(&mut self, event: &TelemetryEvent<'_>) {
-                let order = event
-                    .effects
-                    .chip_deltas()
-                    .iter()
-                    .map(|&(c, _)| c)
-                    .collect();
-                lock_recover(&self.0).push(order);
-            }
-        }
 
         let config = RimeConfig {
             channels: 2,
@@ -1798,8 +1766,9 @@ mod tests {
         let mut reference: Option<RunSnapshot> = None;
         for _ in 0..2 {
             let exec = Executor::new(config);
-            let orders = Arc::new(Mutex::new(Vec::new()));
-            exec.attach_sink(Arc::new(Mutex::new(OrderSink(Arc::clone(&orders)))));
+            let store = MemJournalStore::new();
+            exec.attach_journal(Box::new(store.clone()), JournalConfig::default())
+                .unwrap();
             let r = region_of(exec.execute(Command::Alloc { len: total }).unwrap());
             exec.execute(Command::Write {
                 region: r,
@@ -1828,11 +1797,35 @@ mod tests {
                 other => panic!("{other:?}"),
             };
             assert_eq!(hits, want, "global top-40 across four chips");
-            for order in lock_recover(&orders).iter() {
-                let mut sorted = order.clone();
-                sorted.sort_unstable();
-                assert_eq!(order, &sorted, "deltas folded in chip order");
+            // Concurrent chip dispatch must still fold each command's
+            // deltas in ascending chip order (the deterministic merge),
+            // as the journal records them.
+            let mut batch = Effects::default();
+            for (_, record) in journal::scan(&store.snapshot()).unwrap().records {
+                if let JournalRecord::Outcome { effects, .. } = record {
+                    let deltas = effects.chip_deltas();
+                    assert!(deltas.is_sorted_by_key(|&(c, _)| c), "{deltas:?}");
+                    batch = effects;
+                }
             }
+            // The batch (the last command) spans four chips that extract
+            // concurrently (Fig. 14): it costs its busiest chip's time,
+            // not the sum over chips.
+            let prices: Vec<u64> = batch
+                .chip_deltas()
+                .iter()
+                .map(|(_, d)| config.timing.time_ns(d) as u64)
+                .collect();
+            assert_eq!(prices.len(), 4, "the batch engaged all four chips");
+            let snapshot = exec.metrics_snapshot().metrics.into_iter();
+            let modeled = snapshot
+                .filter(|m| m.name == "rime_command_modeled_ns" && m.labels[0].1 == "extract_batch")
+                .map(|m| m.value);
+            let [MetricValue::Histogram(modeled)] = &modeled.collect::<Vec<_>>()[..] else {
+                panic!("one extract_batch modeled-ns histogram");
+            };
+            assert_eq!(Some(&modeled.sum), prices.iter().max());
+            assert!(modeled.sum < prices.iter().sum(), "{prices:?}");
             match &reference {
                 None => reference = Some((hits, exec.per_chip_counters())),
                 Some((want_hits, want_counters)) => {

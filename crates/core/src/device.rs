@@ -18,7 +18,7 @@
 //! [`crate::cmd::Executor`], which owns validation, chip dispatch, and
 //! result marshalling. The MMIO register file ([`crate::mmio`]) and
 //! journal replay ([`Executor::replay`]) lower into the same executor,
-//! so all three front-ends share one semantics and one telemetry stream.
+//! so all three front-ends share one semantics and one set of counters.
 //!
 //! A RIME DIMM forbids fine-grained channel interleaving (§V): contiguous
 //! key ranges map contiguously onto chips, so one region spans as few
@@ -38,7 +38,6 @@ use crate::cmd::{Command, Executor, Outcome};
 use crate::driver::DriverConfig;
 use crate::error::RimeError;
 use crate::metrics::{MetricsRegistry, Snapshot};
-use crate::telemetry::SharedSink;
 
 /// System-level RIME configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -152,13 +151,6 @@ impl RimeDevice {
     /// The command's validation or dispatch error.
     pub fn execute(&self, command: Command<'_>) -> Result<Outcome, RimeError> {
         self.exec.execute(command)
-    }
-
-    /// Attaches a telemetry sink to the device's event stream (see
-    /// [`crate::telemetry`]). Events from every front-end sharing this
-    /// device are delivered to it in execution order.
-    pub fn attach_telemetry(&self, sink: SharedSink) {
-        self.exec.attach_sink(sink);
     }
 
     /// The device configuration.
@@ -474,7 +466,7 @@ impl RimeDevice {
     }
 
     /// Aggregated operation counters across all chips, read from the
-    /// telemetry spine's built-in stats sink.
+    /// executor's built-in stats.
     pub fn counters(&self) -> OpCounters {
         self.exec.counters()
     }
@@ -485,7 +477,7 @@ impl RimeDevice {
         self.exec.per_chip_counters()
     }
 
-    /// Resets all chips' counters (and the telemetry stats they feed).
+    /// Resets all chips' counters (and the built-in stats they feed).
     pub fn reset_counters(&self) {
         self.exec.reset_counters();
     }

@@ -1068,7 +1068,7 @@ pub enum JournalRecord {
         command: Command<'static>,
     },
     /// Commit-marker half two: command `ordinal` finished with this
-    /// result and these telemetry effects. Its presence *is* the commit.
+    /// result and these effects. Its presence *is* the commit.
     Outcome {
         /// Ordinal this outcome pairs with.
         ordinal: u64,

@@ -10,11 +10,12 @@
 //! * [`cmd`] — the unified command plane: the typed [`cmd::Command`] IR
 //!   and the single [`cmd::Executor`] that owns validation, chip
 //!   dispatch, and result marshalling for *every* front-end.
-//! * [`telemetry`] — the observer spine over the executor: one ordered
-//!   event stream feeding counter, energy, and wear sinks.
-//! * [`metrics`] — the metrics registry and span layer over that spine:
-//!   counters, gauges, and log2-bucket histograms with Prometheus/JSON
-//!   export, deterministic for modeled quantities.
+//! * [`telemetry`] — what each command did (`Effects`: per-chip counter
+//!   deltas and interface transfers) and the executor's running totals
+//!   (`DeviceStats`), which the executor records once per command.
+//! * [`metrics`] — the metrics registry the executor and the chip probes
+//!   publish into: counters, gauges, and log2-bucket histograms with
+//!   Prometheus/JSON export, deterministic for modeled quantities.
 //! * [`device`] — the full device (channels × DIMMs × chips) plus the
 //!   userspace API library of Fig. 12: `rime_malloc`, `rime_init`,
 //!   `rime_min`, `rime_max`, `rime_free`, and ordinary loads/stores, with
@@ -87,9 +88,8 @@ pub use journal::{
     FileJournalStore, Journal, JournalConfig, JournalError, JournalRecord, JournalStore,
     MemJournalStore, RecoveryReport, ScanReport,
 };
-pub use metrics::{ChipProbe, MetricValue, MetricsRegistry, MetricsSink, Snapshot};
+pub use metrics::{ChipProbe, MetricValue, MetricsRegistry, Snapshot};
 pub use perf::{Placement, RimePerfConfig};
-pub use telemetry::{SharedSink, Telemetry, TelemetryEvent};
 
 // Re-export the substrate types callers need at the API boundary.
 pub use rime_memristive::{Direction, KeyFormat, OpCounters, ParallelPolicy, SortableBits};

@@ -1,4 +1,4 @@
-//! Metrics registry and span tracing over the telemetry spine.
+//! Metrics registry over the executor and the chip probes.
 //!
 //! The registry holds three metric families — monotonic [`Counter`]s,
 //! [`Gauge`]s, and fixed-log2-bucket [`Histogram`]s — keyed by
@@ -7,7 +7,8 @@
 //! registration calls are `Arc`-wrapped atomics: after the first
 //! registration of a key, updates are lock-free, which is what lets the
 //! chip/pool hot paths record into the registry without contending with
-//! snapshot readers.
+//! snapshot readers. The executor's own publisher keeps every handle it
+//! has resolved, so a command costs atomics, not registry lookups.
 //!
 //! # Determinism contract
 //!
@@ -27,31 +28,29 @@
 //!
 //! ```
 //! use rime_core::metrics::MetricsRegistry;
-//! use rime_core::span;
 //!
 //! let registry = MetricsRegistry::new();
 //! let steps = registry.counter("steps_total", &[("chip", "0")], "column-search steps");
 //! steps.add(64);
-//! {
-//!     // Records wall time into `extract_wall_ns{chip="0"}` on drop.
-//!     let _span = span!(registry, "extract", chip = 0);
-//! }
+//! let wall = registry.histogram_with("extract_wall_ns", &[], "host time per extract", true);
+//! wall.observe(1_250);
 //! let snap = registry.snapshot();
 //! assert!(snap.to_prometheus().contains("steps_total{chip=\"0\"} 64"));
-//! // Wall-clock metrics vanish under masking; modeled ones survive.
+//! // Wall-clock metrics are zeroed under masking; modeled ones survive.
 //! assert!(snap.masked().to_json(false).contains("\"steps_total\""));
+//! assert!(!snap.masked().to_json(false).contains("1250"));
 //! ```
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
-use std::time::Instant;
 
 use rime_memristive::probe::{ExtractionProbe, Phase};
 use rime_memristive::{ArrayTiming, OpCounters};
 
+use crate::cmd::Command;
 use crate::error::RimeError;
-use crate::telemetry::{Telemetry, TelemetryEvent};
+use crate::telemetry::Effects;
 
 /// Number of histogram buckets: bucket `i < 63` counts observations in
 /// `(2^(i-1), 2^i]` (bucket 0 also takes 0), bucket 63 is the overflow
@@ -833,10 +832,16 @@ pub(crate) mod json {
             .ok_or_else(|| format!("missing field {name:?}"))
     }
 
+    /// Deepest nesting of arrays and objects the reader accepts. A
+    /// snapshot nests 5 deep and a Chrome trace 4; the cap keeps the
+    /// recursive descent from overflowing the stack on hostile input.
+    pub const MAX_DEPTH: usize = 64;
+
     pub fn parse(text: &str) -> Result<Value, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -850,6 +855,7 @@ pub(crate) mod json {
     struct Parser<'a> {
         bytes: &'a [u8],
         pos: usize,
+        depth: usize,
     }
 
     impl Parser<'_> {
@@ -888,8 +894,22 @@ pub(crate) mod json {
 
         fn value(&mut self) -> Result<Value, String> {
             match self.peek() {
-                Some(b'{') => self.object(),
-                Some(b'[') => self.array(),
+                Some(open @ (b'{' | b'[')) => {
+                    if self.depth == MAX_DEPTH {
+                        return Err(format!(
+                            "nesting deeper than {MAX_DEPTH} at byte {}",
+                            self.pos
+                        ));
+                    }
+                    self.depth += 1;
+                    let v = if open == b'{' {
+                        self.object()
+                    } else {
+                        self.array()
+                    };
+                    self.depth -= 1;
+                    v
+                }
                 Some(b'"') => Ok(Value::Str(self.string()?)),
                 Some(b't') => self.literal("true", Value::Bool(true)),
                 Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -1129,55 +1149,6 @@ pub fn validate_prometheus(text: &str) -> Result<usize, (usize, String)> {
     Ok(samples)
 }
 
-/// A wall-clock span guard: records elapsed nanoseconds into its
-/// (nondeterministic) histogram when dropped. Usually created via the
-/// [`crate::span!`] macro.
-#[derive(Debug)]
-pub struct Span {
-    hist: Histogram,
-    start: Instant,
-}
-
-impl Span {
-    /// Starts a span against `hist` (which should be registered with the
-    /// nondeterministic flag — wall time is host noise).
-    pub fn new(hist: Histogram) -> Span {
-        Span {
-            hist,
-            start: Instant::now(),
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        let ns = u64::try_from(self.start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        self.hist.observe(ns);
-    }
-}
-
-/// Starts a wall-clock span: `span!(registry, "extract", chip = 3)`
-/// records into the nondeterministic histogram `extract_wall_ns{chip="3"}`
-/// when the returned [`Span`] guard drops.
-#[macro_export]
-macro_rules! span {
-    ($registry:expr, $name:expr $(, $key:ident = $val:expr)* $(,)?) => {{
-        let values: &[::std::string::String] = &[$(($val).to_string()),*];
-        let names: &[&str] = &[$(stringify!($key)),*];
-        let labels: ::std::vec::Vec<(&str, &str)> = names
-            .iter()
-            .zip(values.iter())
-            .map(|(n, v)| (*n, v.as_str()))
-            .collect();
-        $crate::metrics::Span::new($registry.histogram_with(
-            concat!($name, "_wall_ns"),
-            &labels,
-            "wall-clock span duration in nanoseconds",
-            true,
-        ))
-    }};
-}
-
 fn error_code(err: &RimeError) -> &'static str {
     match err {
         RimeError::OutOfContiguousMemory { .. } => "out_of_contiguous_memory",
@@ -1214,49 +1185,89 @@ fn op_values(c: &OpCounters) -> [u64; 8] {
     ]
 }
 
-/// A telemetry sink publishing the command stream into a
-/// [`MetricsRegistry`]: per-command outcome/errcode counters, per-command
-/// modeled-latency and transfer histograms, and per-chip op counters.
-/// One instance is built into every executor; additional instances can be
-/// attached like any other sink to publish into a private registry.
-#[derive(Debug, Clone)]
-pub struct MetricsSink {
+/// One command kind's series, registered when the kind first runs.
+#[derive(Debug)]
+struct KindSeries {
+    /// `rime_commands_total` with `outcome="ok"`, then `outcome="error"`,
+    /// each registered when first counted.
+    outcomes: [Option<Counter>; 2],
+    wall: Histogram,
+    transfers: Histogram,
+    modeled: Histogram,
+}
+
+impl KindSeries {
+    fn new(registry: &MetricsRegistry, kind: &str) -> KindSeries {
+        let labels = [("command", kind)];
+        KindSeries {
+            outcomes: [None, None],
+            wall: registry.histogram_with(
+                "rime_command_wall_ns",
+                &labels,
+                "wall-clock span duration in nanoseconds",
+                true,
+            ),
+            transfers: registry.histogram(
+                "rime_command_transfers",
+                &labels,
+                "interface transfers per command",
+            ),
+            modeled: registry.histogram(
+                "rime_command_modeled_ns",
+                &labels,
+                "modeled device nanoseconds per command (Table I pricing)",
+            ),
+        }
+    }
+}
+
+/// The executor's metrics publisher: per-command outcome/errcode
+/// counters, per-command wall-time, modeled-latency and transfer
+/// histograms, and per-chip op counters. A series is registered when a
+/// command first touches it, so a snapshot lists exactly the series the
+/// workload touched; its handle is kept, so later commands update atomics
+/// without a registry lookup (only the rare error-code counter looks up).
+#[derive(Debug)]
+pub(crate) struct MetricsSink {
     registry: MetricsRegistry,
     timing: ArrayTiming,
     seq: Gauge,
     transfers_total: Counter,
     replayed: Counter,
+    kinds: BTreeMap<&'static str, KindSeries>,
+    /// `rime_chip_ops_total`, indexed `[chip][op]` in [`OP_NAMES`] order.
+    chip_ops: Vec<[Option<Counter>; OP_NAMES.len()]>,
 }
 
 impl MetricsSink {
-    /// Creates a sink publishing into `registry`, pricing modeled latency
-    /// with `timing`.
-    pub fn new(registry: MetricsRegistry, timing: ArrayTiming) -> MetricsSink {
-        let seq = registry.gauge(
-            "rime_events_seq",
-            &[],
-            "sequence number of the last telemetry event",
-        );
-        let transfers_total = registry.counter(
-            "rime_interface_transfers_total",
-            &[],
-            "values transferred over the DDR4 interface",
-        );
-        // Flagged nondeterministic: whether (and how much) a run
-        // replayed depends on where a crash landed, so masked snapshots
-        // of a recovered device must still match an uncrashed run's.
-        let replayed = registry.counter_with(
-            "rime_replayed_commands_total",
-            &[],
-            "commands re-executed during journal recovery (not fresh work)",
-            true,
-        );
+    /// Creates a publisher into `registry` for a device of `chips` chips,
+    /// pricing modeled latency with `timing`.
+    pub(crate) fn new(registry: MetricsRegistry, timing: ArrayTiming, chips: usize) -> MetricsSink {
         MetricsSink {
+            seq: registry.gauge(
+                "rime_events_seq",
+                &[],
+                "sequence number of the last telemetry event",
+            ),
+            transfers_total: registry.counter(
+                "rime_interface_transfers_total",
+                &[],
+                "values transferred over the DDR4 interface",
+            ),
+            // Flagged nondeterministic: whether (and how much) a run
+            // replayed depends on where a crash landed, so masked
+            // snapshots of a recovered device must still match an
+            // uncrashed run's.
+            replayed: registry.counter_with(
+                "rime_replayed_commands_total",
+                &[],
+                "commands re-executed during journal recovery (not fresh work)",
+                true,
+            ),
             registry,
             timing,
-            seq,
-            transfers_total,
-            replayed,
+            kinds: BTreeMap::new(),
+            chip_ops: vec![Default::default(); chips],
         }
     }
 
@@ -1269,26 +1280,35 @@ impl MetricsSink {
         self.replayed.inc();
     }
 
-    /// The registry this sink publishes into.
-    pub fn registry(&self) -> &MetricsRegistry {
-        &self.registry
-    }
-
-    /// Publishes one event (shared by the `Telemetry` impl and the
-    /// executor's built-in instance, which records through `&self`).
-    pub(crate) fn observe(&self, event: &TelemetryEvent<'_>) {
-        let kind = event.command.kind();
-        self.seq.set(i64::try_from(event.seq).unwrap_or(i64::MAX));
-        let outcome = if event.result.is_ok() { "ok" } else { "error" };
-        self.registry
-            .counter(
-                "rime_commands_total",
-                &[("command", kind), ("outcome", outcome)],
-                "executed commands by kind and outcome",
-            )
+    /// Publishes command number `seq`: its outcome, the host time it
+    /// took, and its effects.
+    pub(crate) fn observe(
+        &mut self,
+        seq: u64,
+        command: &Command<'_>,
+        error: Option<&RimeError>,
+        wall_ns: u64,
+        effects: &Effects,
+    ) {
+        let registry = &self.registry;
+        let kind = command.kind();
+        let series = self
+            .kinds
+            .entry(kind)
+            .or_insert_with(|| KindSeries::new(registry, kind));
+        self.seq.set(i64::try_from(seq).unwrap_or(i64::MAX));
+        let outcome = usize::from(error.is_some());
+        series.outcomes[outcome]
+            .get_or_insert_with(|| {
+                registry.counter(
+                    "rime_commands_total",
+                    &[("command", kind), ("outcome", ["ok", "error"][outcome])],
+                    "executed commands by kind and outcome",
+                )
+            })
             .inc();
-        if let Err(err) = event.result {
-            self.registry
+        if let Some(err) = error {
+            registry
                 .counter(
                     "rime_command_errors_total",
                     &[("command", kind), ("code", error_code(err))],
@@ -1296,45 +1316,30 @@ impl MetricsSink {
                 )
                 .inc();
         }
-        let transfers = event.effects.interface_transfers();
-        self.transfers_total.add(transfers);
-        self.registry
-            .histogram(
-                "rime_command_transfers",
-                &[("command", kind)],
-                "interface transfers per command",
-            )
-            .observe(transfers);
-        let total = event.effects.total();
-        let modeled_ns = self.timing.time_ns(&total) as u64;
-        self.registry
-            .histogram(
-                "rime_command_modeled_ns",
-                &[("command", kind)],
-                "modeled device nanoseconds per command (Table I pricing)",
-            )
-            .observe(modeled_ns);
-        for (chip, delta) in event.effects.chip_deltas() {
-            let chip = chip.to_string();
-            for (op, value) in OP_NAMES.iter().zip(op_values(delta)) {
+        series.wall.observe(wall_ns);
+        self.transfers_total.add(effects.interface_transfers());
+        series.transfers.observe(effects.interface_transfers());
+        // Spanned chips work concurrently (Fig. 14): a command takes as
+        // long as its busiest chip, not the sum over chips.
+        let deltas = effects.chip_deltas();
+        let modeled_ns = crate::perf::modeled_busy_ns(&self.timing, deltas.iter().map(|(_, d)| d));
+        series.modeled.observe(modeled_ns as u64);
+        for (chip, delta) in deltas {
+            let slots = &mut self.chip_ops[*chip as usize];
+            for ((slot, op), value) in slots.iter_mut().zip(OP_NAMES).zip(op_values(delta)) {
                 if value == 0 {
                     continue;
                 }
-                self.registry
-                    .counter(
+                slot.get_or_insert_with(|| {
+                    registry.counter(
                         "rime_chip_ops_total",
-                        &[("chip", &chip), ("op", op)],
+                        &[("chip", &chip.to_string()), ("op", op)],
                         "chip operations by kind (mirrors OpCounters)",
                     )
-                    .add(value);
+                })
+                .add(value);
             }
         }
-    }
-}
-
-impl Telemetry for MetricsSink {
-    fn record(&mut self, event: &TelemetryEvent<'_>) {
-        self.observe(event);
     }
 }
 
@@ -1859,40 +1864,6 @@ mod tests {
     }
 
     #[test]
-    fn span_macro_records_on_drop() {
-        let reg = MetricsRegistry::new();
-        {
-            let _span = span!(reg, "extract", chip = 3, step = "sense");
-        }
-        {
-            let _span = span!(reg, "idle");
-        }
-        let snap = reg.snapshot();
-        let spans: Vec<&MetricSnap> = snap
-            .metrics
-            .iter()
-            .filter(|m| m.name.ends_with("_wall_ns"))
-            .collect();
-        assert_eq!(spans.len(), 2);
-        assert!(spans.iter().all(|m| m.nondeterministic));
-        let labeled = spans
-            .iter()
-            .find(|m| m.name == "extract_wall_ns")
-            .expect("labeled span present");
-        assert_eq!(
-            labeled.labels,
-            vec![
-                ("chip".to_string(), "3".to_string()),
-                ("step".to_string(), "sense".to_string())
-            ]
-        );
-        match &labeled.value {
-            MetricValue::Histogram(h) => assert_eq!(h.count, 1),
-            other => panic!("span must be a histogram, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn chip_probe_prices_phases_per_table1() {
         let reg = MetricsRegistry::new();
         let probe = ChipProbe::new(&reg, ArrayTiming::table1(), 2);
@@ -1974,5 +1945,13 @@ mod tests {
         assert!(json::parse("[1,]").is_err());
         assert!(json::parse("1.5").is_err(), "schema is integral");
         assert!(json::parse("{} extra").is_err());
+        // Nesting is capped: a deep input is an error, not a stack
+        // overflow, through both decoders that share the reader.
+        let deep = "[".repeat(100_000);
+        assert!(Snapshot::from_json(&deep).is_err());
+        assert!(crate::flight::parse_chrome(&deep).is_err());
+        let nest = |d: usize| format!("{}{}", "[".repeat(d), "]".repeat(d));
+        assert!(json::parse(&nest(json::MAX_DEPTH)).is_ok());
+        assert!(json::parse(&nest(json::MAX_DEPTH + 1)).is_err());
     }
 }

@@ -16,9 +16,9 @@
 //!
 //! Like every other consumer of the device, these compositions bottom
 //! out in the unified command plane ([`crate::cmd`]): each primitive
-//! call lowers into one typed `Command`, so telemetry sinks observe
-//! rank/sort/merge workloads as the same event stream any front-end
-//! produces.
+//! call lowers into one typed `Command`, so the executor's counters and
+//! metrics account rank/sort/merge workloads exactly as they account
+//! any front-end's commands.
 
 use std::collections::VecDeque;
 

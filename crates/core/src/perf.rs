@@ -32,9 +32,12 @@ use rime_memristive::{ArrayTiming, OpCounters};
 /// Modeled busy time (ns) of the busiest chip given each chip's
 /// accumulated counters — the device-side critical path when chips
 /// operate concurrently (Fig. 14 activates all spanned chips at once).
-pub fn modeled_busy_ns(timing: &ArrayTiming, per_chip: &[OpCounters]) -> f64 {
+pub fn modeled_busy_ns<'a>(
+    timing: &ArrayTiming,
+    per_chip: impl IntoIterator<Item = &'a OpCounters>,
+) -> f64 {
     per_chip
-        .iter()
+        .into_iter()
         .map(|c| timing.time_ns(c))
         .fold(0.0, f64::max)
 }

@@ -177,122 +177,6 @@ pub fn rime_dimm_power_w(model: &PowerModel, concurrent_chips: u32, extract_ns: 
     model.rime_background_w + concurrent_chips as f64 * model.rime_nj_per_extraction / extract_ns
 }
 
-/// A [`rime_core::Telemetry`] sink that accumulates RIME dynamic energy
-/// from the device's command stream: completed extractions (per-chip
-/// counter deltas) and DDR4 interface transfers, priced by a
-/// [`PowerModel`]. Attach with `RimeDevice::attach_telemetry`, then read
-/// [`EnergySink::dynamic_nj`] — background power is time-based and stays
-/// with [`rime_energy`].
-///
-/// Optionally publishes into a [`rime_core::MetricsRegistry`] via
-/// [`EnergySink::bind_metrics`], so energy shows up in the same
-/// Prometheus/JSON exports as the executor's command metrics.
-#[derive(Debug, Clone)]
-pub struct EnergySink {
-    model: PowerModel,
-    extractions: u64,
-    transfers: u64,
-    metrics: Option<BoundMetrics>,
-}
-
-/// Registry handles the sink updates alongside its own accumulators.
-#[derive(Debug, Clone)]
-struct BoundMetrics {
-    extractions: rime_core::metrics::Counter,
-    transfers: rime_core::metrics::Counter,
-    dynamic_nj: rime_core::metrics::Gauge,
-}
-
-impl PartialEq for EnergySink {
-    fn eq(&self, other: &Self) -> bool {
-        // Registry handles are plumbing, not state: two sinks that
-        // observed the same stream compare equal regardless of binding.
-        self.model == other.model
-            && self.extractions == other.extractions
-            && self.transfers == other.transfers
-    }
-}
-
-impl EnergySink {
-    /// A zeroed sink pricing events with `model`.
-    pub fn new(model: PowerModel) -> EnergySink {
-        EnergySink {
-            model,
-            extractions: 0,
-            transfers: 0,
-            metrics: None,
-        }
-    }
-
-    /// Publishes this sink's accumulators into `registry` as
-    /// `rime_energy_extractions_total`, `rime_energy_transfers_total`,
-    /// and the `rime_energy_dynamic_nj` gauge (integer nanojoules).
-    /// Totals observed before binding are carried over.
-    pub fn bind_metrics(&mut self, registry: &rime_core::MetricsRegistry) {
-        let bound = BoundMetrics {
-            extractions: registry.counter(
-                "rime_energy_extractions_total",
-                &[],
-                "extractions priced by the energy sink",
-            ),
-            transfers: registry.counter(
-                "rime_energy_transfers_total",
-                &[],
-                "interface transfers priced by the energy sink",
-            ),
-            dynamic_nj: registry.gauge(
-                "rime_energy_dynamic_nj",
-                &[],
-                "accumulated dynamic RIME energy in nanojoules",
-            ),
-        };
-        bound.extractions.add(self.extractions);
-        bound.transfers.add(self.transfers);
-        bound.dynamic_nj.set(self.dynamic_nj() as i64);
-        self.metrics = Some(bound);
-    }
-
-    /// Extractions observed so far.
-    pub fn extractions(&self) -> u64 {
-        self.extractions
-    }
-
-    /// Interface transfers observed so far.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Accumulated dynamic RIME energy (nJ): extraction plus interface
-    /// transfer energy, excluding background power.
-    pub fn dynamic_nj(&self) -> f64 {
-        self.extractions as f64 * self.model.rime_nj_per_extraction
-            + self.transfers as f64 * self.model.rime_nj_per_transfer
-    }
-}
-
-impl Default for EnergySink {
-    fn default() -> Self {
-        EnergySink::new(PowerModel::table1())
-    }
-}
-
-impl rime_core::Telemetry for EnergySink {
-    fn record(&mut self, event: &rime_core::TelemetryEvent<'_>) {
-        let mut extracted = 0u64;
-        for (_, delta) in event.effects.chip_deltas() {
-            extracted += delta.extractions;
-        }
-        let transferred = event.effects.interface_transfers();
-        self.extractions += extracted;
-        self.transfers += transferred;
-        if let Some(m) = &self.metrics {
-            m.extractions.add(extracted);
-            m.transfers.add(transferred);
-            m.dynamic_nj.set(self.dynamic_nj() as i64);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,75 +243,6 @@ mod tests {
         let model = PowerModel::table1();
         let p5 = rime_dimm_power_w(&model, 5, 286.8);
         assert!((0.5..1.5).contains(&p5), "{p5} W");
-    }
-
-    #[test]
-    fn energy_sink_prices_the_command_stream() {
-        use rime_core::telemetry::shared;
-        use rime_core::{RimeConfig, RimeDevice};
-
-        let model = PowerModel::table1();
-        let dev = RimeDevice::new(RimeConfig::small());
-        let sink = shared(EnergySink::new(model));
-        dev.attach_telemetry(sink.clone());
-        let region = dev.alloc(8).unwrap();
-        dev.write(region, 0, &[9u32, 2, 7, 4, 5, 1, 8, 3]).unwrap();
-        dev.init_all::<u32>(region).unwrap();
-        let _ = dev.rime_min_k::<u32>(region, 4).unwrap();
-        let sink = sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let c = dev.counters();
-        assert_eq!(sink.extractions(), c.extractions);
-        assert_eq!(sink.transfers(), dev.interface_transfers());
-        let want = c.extractions as f64 * model.rime_nj_per_extraction
-            + dev.interface_transfers() as f64 * model.rime_nj_per_transfer;
-        assert!((sink.dynamic_nj() - want).abs() < 1e-9);
-        assert!(sink.dynamic_nj() > 0.0);
-    }
-
-    #[test]
-    fn energy_sink_publishes_bound_metrics() {
-        use rime_core::metrics::MetricValue;
-        use rime_core::telemetry::shared;
-        use rime_core::{RimeConfig, RimeDevice};
-
-        let model = PowerModel::table1();
-        let dev = RimeDevice::new(RimeConfig::small());
-        let mut sink = EnergySink::new(model);
-        sink.bind_metrics(dev.metrics());
-        let sink = shared(sink);
-        dev.attach_telemetry(sink.clone());
-        let region = dev.alloc(8).unwrap();
-        dev.write(region, 0, &[9u32, 2, 7, 4, 5, 1, 8, 3]).unwrap();
-        dev.init_all::<u32>(region).unwrap();
-        let _ = dev.rime_min_k::<u32>(region, 4).unwrap();
-        let sink = sink
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .clone();
-        let snap = dev.metrics_snapshot();
-        let value = |name: &str| {
-            snap.metrics
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .value
-                .clone()
-        };
-        assert_eq!(
-            value("rime_energy_extractions_total"),
-            MetricValue::Counter(sink.extractions())
-        );
-        assert_eq!(
-            value("rime_energy_transfers_total"),
-            MetricValue::Counter(sink.transfers())
-        );
-        assert_eq!(
-            value("rime_energy_dynamic_nj"),
-            MetricValue::Gauge(sink.dynamic_nj() as i64)
-        );
     }
 
     #[test]

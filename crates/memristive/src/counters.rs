@@ -45,7 +45,7 @@ impl OpCounters {
     ///
     /// Used by the command executor to turn two snapshots of a chip's
     /// monotonically increasing counters into the per-command delta it
-    /// publishes to telemetry sinks. Saturation makes the helper total:
+    /// records. Saturation makes the helper total:
     /// a reset between snapshots yields zeros instead of wrapping.
     pub fn delta_since(&self, earlier: &OpCounters) -> OpCounters {
         OpCounters {

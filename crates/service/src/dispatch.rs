@@ -140,7 +140,7 @@ pub(crate) fn pass(inner: &ServiceInner) -> usize {
     let order = scheduler::drr_drain(queues, sched.cursor, inner.config.drr_quantum);
     sched.cursor = sched.cursor.wrapping_add(1);
 
-    let units = fusion::fuse(order, inner.config.max_fuse, inner.config.fuse);
+    let units = fusion::fuse(order, inner.config.max_fuse);
     for unit in &units {
         if let WorkUnit::Fused { members, .. } = unit {
             inner.metrics.fused_batches.inc();

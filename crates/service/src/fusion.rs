@@ -116,11 +116,11 @@ impl WorkUnit {
 }
 
 /// Fuses a pass-order command stream into work units, preserving
-/// per-region execution order per the barrier rules above. With fusion
-/// disabled (or `max_fuse <= 1`) every item becomes a `Single` — the
-/// naive per-command dispatch baseline.
-pub(crate) fn fuse(items: Vec<WorkItem>, max_fuse: usize, enabled: bool) -> Vec<WorkUnit> {
-    if !enabled || max_fuse <= 1 {
+/// per-region execution order per the barrier rules above. With
+/// `max_fuse <= 1` every item becomes a `Single` — the naive
+/// per-command dispatch baseline.
+pub(crate) fn fuse(items: Vec<WorkItem>, max_fuse: usize) -> Vec<WorkUnit> {
+    if max_fuse <= 1 {
         return items.into_iter().map(WorkUnit::Single).collect();
     }
     let mut units: Vec<WorkUnit> = Vec::with_capacity(items.len());
@@ -238,7 +238,7 @@ mod tests {
         let items = (0..5)
             .map(|t| extract(t, 0, r, Direction::Min))
             .collect::<Vec<_>>();
-        let units = fuse(items, 64, true);
+        let units = fuse(items, 64);
         assert_eq!(kinds(&units), ["f:5"]);
         let WorkUnit::Fused { members, key } = &units[0] else {
             panic!("fused")
@@ -262,7 +262,7 @@ mod tests {
         // The trailing Min must NOT join the leading Min group — the Max
         // between them would be reordered.
         assert_eq!(
-            kinds(&fuse(items, 64, true)),
+            kinds(&fuse(items, 64)),
             ["s:extract", "s:extract", "s:extract"]
         );
     }
@@ -277,7 +277,7 @@ mod tests {
             extract(0, 1, r, Direction::Min),
             extract(1, 1, r, Direction::Min),
         ];
-        assert_eq!(kinds(&fuse(items, 64, true)), ["f:2", "s:write", "f:2"]);
+        assert_eq!(kinds(&fuse(items, 64)), ["f:2", "s:write", "f:2"]);
     }
 
     #[test]
@@ -292,7 +292,7 @@ mod tests {
         ];
         // rb's group spans the write barrier on ra; ra's does not.
         assert_eq!(
-            kinds(&fuse(items, 64, true)),
+            kinds(&fuse(items, 64)),
             ["s:extract", "f:2", "s:write", "s:extract"]
         );
     }
@@ -303,7 +303,7 @@ mod tests {
         let items = (0..7)
             .map(|i| extract(i % 3, i as u64, r, Direction::Min))
             .collect::<Vec<_>>();
-        assert_eq!(kinds(&fuse(items, 3, true)), ["f:3", "f:3", "s:extract"]);
+        assert_eq!(kinds(&fuse(items, 3)), ["f:3", "f:3", "s:extract"]);
     }
 
     #[test]
@@ -312,11 +312,10 @@ mod tests {
         let items = (0..4)
             .map(|t| extract(t, 0, r, Direction::Min))
             .collect::<Vec<_>>();
-        assert!(fuse(items.clone(), 64, false)
-            .iter()
-            .all(|u| matches!(u, WorkUnit::Single(_))));
-        assert!(fuse(items, 1, true)
-            .iter()
-            .all(|u| matches!(u, WorkUnit::Single(_))));
+        for max_fuse in [0, 1] {
+            assert!(fuse(items.clone(), max_fuse)
+                .iter()
+                .all(|u| matches!(u, WorkUnit::Single(_))));
+        }
     }
 }

@@ -75,16 +75,14 @@ pub struct ServiceConfig {
     /// Per-tenant bound on outstanding commands (SQ + in-flight +
     /// unreaped CQ). Submissions beyond it fail [`SubmitError::Busy`].
     pub queue_depth: usize,
-    /// Maximum members of one fused `ExtractBatch`.
+    /// Maximum members of one fused `ExtractBatch`. At `1` there is no
+    /// cross-tenant fusion: every command dispatches individually — the
+    /// naive baseline the benchmark compares against.
     pub max_fuse: usize,
     /// Deficit-round-robin quantum: commands a tenant may release per
     /// turn. Larger quanta keep same-tenant runs adjacent (deeper
     /// fusion); smaller quanta interleave tenants more finely.
     pub drr_quantum: u64,
-    /// Cross-tenant extract fusion. Disabled, every command dispatches
-    /// individually — the naive baseline the benchmark compares
-    /// against.
-    pub fuse: bool,
     /// Per-request latency SLO in nanoseconds, evaluated as a p99
     /// burn rate per tenant: when more than 1% of a 128-completion
     /// window exceeds this budget, the flight recorder (if attached)
@@ -99,7 +97,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             max_fuse: 64,
             drr_quantum: 8,
-            fuse: true,
             slo_p99_ns: None,
         }
     }

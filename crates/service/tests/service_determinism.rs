@@ -155,7 +155,7 @@ fn fused_batch_is_bit_identical_to_direct_extract_batch() {
     let naive = RankingService::with_device(
         RimeConfig::small(),
         ServiceConfig {
-            fuse: false,
+            max_fuse: 1,
             ..ServiceConfig::default()
         },
     );
@@ -217,7 +217,7 @@ fn fused_exhaustion_hands_overflow_members_none() {
     let naive = RankingService::with_device(
         RimeConfig::small(),
         ServiceConfig {
-            fuse: false,
+            max_fuse: 1,
             ..ServiceConfig::default()
         },
     );

@@ -1,34 +1,22 @@
-//! The unified command plane: three front-ends, one executor, one
-//! telemetry stream.
+//! The unified command plane: three front-ends, one executor, one set
+//! of counters.
 //!
 //! Every mutation of a RIME device — whether issued through the typed
 //! Rust API, built programmatically as a `Command`, or replayed from a
-//! journal — lowers into the same `rime_core::cmd::Executor`. Telemetry
-//! sinks attached to the device observe the identical event stream no
-//! matter which front-end produced it.
+//! journal — lowers into the same `rime_core::cmd::Executor`, which
+//! records each command once: the device's counters and metrics account
+//! every front-end's work alike.
 //!
 //! Run with: `cargo run --example command_plane`
 
 use std::borrow::Cow;
 
-use rime_core::telemetry::{shared, CounterSink, WearSink};
 use rime_core::{
     Command, Executor, JournalConfig, KeyFormat, MemJournalStore, Outcome, RimeConfig, RimeDevice,
 };
-use rime_energy::{EnergySink, PowerModel};
 
 fn main() {
     let dev = RimeDevice::new(RimeConfig::small());
-
-    // Attach an observer fleet before doing anything: operation counters,
-    // wear tracking, and the rime-energy pricing sink all see one ordered
-    // event stream.
-    let counters = shared(CounterSink::default());
-    let wear = shared(WearSink::default());
-    let energy = shared(EnergySink::new(PowerModel::table1()));
-    dev.attach_telemetry(counters.clone());
-    dev.attach_telemetry(wear.clone());
-    dev.attach_telemetry(energy.clone());
 
     // Front-end 1: the typed API (thin encoders over Commands).
     let region = dev.alloc(8).unwrap();
@@ -64,14 +52,14 @@ fn main() {
     });
     println!("raw Command  Extract(min)  -> {hit:?}");
 
-    // Every sink observed both front-ends' work.
-    let counters = counters.lock().unwrap().clone();
+    // The counters account both front-ends' work.
+    let counters = dev.counters();
     println!(
-        "\ntelemetry: {} commands, {} extractions, {} row writes, {:.1} nJ dynamic",
-        counters.commands(),
-        counters.counters().extractions,
-        wear.lock().unwrap().total_writes(),
-        energy.lock().unwrap().dynamic_nj(),
+        "\ncounters: {} extractions, {} row writes, {} transfers, {:.1} nJ modeled",
+        counters.extractions,
+        counters.row_writes,
+        dev.interface_transfers(),
+        dev.modeled_energy_nj(),
     );
 
     // Front-end 3: journal replay. The write-ahead journal that makes

@@ -1,23 +1,20 @@
-//! Cross-crate observability tests: telemetry fan-in ordering and
-//! metrics-snapshot determinism.
+//! Cross-crate observability tests: the registry agrees with the
+//! executor's own totals, and metrics snapshots are deterministic.
 //!
-//! The command plane's contract is that every sink attached to the hub
-//! observes the same gap-free, strictly increasing `seq` stream — even
-//! when commands are issued concurrently from many threads against a
-//! multi-chip device. These tests wrap three heterogeneous sinks
-//! ([`MetricsSink`], [`CounterSink`], [`WearSink`]) in a seq-logging
-//! shim and drive them from a threaded `ExtractBatch` workload, then pin
-//! the determinism contract of [`RimeDevice::metrics_snapshot`]: masked
-//! exports are byte-identical across identical runs, and the modeled
-//! chip-op metrics are bit-identical across every [`ParallelPolicy`].
+//! The executor records each command once, under one lock, into its
+//! built-in stats and its metrics registry. These tests drive a threaded
+//! multi-chip `ExtractBatch` workload and check that the two tell one
+//! story, then pin the determinism contract of
+//! [`RimeDevice::metrics_snapshot`]: masked exports are byte-identical
+//! across identical runs, and the modeled chip-op metrics are
+//! bit-identical across every [`ParallelPolicy`].
 
 use std::borrow::Cow;
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
-use rime_core::telemetry::{shared, CounterSink, Telemetry, TelemetryEvent, WearSink};
 use rime_core::{
     ChipProbe, Command, Direction, DriverConfig, Executor, FlightConfig, KeyFormat, MetricValue,
-    MetricsRegistry, MetricsSink, ParallelPolicy, RimeConfig, RimeDevice,
+    MetricsRegistry, OpCounters, ParallelPolicy, RimeConfig, RimeDevice,
 };
 use rime_memristive::{ArrayTiming, Chip, ChipGeometry};
 use rime_service::{RankingService, ServiceConfig, SessionHandle};
@@ -46,51 +43,24 @@ fn keys(n: u64) -> Vec<u64> {
         .collect()
 }
 
-/// Wraps any sink, logging each event's `seq` before delegating.
-struct SeqLog<T: Telemetry> {
-    inner: T,
-    seen: Arc<Mutex<Vec<u64>>>,
-}
-
-impl<T: Telemetry> SeqLog<T> {
-    fn new(inner: T) -> (SeqLog<T>, Arc<Mutex<Vec<u64>>>) {
-        let seen = Arc::new(Mutex::new(Vec::new()));
-        let log = SeqLog {
-            inner,
-            seen: seen.clone(),
-        };
-        (log, seen)
-    }
-}
-
-impl<T: Telemetry> Telemetry for SeqLog<T> {
-    fn record(&mut self, event: &TelemetryEvent<'_>) {
-        self.seen
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .push(event.seq);
-        self.inner.record(event);
-    }
-}
-
-fn drain(seen: &Arc<Mutex<Vec<u64>>>) -> Vec<u64> {
-    seen.lock().unwrap_or_else(PoisonError::into_inner).clone()
+/// Each `op` label of `rime_chip_ops_total` with its field of `c`.
+fn ops(c: &OpCounters) -> [(&'static str, u64); 8] {
+    [
+        ("column_search_steps", c.column_search_steps),
+        ("mat_column_searches", c.mat_column_searches),
+        ("row_reads", c.row_reads),
+        ("row_writes", c.row_writes),
+        ("select_loads", c.select_loads),
+        ("htree_traversals", c.htree_traversals),
+        ("init_ops", c.init_ops),
+        ("extractions", c.extractions),
+    ]
 }
 
 #[test]
-fn all_sinks_observe_identical_seq_streams_under_concurrency() {
+fn registry_and_device_stats_tell_one_story_under_concurrency() {
     let dev = RimeDevice::new(config());
     dev.set_parallel_policy(ParallelPolicy::Threads(2));
-
-    let (metrics, metrics_seqs) = SeqLog::new(MetricsSink::new(
-        MetricsRegistry::new(),
-        ArrayTiming::table1(),
-    ));
-    let (counters, counter_seqs) = SeqLog::new(CounterSink::default());
-    let (wear, wear_seqs) = SeqLog::new(WearSink::default());
-    dev.attach_telemetry(shared(metrics));
-    dev.attach_telemetry(shared(counters));
-    dev.attach_telemetry(shared(wear));
 
     // One region per thread, spanning all four chips together, so
     // concurrent ExtractBatch commands race through the executor while
@@ -119,18 +89,50 @@ fn all_sinks_observe_identical_seq_streams_under_concurrency() {
             });
         }
     });
+    // An alloc per thread, then write, init, three batches and a drain.
+    let issued = threads * (1 + 6);
 
-    let a = drain(&metrics_seqs);
-    let b = drain(&counter_seqs);
-    let c = drain(&wear_seqs);
-    assert!(!a.is_empty(), "workload published events");
-    assert_eq!(a, b, "MetricsSink and CounterSink saw different streams");
-    assert_eq!(a, c, "MetricsSink and WearSink saw different streams");
-    // Strictly increasing and gap-free: the hub assigns seq under one
-    // lock, so interleaved publishers can never reorder or skip.
-    for pair in a.windows(2) {
-        assert_eq!(pair[1], pair[0] + 1, "seq stream has a gap or reorder");
+    let snapshot = dev.metrics_snapshot();
+    let per_chip = dev.per_chip_counters();
+    let (mut commands, mut timed, mut seq, mut transfers) = (0, 0, None, None);
+    let mut op_series = 0;
+    for m in &snapshot.metrics {
+        let label = |key: &str| {
+            m.labels
+                .iter()
+                .find(|(k, _)| k == key)
+                .map(|(_, v)| v.as_str())
+                .unwrap_or_else(|| panic!("{} lacks label {key}", m.name))
+        };
+        match (m.name.as_str(), &m.value) {
+            ("rime_chip_ops_total", MetricValue::Counter(v)) => {
+                let chip: usize = label("chip").parse().expect("numeric chip label");
+                let field = ops(&per_chip[chip])
+                    .into_iter()
+                    .find(|(op, _)| *op == label("op"));
+                assert_eq!(field.map(|(_, f)| f), Some(*v), "{:?}", m.labels);
+                op_series += 1;
+            }
+            ("rime_commands_total", MetricValue::Counter(v)) => commands += v,
+            ("rime_command_wall_ns", MetricValue::Histogram(h)) => timed += h.count,
+            ("rime_events_seq", MetricValue::Gauge(v)) => seq = Some(*v),
+            ("rime_interface_transfers_total", MetricValue::Counter(v)) => transfers = Some(*v),
+            _ => {}
+        }
     }
+    // Every nonzero counter field has its series, and no other does.
+    let nonzero = per_chip
+        .iter()
+        .flat_map(ops)
+        .filter(|&(_, f)| f > 0)
+        .count();
+    assert_eq!(op_series, nonzero);
+    assert!(per_chip.iter().all(|c| c.extractions > 0));
+    assert_eq!(transfers, Some(dev.interface_transfers()));
+    // One outcome and one wall-time sample per command; seq counts from 0.
+    assert_eq!(commands, issued);
+    assert_eq!(timed, issued);
+    assert_eq!(seq, Some(issued as i64 - 1));
 }
 
 /// Runs a fixed instrumented multi-chip workload and returns the masked
