@@ -1,20 +1,24 @@
-//! Parallel scaling benchmark: persistent mat-shard pool vs the legacy
+//! Parallel scaling benchmark: the memoized engine (`Auto`) and the
+//! persistent mat-shard pool against the sequential walk and the legacy
 //! per-step `thread::scope` fan-out, plus chip-parallel executor
 //! dispatch.
 //!
 //! **Mat level** (8/16/32/64/128 mats): batched extraction throughput
 //! under `Sequential` (inline walk), `SpawnPerStep(T)` (the retired
-//! default — a fresh thread scope per column-search step), and
-//! `Threads(T)` (the persistent pool; since PR 7 a whole bit-serial
-//! descent ships as *one* speculative broadcast→fold round trip).
+//! default — a fresh thread scope per column-search step), `Threads(T)`
+//! (the persistent pool; a whole bit-serial descent ships as *one*
+//! speculative broadcast→fold round trip), and `Auto` (per-mat descents
+//! memoized and folded up a tree over the span, on the calling thread).
 //! `T` is fixed at 4 so the protocols are compared at the same fan-out
-//! on any host. The sweep also reports the chip's *measured* Auto
+//! on any host. The sweep also reports the chip's *measured* pool
 //! crossover next to the empirically observed one (the narrowest swept
 //! width where the pool beats sequential).
 //!
-//! Every pool run is cross-checked against the Sequential hit stream —
-//! with `--assert-pool` the bench exits nonzero on any divergence or if
-//! pool_vs_spawn drops below 2.0 anywhere (the CI perf-smoke gate).
+//! Every pool and Auto run is cross-checked against the Sequential hit
+//! stream. With `--assert-pool` (the CI perf-smoke gate) the bench
+//! exits nonzero on any divergence, if pool_vs_spawn drops below 2.0
+//! anywhere, or if Auto runs below 2× Sequential's keys/s at 64 or 128
+//! mats.
 //!
 //! **Chip level** (1/2/4 chips): full-device batched drain through the
 //! executor, whose multi-chip prefill dispatches independent chips on
@@ -82,14 +86,22 @@ fn keys_per_sec(extracted: u64, elapsed: Duration) -> f64 {
     extracted as f64 / elapsed.as_secs_f64()
 }
 
+/// Spans (mats) from which `--assert-pool` requires Auto to run at
+/// least [`AUTO_FLOOR`] times Sequential's keys/s.
+const AUTO_FLOOR_MATS: u16 = 64;
+const AUTO_FLOOR: f64 = 2.0;
+
 struct MatResult {
     mats: u16,
     keys: u64,
     seq_kps: f64,
     spawn_kps: f64,
     pool_kps: f64,
+    auto_kps: f64,
     /// The pool's hit stream (slots + raw bits) matched Sequential's.
     pool_matches_seq: bool,
+    /// Auto's hit stream matched Sequential's.
+    auto_matches_seq: bool,
 }
 
 impl MatResult {
@@ -99,16 +111,20 @@ impl MatResult {
     fn pool_vs_seq(&self) -> f64 {
         self.pool_kps / self.seq_kps
     }
+    fn auto_vs_seq(&self) -> f64 {
+        self.auto_kps / self.seq_kps
+    }
 }
 
 fn run_mat_config(mats: u16, rows: u32, batch_k: usize, reps: usize) -> MatResult {
-    let mut kps = [0.0f64; 3];
+    let mut kps = [0.0f64; 4];
     let mut keys = 0;
     let mut hit_streams: Vec<Vec<rime_memristive::ExtractHit>> = Vec::new();
     let policies = [
         ParallelPolicy::Sequential,
         ParallelPolicy::SpawnPerStep(FANOUT),
         ParallelPolicy::Threads(FANOUT),
+        ParallelPolicy::Auto,
     ];
     for (idx, policy) in policies.into_iter().enumerate() {
         let (chip, n) = loaded_chip(mats, rows, policy);
@@ -128,7 +144,9 @@ fn run_mat_config(mats: u16, rows: u32, batch_k: usize, reps: usize) -> MatResul
         seq_kps: kps[0],
         spawn_kps: kps[1],
         pool_kps: kps[2],
+        auto_kps: kps[3],
         pool_matches_seq: hit_streams[2] == hit_streams[0],
+        auto_matches_seq: hit_streams[3] == hit_streams[0],
     }
 }
 
@@ -197,17 +215,21 @@ fn write_json(
     for (i, r) in mat.iter().enumerate() {
         out.push_str(&format!(
             "    {{\"mats\": {}, \"keys\": {}, \"seq_kps\": {:.0}, \
-             \"spawn_kps\": {:.0}, \"pool_kps\": {:.0}, \
+             \"spawn_kps\": {:.0}, \"pool_kps\": {:.0}, \"auto_kps\": {:.0}, \
              \"pool_vs_spawn\": {:.2}, \"pool_vs_seq\": {:.2}, \
-             \"pool_matches_seq\": {}}}{}\n",
+             \"auto_vs_seq\": {:.2}, \"pool_matches_seq\": {}, \
+             \"auto_matches_seq\": {}}}{}\n",
             r.mats,
             r.keys,
             r.seq_kps,
             r.spawn_kps,
             r.pool_kps,
+            r.auto_kps,
             r.pool_vs_spawn(),
             r.pool_vs_seq(),
+            r.auto_vs_seq(),
             r.pool_matches_seq,
+            r.auto_matches_seq,
             if i + 1 < mat.len() { "," } else { "" },
         ));
     }
@@ -258,27 +280,47 @@ fn main() {
     };
 
     println!(
-        "parallel scaling: speculative pool descents vs per-step spawns ({} mode, fan-out {})",
+        "parallel scaling: memoized Auto and speculative pool descents vs per-step spawns \
+         ({} mode, fan-out {})",
         if quick { "quick" } else { "full" },
         FANOUT,
     );
     println!(
-        "{:>5} {:>8} | {:>12} {:>12} {:>12} | {:>10} {:>10}",
-        "mats", "keys", "seq k/s", "spawn k/s", "pool k/s", "pool/spawn", "pool/seq"
+        "{:>5} {:>8} | {:>12} {:>12} {:>12} {:>12} | {:>10} {:>10} {:>10}",
+        "mats",
+        "keys",
+        "seq k/s",
+        "spawn k/s",
+        "pool k/s",
+        "auto k/s",
+        "pool/spawn",
+        "pool/seq",
+        "auto/seq"
     );
     let mut mat_results = Vec::new();
     for mats in [8u16, 16, 32, 64, 128] {
         let r = run_mat_config(mats, rows, batch_k, reps);
         println!(
-            "{:>5} {:>8} | {:>12.0} {:>12.0} {:>12.0} | {:>9.2}x {:>9.2}x{}",
+            "{:>5} {:>8} | {:>12.0} {:>12.0} {:>12.0} {:>12.0} | {:>9.2}x {:>9.2}x {:>9.2}x{}{}",
             r.mats,
             r.keys,
             r.seq_kps,
             r.spawn_kps,
             r.pool_kps,
+            r.auto_kps,
             r.pool_vs_spawn(),
             r.pool_vs_seq(),
-            if r.pool_matches_seq { "" } else { "  DIVERGED" },
+            r.auto_vs_seq(),
+            if r.pool_matches_seq {
+                ""
+            } else {
+                "  POOL DIVERGED"
+            },
+            if r.auto_matches_seq {
+                ""
+            } else {
+                "  AUTO DIVERGED"
+            },
         );
         mat_results.push(r);
     }
@@ -317,12 +359,28 @@ fn main() {
         );
     }
 
-    // CI perf-smoke gate: the batched-epoch protocol must keep the pool
-    // comfortably ahead of per-step spawning at every swept width, and
-    // its hit stream bit-identical to Sequential.
+    // CI perf-smoke gate: Auto's memoized engine and the pool must keep
+    // their hit streams bit-identical to Sequential at every swept width;
+    // the memo engine must run well ahead of the walk on wide spans, and
+    // the batched-epoch protocol comfortably ahead of per-step spawning.
     if assert_pool {
         let mut failed = false;
         for r in &mat_results {
+            if !r.auto_matches_seq {
+                eprintln!(
+                    "ASSERT: Auto hit stream diverged from Sequential at {} mats",
+                    r.mats
+                );
+                failed = true;
+            }
+            if r.mats >= AUTO_FLOOR_MATS && r.auto_vs_seq() < AUTO_FLOOR {
+                eprintln!(
+                    "ASSERT: auto_vs_seq {:.2} < {AUTO_FLOOR} at {} mats",
+                    r.auto_vs_seq(),
+                    r.mats
+                );
+                failed = true;
+            }
             if !r.pool_matches_seq {
                 eprintln!(
                     "ASSERT: pool hit stream diverged from Sequential at {} mats",
@@ -342,6 +400,6 @@ fn main() {
         if failed {
             std::process::exit(1);
         }
-        println!("--assert-pool: all pool checks passed");
+        println!("--assert-pool: all Auto and pool checks passed");
     }
 }

@@ -156,7 +156,7 @@ pub fn instrumented_metrics_and_pool_stats(
 
 /// Distills the pool's wall-clock evidence from an *unmasked* snapshot:
 /// broadcast→fold latency count/sum, summed worker busy/park time, the
-/// measured Auto crossover, and session counts.
+/// measured pool crossover, and session counts.
 fn pool_stats_json(snapshot: &rime_core::Snapshot) -> String {
     use rime_core::MetricValue;
 

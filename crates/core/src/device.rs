@@ -456,11 +456,15 @@ impl RimeDevice {
 
     /// Sets every chip's mat fan-out policy (model-execution knob; see
     /// [`ParallelPolicy`] — results and counters are unaffected).
-    /// `Threads(n)` leases each chip's in-range mats to a persistent
-    /// shard pool; `SpawnPerStep(n)` keeps the legacy per-step scoped
-    /// fan-out as a benchmark baseline. Independent of this knob,
-    /// multi-chip batched commands dispatch each chip's prefill on its
-    /// own thread with a deterministic chip-order merge (DESIGN.md §10).
+    /// `Auto` (the default) memoizes each mat's descent for the length
+    /// of an extraction call and folds the traces up a tree over the
+    /// range's mats on the calling thread; `Sequential` is the full walk
+    /// the others are checked against; `Threads(n)` leases each chip's
+    /// in-range mats to a persistent shard pool; `SpawnPerStep(n)` keeps
+    /// the legacy per-step scoped fan-out as a benchmark baseline.
+    /// Independent of this knob, multi-chip batched commands dispatch
+    /// each chip's prefill on its own thread with a deterministic
+    /// chip-order merge (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         self.exec.set_parallel_policy(policy);
     }

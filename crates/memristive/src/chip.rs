@@ -15,28 +15,32 @@
 //! # Parallel mat fan-out
 //!
 //! In hardware every mat senses its column simultaneously and the
-//! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10).
-//! The model mirrors that with a persistent mat-shard worker pool
-//! ([`crate::pool::MatPool`]): long-lived workers each own a fixed
-//! shard of the range's mats for the duration of an extraction session.
-//! A whole bit-serial descent ships to the workers as *one* broadcast —
-//! each worker speculates its shard's descent against its local wire-OR
-//! view and the controller folds the recorded traces in fixed worker
-//! order into the exact global decision sequence, replaying a divergent
-//! suffix only when a shard's local signals could have changed a global
-//! decision (see [`crate::pool`] for why the fold is exact). Because
-//! the fold reconstructs the same per-step wire-OR and removed-row sums
-//! the sequential walk computes, every [`OpCounters`] field is
-//! bit-identical whatever the thread count ([`ParallelPolicy`] is purely
-//! a scheduling knob). The retired per-step `thread::scope` fan-out
-//! survives as [`ParallelPolicy::SpawnPerStep`], kept as a benchmark
-//! baseline and an extra differential subject.
+//! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10),
+//! so a key costs a fixed number of column steps however many mats its
+//! range spans. [`ParallelPolicy`] picks how the model computes that
+//! descent; every policy yields the same hits and bit-identical
+//! [`OpCounters`].
 //!
-//! [`ParallelPolicy::Auto`] gates pool use on a *measured* crossover:
-//! a one-shot process-wide calibration ([`crate::pool::pool_calibration`])
-//! prices a broadcast→fold round trip against per-mat step cost, and the
-//! chip derives the span width where leasing the pool starts winning
-//! (overridable via `RIME_POOL_CROSSOVER` for reproducible CI).
+//! - [`ParallelPolicy::Auto`] (the default) runs the memoized engine
+//!   (`crate::memo`) on the calling thread. For the length of one
+//!   extraction call it keeps one descent trace per span mat and one
+//!   merged trace per node of a binary tree over the span, folded with
+//!   Fig. 10's lower-address priority. A key re-runs only the previous
+//!   winner's mat and re-merges its `log2(span)` ancestors, so host work
+//!   per key follows one mat, not the span. Single extractions are
+//!   batches of one.
+//! - [`ParallelPolicy::Sequential`] walks every span mat at every step:
+//!   the differential oracle the other policies are checked against.
+//! - [`ParallelPolicy::Threads`] leases the span to the persistent
+//!   mat-shard pool ([`crate::pool::MatPool`]): workers speculate their
+//!   shards' descents and the controller folds the traces in worker
+//!   order (see [`crate::pool`] for why the fold is exact).
+//!   [`ParallelPolicy::SpawnPerStep`] is the retired per-step
+//!   `thread::scope` fan-out, kept as a benchmark baseline.
+//!
+//! [`Chip::pool_crossover_mats`] still reports the pool's measured
+//! crossover (one-shot calibration, [`crate::pool::pool_calibration`],
+//! overridable via `RIME_POOL_CROSSOVER`), but no policy consults it.
 
 use std::sync::Arc;
 
@@ -48,6 +52,7 @@ use crate::error::Error;
 use crate::geometry::ChipGeometry;
 use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
+use crate::memo::MemoTree;
 use crate::plan::{Direction, SearchPlan};
 use crate::pool::{pool_calibration, Dirty, MatPool};
 use crate::probe::{timed, Phase, SharedProbe};
@@ -64,22 +69,24 @@ pub struct ExtractHit {
     pub steps: u16,
 }
 
-/// How the chip controller fans each column-search step out across mats.
+/// How the chip controller computes each extraction's descent across
+/// the range's mats.
 ///
 /// Hardware mats always operate simultaneously; this knob only controls
-/// how the *model* schedules them onto OS threads. Results and
-/// [`OpCounters`] are identical under every policy.
+/// how the *model* computes them. Results and [`OpCounters`] are
+/// identical under every policy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelPolicy {
-    /// Walk the mats on the calling thread — the differential oracle.
+    /// Walk every mat of the span at every column-search step, on the
+    /// calling thread — the differential oracle.
     Sequential,
-    /// Route ranges spanning at least the *measured* crossover width
-    /// (see [`Chip::pool_crossover_mats`]) through the persistent
-    /// mat-shard pool with `min(host parallelism, mats in range)`
-    /// workers, where host parallelism is `available_parallelism`
-    /// (cached per chip, re-queried whenever the pool is rebuilt).
-    /// Narrower ranges — and hosts whose parallelism is 1 — stay on
-    /// the calling thread. The default.
+    /// The memoized engine, on the calling thread: each span mat's
+    /// descent is computed once per extraction call and folded up a
+    /// binary tree over the span with Fig. 10's lower-address priority,
+    /// so after the first key only the previous winner's mat re-runs
+    /// and only its `log2(span)` ancestors re-merge. Never leases the
+    /// pool and reads no calibration. Single-mat spans walk as
+    /// `Sequential` does. The default.
     #[default]
     Auto,
     /// Drive the persistent pool with exactly this many workers
@@ -94,15 +101,19 @@ pub enum ParallelPolicy {
 }
 
 /// How a given extraction session is actually scheduled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Fanout {
     /// Walk (or scope-spawn over) the mats on the calling side with this
     /// many threads per step.
     Host(usize),
     /// Lease the span to the persistent pool with this many workers.
     Pool(usize),
+    /// Memoized per-mat descents folded up the span's tree
+    /// ([`MemoTree`]).
+    Memo,
 }
 
-/// Clamp bounds for the Auto crossover (mats): below 2 the pool can
+/// Clamp bounds for the pool crossover (mats): below 2 the pool can
 /// never win (single-mat spans short-circuit anyway), and a pathological
 /// calibration sample must not push the crossover past any real span.
 const POOL_CROSSOVER_MIN: usize = 2;
@@ -164,11 +175,9 @@ pub struct Chip {
     scalar_oracle: bool,
     /// Host parallelism, queried at construction and re-queried whenever
     /// the pool is rebuilt (`available_parallelism` is a syscall-backed
-    /// lookup; re-querying per extraction range was measurable on the
-    /// batch path, but a parked-then-rebuilt pool must not keep a stale
-    /// thread count).
+    /// lookup); prices the pool crossover.
     auto_threads: usize,
-    /// Measured Auto crossover (mats), derived lazily from the one-shot
+    /// Measured pool crossover (mats), derived lazily from the one-shot
     /// pool calibration (or `RIME_POOL_CROSSOVER`). Invalidated together
     /// with `auto_threads` when the pool is rebuilt.
     pool_crossover: Option<usize>,
@@ -290,8 +299,9 @@ impl Chip {
     }
 
     /// Decides how this session's span is scheduled. Single-mat spans
-    /// always stay on the calling thread — no fan-out can help them.
-    fn fanout(&mut self, mats_in_range: usize) -> Fanout {
+    /// always walk on the calling thread — there is nothing to fan out
+    /// or fold.
+    fn fanout(&self, mats_in_range: usize) -> Fanout {
         if mats_in_range <= 1 {
             return Fanout::Host(1);
         }
@@ -300,22 +310,16 @@ impl Chip {
             ParallelPolicy::SpawnPerStep(n) => Fanout::Host(n.clamp(1, mats_in_range)),
             ParallelPolicy::Threads(0 | 1) => Fanout::Host(1),
             ParallelPolicy::Threads(n) => Fanout::Pool(n),
-            ParallelPolicy::Auto => {
-                if self.auto_threads <= 1 || mats_in_range < self.pool_crossover_mats() {
-                    Fanout::Host(1)
-                } else {
-                    Fanout::Pool(self.auto_threads.min(mats_in_range))
-                }
-            }
+            ParallelPolicy::Auto => Fanout::Memo,
         }
     }
 
-    /// Span width (in mats) where [`ParallelPolicy::Auto`] starts leasing
-    /// the pool. Derived lazily from the one-shot process-wide
-    /// calibration ([`crate::pool::pool_calibration`]) and cached until
-    /// the pool is rebuilt; `RIME_POOL_CROSSOVER=<mats>` overrides the
-    /// measurement for reproducible runs. Always in
-    /// `[2, 2^20]`.
+    /// Span width (in mats) from which leasing the pool is priced to beat
+    /// the inline walk on this host. Reported only: no policy consults
+    /// it. Derived lazily from the one-shot process-wide calibration
+    /// ([`crate::pool::pool_calibration`]) and cached until the pool is
+    /// rebuilt; `RIME_POOL_CROSSOVER=<mats>` overrides the measurement
+    /// for reproducible runs. Always in `[2, 2^20]`.
     pub fn pool_crossover_mats(&mut self) -> usize {
         if let Some(crossover) = self.pool_crossover {
             return crossover;
@@ -419,8 +423,14 @@ impl Chip {
         if raw_keys.is_empty() {
             return Ok(());
         }
-        let end = start_slot + raw_keys.len() as u64 - 1;
-        self.check_slot(end)?;
+        let past_the_top = Error::AddressOutOfRange {
+            addr: start_slot,
+            capacity: self.capacity(),
+        };
+        let last = start_slot
+            .checked_add(raw_keys.len() as u64 - 1)
+            .ok_or(past_the_top)?;
+        self.check_slot(last)?;
         if u32::from(format.bits()) > self.geometry.cols.min(64) {
             return Err(Error::KeyTooWide {
                 bits: format.bits(),
@@ -592,6 +602,12 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
+        let (first_mat, last_mat) = self.mat_span(begin, end);
+        if self.fanout(last_mat - first_mat + 1) == Fanout::Memo {
+            return Ok(self
+                .extract_range_batch(begin, end, format, direction, 1)?
+                .pop());
+        }
         let plan = SearchPlan::new(format, direction);
 
         // Rearm the select vectors (range minus exclusion flags).
@@ -601,9 +617,6 @@ impl Chip {
         if let Some(p) = &probe {
             p.phase(Phase::Rearm, rearm_ns, 1);
         }
-
-        // Determine the mats participating in this range.
-        let (first_mat, last_mat) = self.mat_span(begin, end);
 
         let mut selected: u64 = 0;
         for mat in self.mats[first_mat..=last_mat].iter().flatten() {
@@ -629,6 +642,7 @@ impl Chip {
                 self.restore_pool(first_mat, pool);
                 hit
             }
+            Fanout::Memo => unreachable!("memoized extraction runs as a batch of one"),
         }))
     }
 
@@ -696,15 +710,29 @@ impl Chip {
         let mut hits = Vec::with_capacity(k.min(selected as usize));
         let probe = self.probe.clone();
         match self.fanout(last_mat - first_mat + 1) {
-            Fanout::Host(threads) => {
+            fanout @ (Fanout::Host(_) | Fanout::Memo) => {
+                // The memoized engine keeps each mat's descent for the
+                // whole call; the host walk re-senses every mat per key.
+                let (mut memo, threads) = match fanout {
+                    Fanout::Host(threads) => (None, threads),
+                    _ => (Some(MemoTree::new(last_mat - first_mat + 1, plan)), 1),
+                };
+                // The span mat whose membership window changed since the
+                // last key (`None`: every mat, before the first key).
+                let mut dirty: Option<usize> = None;
                 for _ in 0..k {
                     // Rearm: one select-vector load through the H-tree,
                     // exactly as the sequential path counts it. Each mat
                     // latches its window of the membership vector in
-                    // place — zero allocations per iteration.
+                    // place — zero allocations per iteration. The memo
+                    // engine re-latches only the mat it will re-run.
+                    let rearmed = match (&memo, dirty) {
+                        (Some(_), Some(mat)) => first_mat + mat..=first_mat + mat,
+                        _ => first_mat..=last_mat,
+                    };
                     let mut rearm_ns = 0u64;
                     timed(&probe, &mut rearm_ns, || {
-                        for idx in first_mat..=last_mat {
+                        for idx in rearmed {
                             self.mat_mut(idx as u32)
                                 .load_select_window(&membership, (idx - first_mat) * per_mat);
                         }
@@ -718,9 +746,14 @@ impl Chip {
                     if selected == 0 {
                         break;
                     }
-                    let hit = self.converge_host(first_mat, last_mat, &plan, selected, threads);
-                    membership.set((hit.slot - span_base) as usize, false);
+                    let hit = match &mut memo {
+                        Some(memo) => self.converge_memo(first_mat, last_mat, memo, dirty),
+                        None => self.converge_host(first_mat, last_mat, &plan, selected, threads),
+                    };
+                    let span_slot = (hit.slot - span_base) as usize;
+                    membership.set(span_slot, false);
                     selected -= 1;
+                    dirty = Some(span_slot / per_mat);
                     hits.push(hit);
                 }
             }
@@ -794,8 +827,7 @@ impl Chip {
             _ => {
                 // Rebuilding the pool invalidates the host-derived
                 // caches: the machine's thread budget may have changed
-                // since they were computed, and a crossover priced for a
-                // stale thread count would mis-gate Auto (§satellite).
+                // since the crossover was priced.
                 self.auto_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
                 self.pool_crossover = None;
                 MatPool::new(workers)
@@ -937,6 +969,75 @@ impl Chip {
             slot,
             raw_bits,
             steps: steps_executed,
+        }
+    }
+
+    /// Memoized twin of [`Chip::converge_host`]: re-runs the descent of
+    /// span mat `dirty` (of every span mat when `None`, for a call's
+    /// first key), re-merges its ancestors in `memo`, and reads the
+    /// span's descent off the root. The caller has rearmed the re-run
+    /// mats' select windows and counted `selected > 0`. Counter
+    /// arithmetic matches the host path line for line.
+    fn converge_memo(
+        &mut self,
+        first_mat: usize,
+        last_mat: usize,
+        memo: &mut MemoTree,
+        dirty: Option<usize>,
+    ) -> ExtractHit {
+        let probe = self.probe.clone();
+        let per_mat = self.geometry.slots_per_mat();
+        let scalar = self.scalar_oracle;
+        let mut sense_ns = 0u64;
+        timed(&probe, &mut sense_ns, || {
+            let leaves = match dirty {
+                Some(leaf) => leaf..=leaf,
+                None => 0..=last_mat - first_mat,
+            };
+            for leaf in leaves {
+                let mat = self.mats[first_mat + leaf]
+                    .as_mut()
+                    .expect("span mats are materialized");
+                memo.speculate(leaf, mat, leaf as u64 * per_mat, scalar);
+            }
+            match dirty {
+                Some(leaf) => memo.refold(leaf),
+                None => memo.fold_all(),
+            }
+        });
+        let descent = memo
+            .descent(|removed| {
+                if let Some(p) = &probe {
+                    p.excluded_step(removed);
+                }
+            })
+            .expect("non-empty selection must reduce to a winner");
+        self.counters.column_search_steps += u64::from(descent.steps);
+        self.counters.mat_column_searches += descent.mat_searches;
+        self.counters.select_loads += descent.exclusions;
+
+        // The root's survivor is the index reduction's winner (Fig. 10),
+        // and its raw bits came with it.
+        self.counters.htree_traversals += 1;
+        let slot = first_mat as u64 * per_mat + descent.winner.slot;
+        self.counters.row_reads += 1;
+        self.excluded.set(slot as usize, true);
+        self.counters.extractions += 1;
+
+        if let Some(p) = &probe {
+            // The whole descent's wall time lands on Sense, as on the
+            // pooled path; op counts are exact.
+            p.phase(Phase::Sense, sense_ns, u64::from(descent.steps));
+            p.phase(Phase::Exclude, 0, descent.exclusions);
+            p.phase(Phase::IndexReduce, 0, 1);
+            p.phase(Phase::Readout, 0, 1);
+            p.extraction(descent.steps);
+        }
+
+        ExtractHit {
+            slot,
+            raw_bits: descent.winner.raw,
+            steps: descent.steps,
         }
     }
 
@@ -1130,15 +1231,6 @@ fn sense_step(
     threads: usize,
     scalar: bool,
 ) -> (ColumnSignals, u64) {
-    fn sense_mat(mat: &Mat, pos: u16, scalar: bool) -> ColumnSignals {
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if scalar {
-            return mat.sense_column_scalar(pos);
-        }
-        let _ = scalar;
-        mat.sense_column(pos)
-    }
-
     fn walk(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
         let mut signals = ColumnSignals::default();
         let mut active = 0u64;
@@ -1147,7 +1239,7 @@ fn sense_step(
                 continue;
             }
             active += 1;
-            signals.merge(sense_mat(mat, pos, scalar));
+            signals.merge(mat.sense(pos, scalar));
         }
         (signals, active)
     }
@@ -1186,22 +1278,13 @@ fn exclude_step(
     threads: usize,
     scalar: bool,
 ) -> u64 {
-    fn exclude_mat(mat: &mut Mat, pos: u16, keep: bool, scalar: bool) -> u64 {
-        #[cfg(any(test, feature = "scalar-oracle"))]
-        if scalar {
-            return mat.apply_exclusion_scalar(pos, keep) as u64;
-        }
-        let _ = scalar;
-        mat.apply_exclusion(pos, keep) as u64
-    }
-
     fn walk(mats: &mut [Option<Mat>], pos: u16, keep: bool, scalar: bool) -> u64 {
         let mut removed = 0u64;
         for mat in mats.iter_mut().flatten() {
             if mat.selected_count() == 0 {
                 continue;
             }
-            removed += exclude_mat(mat, pos, keep, scalar);
+            removed += mat.exclude(pos, keep, scalar);
         }
         removed
     }
@@ -1601,33 +1684,50 @@ mod tests {
     }
 
     #[test]
-    fn auto_policy_gates_on_measured_crossover_and_host_parallelism() {
-        // Pins the Auto fan-out decision (DESIGN.md §13): spans narrower
-        // than the cached crossover stay on the calling thread, wider
-        // ones lease the pool with min(host, mats) workers. The
-        // crossover is injected here so the test is calibration-free.
+    fn auto_policy_memoizes_every_multi_mat_span_and_ignores_the_crossover() {
+        // Pins the Auto fan-out decision (DESIGN.md §13): every span of
+        // two or more mats runs the memo engine on the calling thread,
+        // whatever the pool crossover says; single-mat spans walk.
         let mut chip = Chip::new(ChipGeometry::tiny());
-        chip.auto_threads = 4;
-        chip.pool_crossover = Some(16);
-        assert!(matches!(chip.fanout(15), Fanout::Host(1)));
-        assert!(matches!(chip.fanout(16), Fanout::Pool(4)));
-        assert!(matches!(chip.fanout(17), Fanout::Pool(4)));
-        // A single-threaded host never leases the pool, whatever the span.
-        chip.auto_threads = 1;
-        assert!(matches!(chip.fanout(16), Fanout::Host(1)));
-        assert!(matches!(chip.fanout(1000), Fanout::Host(1)));
-        // Worker count is clamped to the mats actually in range.
-        chip.auto_threads = 32;
-        assert!(matches!(chip.fanout(17), Fanout::Pool(17)));
-        // Single-mat spans short-circuit before the policy is consulted.
-        assert!(matches!(chip.fanout(1), Fanout::Host(1)));
-        // The measured crossover is always inside the documented clamp
-        // (this exercises the real calibration once per process).
+        for crossover in [2, 16, POOL_CROSSOVER_MAX] {
+            chip.pool_crossover = Some(crossover);
+            assert_eq!(chip.fanout(1), Fanout::Host(1));
+            for span in [2, 15, 16, 17, 1000] {
+                assert_eq!(chip.fanout(span), Fanout::Memo, "span {span}");
+            }
+        }
+        // The other policies are unchanged.
+        chip.set_parallel_policy(ParallelPolicy::Threads(4));
+        assert_eq!(chip.fanout(16), Fanout::Pool(4));
+        chip.set_parallel_policy(ParallelPolicy::Sequential);
+        assert_eq!(chip.fanout(16), Fanout::Host(1));
+        // The measured crossover is still reported, always inside the
+        // documented clamp (this exercises the real calibration once per
+        // process) ...
         chip.pool_crossover = None;
         let measured = chip.pool_crossover_mats();
         assert!((POOL_CROSSOVER_MIN..=POOL_CROSSOVER_MAX).contains(&measured));
-        // ... and it is cached until the pool is rebuilt.
+        // ... and cached until the pool is rebuilt.
         assert_eq!(chip.pool_crossover, Some(measured));
+    }
+
+    #[test]
+    fn store_keys_near_the_top_of_the_address_space_is_out_of_range() {
+        // `start + len - 1` would overflow u64: a typed error, no panic,
+        // and nothing written.
+        let mut chip = Chip::new(ChipGeometry::tiny());
+        for start in [u64::MAX, u64::MAX - 1] {
+            assert!(matches!(
+                chip.store_keys(start, &[1, 2, 3], KeyFormat::UNSIGNED64),
+                Err(Error::AddressOutOfRange { .. })
+            ));
+        }
+        assert!(matches!(
+            chip.store_keys(u64::MAX, &[1, 2], KeyFormat::UNSIGNED64),
+            Err(Error::AddressOutOfRange { .. })
+        ));
+        assert_eq!(chip.counters().row_writes, 0);
+        assert_eq!(chip.total_writes(), 0);
     }
 
     #[test]

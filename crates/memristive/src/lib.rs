@@ -25,9 +25,13 @@
 //! * [`chip`] — banks, subbanks, and mats under a chip controller that
 //!   coordinates multi-mat exclusion with the two-signal protocol (Fig. 9)
 //!   and streams ranked values.
+//! * `memo` — the memoized descent engine behind
+//!   [`ParallelPolicy::Auto`]: one descent trace per mat, folded up a
+//!   binary tree over the range's mats, so host work per key follows one
+//!   mat rather than the range's span.
 //! * [`pool`] — the persistent mat-shard worker pool the chip controller
-//!   drives with epoch-tagged step broadcasts (the model's standing
-//!   concurrency, mirroring always-on hardware mats).
+//!   drives with epoch-tagged step broadcasts under
+//!   [`ParallelPolicy::Threads`].
 //! * [`probe`] — zero-cost-when-disabled observation hooks for extraction
 //!   phases and pool activity (rime-core's metrics layer plugs in here).
 //! * [`timing`] / [`counters`] — Table I device timings and energy, and
@@ -78,6 +82,7 @@ pub mod geometry;
 pub mod htree;
 pub mod lifetime;
 pub mod mat;
+mod memo;
 pub mod plan;
 pub mod pool;
 pub mod probe;

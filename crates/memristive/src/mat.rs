@@ -236,6 +236,28 @@ impl Mat {
         removed
     }
 
+    /// [`Mat::sense_column`], or its scalar oracle when `scalar` is set
+    /// (the chip's `scalar-oracle` switch; ignored without the feature).
+    pub(crate) fn sense(&self, pos: u16, scalar: bool) -> ColumnSignals {
+        #[cfg(any(test, feature = "scalar-oracle"))]
+        if scalar {
+            return self.sense_column_scalar(pos);
+        }
+        let _ = scalar;
+        self.sense_column(pos)
+    }
+
+    /// [`Mat::apply_exclusion`], or its scalar oracle when `scalar` is
+    /// set; returns the rows deselected.
+    pub(crate) fn exclude(&mut self, pos: u16, keep: bool, scalar: bool) -> u64 {
+        #[cfg(any(test, feature = "scalar-oracle"))]
+        if scalar {
+            return self.apply_exclusion_scalar(pos, keep) as u64;
+        }
+        let _ = scalar;
+        self.apply_exclusion(pos, keep) as u64
+    }
+
     /// Lowest selected slot in the mat, if any — the mat's initial index
     /// `A` fed into the H-tree (Fig. 10, priority to smaller indices).
     pub fn first_selected(&self) -> Option<u32> {

@@ -332,7 +332,7 @@ impl Shard {
                     continue;
                 }
                 active += 1;
-                signals.merge(sense_mat(mat, pos, self.scalar));
+                signals.merge(mat.sense(pos, self.scalar));
             }
             trace.active[step as usize] = active;
             if signals.any_one {
@@ -351,7 +351,7 @@ impl Shard {
                     if mat.selected_count() == 0 {
                         continue;
                     }
-                    removed += exclude_mat(mat, pos, keep, self.scalar);
+                    removed += mat.exclude(pos, keep, self.scalar);
                 }
                 trace.decided |= 1 << step;
                 if keep {
@@ -409,7 +409,7 @@ impl Shard {
                 if mat.selected_count() == 0 {
                     continue;
                 }
-                exclude_mat(mat, pos, keep, scalar);
+                mat.exclude(pos, keep, scalar);
             }
         }
     }
@@ -439,24 +439,6 @@ pub(crate) enum Dirty<'a> {
     /// Only these slots were cleared from the membership (positions
     /// within the leased span, like the membership itself).
     Slots(&'a [u64]),
-}
-
-fn sense_mat(mat: &Mat, pos: u16, scalar: bool) -> ColumnSignals {
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    if scalar {
-        return mat.sense_column_scalar(pos);
-    }
-    let _ = scalar;
-    mat.sense_column(pos)
-}
-
-fn exclude_mat(mat: &mut Mat, pos: u16, keep: bool, scalar: bool) -> u64 {
-    #[cfg(any(test, feature = "scalar-oracle"))]
-    if scalar {
-        return mat.apply_exclusion_scalar(pos, keep) as u64;
-    }
-    let _ = scalar;
-    mat.apply_exclusion(pos, keep) as u64
 }
 
 /// Worker body: block on the request channel until the pool drops it.
@@ -502,7 +484,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
                         continue;
                     }
                     active += 1;
-                    signals.merge(sense_mat(mat, pos, s.scalar));
+                    signals.merge(mat.sense(pos, s.scalar));
                 }
                 tx.send(Reply::Signals {
                     epoch,
@@ -518,7 +500,7 @@ fn worker_loop(rx: Receiver<Request>, tx: Sender<Reply>) {
                     if mat.selected_count() == 0 {
                         continue;
                     }
-                    removed += exclude_mat(mat, pos, keep, s.scalar);
+                    removed += mat.exclude(pos, keep, s.scalar);
                 }
                 tx.send(Reply::Removed { epoch, removed }).is_ok()
             }
@@ -955,7 +937,7 @@ impl MatPool {
                     continue;
                 }
                 active += 1;
-                signals.merge(sense_mat(mat, pos, local.scalar));
+                signals.merge(mat.sense(pos, local.scalar));
             }
             (signals, active)
         });
@@ -993,7 +975,7 @@ impl MatPool {
                 if mat.selected_count() == 0 {
                     continue;
                 }
-                removed += exclude_mat(mat, pos, keep, local.scalar);
+                removed += mat.exclude(pos, keep, local.scalar);
             }
             removed
         });
@@ -1472,8 +1454,9 @@ impl MatPool {
 }
 
 /// One-shot measured costs of the pool's control plane vs the bit-sliced
-/// data plane, used to place the [`crate::ParallelPolicy::Auto`]
-/// crossover. Measured once per process (see [`pool_calibration`]).
+/// data plane, used to price the pool crossover
+/// ([`crate::Chip::pool_crossover_mats`]). Measured once per process
+/// (see [`pool_calibration`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolCalibration {
     /// Best-case broadcast→fold round-trip latency through a worker
@@ -1487,8 +1470,8 @@ pub struct PoolCalibration {
 /// Measures (once per process) the pool round-trip latency and the
 /// per-word cost of the bit-sliced kernels. Both are wall-clock
 /// measurements and therefore nondeterministic; everything derived from
-/// them (the Auto crossover) only affects *scheduling*, which the
-/// determinism contract already proves observationally invisible.
+/// them (the pool crossover, which no policy consults) is reported,
+/// never part of a result.
 pub fn pool_calibration() -> PoolCalibration {
     static CAL: OnceLock<PoolCalibration> = OnceLock::new();
     *CAL.get_or_init(|| {

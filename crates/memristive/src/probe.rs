@@ -85,8 +85,9 @@ pub trait ExtractionProbe: Send + Sync {
     /// is time parked on the channel.
     fn pool_worker(&self, _worker: usize, _busy_ns: u64, _session_ns: u64) {}
 
-    /// The measured (or overridden) [`crate::ParallelPolicy::Auto`]
-    /// crossover, in mats, as cached when a pool session opens. Derived
+    /// The measured (or overridden) pool crossover
+    /// ([`crate::Chip::pool_crossover_mats`]), in mats, as cached when a
+    /// pool session opens. Derived
     /// from wall-clock calibration, so nondeterministic unless pinned
     /// via `RIME_POOL_CROSSOVER`.
     fn pool_crossover(&self, _mats: usize) {}

@@ -4,7 +4,10 @@
 //! slots, same raw bits, same stable tie-breaking, and identical
 //! [`OpCounters`] — regardless of the parallel fan-out policy, with the
 //! range at slot 0 and at an offset that is neither mat- nor
-//! word-aligned and starts past mat 0.
+//! word-aligned and starts past mat 0. Every property also runs
+//! `ParallelPolicy::Auto` (the memoized engine) against the
+//! `Sequential` drain, and one deterministic case does so on a Table I
+//! chip over a wide offset span with ties and a stuck-at cell.
 
 use proptest::prelude::*;
 use rime_memristive::{
@@ -86,11 +89,11 @@ fn software_reference(
     order
 }
 
-/// Runs the full differential check for one key set, first with the
-/// range at slot 0 on `mats` mats, then at slot `lead_mats × 32 +
-/// lead_slots` (`lead_slots` in `1..32`) on a chip grown to fit. Returns
-/// the batch and sequential counter snapshots of each placement for the
-/// caller's assertions.
+/// Runs the full differential check for one key set under `policy` and
+/// under `Auto`, first with the range at slot 0 on `mats` mats, then at
+/// slot `lead_mats × 32 + lead_slots` (`lead_slots` in `1..32`) on a
+/// chip grown to fit. Returns the batch and sequential counter snapshots
+/// of each placement and policy for the caller's assertions.
 fn check<T: SortableBits>(
     keys: &[T],
     mats: u16,
@@ -98,7 +101,7 @@ fn check<T: SortableBits>(
     k: usize,
     direction: Direction,
     policy: ParallelPolicy,
-) -> [(OpCounters, OpCounters); 2] {
+) -> Vec<(OpCounters, OpCounters)> {
     let raw: Vec<u64> = keys.iter().map(|v| v.to_raw_bits()).collect();
     let placements = [
         (mats, 0),
@@ -107,26 +110,31 @@ fn check<T: SortableBits>(
             lead_mats * SLOTS_PER_MAT + lead_slots,
         ),
     ];
-    placements.map(|(mats, offset)| {
-        let mut batch_chip = loaded_chip(&raw, T::FORMAT, mats, offset, policy);
+    let mut policies = vec![policy];
+    if policy != ParallelPolicy::Auto {
+        policies.push(ParallelPolicy::Auto);
+    }
+    let mut counters = Vec::new();
+    for (mats, offset) in placements {
         let mut seq_chip = loaded_chip(&raw, T::FORMAT, mats, offset, ParallelPolicy::Sequential);
-
-        let batch = batch_chip.extract_batch(direction, k).unwrap();
         let seq = sequential_reference(&mut seq_chip, direction, k);
-        assert_eq!(
-            batch, seq,
-            "batch must equal the sequential drain at {offset}"
-        );
-
         let soft = software_reference(&raw, offset, T::FORMAT, direction, k);
-        let got: Vec<(u64, u64)> = batch.iter().map(|h| (h.slot, h.raw_bits)).collect();
-        assert_eq!(
-            got, soft,
-            "stable order with lowest-slot tie-break at {offset}"
-        );
-
-        (*batch_chip.counters(), *seq_chip.counters())
-    })
+        for &policy in &policies {
+            let mut batch_chip = loaded_chip(&raw, T::FORMAT, mats, offset, policy);
+            let batch = batch_chip.extract_batch(direction, k).unwrap();
+            assert_eq!(
+                batch, seq,
+                "batch under {policy:?} must equal the sequential drain at {offset}"
+            );
+            let got: Vec<(u64, u64)> = batch.iter().map(|h| (h.slot, h.raw_bits)).collect();
+            assert_eq!(
+                got, soft,
+                "stable order with lowest-slot tie-break under {policy:?} at {offset}"
+            );
+            counters.push((*batch_chip.counters(), *seq_chip.counters()));
+        }
+    }
+    counters
 }
 
 proptest! {
@@ -228,4 +236,51 @@ proptest! {
         let got: Vec<(u64, u64)> = hits.iter().map(|h| (h.slot, h.raw_bits)).collect();
         prop_assert_eq!(got, soft);
     }
+}
+
+/// Auto against Sequential on a Table I chip: a range that starts 300
+/// slots into mat 5 and spans 34 mats, holding four distinct keys (so
+/// descents end in ties, not one survivor) and one stuck-at cell, is
+/// drained by several 256-key batches and then from the other end. Each
+/// batch is a fresh memo cache; hits and every counter must match.
+#[test]
+fn table1_wide_offset_span_with_ties_and_a_fault_matches_sequential() {
+    let geometry = ChipGeometry::table1();
+    let per_mat = geometry.slots_per_mat();
+    let begin = 5 * per_mat + 300;
+    let end = begin + 33 * per_mat;
+    let classes = [
+        0x0123_4567_89ab_cdef_u64,
+        0x0123_4567_0000_0000,
+        0x7edc_ba98_7654_3210,
+        7,
+    ];
+    let keys: Vec<u64> = (0..end - begin)
+        .map(|i| classes[(i.wrapping_mul(2_654_435_761) >> 7) as usize % classes.len()])
+        .collect();
+    // A stuck-at-1 MSB makes this key larger than every class.
+    let stuck = begin + 2 * per_mat + 17;
+    let run = |policy: ParallelPolicy| {
+        let mut chip = Chip::new(geometry);
+        chip.set_parallel_policy(policy);
+        chip.store_keys(begin, &keys, KeyFormat::UNSIGNED64)
+            .unwrap();
+        chip.inject_stuck_cell(stuck, 63, true).unwrap();
+        chip.init_range(begin, end, KeyFormat::UNSIGNED64).unwrap();
+        let mut hits = Vec::new();
+        for _ in 0..3 {
+            hits.extend(chip.extract_batch(Direction::Min, 256).unwrap());
+        }
+        hits.extend(chip.extract_batch(Direction::Max, 256).unwrap());
+        (hits, *chip.counters())
+    };
+    let (want_hits, want_counters) = run(ParallelPolicy::Sequential);
+    assert_eq!(want_hits.len(), 1024);
+    assert_eq!(
+        want_hits[768].slot, stuck,
+        "the fault decides the first max"
+    );
+    let (hits, counters) = run(ParallelPolicy::Auto);
+    assert_eq!(hits, want_hits);
+    assert_eq!(counters, want_counters);
 }

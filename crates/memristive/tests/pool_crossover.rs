@@ -1,7 +1,8 @@
-//! Determinism of the Auto crossover under the `RIME_POOL_CROSSOVER`
-//! env override — the knob CI uses to keep Auto's gate reproducible
+//! Determinism of the pool crossover under the `RIME_POOL_CROSSOVER`
+//! env override — the knob benchmark runs use to record one crossover
 //! across heterogeneous runners (the measured calibration is
-//! wall-clock-derived and machine-specific).
+//! wall-clock-derived and machine-specific). No policy consults the
+//! crossover; `Chip::pool_crossover_mats` reports it.
 //!
 //! This lives in its own integration-test binary because it mutates
 //! process environment: Rust runs the tests of one binary in threads
