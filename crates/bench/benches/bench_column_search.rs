@@ -134,11 +134,7 @@ fn write_json(path: &str, mode: &str, results: &[ConfigResult], rows: u32, batch
     // One extra fully instrumented pass of the largest config, outside
     // any timed region, whose masked (deterministic) metrics snapshot
     // rides along in the committed file.
-    let metrics = rime_bench::instrumented_metrics_json(
-        geometry(64, rows),
-        ParallelPolicy::Sequential,
-        batch_k,
-    );
+    let metrics = rime_bench::instrumented_metrics_json(geometry(64, rows), batch_k);
     out.push_str(&format!("  ],\n  \"metrics\": {metrics}\n}}\n"));
     std::fs::write(path, out).expect("write bench snapshot");
     println!("snapshot written to {path}");

@@ -26,7 +26,7 @@ use rime_core::{MetricsRegistry, RimePerfConfig, Snapshot};
 use rime_energy::{baseline_energy, rime_energy, PowerModel, SystemKind};
 use rime_kernels::planner::{Planner, Strategy};
 use rime_kernels::{rime_sort, SortAlgorithm};
-use rime_memristive::{ChipGeometry, ParallelPolicy};
+use rime_memristive::ChipGeometry;
 use rime_memsim::SystemConfig;
 
 /// The canonical Fig. 15–18 sweep (0.5M–65M keys), fixed for snapshot
@@ -303,11 +303,7 @@ fn build_snapshot() -> String {
     let registry = MetricsRegistry::new();
     planner.bind_metrics(&registry);
     let planner_snapshot = registry.snapshot().masked().to_json(false);
-    let device_snapshot = rime_bench::instrumented_metrics_json(
-        ChipGeometry::small(),
-        ParallelPolicy::Sequential,
-        64,
-    );
+    let device_snapshot = rime_bench::instrumented_metrics_json(ChipGeometry::small(), 64);
     let _ = writeln!(out, "  \"planner_metrics\": {planner_snapshot},");
     let _ = writeln!(out, "  \"metrics\": {device_snapshot}");
     out.push_str("}\n");

@@ -2,11 +2,11 @@
 //! device's metrics snapshot.
 //!
 //! The workload is a 64-mat `rime_min_k` ranking session on one chip
-//! with full extraction/pool instrumentation enabled and the parallel
-//! policy pinned to `Threads(4)`, so every *modeled* metric in the
-//! snapshot is deterministic — run it twice and the masked exports are
-//! byte-identical. Wall-clock metrics (spans, pool busy/park time) are
-//! real host measurements and vary; `--masked` zeroes them.
+//! with full extraction instrumentation enabled and the default
+//! parallel policy, so every *modeled* metric in the snapshot is
+//! deterministic — run it twice and the masked exports are
+//! byte-identical. Wall-clock metrics (command and phase times) are real
+//! host measurements and vary; `--masked` zeroes them.
 //!
 //! ```text
 //! rime-stats [--format prom|json] [--pretty] [--masked]
@@ -32,13 +32,13 @@ use std::process::ExitCode;
 
 use rime_bench::heatmap;
 use rime_core::metrics::validate_prometheus;
-use rime_core::{DriverConfig, KeyFormat, ParallelPolicy, RimeConfig, RimeDevice, Snapshot};
+use rime_core::{DriverConfig, KeyFormat, RimeConfig, RimeDevice, Snapshot};
 use rime_energy::{rime_energy, PowerModel};
 use rime_memristive::{ArrayTiming, ChipGeometry};
 
 /// One chip of 64 mats (4×4×4), 64 slots per mat: 4096 keys total. Small
-/// enough to run in milliseconds, big enough to exercise the mat pool
-/// (64 mats ≫ the auto-parallel threshold) and the multi-step H-tree.
+/// enough to run in milliseconds, big enough to exercise a six-level
+/// memo tree over the range's mats and the multi-step H-tree.
 fn config() -> RimeConfig {
     RimeConfig {
         channels: 1,
@@ -57,12 +57,11 @@ fn config() -> RimeConfig {
 }
 
 /// Runs the fixed workload and returns the device (with its populated
-/// registry). Deterministic for modeled metrics: fixed keys, fixed
-/// batch sizes, pinned `Threads(4)` policy.
+/// registry). Deterministic for modeled metrics: fixed keys and fixed
+/// batch sizes.
 fn run_workload() -> RimeDevice {
     let dev = RimeDevice::new(config());
     dev.enable_extraction_metrics();
-    dev.set_parallel_policy(ParallelPolicy::Threads(4));
 
     let n = dev.capacity();
     let region = dev.alloc(n).expect("alloc fixed workload");

@@ -93,38 +93,19 @@ pub fn print_series(x_name: &str, xs: &[u64], series: &[(String, Vec<f64>)]) {
 
 /// Runs one fully instrumented (probes + metrics registry) pass of an
 /// `init` + `rime_min_k(batch_k)` workload on a single chip of
-/// `chip_geometry` under `policy`, and returns the device's *masked*
-/// metrics snapshot as compact JSON.
+/// `chip_geometry` under `ParallelPolicy::Sequential`, and returns the
+/// device's *masked* metrics snapshot as compact JSON.
 ///
 /// The bench harnesses embed this in their `RIME_BENCH_JSON` output: the
 /// pass runs *outside* the timed region (probes read the host clock, so
 /// they stay off while measuring), and masking zeroes the wall-clock
 /// metrics so the embedded snapshot is deterministic for a fixed
-/// geometry/policy/batch — committed snapshots don't churn on re-runs.
+/// geometry/batch — committed snapshots don't churn on re-runs.
 pub fn instrumented_metrics_json(
     chip_geometry: rime_memristive::ChipGeometry,
-    policy: rime_memristive::ParallelPolicy,
     batch_k: usize,
 ) -> String {
-    instrumented_metrics_and_pool_stats(chip_geometry, policy, batch_k).0
-}
-
-/// One-pass variant of [`instrumented_metrics_json`] that also distills
-/// the *unmasked* pool wall-clock metrics into a small side record:
-/// `(masked_snapshot_json, pool_stats_json)`.
-///
-/// Masking rightly zeroes every nondeterministic series in the committed
-/// snapshot — which is exactly how the pool-latency regression of PR 7
-/// hid (all-zero `rime_pool_step_wall_ns`/worker-busy rows looked
-/// plausible). The side record keeps the live evidence (counts and
-/// totals, machine-specific by nature) without destabilizing the masked
-/// snapshot's byte-identity.
-pub fn instrumented_metrics_and_pool_stats(
-    chip_geometry: rime_memristive::ChipGeometry,
-    policy: rime_memristive::ParallelPolicy,
-    batch_k: usize,
-) -> (String, String) {
-    use rime_core::{Direction, DriverConfig, KeyFormat, RimeConfig, RimeDevice};
+    use rime_core::{Direction, DriverConfig, KeyFormat, ParallelPolicy, RimeConfig, RimeDevice};
     use rime_memristive::ArrayTiming;
 
     let config = RimeConfig {
@@ -136,7 +117,7 @@ pub fn instrumented_metrics_and_pool_stats(
     };
     let dev = RimeDevice::new(config);
     dev.enable_extraction_metrics();
-    dev.set_parallel_policy(policy);
+    dev.set_parallel_policy(ParallelPolicy::Sequential);
     let n = dev.capacity();
     let region = dev.alloc(n).expect("alloc metrics pass");
     let keys: Vec<u64> = (0..n)
@@ -149,38 +130,7 @@ pub fn instrumented_metrics_and_pool_stats(
     let _ = dev
         .next_extremes_raw(region, KeyFormat::UNSIGNED64, Direction::Min, batch_k)
         .expect("extract metrics pass");
-    let snapshot = dev.metrics_snapshot();
-    let pool_stats = pool_stats_json(&snapshot);
-    (snapshot.masked().to_json(false), pool_stats)
-}
-
-/// Distills the pool's wall-clock evidence from an *unmasked* snapshot:
-/// broadcast→fold latency count/sum, summed worker busy/park time, the
-/// measured pool crossover, and session counts.
-fn pool_stats_json(snapshot: &rime_core::Snapshot) -> String {
-    use rime_core::MetricValue;
-
-    let (mut step_count, mut step_sum) = (0u64, 0u64);
-    let (mut busy, mut park) = (0u64, 0u64);
-    let (mut leases, mut crossover) = (0u64, 0i64);
-    for m in &snapshot.metrics {
-        match (m.name.as_str(), &m.value) {
-            ("rime_pool_step_wall_ns", MetricValue::Histogram(h)) => {
-                step_count += h.count;
-                step_sum += h.sum;
-            }
-            ("rime_pool_worker_busy_ns_total", MetricValue::Counter(v)) => busy += v,
-            ("rime_pool_worker_park_ns_total", MetricValue::Counter(v)) => park += v,
-            ("rime_pool_leases_total", MetricValue::Counter(v)) => leases += v,
-            ("rime_pool_crossover_mats", MetricValue::Gauge(v)) => crossover = crossover.max(*v),
-            _ => {}
-        }
-    }
-    format!(
-        "{{\"step_latency_count\": {step_count}, \"step_latency_sum_ns\": {step_sum}, \
-         \"worker_busy_ns\": {busy}, \"worker_park_ns\": {park}, \
-         \"leases\": {leases}, \"crossover_mats\": {crossover}}}"
-    )
+    dev.metrics_snapshot().masked().to_json(false)
 }
 
 /// Formats a ratio like the paper's "×" factors.

@@ -1001,7 +1001,9 @@ impl Executor {
     }
 
     /// Sets every chip's mat fan-out policy (model-execution knob; see
-    /// [`ParallelPolicy`] — results and counters are unaffected).
+    /// [`ParallelPolicy`] — results and counters are unaffected). The
+    /// policy picks how a chip computes a multi-mat descent on the
+    /// calling thread; multi-chip dispatch is independent of it.
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         for chip in &self.chips {
             lock_recover(chip).set_parallel_policy(policy);
@@ -1009,7 +1011,7 @@ impl Executor {
     }
 
     /// The built-in metrics registry. Per-command metrics are always
-    /// published here; per-phase chip and pool metrics appear once
+    /// published here; per-phase chip metrics appear once
     /// [`Executor::enable_extraction_probes`] has run.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
@@ -1020,10 +1022,9 @@ impl Executor {
         self.registry.snapshot()
     }
 
-    /// Installs a registry-backed [`ChipProbe`] on every chip (and, via
-    /// the chip, on its mat pool), turning on deep per-phase and pool
-    /// instrumentation. Off by default: the probes read the host clock,
-    /// so benchmarks leave them uninstalled.
+    /// Installs a registry-backed [`ChipProbe`] on every chip, turning on
+    /// deep per-phase instrumentation. Off by default: the probes read
+    /// the host clock, so benchmarks leave them uninstalled.
     pub fn enable_extraction_probes(&self) {
         for (idx, chip) in self.chips.iter().enumerate() {
             let mut probe = ChipProbe::new(&self.registry, self.config.timing, idx as u32);
@@ -1334,7 +1335,10 @@ impl Executor {
             let mut chip = Chip::new(config.chip_geometry);
             if !chip.restore_state(&state) {
                 return Err(JournalError::CheckpointMismatch {
-                    what: format!("chip {idx} snapshot does not fit the configured geometry"),
+                    what: format!(
+                        "chip {idx} snapshot does not fit the configured geometry \
+                         or is inconsistent"
+                    ),
                 });
             }
             chips.push(Mutex::new(chip));
@@ -2080,6 +2084,58 @@ mod tests {
             ),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn checkpoint_with_an_impossible_chip_range_is_refused() {
+        // A chip snapshot whose active range is inverted or runs past
+        // the chip is internally inconsistent: recovery refuses it
+        // rather than restoring a chip whose `remaining()` would panic.
+        let exec = exec();
+        run_workload(&exec);
+        let blob = exec.checkpoint_bytes();
+        let states: Vec<ChipState> = exec.chips.iter().map(|c| lock_recover(c).state()).collect();
+        let mut encoded = Vec::new();
+        for state in &states {
+            journal::put_chip_state(&mut encoded, state);
+        }
+        // Chip states close the blob; swap in a doctored first chip.
+        let head = &blob[..blob.len() - encoded.len()];
+        let slots = exec.config.chip_slots();
+        let recover = |range: Option<(u64, u64)>| {
+            let mut doctored = head.to_vec();
+            for (idx, state) in states.iter().enumerate() {
+                let mut state = state.clone();
+                if idx == 0 {
+                    state.range = range;
+                }
+                journal::put_chip_state(&mut doctored, &state);
+            }
+            let store = MemJournalStore::new();
+            let mut journal =
+                Journal::new(Box::new(store.clone()), JournalConfig::default()).unwrap();
+            journal.record_checkpoint(&doctored).unwrap();
+            drop(journal);
+            Executor::recover(
+                RimeConfig::small(),
+                Box::new(store),
+                JournalConfig::default(),
+            )
+        };
+        assert!(
+            recover(states[0].range).is_ok(),
+            "the untouched blob recovers"
+        );
+        for range in [(0, slots + 10), (5, 2)] {
+            let err = recover(Some(range)).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    RimeError::Journal(JournalError::CheckpointMismatch { .. })
+                ),
+                "{range:?}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -458,11 +458,8 @@ impl RimeDevice {
     /// [`ParallelPolicy`] — results and counters are unaffected).
     /// `Auto` (the default) memoizes each mat's descent for the length
     /// of an extraction call and folds the traces up a tree over the
-    /// range's mats on the calling thread; `Sequential` is the full walk
-    /// the others are checked against; `Threads(n)` leases each chip's
-    /// in-range mats to a persistent shard pool; `SpawnPerStep(n)` keeps
-    /// the legacy per-step scoped fan-out as a benchmark baseline.
-    /// Independent of this knob, multi-chip batched commands dispatch
+    /// range's mats; `Sequential` is the full walk `Auto` is checked
+    /// against. Both run on the calling thread. Independent of this knob, multi-chip batched commands dispatch
     /// each chip's prefill on its own thread with a deterministic
     /// chip-order merge (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
@@ -509,8 +506,8 @@ impl RimeDevice {
     }
 
     /// The device's built-in metrics registry (see [`crate::metrics`]).
-    /// Per-command metrics are always published; per-phase chip and pool
-    /// metrics appear after [`RimeDevice::enable_extraction_metrics`].
+    /// Per-command metrics are always published; per-phase chip metrics
+    /// appear after [`RimeDevice::enable_extraction_metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
         self.exec.metrics()
     }
@@ -521,8 +518,8 @@ impl RimeDevice {
         self.exec.metrics_snapshot()
     }
 
-    /// Turns on deep per-phase extraction and mat-pool instrumentation
-    /// by installing a registry-backed probe on every chip. Off by
+    /// Turns on deep per-phase extraction instrumentation by installing
+    /// a registry-backed probe on every chip. Off by
     /// default — the probes read the host clock on every phase, so
     /// benchmarks leave them uninstalled.
     pub fn enable_extraction_metrics(&self) {

@@ -6,16 +6,16 @@
 //! lists metrics in one canonical order. Handles returned by the
 //! registration calls are `Arc`-wrapped atomics: after the first
 //! registration of a key, updates are lock-free, which is what lets the
-//! chip/pool hot paths record into the registry without contending with
+//! chip hot paths record into the registry without contending with
 //! snapshot readers. The executor's own publisher keeps every handle it
 //! has resolved, so a command costs atomics, not registry lookups.
 //!
 //! # Determinism contract
 //!
 //! Every metric is either *modeled* (derived from the bit-accurate
-//! simulation: op counts, step counts, modeled nanoseconds, shard sizes)
+//! simulation: op counts, step counts, modeled nanoseconds, rows removed)
 //! or *wall-clock* (host timing, flagged `nondeterministic`). For a fixed
-//! workload and a pinned [`rime_memristive::ParallelPolicy`], two runs
+//! workload, under either [`rime_memristive::ParallelPolicy`], two runs
 //! produce byte-identical [`Snapshot::masked`] exports: masking zeroes
 //! the nondeterministic metrics and the canonical key order fixes the
 //! rest. Wall-clock metrics are quarantined this way so differential
@@ -286,8 +286,7 @@ impl MetricsRegistry {
     }
 
     /// Registers (or fetches) a gauge, flagged nondeterministic when it
-    /// reflects wall-clock-derived quantities (e.g. the measured pool
-    /// crossover).
+    /// reflects wall-clock-derived quantities.
     pub fn gauge_with(
         &self,
         name: &str,
@@ -1364,7 +1363,7 @@ fn phase_slot(phase: Phase) -> usize {
 /// The registry-backed implementation of
 /// [`rime_memristive::probe::ExtractionProbe`]: converts phase op counts
 /// into modeled device nanoseconds via [`ArrayTiming`] and publishes
-/// phase, steps-per-key, and pool metrics labeled by chip.
+/// phase, steps-per-key and rows-removed metrics labeled by chip.
 ///
 /// Installed per chip by `RimeDevice::enable_extraction_metrics()` (one
 /// probe per chip so the `chip` label is fixed at construction). Phases
@@ -1374,24 +1373,12 @@ fn phase_slot(phase: Phase) -> usize {
 /// exported.
 #[derive(Debug)]
 pub struct ChipProbe {
-    registry: MetricsRegistry,
-    chip: String,
     timing: ArrayTiming,
     phase_wall: Vec<Histogram>,
     phase_modeled: Vec<Histogram>,
     phase_ops: Vec<Counter>,
     steps: Histogram,
     excluded: Histogram,
-    leases: Counter,
-    unleases: Counter,
-    imbalance: Gauge,
-    leased_mats: Gauge,
-    pool_step_wall: Histogram,
-    pool_crossover: Gauge,
-    replay_steps: Counter,
-    replay_wall: Histogram,
-    descend_woken: Counter,
-    descend_memoized: Counter,
     flight: Option<Arc<crate::flight::FlightRecorder>>,
 }
 
@@ -1433,62 +1420,7 @@ impl ChipProbe {
                 &chip_label,
                 "rows deselected per exclusion step",
             ),
-            leases: registry.counter(
-                "rime_pool_leases_total",
-                &chip_label,
-                "mat-pool sessions opened",
-            ),
-            unleases: registry.counter(
-                "rime_pool_unleases_total",
-                &chip_label,
-                "mat-pool sessions closed",
-            ),
-            imbalance: registry.gauge(
-                "rime_pool_shard_imbalance",
-                &chip_label,
-                "largest minus smallest shard size of the last lease",
-            ),
-            leased_mats: registry.gauge(
-                "rime_pool_leased_mats",
-                &chip_label,
-                "mats covered by the last pool lease",
-            ),
-            pool_step_wall: registry.histogram_with(
-                "rime_pool_step_wall_ns",
-                &chip_label,
-                "wall-clock broadcast-to-fold latency per pool epoch step",
-                true,
-            ),
-            pool_crossover: registry.gauge_with(
-                "rime_pool_crossover_mats",
-                &chip_label,
-                "measured Auto crossover: span width in mats where the pool wins",
-                true,
-            ),
-            replay_steps: registry.counter(
-                "rime_pool_replay_steps_total",
-                &chip_label,
-                "suffix epoch steps re-executed by fold-driven replays",
-            ),
-            replay_wall: registry.histogram_with(
-                "rime_pool_replay_wall_ns",
-                &chip_label,
-                "wall-clock nanoseconds per fold-driven suffix replay",
-                true,
-            ),
-            descend_woken: registry.counter(
-                "rime_pool_descend_woken_workers_total",
-                &chip_label,
-                "workers sent a descend request (not served from the memoized trace)",
-            ),
-            descend_memoized: registry.counter(
-                "rime_pool_descend_memoized_shards_total",
-                &chip_label,
-                "shards whose descent was answered by the memoized trace, worker left parked",
-            ),
             flight: None,
-            registry: registry.clone(),
-            chip,
             timing,
             phase_wall,
             phase_modeled,
@@ -1556,58 +1488,6 @@ impl ExtractionProbe for ChipProbe {
 
     fn excluded_step(&self, removed: u64) {
         self.excluded.observe(removed);
-    }
-
-    fn pool_lease(&self, _workers: usize, mats: usize, largest: usize, smallest: usize) {
-        self.leases.inc();
-        self.leased_mats
-            .set(i64::try_from(mats).unwrap_or(i64::MAX));
-        self.imbalance
-            .set(i64::try_from(largest.saturating_sub(smallest)).unwrap_or(i64::MAX));
-    }
-
-    fn pool_unlease(&self) {
-        self.unleases.inc();
-    }
-
-    fn pool_step(&self, wall_ns: u64) {
-        self.pool_step_wall.observe(wall_ns);
-    }
-
-    fn pool_crossover(&self, mats: usize) {
-        self.pool_crossover
-            .set(i64::try_from(mats).unwrap_or(i64::MAX));
-    }
-
-    fn pool_replay(&self, steps: u64, wall_ns: u64) {
-        self.replay_steps.add(steps);
-        self.replay_wall.observe(wall_ns);
-    }
-
-    fn pool_descend(&self, woken_workers: usize, memoized_shards: usize) {
-        self.descend_woken.add(woken_workers as u64);
-        self.descend_memoized.add(memoized_shards as u64);
-    }
-
-    fn pool_worker(&self, worker: usize, busy_ns: u64, session_ns: u64) {
-        let worker = worker.to_string();
-        let labels = [("chip", self.chip.as_str()), ("worker", worker.as_str())];
-        self.registry
-            .counter_with(
-                "rime_pool_worker_busy_ns_total",
-                &labels,
-                "wall-clock nanoseconds the worker spent processing requests",
-                true,
-            )
-            .add(busy_ns);
-        self.registry
-            .counter_with(
-                "rime_pool_worker_park_ns_total",
-                &labels,
-                "wall-clock nanoseconds the worker sat parked on its channel",
-                true,
-            )
-            .add(session_ns.saturating_sub(busy_ns));
     }
 }
 
@@ -1872,11 +1752,6 @@ mod tests {
         probe.phase(Phase::Exclude, 7, 10);
         probe.extraction(64);
         probe.excluded_step(12);
-        probe.pool_lease(4, 16, 4, 4);
-        probe.pool_step(100);
-        probe.pool_worker(0, 80, 100);
-        probe.pool_crossover(24);
-        probe.pool_unlease();
         let snap = reg.snapshot();
         let get = |name: &str, phase: Option<&str>| {
             snap.metrics
@@ -1909,27 +1784,9 @@ mod tests {
             MetricValue::Counter(v) => assert_eq!(v, 10),
             other => panic!("{other:?}"),
         }
-        match get("rime_pool_worker_busy_ns_total", None) {
-            MetricValue::Counter(v) => assert_eq!(v, 80),
-            other => panic!("{other:?}"),
-        }
-        match get("rime_pool_worker_park_ns_total", None) {
-            MetricValue::Counter(v) => assert_eq!(v, 20),
-            other => panic!("{other:?}"),
-        }
-        match get("rime_pool_shard_imbalance", None) {
-            MetricValue::Gauge(v) => assert_eq!(v, 0),
-            other => panic!("{other:?}"),
-        }
-        match get("rime_pool_crossover_mats", None) {
-            MetricValue::Gauge(v) => assert_eq!(v, 24),
-            other => panic!("{other:?}"),
-        }
         // Wall-clock(-derived) metrics carry the flag; modeled ones don't.
         for m in &snap.metrics {
-            let wall = m.name.contains("wall_ns")
-                || m.name.contains("_ns_total")
-                || m.name == "rime_pool_crossover_mats";
+            let wall = m.name.contains("wall_ns");
             assert_eq!(m.nondeterministic, wall, "{}", m.name);
         }
     }

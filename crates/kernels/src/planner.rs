@@ -16,15 +16,14 @@
 //! * **hybrids** — the [`crate::hybrid`] kernels, priced as device
 //!   streaming plus the CPU merge/partition/scatter passes they retain.
 //!
-//! Calibration mirrors the mat pool's `pool_calibration()` one-shot
-//! (PR 7), but unlike the pool's wall-clock probes every input here is
-//! *simulated* time — exec-kernel cycles and modeled busy nanoseconds —
-//! so the calibration, the exported gauges, and every plan are
-//! deterministic and safe to embed in masked metric snapshots.
+//! Calibration runs once per process, but unlike a wall-clock probe
+//! every input here is *simulated* time — exec-kernel cycles and modeled
+//! busy nanoseconds — so the calibration, the exported gauges, and every
+//! plan are deterministic and safe to embed in masked metric snapshots.
 //!
 //! `RIME_PLANNER_FORCE=cpu|rime|hybrid` restricts the candidate set (the
-//! operational escape hatch, mirroring `RIME_POOL_CROSSOVER`), and is
-//! how the ablation harness measures the planner's win margin.
+//! operational escape hatch), and is how the ablation harness measures
+//! the planner's win margin.
 //!
 //! [`MemoryBackend`]: rime_memsim::MemoryBackend
 
@@ -110,8 +109,8 @@ const CPU_PROBE_KEYS: usize = 24_000;
 /// Number of keys the device probe loads and streams.
 const DEV_PROBE_KEYS: usize = 4_096;
 
-/// Measures (once per process) the planner's cost primitives. Unlike the
-/// pool calibration this reads no wall clocks: CPU costs come from the
+/// Measures (once per process) the planner's cost primitives. It reads
+/// no wall clocks: CPU costs come from the
 /// timed [`TracedMemory`] simulation (deterministic cycles), device
 /// costs from `modeled_busy_ns` over real operation counters.
 pub fn planner_calibration() -> PlannerCalibration {

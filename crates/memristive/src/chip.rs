@@ -18,31 +18,22 @@
 //! signals meet at wire-OR nodes on the way up the H-tree (Fig. 9/10),
 //! so a key costs a fixed number of column steps however many mats its
 //! range spans. [`ParallelPolicy`] picks how the model computes that
-//! descent; every policy yields the same hits and bit-identical
-//! [`OpCounters`].
+//! descent, on the calling thread; both policies yield the same hits and
+//! bit-identical [`OpCounters`].
 //!
 //! - [`ParallelPolicy::Auto`] (the default) runs the memoized engine
-//!   (`crate::memo`) on the calling thread. For the length of one
-//!   extraction call it keeps one descent trace per span mat and one
-//!   merged trace per node of a binary tree over the span, folded with
-//!   Fig. 10's lower-address priority. A key re-runs only the previous
-//!   winner's mat and re-merges its `log2(span)` ancestors, so host work
-//!   per key follows one mat, not the span. Single extractions are
-//!   batches of one.
+//!   (`crate::memo`). For the length of one extraction call it keeps one
+//!   descent trace per span mat and one merged trace per node of a
+//!   binary tree over the span, folded with Fig. 10's lower-address
+//!   priority. A key re-runs only the previous winner's mat and
+//!   re-merges its `log2(span)` ancestors, so host work per key follows
+//!   one mat, not the span. Single extractions are batches of one.
 //! - [`ParallelPolicy::Sequential`] walks every span mat at every step:
-//!   the differential oracle the other policies are checked against.
-//! - [`ParallelPolicy::Threads`] leases the span to the persistent
-//!   mat-shard pool ([`crate::pool::MatPool`]): workers speculate their
-//!   shards' descents and the controller folds the traces in worker
-//!   order (see [`crate::pool`] for why the fold is exact).
-//!   [`ParallelPolicy::SpawnPerStep`] is the retired per-step
-//!   `thread::scope` fan-out, kept as a benchmark baseline.
+//!   the differential oracle `Auto` is checked against.
 //!
-//! [`Chip::pool_crossover_mats`] still reports the pool's measured
-//! crossover (one-shot calibration, [`crate::pool::pool_calibration`],
-//! overridable via `RIME_POOL_CROSSOVER`), but no policy consults it.
-
-use std::sync::Arc;
+//! [`Chip::pool_crossover_mats`] still reports a crossover priced from a
+//! one-shot host calibration ([`crate::pool_calibration`], overridable
+//! via `RIME_POOL_CROSSOVER`), but no policy consults it.
 
 use crate::array::ColumnSignals;
 use crate::bitmap::Bitmap;
@@ -54,7 +45,7 @@ use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
 use crate::memo::MemoTree;
 use crate::plan::{Direction, SearchPlan};
-use crate::pool::{pool_calibration, Dirty, MatPool};
+use crate::pool;
 use crate::probe::{timed, Phase, SharedProbe};
 
 /// Result of one in-situ min/max extraction.
@@ -73,73 +64,29 @@ pub struct ExtractHit {
 /// the range's mats.
 ///
 /// Hardware mats always operate simultaneously; this knob only controls
-/// how the *model* computes them. Results and [`OpCounters`] are
-/// identical under every policy.
+/// how the *model* computes them, always on the calling thread. Results
+/// and [`OpCounters`] are identical under both policies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ParallelPolicy {
-    /// Walk every mat of the span at every column-search step, on the
-    /// calling thread — the differential oracle.
+    /// Walk every mat of the span at every column-search step — the
+    /// differential oracle.
     Sequential,
-    /// The memoized engine, on the calling thread: each span mat's
-    /// descent is computed once per extraction call and folded up a
-    /// binary tree over the span with Fig. 10's lower-address priority,
-    /// so after the first key only the previous winner's mat re-runs
-    /// and only its `log2(span)` ancestors re-merge. Never leases the
-    /// pool and reads no calibration. Single-mat spans walk as
+    /// The memoized engine: each span mat's descent is computed once per
+    /// extraction call and folded up a binary tree over the span with
+    /// Fig. 10's lower-address priority, so after the first key only the
+    /// previous winner's mat re-runs and only its `log2(span)` ancestors
+    /// re-merge. Reads no calibration. Single-mat spans walk as
     /// `Sequential` does. The default.
     #[default]
     Auto,
-    /// Drive the persistent pool with exactly this many workers
-    /// (`0` and `1` stay on the calling thread).
-    Threads(usize),
-    /// Legacy scheduling: open a fresh `thread::scope` with this many
-    /// workers on *every* column-search step. Retained as a benchmark
-    /// baseline for the pool and as an extra differential subject; new
-    /// code wants [`ParallelPolicy::Threads`] or
-    /// [`ParallelPolicy::Auto`].
-    SpawnPerStep(usize),
-}
-
-/// How a given extraction session is actually scheduled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Fanout {
-    /// Walk (or scope-spawn over) the mats on the calling side with this
-    /// many threads per step.
-    Host(usize),
-    /// Lease the span to the persistent pool with this many workers.
-    Pool(usize),
-    /// Memoized per-mat descents folded up the span's tree
-    /// ([`MemoTree`]).
-    Memo,
-}
-
-/// Clamp bounds for the pool crossover (mats): below 2 the pool can
-/// never win (single-mat spans short-circuit anyway), and a pathological
-/// calibration sample must not push the crossover past any real span.
-const POOL_CROSSOVER_MIN: usize = 2;
-const POOL_CROSSOVER_MAX: usize = 1 << 20;
-
-/// Where a pooled descent's replay path finds the span's select
-/// membership ([`Chip::span_membership`], indexed from the span's first
-/// slot): the batch loop already holds it as a shared `Arc`, while a
-/// single extraction rebuilds it from the exclusion flags on demand
-/// (replay never fires on the natural path, so the rebuild is free in
-/// the common case).
-#[derive(Clone, Copy)]
-enum MembershipSource<'a> {
-    /// Clone this shared membership vector (batch path).
-    Shared(&'a Arc<Bitmap>),
-    /// Rebuild the span membership of `[begin, end)` (single path).
-    Rebuild { begin: u64, end: u64 },
 }
 
 /// Serializable snapshot of one chip's durable state, for
 /// checkpoint/recovery: per-mat cell contents (lazily materialized mats
 /// stay `None`), the exclusion flags, the active format/range, and the
 /// accumulated [`OpCounters`]. Scheduling knobs ([`ParallelPolicy`],
-/// probes, the worker pool) and volatile select latches are not state —
-/// a restored chip keeps its own and re-arms latches on the next
-/// extraction.
+/// probes) and volatile select latches are not state — a restored chip
+/// keeps its own and re-arms latches on the next extraction.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipState {
     /// Per-mat snapshots in mat order; `None` for never-materialized mats.
@@ -157,6 +104,7 @@ pub struct ChipState {
 /// One RIME memristive chip.
 ///
 /// See the [crate-level example](crate) for end-to-end usage.
+#[derive(Clone)]
 pub struct Chip {
     geometry: ChipGeometry,
     mats: Vec<Option<Mat>>,
@@ -173,25 +121,14 @@ pub struct Chip {
     /// observationally identical — hits and counters bit-equal — which
     /// the differential suite proves.
     scalar_oracle: bool,
-    /// Host parallelism, queried at construction and re-queried whenever
-    /// the pool is rebuilt (`available_parallelism` is a syscall-backed
-    /// lookup); prices the pool crossover.
+    /// Host parallelism, queried at construction; prices the reported
+    /// crossover ([`Chip::pool_crossover_mats`]). Querying it here rather
+    /// than where the crossover is priced is deliberate: moving the
+    /// `available_parallelism()` call out of `Chip::new` raised
+    /// perfbench's `service_extract` peak RSS from ~10 to ~14 MiB through
+    /// heap layout alone, with no extra live data.
     auto_threads: usize,
-    /// Measured pool crossover (mats), derived lazily from the one-shot
-    /// pool calibration (or `RIME_POOL_CROSSOVER`). Invalidated together
-    /// with `auto_threads` when the pool is rebuilt.
-    pool_crossover: Option<usize>,
-    /// Test knob: bail initial pool speculation after this many steps so
-    /// the fold exercises the divergence-replay path.
-    pool_force_replay: Option<u16>,
-    /// Test knob: explicit per-worker shard sizes for pool leases
-    /// (overrides the worker count with the plan's length).
-    pool_shard_plan: Option<Vec<usize>>,
-    /// Persistent mat-shard workers, built lazily on first pooled
-    /// extraction and kept across sessions. `None` until then (and in
-    /// clones — worker threads are per-instance).
-    pool: Option<MatPool>,
-    /// Extraction/pool observer (rime-core's metrics layer). `None` keeps
+    /// Extraction observer (rime-core's metrics layer). `None` keeps
     /// every instrumented path free of clock reads.
     probe: Option<SharedProbe>,
 }
@@ -209,34 +146,8 @@ impl std::fmt::Debug for Chip {
             .field("parallel", &self.parallel)
             .field("scalar_oracle", &self.scalar_oracle)
             .field("auto_threads", &self.auto_threads)
-            .field("pool_crossover", &self.pool_crossover)
-            .field("pool", &self.pool)
             .field("probe", &self.probe.as_ref().map(|_| "installed"))
             .finish()
-    }
-}
-
-impl Clone for Chip {
-    fn clone(&self) -> Chip {
-        Chip {
-            geometry: self.geometry,
-            mats: self.mats.clone(),
-            tree: self.tree.clone(),
-            excluded: self.excluded.clone(),
-            format: self.format,
-            range: self.range,
-            counters: self.counters,
-            parallel: self.parallel,
-            scalar_oracle: self.scalar_oracle,
-            auto_threads: self.auto_threads,
-            pool_crossover: self.pool_crossover,
-            pool_force_replay: self.pool_force_replay,
-            pool_shard_plan: self.pool_shard_plan.clone(),
-            // Worker threads are not shareable state; the clone builds
-            // its own pool on first pooled extraction.
-            pool: None,
-            probe: self.probe.clone(),
-        }
     }
 }
 
@@ -255,16 +166,12 @@ impl Chip {
             parallel: ParallelPolicy::Auto,
             scalar_oracle: false,
             auto_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
-            pool_crossover: None,
-            pool_force_replay: None,
-            pool_shard_plan: None,
-            pool: None,
             probe: None,
         }
     }
 
     /// Installs (or removes) an extraction probe. Probes observe phase
-    /// timing, step counts, and pool activity — they never touch
+    /// timing and step counts — they never touch
     /// [`OpCounters`], so results and counters are identical with or
     /// without one. See [`crate::probe::ExtractionProbe`].
     pub fn set_probe(&mut self, probe: Option<SharedProbe>) {
@@ -298,80 +205,19 @@ impl Chip {
         self.parallel = policy;
     }
 
-    /// Decides how this session's span is scheduled. Single-mat spans
-    /// always walk on the calling thread — there is nothing to fan out
-    /// or fold.
-    fn fanout(&self, mats_in_range: usize) -> Fanout {
-        if mats_in_range <= 1 {
-            return Fanout::Host(1);
-        }
-        match self.parallel {
-            ParallelPolicy::Sequential => Fanout::Host(1),
-            ParallelPolicy::SpawnPerStep(n) => Fanout::Host(n.clamp(1, mats_in_range)),
-            ParallelPolicy::Threads(0 | 1) => Fanout::Host(1),
-            ParallelPolicy::Threads(n) => Fanout::Pool(n),
-            ParallelPolicy::Auto => Fanout::Memo,
-        }
+    /// Whether a span of `mats` mats runs the memoized engine: every
+    /// multi-mat span under [`ParallelPolicy::Auto`]. A single mat has
+    /// nothing to fold, so it always walks.
+    fn memoized(&self, mats: usize) -> bool {
+        mats > 1 && self.parallel == ParallelPolicy::Auto
     }
 
-    /// Span width (in mats) from which leasing the pool is priced to beat
-    /// the inline walk on this host. Reported only: no policy consults
-    /// it. Derived lazily from the one-shot process-wide calibration
-    /// ([`crate::pool::pool_calibration`]) and cached until the pool is
-    /// rebuilt; `RIME_POOL_CROSSOVER=<mats>` overrides the measurement
-    /// for reproducible runs. Always in `[2, 2^20]`.
-    pub fn pool_crossover_mats(&mut self) -> usize {
-        if let Some(crossover) = self.pool_crossover {
-            return crossover;
-        }
-        let crossover = std::env::var("RIME_POOL_CROSSOVER")
-            .ok()
-            .and_then(|v| v.trim().parse::<usize>().ok())
-            .unwrap_or_else(|| self.measured_crossover())
-            .clamp(POOL_CROSSOVER_MIN, POOL_CROSSOVER_MAX);
-        self.pool_crossover = Some(crossover);
-        crossover
-    }
-
-    /// Prices the pool against the inline walk from the calibration
-    /// sample: a pooled descent costs one broadcast→fold round trip and
-    /// saves the host `(threads-1)/threads` of the span's per-mat step
-    /// work, so the pool wins once
-    /// `mats × steps × per_mat_step × (threads-1)/threads > round_trip`.
-    fn measured_crossover(&self) -> usize {
-        let cal = pool_calibration();
-        let words_per_mat =
-            u64::from(self.geometry.arrays_per_mat) * u64::from(self.geometry.rows).div_ceil(64);
-        // Each step touches every select word twice (sense + exclusion).
-        let per_mat_step_ps = 2 * words_per_mat * cal.word_picos;
-        let threads = self.auto_threads.max(2) as u64;
-        // A full-width descent (64 steps) is the unit the protocol
-        // amortizes the round trip over.
-        let saved_per_mat_ps = 64 * per_mat_step_ps * (threads - 1) / threads;
-        (cal.round_trip_ns.saturating_mul(1000))
-            .div_ceil(saved_per_mat_ps.max(1))
-            .try_into()
-            .unwrap_or(POOL_CROSSOVER_MAX)
-    }
-
-    /// Test knob: make pool workers bail their *initial* speculation
-    /// after `limit` steps, forcing the fold through the divergence
-    /// replay path (replayed runs always complete). `None` disarms.
-    /// Purely a scheduling knob — results and counters are unchanged,
-    /// which is exactly what the replay proptests pin.
-    pub fn set_pool_force_replay(&mut self, limit: Option<u16>) {
-        self.pool_force_replay = limit;
-    }
-
-    /// Test knob: pin an explicit shard plan for pool leases —
-    /// `plan[i]` mats go to worker `i`, in span order, and the worker
-    /// count follows the plan's length. Lets tests drive adversarial
-    /// splits (1-mat shards, maximal imbalance, empty shards) that the
-    /// default contiguous chunking never produces. The plan must cover
-    /// exactly the leased span or the lease panics. `None` restores
-    /// default chunking.
-    pub fn set_pool_shard_plan(&mut self, plan: Option<Vec<usize>>) {
-        self.pool_shard_plan = plan;
+    /// Span width (in mats) from which the retired mat-shard pool was
+    /// priced to beat the inline walk on this host. Reported only: no
+    /// policy consults it. `RIME_POOL_CROSSOVER=<mats>` overrides the
+    /// pricing for reproducible runs. Always in `[2, 2^20]`.
+    pub fn pool_crossover_mats(&self) -> usize {
+        pool::crossover_mats(&self.geometry, self.auto_threads)
     }
 
     /// Key-slot capacity.
@@ -518,8 +364,8 @@ impl Chip {
     /// The select membership of `[begin, end)` — the range minus its
     /// exclusion flags — over the range's mat span only: bit `i` stands
     /// for key slot `first_mat × slots_per_mat + i`. Every extraction
-    /// path (single, batch, pooled replay) latches its select windows
-    /// from this vector, so its host cost follows the span, not the chip.
+    /// path (single and batch) latches its select windows from this
+    /// vector, so its host cost follows the span, not the chip.
     fn span_membership(&self, begin: u64, end: u64) -> Bitmap {
         let per_mat = self.geometry.slots_per_mat() as usize;
         let (first_mat, last_mat) = self.mat_span(begin, end);
@@ -603,7 +449,7 @@ impl Chip {
         }
         self.check_slot(end - 1)?;
         let (first_mat, last_mat) = self.mat_span(begin, end);
-        if self.fanout(last_mat - first_mat + 1) == Fanout::Memo {
+        if self.memoized(last_mat - first_mat + 1) {
             return Ok(self
                 .extract_range_batch(begin, end, format, direction, 1)?
                 .pop());
@@ -626,24 +472,9 @@ impl Chip {
             return Ok(None);
         }
 
-        Ok(Some(match self.fanout(last_mat - first_mat + 1) {
-            Fanout::Host(threads) => {
-                self.converge_host(first_mat, last_mat, &plan, selected, threads)
-            }
-            Fanout::Pool(workers) => {
-                let mut pool = self.lease_pool(first_mat, last_mat, workers);
-                let hit = self.converge_pooled(
-                    first_mat,
-                    &mut pool,
-                    &plan,
-                    MembershipSource::Rebuild { begin, end },
-                    Dirty::All,
-                );
-                self.restore_pool(first_mat, pool);
-                hit
-            }
-            Fanout::Memo => unreachable!("memoized extraction runs as a batch of one"),
-        }))
+        Ok(Some(
+            self.converge_host(first_mat, last_mat, &plan, selected),
+        ))
     }
 
     /// Extracts up to `k` consecutive extremes from the active range — the
@@ -709,155 +540,51 @@ impl Chip {
         let mut selected = membership.count_ones() as u64;
         let mut hits = Vec::with_capacity(k.min(selected as usize));
         let probe = self.probe.clone();
-        match self.fanout(last_mat - first_mat + 1) {
-            fanout @ (Fanout::Host(_) | Fanout::Memo) => {
-                // The memoized engine keeps each mat's descent for the
-                // whole call; the host walk re-senses every mat per key.
-                let (mut memo, threads) = match fanout {
-                    Fanout::Host(threads) => (None, threads),
-                    _ => (Some(MemoTree::new(last_mat - first_mat + 1, plan)), 1),
-                };
-                // The span mat whose membership window changed since the
-                // last key (`None`: every mat, before the first key).
-                let mut dirty: Option<usize> = None;
-                for _ in 0..k {
-                    // Rearm: one select-vector load through the H-tree,
-                    // exactly as the sequential path counts it. Each mat
-                    // latches its window of the membership vector in
-                    // place — zero allocations per iteration. The memo
-                    // engine re-latches only the mat it will re-run.
-                    let rearmed = match (&memo, dirty) {
-                        (Some(_), Some(mat)) => first_mat + mat..=first_mat + mat,
-                        _ => first_mat..=last_mat,
-                    };
-                    let mut rearm_ns = 0u64;
-                    timed(&probe, &mut rearm_ns, || {
-                        for idx in rearmed {
-                            self.mat_mut(idx as u32)
-                                .load_select_window(&membership, (idx - first_mat) * per_mat);
-                        }
-                    });
-                    if let Some(p) = &probe {
-                        p.phase(Phase::Rearm, rearm_ns, 1);
-                    }
-                    self.counters.select_loads += 1;
-                    self.counters.htree_traversals += 1;
-
-                    if selected == 0 {
-                        break;
-                    }
-                    let hit = match &mut memo {
-                        Some(memo) => self.converge_memo(first_mat, last_mat, memo, dirty),
-                        None => self.converge_host(first_mat, last_mat, &plan, selected, threads),
-                    };
-                    let span_slot = (hit.slot - span_base) as usize;
-                    membership.set(span_slot, false);
-                    selected -= 1;
-                    dirty = Some(span_slot / per_mat);
-                    hits.push(hit);
+        // The memoized engine keeps each mat's descent for the whole
+        // call; the walk re-senses every mat per key.
+        let mut memo = self
+            .memoized(last_mat - first_mat + 1)
+            .then(|| MemoTree::new(last_mat - first_mat + 1, plan));
+        // The span mat whose membership window changed since the last key
+        // (`None`: every mat, before the first key).
+        let mut dirty: Option<usize> = None;
+        for _ in 0..k {
+            // Rearm: one select-vector load through the H-tree, exactly as
+            // the single-key path counts it. Each mat latches its window of
+            // the membership vector in place — zero allocations per
+            // iteration. The memo engine re-latches only the mat it will
+            // re-run.
+            let rearmed = match (&memo, dirty) {
+                (Some(_), Some(mat)) => first_mat + mat..=first_mat + mat,
+                _ => first_mat..=last_mat,
+            };
+            let mut rearm_ns = 0u64;
+            timed(&probe, &mut rearm_ns, || {
+                for idx in rearmed {
+                    self.mat_mut(idx as u32)
+                        .load_select_window(&membership, (idx - first_mat) * per_mat);
                 }
+            });
+            if let Some(p) = &probe {
+                p.phase(Phase::Rearm, rearm_ns, 1);
             }
-            Fanout::Pool(workers) => {
-                // One lease covers the whole batch: the membership vector
-                // is shared with the workers (`Arc`), each rearm is a
-                // fire-and-forget broadcast, and the mats come home only
-                // after the last extraction. Counter arithmetic matches
-                // the host path line for line.
-                let mut pool = self.lease_pool(first_mat, last_mat, workers);
-                let mut membership = Arc::new(membership);
-                let mut dirty_slot: Option<u64> = None;
-                for _ in 0..k {
-                    // The select-vector rearm is fused into the descend
-                    // broadcast (the workers latch their windows before
-                    // speculating), so its wall time lands inside the
-                    // descent; the modeled hardware event is the same
-                    // one-traversal select load as the host path.
-                    if let Some(p) = &probe {
-                        p.phase(Phase::Rearm, 0, 1);
-                    }
-                    self.counters.select_loads += 1;
-                    self.counters.htree_traversals += 1;
+            self.counters.select_loads += 1;
+            self.counters.htree_traversals += 1;
 
-                    if selected == 0 {
-                        break;
-                    }
-                    // After the first key only the previous winner's
-                    // shard re-speculates; the rest serve their memoized
-                    // traces (bit-identical by purity — see MatPool).
-                    let dirty = match &dirty_slot {
-                        None => Dirty::All,
-                        Some(slot) => Dirty::Slots(std::slice::from_ref(slot)),
-                    };
-                    let hit = self.converge_pooled(
-                        first_mat,
-                        &mut pool,
-                        &plan,
-                        MembershipSource::Shared(&membership),
-                        dirty,
-                    );
-                    // The next barrier (any reply-bearing request) has
-                    // already passed by the time a hit returns, so the
-                    // workers hold no clone and this mutates in place.
-                    let span_slot = hit.slot - span_base;
-                    Arc::make_mut(&mut membership).set(span_slot as usize, false);
-                    selected -= 1;
-                    dirty_slot = Some(span_slot);
-                    hits.push(hit);
-                }
-                self.restore_pool(first_mat, pool);
+            if selected == 0 {
+                break;
             }
+            let hit = match &mut memo {
+                Some(memo) => self.converge_memo(first_mat, last_mat, memo, dirty),
+                None => self.converge_host(first_mat, last_mat, &plan, selected),
+            };
+            let span_slot = (hit.slot - span_base) as usize;
+            membership.set(span_slot, false);
+            selected -= 1;
+            dirty = Some(span_slot / per_mat);
+            hits.push(hit);
         }
         Ok(hits)
-    }
-
-    /// Materializes the span's mats (empty in-range slots hold 0 and
-    /// participate in ranking) and moves them into the persistent pool,
-    /// building or resizing the pool if the requested worker count
-    /// changed.
-    fn lease_pool(&mut self, first_mat: usize, last_mat: usize, workers: usize) -> MatPool {
-        for idx in first_mat..=last_mat {
-            self.mat_mut(idx as u32);
-        }
-        let workers = match &self.pool_shard_plan {
-            Some(plan) => plan.len(),
-            None => workers,
-        };
-        let mut pool = match self.pool.take() {
-            Some(pool) if pool.workers() == workers => pool,
-            _ => {
-                // Rebuilding the pool invalidates the host-derived
-                // caches: the machine's thread budget may have changed
-                // since the crossover was priced.
-                self.auto_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
-                self.pool_crossover = None;
-                MatPool::new(workers)
-            }
-        };
-        pool.set_probe(self.probe.clone());
-        pool.set_force_replay(self.pool_force_replay);
-        let probe = self.probe.clone();
-        if let Some(p) = &probe {
-            p.pool_crossover(self.pool_crossover_mats());
-        }
-        let span: Vec<Option<Mat>> = self.mats[first_mat..=last_mat]
-            .iter_mut()
-            .map(Option::take)
-            .collect();
-        let slots_per_mat = self.geometry.slots_per_mat() as usize;
-        match &self.pool_shard_plan {
-            Some(plan) => pool.lease_with_shards(span, slots_per_mat, self.scalar_oracle, plan),
-            None => pool.lease(span, slots_per_mat, self.scalar_oracle),
-        }
-        pool
-    }
-
-    /// Moves the leased mats back into the chip and parks the pool for
-    /// the next session.
-    fn restore_pool(&mut self, first_mat: usize, mut pool: MatPool) {
-        for (offset, mat) in pool.unlease().into_iter().enumerate() {
-            self.mats[first_mat + offset] = mat;
-        }
-        self.pool = Some(pool);
     }
 
     /// Indices of the first and last mats a `[begin, end)` range touches.
@@ -869,17 +596,13 @@ impl Chip {
     /// Runs the bit-serial search to convergence over `selected` armed
     /// rows in `mats[first_mat..=last_mat]`, priority-encodes the winner,
     /// reads it out, and flags it excluded. The caller has already armed
-    /// the select vectors and counted `selected > 0`. Host-side
-    /// scheduling: `threads == 1` walks inline, `threads > 1` opens a
-    /// `thread::scope` per step (the legacy
-    /// [`ParallelPolicy::SpawnPerStep`] baseline).
+    /// the select vectors and counted `selected > 0`.
     fn converge_host(
         &mut self,
         first_mat: usize,
         last_mat: usize,
         plan: &SearchPlan,
         mut selected: u64,
-        threads: usize,
     ) -> ExtractHit {
         let probe = self.probe.clone();
         let (mut sense_ns, mut exclude_ns, mut reduce_ns, mut readout_ns) = (0u64, 0, 0, 0);
@@ -893,15 +616,9 @@ impl Chip {
             steps_executed += 1;
             let pos = plan.position(step);
 
-            // Column search on every active mat; wire-OR the signals
-            // (fanned out across threads per the chip's policy).
+            // Column search on every active mat; wire-OR the signals.
             let (global, active_mats) = timed(&probe, &mut sense_ns, || {
-                sense_step(
-                    &self.mats[first_mat..=last_mat],
-                    pos,
-                    threads,
-                    self.scalar_oracle,
-                )
+                sense_step(&self.mats[first_mat..=last_mat], pos, self.scalar_oracle)
             });
             self.counters.column_search_steps += 1;
             self.counters.mat_column_searches += active_mats;
@@ -919,7 +636,6 @@ impl Chip {
                         &mut self.mats[first_mat..=last_mat],
                         pos,
                         keep,
-                        threads,
                         self.scalar_oracle,
                     )
                 });
@@ -1025,8 +741,8 @@ impl Chip {
         self.counters.extractions += 1;
 
         if let Some(p) = &probe {
-            // The whole descent's wall time lands on Sense, as on the
-            // pooled path; op counts are exact.
+            // The whole descent's wall time lands on Sense (it is
+            // overwhelmingly sensing); op counts are exact.
             p.phase(Phase::Sense, sense_ns, u64::from(descent.steps));
             p.phase(Phase::Exclude, 0, descent.exclusions);
             p.phase(Phase::IndexReduce, 0, 1);
@@ -1038,94 +754,6 @@ impl Chip {
             slot,
             raw_bits: descent.winner.raw,
             steps: descent.steps,
-        }
-    }
-
-    /// Pool-scheduled twin of [`Chip::converge_host`]: the span's mats
-    /// live in `pool` (leased from `first_mat`), and the whole bit-serial
-    /// descent runs as a *single* broadcast→fold round trip
-    /// ([`MatPool::descend`]) — workers speculate their shard's descent
-    /// locally and the fold reconstructs the exact global decision
-    /// sequence, so the counter arithmetic still matches the host path
-    /// line for line and [`OpCounters`] stays scheduling-invariant.
-    fn converge_pooled(
-        &mut self,
-        first_mat: usize,
-        pool: &mut MatPool,
-        plan: &SearchPlan,
-        membership: MembershipSource<'_>,
-        dirty: Dirty<'_>,
-    ) -> ExtractHit {
-        let probe = self.probe.clone();
-        let (mut descend_ns, mut reduce_ns) = (0u64, 0u64);
-        let outcome = {
-            // Shared membership doubles as the fused rearm payload: the
-            // workers re-latch their select windows inside the descend
-            // request (one wake cycle, not two). The rebuild path loads
-            // selects host-side before leasing, so no rearm rides along.
-            let rearm = match membership {
-                MembershipSource::Shared(m) => Some(m),
-                MembershipSource::Rebuild { .. } => None,
-            };
-            // Replay membership (indexed from the span's first slot),
-            // materialized only if the fold actually replays — never on
-            // the natural path.
-            let mut membership_fn = || match membership {
-                MembershipSource::Shared(m) => Arc::clone(m),
-                MembershipSource::Rebuild { begin, end } => {
-                    Arc::new(self.span_membership(begin, end))
-                }
-            };
-            timed(&probe, &mut descend_ns, || {
-                pool.descend(plan, rearm, dirty, &mut membership_fn)
-            })
-        };
-        let steps_executed = outcome.steps_executed;
-        self.counters.column_search_steps += u64::from(steps_executed);
-        self.counters.mat_column_searches += outcome.mat_searches;
-        let exclusions = outcome.removed_per_step.len() as u64;
-        self.counters.select_loads += exclusions;
-        if let Some(p) = &probe {
-            for &removed in &outcome.removed_per_step {
-                p.excluded_step(removed);
-            }
-        }
-
-        // Upstream index reduction (Fig. 10) over the span's leaves,
-        // whose entries came home with the fold in span order; mats
-        // outside the span hold no selects (the caller cleared them).
-        let last_mat = first_mat + outcome.firsts.len() - 1;
-        let slot = timed(&probe, &mut reduce_ns, || {
-            self.tree
-                .reduce_window(first_mat..=last_mat, |m| outcome.firsts[m - first_mat])
-                .expect("non-empty selection must reduce to a winner")
-        });
-        self.counters.htree_traversals += 1;
-
-        // The winner's raw bits also came home with the fold — no extra
-        // round trip to its shard.
-        let (mat, _local) = self.geometry.split_slot(slot);
-        let raw_bits = outcome.raws[mat as usize - first_mat];
-        self.counters.row_reads += 1;
-        self.excluded.set(slot as usize, true);
-        self.counters.extractions += 1;
-
-        if let Some(p) = &probe {
-            // Phase attribution mirrors the host path: the descent wall
-            // time lands on Sense (it is overwhelmingly sensing), and the
-            // op counts — which the metrics layer prices and pins against
-            // OpCounters — are exact.
-            p.phase(Phase::Sense, descend_ns, u64::from(steps_executed));
-            p.phase(Phase::Exclude, 0, exclusions);
-            p.phase(Phase::IndexReduce, reduce_ns, 1);
-            p.phase(Phase::Readout, 0, 1);
-            p.extraction(steps_executed);
-        }
-
-        ExtractHit {
-            slot,
-            raw_bits,
-            steps: steps_executed,
         }
     }
 
@@ -1147,14 +775,21 @@ impl Chip {
 
     /// Restores the chip's durable state from a snapshot taken on a chip
     /// of the same geometry. Select latches come up cleared (every
-    /// extraction re-arms them), the H-tree is rebuilt fresh, and any
-    /// leased worker pool is dropped. Scheduling knobs are kept.
+    /// extraction re-arms them) and the H-tree is rebuilt fresh.
+    /// Scheduling knobs are kept.
     ///
     /// Returns `false` — leaving the chip untouched — when the snapshot
-    /// disagrees with this chip's geometry or is internally inconsistent.
+    /// disagrees with this chip's geometry or is internally inconsistent
+    /// (a mat of the wrong shape, or an active range that is empty or
+    /// runs past the chip's capacity).
     pub fn restore_state(&mut self, state: &ChipState) -> bool {
         if state.mats.len() != self.mats.len() || state.excluded.len() != self.excluded.len() {
             return false;
+        }
+        if let Some((begin, end)) = state.range {
+            if begin >= end || end > self.capacity() {
+                return false;
+            }
         }
         let mut mats: Vec<Option<Mat>> = Vec::with_capacity(state.mats.len());
         for mat_state in &state.mats {
@@ -1174,7 +809,6 @@ impl Chip {
         self.format = state.format;
         self.range = state.range;
         self.counters = state.counters;
-        self.pool = None;
         true
     }
 
@@ -1220,90 +854,32 @@ impl Chip {
 }
 
 /// One column-search step across a mat span: every active mat senses bit
-/// `pos` and the signals wire-OR upstream (Fig. 9). With `threads > 1`
-/// the span splits into contiguous chunks, each worker accumulating its
-/// own `ColumnSignals` and active-mat count; the partials merge in chunk
-/// order, mirroring the H-tree's reduction nodes. Both the OR and the
-/// count are commutative, so the result is independent of scheduling.
-fn sense_step(
-    mats: &[Option<Mat>],
-    pos: u16,
-    threads: usize,
-    scalar: bool,
-) -> (ColumnSignals, u64) {
-    fn walk(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
-        let mut signals = ColumnSignals::default();
-        let mut active = 0u64;
-        for mat in mats.iter().flatten() {
-            if mat.selected_count() == 0 {
-                continue;
-            }
-            active += 1;
-            signals.merge(mat.sense(pos, scalar));
-        }
-        (signals, active)
-    }
-
-    if threads <= 1 || mats.len() <= 1 {
-        return walk(mats, pos, scalar);
-    }
-    let chunk = mats.len().div_ceil(threads);
-    let partials: Vec<(ColumnSignals, u64)> = std::thread::scope(|scope| {
-        let workers: Vec<_> = mats
-            .chunks(chunk)
-            .map(|part| scope.spawn(move || walk(part, pos, scalar)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("sense worker panicked"))
-            .collect()
-    });
-    let mut global = ColumnSignals::default();
+/// `pos` and the signals wire-OR upstream (Fig. 9). Returns the merged
+/// signals and the number of active mats.
+fn sense_step(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
+    let mut signals = ColumnSignals::default();
     let mut active = 0u64;
-    for (signals, count) in partials {
-        global.merge(signals);
-        active += count;
+    for mat in mats.iter().flatten() {
+        if mat.selected_count() == 0 {
+            continue;
+        }
+        active += 1;
+        signals.merge(mat.sense(pos, scalar));
     }
-    (global, active)
+    (signals, active)
 }
 
 /// One global exclusion across a mat span: every active mat latches its
-/// match vector for (`pos`, `keep`). Returns total rows deselected,
-/// accumulated per chunk and summed in chunk order (commutative, so
-/// deterministic under any thread count).
-fn exclude_step(
-    mats: &mut [Option<Mat>],
-    pos: u16,
-    keep: bool,
-    threads: usize,
-    scalar: bool,
-) -> u64 {
-    fn walk(mats: &mut [Option<Mat>], pos: u16, keep: bool, scalar: bool) -> u64 {
-        let mut removed = 0u64;
-        for mat in mats.iter_mut().flatten() {
-            if mat.selected_count() == 0 {
-                continue;
-            }
-            removed += mat.exclude(pos, keep, scalar);
+/// match vector for (`pos`, `keep`). Returns total rows deselected.
+fn exclude_step(mats: &mut [Option<Mat>], pos: u16, keep: bool, scalar: bool) -> u64 {
+    let mut removed = 0u64;
+    for mat in mats.iter_mut().flatten() {
+        if mat.selected_count() == 0 {
+            continue;
         }
-        removed
+        removed += mat.exclude(pos, keep, scalar);
     }
-
-    if threads <= 1 || mats.len() <= 1 {
-        return walk(mats, pos, keep, scalar);
-    }
-    let chunk = mats.len().div_ceil(threads);
-    let partials: Vec<u64> = std::thread::scope(|scope| {
-        let workers: Vec<_> = mats
-            .chunks_mut(chunk)
-            .map(|part| scope.spawn(move || walk(part, pos, keep, scalar)))
-            .collect();
-        workers
-            .into_iter()
-            .map(|w| w.join().expect("exclusion worker panicked"))
-            .collect()
-    });
-    partials.into_iter().sum()
+    removed
 }
 
 #[cfg(test)]
@@ -1559,17 +1135,11 @@ mod tests {
 
     #[test]
     fn parallel_policy_is_observationally_invisible() {
-        // Same keys, every scheduling policy (inline walk, persistent
-        // pool, legacy per-step spawns, Auto): identical hit streams and
-        // identical counters (the wire-OR merge is order-independent).
+        // Same keys under both policies (the full walk and the memoized
+        // engine): identical hit streams and identical counters.
         let keys: Vec<u32> = (0..64).map(|i| (i * 2654435761u64 % 997) as u32).collect();
         let mut reference: Option<(Vec<ExtractHit>, OpCounters)> = None;
-        for policy in [
-            ParallelPolicy::Sequential,
-            ParallelPolicy::Threads(3),
-            ParallelPolicy::SpawnPerStep(3),
-            ParallelPolicy::Auto,
-        ] {
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
             let mut chip = chip_with(&keys);
             chip.set_parallel_policy(policy);
             let hits = chip.extract_batch(Direction::Min, keys.len() + 1).unwrap();
@@ -1584,19 +1154,18 @@ mod tests {
     }
 
     #[test]
-    fn pool_survives_across_sessions_and_interleaved_ranges() {
-        // The persistent pool is parked between sessions and reused; an
-        // interleaved single extract and a policy that alternates worker
-        // counts must all stay correct.
+    fn interleaved_batches_single_extracts_and_clones_keep_one_stream() {
+        // One drain over a two-mat range, split across batches and single
+        // extracts with the policy switched between calls, must still be
+        // the sorted stream; a clone keeps the data and drains it again.
         let mut chip = Chip::new(ChipGeometry::tiny());
         let keys: Vec<u64> = (0..40).map(|i| (i * 7919 % 241) as u64).collect();
         chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
         chip.init_range(0, 40, KeyFormat::UNSIGNED64).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
         let first = chip.extract_batch(Direction::Min, 3).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(4));
+        chip.set_parallel_policy(ParallelPolicy::Sequential);
         let second = chip.extract_batch(Direction::Min, 3).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
+        chip.set_parallel_policy(ParallelPolicy::Auto);
         let third: Vec<ExtractHit> =
             std::iter::from_fn(|| chip.extract(Direction::Min).unwrap()).collect();
         let got: Vec<u64> = first
@@ -1608,7 +1177,6 @@ mod tests {
         let mut want = keys.clone();
         want.sort_unstable();
         assert_eq!(got, want);
-        // A clone leaves the worker threads behind but keeps the data.
         let mut cloned = chip.clone();
         cloned.init_range(0, 40, KeyFormat::UNSIGNED64).unwrap();
         let redo = cloned.extract_batch(Direction::Min, 41).unwrap();
@@ -1622,7 +1190,6 @@ mod tests {
         chip.store_keys(30, &[7, 3], KeyFormat::UNSIGNED32).unwrap();
         chip.store_keys(33, &[3, 9], KeyFormat::UNSIGNED32).unwrap();
         chip.init_range(30, 35, KeyFormat::UNSIGNED32).unwrap();
-        chip.set_parallel_policy(ParallelPolicy::Threads(2));
         let hits = chip.extract_batch(Direction::Min, 5).unwrap();
         // Slot 32 is an in-range empty slot holding 0 — it ranks first;
         // the tied 3s resolve to the lower address (31 before 33).
@@ -1685,30 +1252,22 @@ mod tests {
 
     #[test]
     fn auto_policy_memoizes_every_multi_mat_span_and_ignores_the_crossover() {
-        // Pins the Auto fan-out decision (DESIGN.md §13): every span of
-        // two or more mats runs the memo engine on the calling thread,
-        // whatever the pool crossover says; single-mat spans walk.
+        // Pins the Auto decision (DESIGN.md §13): every span of two or
+        // more mats runs the memo engine, whatever the reported crossover
+        // says; single-mat spans walk, and Sequential always walks.
         let mut chip = Chip::new(ChipGeometry::tiny());
-        for crossover in [2, 16, POOL_CROSSOVER_MAX] {
-            chip.pool_crossover = Some(crossover);
-            assert_eq!(chip.fanout(1), Fanout::Host(1));
-            for span in [2, 15, 16, 17, 1000] {
-                assert_eq!(chip.fanout(span), Fanout::Memo, "span {span}");
-            }
+        assert!(!chip.memoized(1));
+        for span in [2, 15, 16, 17, 1000] {
+            assert!(chip.memoized(span), "span {span}");
         }
-        // The other policies are unchanged.
-        chip.set_parallel_policy(ParallelPolicy::Threads(4));
-        assert_eq!(chip.fanout(16), Fanout::Pool(4));
         chip.set_parallel_policy(ParallelPolicy::Sequential);
-        assert_eq!(chip.fanout(16), Fanout::Host(1));
-        // The measured crossover is still reported, always inside the
-        // documented clamp (this exercises the real calibration once per
-        // process) ...
-        chip.pool_crossover = None;
-        let measured = chip.pool_crossover_mats();
-        assert!((POOL_CROSSOVER_MIN..=POOL_CROSSOVER_MAX).contains(&measured));
-        // ... and cached until the pool is rebuilt.
-        assert_eq!(chip.pool_crossover, Some(measured));
+        assert!(!chip.memoized(16));
+        // The crossover is still reported, inside the documented clamp
+        // (this exercises the real calibration once per process), and
+        // repeated asks agree.
+        let reported = chip.pool_crossover_mats();
+        assert!((2..=1 << 20).contains(&reported));
+        assert_eq!(chip.pool_crossover_mats(), reported);
     }
 
     #[test]
@@ -1758,6 +1317,31 @@ mod tests {
         assert!(!other.restore_state(&state));
         // Unmaterialized mats stay unmaterialized through a roundtrip.
         assert!(state.mats.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn restore_state_rejects_an_impossible_range() {
+        // An empty, inverted or over-long active range is internally
+        // inconsistent: refused, and the chip keeps its own state.
+        let keys = [4u32, 2, 6];
+        let mut chip = chip_with(&keys);
+        let good = chip.state();
+        let capacity = chip.capacity();
+        for range in [(0, capacity + 10), (5, 2), (3, 3)] {
+            let bad = ChipState {
+                range: Some(range),
+                ..good.clone()
+            };
+            assert!(!chip.restore_state(&bad), "{range:?}");
+            assert_eq!(chip.state(), good, "{range:?} left the chip untouched");
+        }
+        // The whole chip is a possible range.
+        let whole = ChipState {
+            range: Some((0, capacity)),
+            ..good
+        };
+        assert!(chip.restore_state(&whole));
+        assert_eq!(chip.remaining(), capacity);
     }
 
     #[test]

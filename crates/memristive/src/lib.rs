@@ -29,11 +29,8 @@
 //!   [`ParallelPolicy::Auto`]: one descent trace per mat, folded up a
 //!   binary tree over the range's mats, so host work per key follows one
 //!   mat rather than the range's span.
-//! * [`pool`] — the persistent mat-shard worker pool the chip controller
-//!   drives with epoch-tagged step broadcasts under
-//!   [`ParallelPolicy::Threads`].
 //! * [`probe`] — zero-cost-when-disabled observation hooks for extraction
-//!   phases and pool activity (rime-core's metrics layer plugs in here).
+//!   phases (rime-core's metrics layer plugs in here).
 //! * [`timing`] / [`counters`] — Table I device timings and energy, and
 //!   the typed event counters every operation increments.
 //! * [`lifetime`] — write-endurance tracking and lifetime estimation
@@ -84,7 +81,7 @@ pub mod lifetime;
 pub mod mat;
 mod memo;
 pub mod plan;
-pub mod pool;
+mod pool;
 pub mod probe;
 pub mod reference;
 pub mod selftest;
@@ -103,7 +100,7 @@ pub use htree::IndexTree;
 pub use lifetime::EnduranceTracker;
 pub use mat::{Mat, MatCommand, MatResponse, MatState};
 pub use plan::{Direction, SearchPlan};
-pub use pool::{pool_calibration, MatPool, PoolCalibration};
+pub use pool::{pool_calibration, PoolCalibration};
 pub use probe::{ExtractionProbe, Phase, SharedProbe};
 pub use selftest::{march_test, SelfTestReport};
 pub use storage::NormalStorageView;

@@ -67,9 +67,11 @@
 //! merged again. Past the union's collapse the one alive child holds the
 //! lone survivor, and is itself collapsed, so its trace is the union's
 //! continuation. The union's lowest-address survivor lies in its
-//! lower-address alive child. This is the same argument as the pool's
-//! fold ([`crate::pool`], "Why speculation is exact"), applied to a
-//! partition into two parts.
+//! lower-address alive child.
+//!
+//! Nothing in the argument depends on how the span is split: it holds
+//! for any partition into disjoint parts, so the power-of-two tree is
+//! only the shape that makes a dirty leaf cost `log2(span)` merges.
 
 use crate::mat::Mat;
 use crate::plan::SearchPlan;

@@ -1,4 +1,4 @@
-//! Observation hooks for extraction phases and the mat-shard pool.
+//! Observation hooks for extraction phases.
 //!
 //! The chip model is deliberately free of any metrics dependency: higher
 //! layers (rime-core's metrics registry) implement [`ExtractionProbe`] and
@@ -8,9 +8,10 @@
 //!
 //! Two kinds of payload flow through a probe:
 //!
-//! - **Modeled quantities** (operation counts, step counts, shard sizes)
-//!   are derived from the bit-accurate simulation and are deterministic
-//!   for a fixed workload and [`crate::ParallelPolicy`].
+//! - **Modeled quantities** (operation counts, step counts, rows removed
+//!   per exclusion) are derived from the bit-accurate simulation and are
+//!   deterministic for a fixed workload, under either
+//!   [`crate::ParallelPolicy`].
 //! - **Wall-clock nanoseconds** measure the host simulation and are
 //!   inherently non-deterministic; consumers must quarantine them from
 //!   differential oracles (rime-core flags the derived metrics as such).
@@ -50,12 +51,12 @@ impl Phase {
     }
 }
 
-/// Observer for chip extraction phases and mat-pool activity.
+/// Observer for chip extraction phases.
 ///
 /// All methods take `&self`: implementations are expected to be cheap,
-/// lock-free aggregators (atomics), shared via `Arc` between the chip and
-/// its parked pool. Default implementations are no-ops so implementors can
-/// subscribe to a subset of the surface.
+/// lock-free aggregators (atomics) held behind an `Arc`. Default
+/// implementations are no-ops so implementors can subscribe to a subset
+/// of the surface.
 pub trait ExtractionProbe: Send + Sync {
     /// One completed phase: total wall nanoseconds spent in the phase and
     /// the number of device operations it performed (sense steps,
@@ -68,45 +69,9 @@ pub trait ExtractionProbe: Send + Sync {
 
     /// Rows deselected by a single exclusion step.
     fn excluded_step(&self, _removed: u64) {}
-
-    /// A pool session opened: worker count, mats leased, and the largest /
-    /// smallest shard sizes (their difference is the imbalance gauge).
-    fn pool_lease(&self, _workers: usize, _mats: usize, _largest: usize, _smallest: usize) {}
-
-    /// A pool session closed (mats restored to the chip).
-    fn pool_unlease(&self) {}
-
-    /// One broadcast→fold round trip across all workers (a sense, exclude,
-    /// first-selected, or read-slot epoch step), in wall nanoseconds.
-    fn pool_step(&self, _wall_ns: u64) {}
-
-    /// Per-worker session report: nanoseconds the worker spent processing
-    /// requests (busy) versus the whole session duration; the difference
-    /// is time parked on the channel.
-    fn pool_worker(&self, _worker: usize, _busy_ns: u64, _session_ns: u64) {}
-
-    /// The measured (or overridden) pool crossover
-    /// ([`crate::Chip::pool_crossover_mats`]), in mats, as cached when a
-    /// pool session opens. Derived
-    /// from wall-clock calibration, so nondeterministic unless pinned
-    /// via `RIME_POOL_CROSSOVER`.
-    fn pool_crossover(&self, _mats: usize) {}
-
-    /// One fold-driven suffix replay: `steps` is the total number of
-    /// decided epoch steps re-executed across the lagging/divergent
-    /// shards, `wall_ns` the wall-clock cost of issuing and completing
-    /// the replay. Keeps replayed work distinguishable from first-run
-    /// speculation (which reports through [`ExtractionProbe::pool_step`]).
-    fn pool_replay(&self, _steps: u64, _wall_ns: u64) {}
-
-    /// One speculative descent dispatched: how many workers were
-    /// actually woken with a descend request versus how many shards were
-    /// answered from the memoized trace cache with their worker left
-    /// parked. A fully memoized fold reports `(0, shards)`.
-    fn pool_descend(&self, _woken_workers: usize, _memoized_shards: usize) {}
 }
 
-/// Shared probe handle as stored by [`crate::Chip`] and [`crate::MatPool`].
+/// Shared probe handle as stored by [`crate::Chip`].
 pub type SharedProbe = Arc<dyn ExtractionProbe>;
 
 /// Runs `f`, adding its wall-clock duration to `acc` only when a probe is
@@ -176,12 +141,5 @@ mod tests {
         q.phase(Phase::Sense, 1, 1);
         q.extraction(3);
         q.excluded_step(2);
-        q.pool_lease(4, 16, 4, 4);
-        q.pool_unlease();
-        q.pool_step(10);
-        q.pool_worker(0, 5, 9);
-        q.pool_crossover(16);
-        q.pool_replay(3, 100);
-        q.pool_descend(0, 4);
     }
 }

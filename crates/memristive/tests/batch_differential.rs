@@ -2,12 +2,12 @@
 //! key format, geometry, and direction, `extract_batch(k)` must be
 //! observationally identical to `k` sequential `extract` calls — same
 //! slots, same raw bits, same stable tie-breaking, and identical
-//! [`OpCounters`] — regardless of the parallel fan-out policy, with the
+//! [`OpCounters`] — under both `ParallelPolicy::Sequential` (the full
+//! walk) and `ParallelPolicy::Auto` (the memoized engine), with the
 //! range at slot 0 and at an offset that is neither mat- nor
-//! word-aligned and starts past mat 0. Every property also runs
-//! `ParallelPolicy::Auto` (the memoized engine) against the
-//! `Sequential` drain, and one deterministic case does so on a Table I
-//! chip over a wide offset span with ties and a stuck-at cell.
+//! word-aligned and starts past mat 0. One deterministic case also runs
+//! `Auto` against `Sequential` on a Table I chip over a wide offset span
+//! with ties and a stuck-at cell.
 
 use proptest::prelude::*;
 use rime_memristive::{
@@ -89,18 +89,18 @@ fn software_reference(
     order
 }
 
-/// Runs the full differential check for one key set under `policy` and
-/// under `Auto`, first with the range at slot 0 on `mats` mats, then at
-/// slot `lead_mats × 32 + lead_slots` (`lead_slots` in `1..32`) on a
-/// chip grown to fit. Returns the batch and sequential counter snapshots
-/// of each placement and policy for the caller's assertions.
+/// Runs the full differential check for one key set, batched under both
+/// policies against a `Sequential` single-extract drain, first with the
+/// range at slot 0 on `mats` mats, then at slot `lead_mats × 32 +
+/// lead_slots` (`lead_slots` in `1..32`) on a chip grown to fit. Returns
+/// the batch and sequential counter snapshots of each placement and
+/// policy for the caller's assertions.
 fn check<T: SortableBits>(
     keys: &[T],
     mats: u16,
     (lead_mats, lead_slots): (u64, u64),
     k: usize,
     direction: Direction,
-    policy: ParallelPolicy,
 ) -> Vec<(OpCounters, OpCounters)> {
     let raw: Vec<u64> = keys.iter().map(|v| v.to_raw_bits()).collect();
     let placements = [
@@ -110,16 +110,12 @@ fn check<T: SortableBits>(
             lead_mats * SLOTS_PER_MAT + lead_slots,
         ),
     ];
-    let mut policies = vec![policy];
-    if policy != ParallelPolicy::Auto {
-        policies.push(ParallelPolicy::Auto);
-    }
     let mut counters = Vec::new();
     for (mats, offset) in placements {
         let mut seq_chip = loaded_chip(&raw, T::FORMAT, mats, offset, ParallelPolicy::Sequential);
         let seq = sequential_reference(&mut seq_chip, direction, k);
         let soft = software_reference(&raw, offset, T::FORMAT, direction, k);
-        for &policy in &policies {
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
             let mut batch_chip = loaded_chip(&raw, T::FORMAT, mats, offset, policy);
             let batch = batch_chip.extract_batch(direction, k).unwrap();
             assert_eq!(
@@ -152,7 +148,7 @@ proptest! {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let lead = (lead_mats, lead_slots);
-        for (bc, sc) in check(&keys, mats, lead, k, direction, ParallelPolicy::Threads(3)) {
+        for (bc, sc) in check(&keys, mats, lead, k, direction) {
             prop_assert_eq!(bc, sc, "OpCounters must be identical");
         }
     }
@@ -167,7 +163,7 @@ proptest! {
     ) {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let lead = (lead_mats, lead_slots);
-        for (bc, sc) in check(&keys, mats, lead, k, Direction::Min, ParallelPolicy::Auto) {
+        for (bc, sc) in check(&keys, mats, lead, k, Direction::Min) {
             prop_assert_eq!(bc, sc, "OpCounters must be identical");
         }
     }
@@ -184,7 +180,7 @@ proptest! {
         prop_assume!(keys.len() as u64 <= u64::from(mats) * SLOTS_PER_MAT);
         let direction = if max { Direction::Max } else { Direction::Min };
         let lead = (lead_mats, lead_slots);
-        for (bc, sc) in check(&keys, mats, lead, k, direction, ParallelPolicy::Threads(2)) {
+        for (bc, sc) in check(&keys, mats, lead, k, direction) {
             prop_assert_eq!(bc, sc, "OpCounters must be identical");
         }
     }
@@ -201,7 +197,7 @@ proptest! {
         // `check` already asserts slots come out lowest-address-first
         // among ties via the software reference.
         let lead = (lead_mats, lead_slots);
-        for (bc, sc) in check(&keys, mats, lead, k, Direction::Min, ParallelPolicy::Threads(4)) {
+        for (bc, sc) in check(&keys, mats, lead, k, Direction::Min) {
             prop_assert_eq!(bc, sc, "OpCounters must be identical");
         }
     }
@@ -214,7 +210,7 @@ proptest! {
         lead_slots in 1u64..32,
     ) {
         let lead = (lead_mats, lead_slots);
-        for (bc, sc) in check(&keys, 1, lead, k, Direction::Min, ParallelPolicy::Threads(3)) {
+        for (bc, sc) in check(&keys, 1, lead, k, Direction::Min) {
             prop_assert_eq!(bc, sc, "OpCounters must be identical");
         }
     }

@@ -6,17 +6,17 @@
 //! multi-chip `ExtractBatch` workload and check that the two tell one
 //! story, then pin the determinism contract of
 //! [`RimeDevice::metrics_snapshot`]: masked exports are byte-identical
-//! across identical runs, and the modeled chip-op metrics are
-//! bit-identical across every [`ParallelPolicy`].
+//! across identical runs and across both [`ParallelPolicy`] values, and
+//! the modeled chip-op metrics agree with the device's counters.
 
 use std::borrow::Cow;
 use std::sync::Arc;
 
 use rime_core::{
-    ChipProbe, Command, Direction, DriverConfig, Executor, FlightConfig, KeyFormat, MetricValue,
-    MetricsRegistry, OpCounters, ParallelPolicy, RimeConfig, RimeDevice,
+    Command, Direction, DriverConfig, Executor, FlightConfig, KeyFormat, MetricValue, OpCounters,
+    ParallelPolicy, RimeConfig, RimeDevice,
 };
-use rime_memristive::{ArrayTiming, Chip, ChipGeometry};
+use rime_memristive::{ArrayTiming, ChipGeometry};
 use rime_service::{RankingService, ServiceConfig, SessionHandle};
 
 /// Four chips of 16 mats each, 1024 slots per chip.
@@ -60,7 +60,6 @@ fn ops(c: &OpCounters) -> [(&'static str, u64); 8] {
 #[test]
 fn registry_and_device_stats_tell_one_story_under_concurrency() {
     let dev = RimeDevice::new(config());
-    dev.set_parallel_policy(ParallelPolicy::Threads(2));
 
     // One region per thread, spanning all four chips together, so
     // concurrent ExtractBatch commands race through the executor while
@@ -158,160 +157,56 @@ fn masked_run(policy: ParallelPolicy) -> (String, rime_core::Snapshot, rime_core
     (snapshot.masked().to_json(false), snapshot, dev.counters())
 }
 
-/// Regression for the PR-7 observability gap: a pooled extraction must
-/// actually land samples in the pool wall-clock metrics — the committed
-/// full-mode bench snapshot showed them all-zero because only the
-/// *masked* snapshot (which rightly zeroes nondeterministic series) was
-/// exported, hiding whether the probes ever fired. Pin the unmasked
-/// truth: nonzero step-latency count, nonzero worker busy/park totals,
-/// a crossover gauge, and masking zeroing all of them.
+/// Regression for an observability gap: the committed bench snapshots
+/// are *masked* (nondeterministic series zeroed), which once hid that a
+/// family of wall-clock probes never fired. Pin the unmasked truth for
+/// the extraction phases: a batch lands nonzero sense wall time and one
+/// rearm per key, and masking zeroes the wall time but keeps the counts
+/// of modeled series.
 #[test]
-fn pooled_extraction_lands_nonzero_pool_metrics() {
-    let dev = RimeDevice::new(config());
-    dev.enable_extraction_metrics();
-    dev.set_parallel_policy(ParallelPolicy::Threads(3));
-    let n = dev.capacity();
-    let region = dev.alloc(n).expect("alloc");
-    let data = keys(n);
-    dev.write_raw(region, 0, &data, KeyFormat::UNSIGNED64)
-        .expect("store");
-    dev.init_raw(region, 0, n, KeyFormat::UNSIGNED64)
-        .expect("init");
-    let hits = dev
-        .next_extremes_raw(region, KeyFormat::UNSIGNED64, Direction::Min, 16)
-        .expect("batch");
-    assert_eq!(hits.len(), 16);
-
-    let snapshot = dev.metrics_snapshot();
-    let find = |name: &str| {
+fn extraction_lands_nonzero_wall_clock_metrics() {
+    let (_, snapshot, counters) = masked_run(ParallelPolicy::Auto);
+    let phase = |name: &str, phase: &str| {
         snapshot
             .metrics
             .iter()
-            .filter(move |m| m.name == name)
+            .filter(|m| m.name == name && m.labels.iter().any(|(k, v)| k == "phase" && v == phase))
+            .map(|m| (m.value.clone(), m.nondeterministic))
             .collect::<Vec<_>>()
     };
-    let steps = find("rime_pool_step_wall_ns");
-    assert!(!steps.is_empty(), "pool step latency metric registered");
-    let step_count: u64 = steps
-        .iter()
-        .map(|m| match &m.value {
-            MetricValue::Histogram(h) => h.count,
-            other => panic!("step latency is not a histogram: {other:?}"),
-        })
-        .sum();
-    assert!(step_count > 0, "pooled extraction recorded no step latency");
-
-    let busy: i128 = find("rime_pool_worker_busy_ns_total")
-        .iter()
-        .map(|m| match &m.value {
-            MetricValue::Counter(v) => i128::from(*v),
-            other => panic!("busy total is not a counter: {other:?}"),
-        })
-        .sum();
-    assert!(busy > 0, "workers reported no busy time");
-    assert!(
-        !find("rime_pool_worker_park_ns_total").is_empty(),
-        "park totals registered"
-    );
-
-    let crossover = find("rime_pool_crossover_mats");
-    assert!(!crossover.is_empty(), "crossover gauge registered");
-    assert!(
-        crossover
-            .iter()
-            .any(|m| matches!(m.value, MetricValue::Gauge(v) if v >= 2)),
-        "crossover gauge holds a measured value"
-    );
-    for m in &crossover {
-        assert!(m.nondeterministic, "crossover is wall-clock-derived");
-    }
-
-    // Masking — the determinism contract — zeroes all of the above.
-    let masked = snapshot.masked();
-    for m in &masked.metrics {
-        if m.name == "rime_pool_step_wall_ns" {
-            match &m.value {
-                MetricValue::Histogram(h) => assert_eq!(h.count, 0),
-                other => panic!("{other:?}"),
-            }
+    let sense = phase("rime_phase_wall_ns", "sense");
+    assert!(!sense.is_empty(), "sense wall time registered");
+    let (count, sum) = sense.iter().fold((0, 0), |(c, t), (v, nondet)| {
+        assert!(nondet, "wall time is flagged nondeterministic");
+        match v {
+            MetricValue::Histogram(h) => (c + h.count, t + h.sum),
+            other => panic!("sense wall time is not a histogram: {other:?}"),
         }
-        if m.name == "rime_pool_worker_busy_ns_total" {
-            assert!(matches!(m.value, MetricValue::Counter(0)));
-        }
-        if m.name == "rime_pool_crossover_mats" {
-            assert!(matches!(m.value, MetricValue::Gauge(0)));
-        }
-    }
-}
-
-/// Drives one pooled batch extraction on a bare [`Chip`] wearing a
-/// [`ChipProbe`], with the forced-replay bail knob optionally armed,
-/// and returns a named-counter reader over the resulting snapshot.
-fn pooled_chip_run(force_replay: Option<u16>) -> impl Fn(&str) -> u64 {
-    let registry = MetricsRegistry::new();
-    let probe = ChipProbe::new(&registry, ArrayTiming::table1(), 0);
-    let mut chip = Chip::new(ChipGeometry {
-        banks: 1,
-        subbanks_per_bank: 1,
-        mats_per_subbank: 8,
-        arrays_per_mat: 4,
-        rows: 4,
-        cols: 64,
     });
-    chip.set_parallel_policy(ParallelPolicy::Threads(3));
-    chip.set_pool_force_replay(force_replay);
-    chip.set_probe(Some(Arc::new(probe)));
-    let n = chip.capacity();
-    let data = keys(n);
-    chip.store_keys(0, &data, KeyFormat::UNSIGNED64)
-        .expect("store");
-    chip.init_range(0, n, KeyFormat::UNSIGNED64).expect("init");
-    let hits = chip
-        .extract_batch(Direction::Min, 16)
-        .expect("pooled batch");
-    assert_eq!(hits.len(), 16);
-    let snapshot = registry.snapshot();
-    move |name: &str| -> u64 {
-        snapshot
-            .metrics
-            .iter()
-            .filter(|m| m.name == name)
-            .map(|m| match &m.value {
-                MetricValue::Counter(v) => *v,
-                other => panic!("{name} is not a counter: {other:?}"),
-            })
-            .sum()
+    assert!(
+        count > 0 && sum > 0,
+        "extraction recorded no sense wall time"
+    );
+    let rearms: u64 = phase("rime_phase_ops_total", "rearm")
+        .iter()
+        .map(|(v, _)| match v {
+            MetricValue::Counter(c) => *c,
+            other => panic!("{other:?}"),
+        })
+        .sum();
+    // Each chip prefills its own queue, so count the chips' keys.
+    assert_eq!(rearms, counters.extractions, "one rearm per extracted key");
+
+    // Masking — the determinism contract — zeroes the wall time and
+    // leaves the modeled op counts as they were.
+    let masked = snapshot.masked();
+    for (m, live) in masked.metrics.iter().zip(&snapshot.metrics) {
+        match (m.name.as_str(), &m.value) {
+            ("rime_phase_wall_ns", MetricValue::Histogram(h)) => assert_eq!(h.count, 0),
+            ("rime_phase_ops_total", value) => assert_eq!(value, &live.value),
+            _ => {}
+        }
     }
-}
-
-/// The speculative-descent counters must tell replayed work apart from
-/// memoized folds. A clean pooled run wakes each worker for the initial
-/// descent, after which folds are answered from the memoized trace with
-/// the workers left parked — so memoized shards dominate woken workers
-/// ("a fully memoized fold reports `(0, shards)`"). Arming the
-/// forced-replay bail knob makes every speculation diverge, which must
-/// land re-executed suffix steps in `rime_pool_replay_steps_total`.
-#[test]
-fn pool_replay_and_memoized_descent_counters_split_the_speculative_path() {
-    let clean = pooled_chip_run(None);
-    let woken = clean("rime_pool_descend_woken_workers_total");
-    let memoized = clean("rime_pool_descend_memoized_shards_total");
-    assert!(woken > 0, "initial descents wake parked workers");
-    assert!(memoized > 0, "memoized trace answered no descents");
-    assert!(
-        memoized > woken,
-        "memoized folds must dominate a clean run (memoized {memoized} vs woken {woken})"
-    );
-
-    let forced = pooled_chip_run(Some(1));
-    assert!(
-        forced("rime_pool_replay_steps_total") > 0,
-        "forced divergence recorded no replayed suffix steps"
-    );
-    assert!(
-        forced("rime_pool_descend_woken_workers_total") >= woken,
-        "forced replays cannot wake fewer workers than a clean run"
-    );
 }
 
 /// Sums the observation counts of the whole
@@ -406,26 +301,28 @@ fn attribution_histograms_flush_on_session_drop() {
 
 #[test]
 fn masked_snapshots_are_byte_identical_across_runs() {
-    let (first, _, _) = masked_run(ParallelPolicy::Threads(3));
-    let (second, _, _) = masked_run(ParallelPolicy::Threads(3));
+    let (first, _, _) = masked_run(ParallelPolicy::Auto);
+    let (second, _, _) = masked_run(ParallelPolicy::Auto);
     assert_eq!(
         first, second,
         "identical workloads must export identical masked snapshots"
     );
+    let (oracle, _, _) = masked_run(ParallelPolicy::Sequential);
+    assert_eq!(
+        first, oracle,
+        "Auto and Sequential must export identical masked snapshots"
+    );
 }
 
 /// The modeled chip-op metrics are a scheduling-independent quantity:
-/// every `ParallelPolicy` must report bit-identical `rime_chip_ops_total`
-/// samples, and they must agree with the device's own `OpCounters`.
+/// both `ParallelPolicy` values must report bit-identical
+/// `rime_chip_ops_total` samples, and they must agree with the device's
+/// own `OpCounters`.
 #[test]
 fn chip_op_metrics_are_policy_independent_and_match_counters() {
     type OpSamples = Vec<(Vec<(String, String)>, u64)>;
     let mut baseline: Option<OpSamples> = None;
-    for policy in [
-        ParallelPolicy::Sequential,
-        ParallelPolicy::SpawnPerStep(2),
-        ParallelPolicy::Threads(2),
-    ] {
+    for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
         let (_, snapshot, counters) = masked_run(policy);
         let ops: OpSamples = snapshot
             .metrics

@@ -172,6 +172,39 @@ fn functional_counters_match_analytic_chip_rate() {
     assert!(busy_ns > lower, "busy {busy_ns} vs lower {lower}");
 }
 
+/// The same band at full-chip scale: one Table I chip holding 2 Mi
+/// distinct keys, so the range spans all 1024 mats, drained exactly by
+/// the default (memoized) engine rather than priced analytically.
+#[test]
+fn full_table1_chip_range_matches_analytic_chip_rate() {
+    use rime_memristive::{ArrayTiming, Chip, ChipGeometry, Direction, KeyFormat};
+    let geometry = ChipGeometry::table1();
+    assert_eq!(geometry.mats(), 1024);
+    let n = geometry.capacity_slots();
+    // An odd multiplier is a bijection on u64: distinct, scrambled keys.
+    let keys: Vec<u64> = (0..n)
+        .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .collect();
+    let mut chip = Chip::new(geometry);
+    chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
+    chip.reset_counters();
+    chip.init_range(0, n, KeyFormat::UNSIGNED64).unwrap();
+    let mut hits = chip.extract_batch(Direction::Min, 256).unwrap();
+    hits.extend(chip.extract_batch(Direction::Min, 256).unwrap());
+
+    let mut sorted = keys.clone();
+    sorted.sort();
+    let got: Vec<u64> = hits.iter().map(|h| h.raw_bits).collect();
+    assert_eq!(got, sorted[..512]);
+    assert!(hits.iter().all(|h| keys[h.slot as usize] == h.raw_bits));
+
+    let timing = ArrayTiming::table1();
+    let per_key = timing.time_ns(chip.counters()) / 512.0;
+    let upper = (timing.t_compute_ns + timing.t_read_ns) * 1.05;
+    assert!(per_key < upper, "{per_key} ns/key vs upper {upper}");
+    assert!(per_key > timing.t_read_ns, "{per_key} ns/key vs tRead");
+}
+
 /// The RIME perf model's O(k) ranking: finding the k-th statistic of 65M
 /// keys costs k extractions, not a sort.
 #[test]

@@ -241,8 +241,7 @@ proptest! {
         for (policy, traced) in [
             (ParallelPolicy::Sequential, true),
             (ParallelPolicy::Auto, true),
-            (ParallelPolicy::Threads(2), true),
-            (ParallelPolicy::Threads(2), false),
+            (ParallelPolicy::Auto, false),
         ] {
             let (service, _) = run_script(policy, traced, &script);
             let got = service.executor().metrics_snapshot().masked().to_json(false);
