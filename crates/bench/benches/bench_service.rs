@@ -1,46 +1,36 @@
-//! Multi-tenant service ring: cross-tenant fused dispatch vs naive
-//! per-command dispatch under seeded open-loop traffic.
+//! Multi-tenant service ring: what the flight recorder costs.
 //!
-//! N tenants share one initialized region and pound it with single-key
-//! `Extract`s paced by [`rime_workloads::packets`] arrival processes
-//! (even tenants Poisson, odd tenants on/off bursty, both offered well
-//! above the service rate so the ring stays saturated and admission
-//! control engages). The fused service coalesces doorbell rings into
-//! dispatch passes, fuses same-key extracts from different tenants
-//! into one `ExtractBatch { k }`, and posts completions in ordinal
-//! order; the naive baseline (`ServiceConfig { max_fuse: 1 }`)
-//! dispatches every drained command individually through the same
-//! ring, scheduler, and completion path — so the ratio isolates what
-//! fusion buys, not what the ring costs.
+//! Eight tenants share one initialized region and pound it with
+//! single-key `Extract`s paced by [`rime_workloads::packets`] arrival
+//! processes (even tenants Poisson, odd tenants on/off bursty, both
+//! offered well above the service rate so the ring stays saturated and
+//! admission control engages), through a started fused service. Runs
+//! with the recorder off and on interleave in pairs; the gate compares
+//! their throughput and checks that the slowest traced request's phase
+//! tiling covers its submit→reap wall time.
 //!
 //! Throughput is completed commands over wall clock (submit barrier to
-//! last reap). Latency percentiles come from the per-tenant
-//! `rime_service_latency_ns` histograms in the shared metrics
-//! registry, merged across worker tenants.
+//! last reap). Service throughput and latency with their run-to-run
+//! spread are perfbench's `service_extract` workload; fusion's effect
+//! on the command stream is pinned exactly, in manual mode, by
+//! `crates/service/tests/service_determinism.rs`.
 //!
-//! Usage:
+//! Usage (`--flight` names the one measurement and may be left out):
 //!
 //! ```text
-//! cargo bench --bench bench_service                 # full sweep
-//! cargo bench --bench bench_service -- --quick      # CI smoke sizes
-//! cargo bench --bench bench_service -- --quick --assert-fusion
-//!     # gate: fused >= 1.5x naive at the widest tenant count and
-//!     # finite, nonzero latency percentiles; exits 1 on failure
 //! cargo bench --bench bench_service -- --flight
-//!     # extra traced run at the widest tenant count: per-phase latency
+//!     # 60 interleaved recorder-off/on pairs: per-phase latency
 //!     # attribution plus the slowest request's breakdown
-//! cargo bench --bench bench_service -- --quick --assert-flight
-//!     # gate: recorder-on throughput within 5% of recorder-off and the
-//!     # slowest request's phase sum covers >= 95% of its submit->reap
-//!     # wall time; exits 1 on failure
-//! RIME_BENCH_JSON=BENCH_service.json cargo bench --bench bench_service
+//! cargo bench --bench bench_service -- --quick --flight --assert-flight
+//!     # 40 pairs; gate: recorder-on throughput within 5% of
+//!     # recorder-off and the slowest request's phase sum covers >= 95%
+//!     # of its submit->reap wall time; exits 1 on failure
 //! ```
 
 use std::borrow::Cow;
 use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
-use rime_core::metrics::HistogramSnap;
 use rime_core::{
     Command, Direction, Executor, FlightConfig, KeyFormat, MetricValue, Outcome, Region,
     RimeConfig, Snapshot,
@@ -50,6 +40,11 @@ use rime_workloads::ArrivalProcess;
 
 const FMT: KeyFormat = KeyFormat::UNSIGNED64;
 const SEED: u64 = 0x51ce_ba11;
+/// Submitting tenants.
+const TENANTS: usize = 8;
+/// Extracts per tenant per run: deep enough that per-command cost, not
+/// thread startup, decides the on/off ratio.
+const PER_TENANT: usize = 256;
 
 fn keys(n: usize) -> Vec<u64> {
     (0..n as u64)
@@ -65,21 +60,10 @@ fn extract(region: Region) -> Command<'static> {
     }
 }
 
-/// One measured run of one dispatch mode.
+/// One measured run.
 struct RunStats {
-    commands: usize,
-    wall_s: f64,
     /// Completed commands per second.
     cps: f64,
-    p50_us: f64,
-    p95_us: f64,
-    p99_us: f64,
-    passes: u64,
-    drained: u64,
-    fused_batches: u64,
-    fused_commands: u64,
-    /// Admission-control rejections observed by the submitters.
-    busy: u64,
     /// Flight-recorder attribution, populated by traced runs only.
     attribution: Option<AttrStats>,
 }
@@ -111,94 +95,15 @@ impl AttrStats {
     }
 }
 
-/// One table row: both modes at one tenant count.
-struct Row {
-    tenants: usize,
-    naive: RunStats,
-    fused: RunStats,
-}
-
-impl Row {
-    fn ratio(&self) -> f64 {
-        self.fused.cps / self.naive.cps
-    }
-
-    /// Mean members per fused `ExtractBatch`.
-    fn mean_fuse(&self) -> f64 {
-        if self.fused.fused_batches == 0 {
-            0.0
-        } else {
-            self.fused.fused_commands as f64 / self.fused.fused_batches as f64
-        }
-    }
-
-    /// Doorbell coalescing factor: commands drained per dispatch pass.
-    fn coalesce(&self) -> f64 {
-        if self.fused.passes == 0 {
-            0.0
-        } else {
-            self.fused.drained as f64 / self.fused.passes as f64
-        }
-    }
-}
-
-fn counter_total(snap: &Snapshot, name: &str) -> u64 {
-    snap.metrics
-        .iter()
-        .filter(|m| m.name == name)
-        .map(|m| match m.value {
-            MetricValue::Counter(v) => v,
-            _ => 0,
-        })
-        .sum()
-}
-
-/// Submit-to-completion percentiles in microseconds, merged across the
-/// worker tenants (tenant 0 is the setup session; its three untimed
-/// calls are excluded).
-fn latency_percentiles_us(snap: &Snapshot) -> (f64, f64, f64) {
-    let mut merged = HistogramSnap {
-        buckets: Vec::new(),
-        sum: 0,
-        count: 0,
-    };
-    for m in &snap.metrics {
-        if m.name != "rime_service_latency_ns"
-            || m.labels.iter().any(|(k, v)| k == "tenant" && v == "0")
-        {
-            continue;
-        }
-        let MetricValue::Histogram(h) = &m.value else {
-            continue;
-        };
-        if merged.buckets.is_empty() {
-            merged.buckets = vec![0; h.buckets.len()];
-        }
-        for (acc, b) in merged.buckets.iter_mut().zip(&h.buckets) {
-            *acc += b;
-        }
-        merged.sum += h.sum;
-        merged.count += h.count;
-    }
-    let pct = |p: f64| merged.percentile(p).unwrap_or(f64::NAN) / 1_000.0;
-    (pct(50.0), pct(95.0), pct(99.0))
-}
-
-/// Runs `tenants` submitter threads against a fresh service, each
-/// issuing `per_tenant` extracts on the shared region at its seeded
-/// arrival times. The region holds exactly `tenants * per_tenant`
-/// keys, so every extract must hit — verified per completion. With
-/// `flight`, a recorder is attached and each worker tracks per-request
-/// submit→reap wall time against its attribution.
-fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunStats {
-    let config = if fuse {
-        ServiceConfig::default()
-    } else {
-        ServiceConfig {
-            max_fuse: 1,
-            ..ServiceConfig::default()
-        }
-    };
+/// Runs [`TENANTS`] submitter threads against a fresh fused service,
+/// each issuing [`PER_TENANT`] extracts on the shared region at its
+/// seeded arrival times. The region holds exactly `TENANTS *
+/// PER_TENANT` keys, so every extract must hit — verified per
+/// completion. With `flight`, a recorder is attached and each worker
+/// tracks per-request submit→reap wall time against its attribution.
+fn run_once(flight: bool) -> RunStats {
+    let (tenants, per_tenant) = (TENANTS, PER_TENANT);
+    let config = ServiceConfig::default();
     let service = if flight {
         let exec = Arc::new(Executor::new(RimeConfig::small()));
         Arc::new(RankingService::with_flight(
@@ -298,7 +203,6 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
                 // clock is max(end) - min(start) across workers, so
                 // the measurement never races thread scheduling.
                 let start = Instant::now();
-                let mut busy = 0u64;
                 let mut done = 0usize;
                 let mut hits = 0usize;
                 let mut submits: Vec<Instant> = Vec::with_capacity(per_tenant);
@@ -328,7 +232,6 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
                             Err(SubmitError::Busy) => {
                                 // Backpressure: block for one
                                 // completion (freeing a slot), retry.
-                                busy += 1;
                                 let got = session.wait_reap_attributed(1);
                                 assert!(!got.is_empty(), "service closed mid-run");
                                 check(&got, &mut hits, &submits, &mut slowest);
@@ -348,15 +251,15 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
                     done += got.len();
                 }
                 assert_eq!(hits, per_tenant, "tenant {t}: every extract hits");
-                (start, Instant::now(), busy, slowest)
+                (start, Instant::now(), slowest)
             })
         })
         .collect();
 
     barrier.wait();
-    // (worker start, worker end, busy rejections, slowest attributed
-    // request as (wall_ns, breakdown)).
-    type WorkerSpan = (Instant, Instant, u64, Option<(u64, Attribution)>);
+    // (worker start, worker end, slowest attributed request as
+    // (wall_ns, breakdown)).
+    type WorkerSpan = (Instant, Instant, Option<(u64, Attribution)>);
     let spans: Vec<WorkerSpan> = workers
         .into_iter()
         .map(|w| w.join().expect("submitter"))
@@ -371,7 +274,6 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
         .map(|s| s.1)
         .max()
         .expect("at least one worker");
-    let busy: u64 = spans.iter().map(|s| s.2).sum();
     let wall_s = last.duration_since(first).as_secs_f64();
 
     let snap = service.executor().metrics_snapshot();
@@ -380,7 +282,7 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
     let attribution = if flight {
         let slowest = spans
             .iter()
-            .filter_map(|s| s.3)
+            .filter_map(|s| s.2)
             .max_by_key(|(wall, _)| *wall)
             .expect("traced run yields attributions");
         Some(AttrStats {
@@ -392,19 +294,8 @@ fn run_once(tenants: usize, per_tenant: usize, fuse: bool, flight: bool) -> RunS
         None
     };
 
-    let (p50_us, p95_us, p99_us) = latency_percentiles_us(&snap);
     RunStats {
-        commands: total,
-        wall_s,
         cps: total as f64 / wall_s,
-        p50_us,
-        p95_us,
-        p99_us,
-        passes: counter_total(&snap, "rime_service_passes_total"),
-        drained: counter_total(&snap, "rime_service_drained_total"),
-        fused_batches: counter_total(&snap, "rime_service_fused_batches_total"),
-        fused_commands: counter_total(&snap, "rime_service_fused_commands_total"),
-        busy,
         attribution,
     }
 }
@@ -429,196 +320,18 @@ fn attribution_phases(snap: &Snapshot) -> Vec<(String, u64, u64)> {
         .collect()
 }
 
-/// Best-of-`reps` by throughput; the matching latency percentiles ride
-/// along from the winning rep.
-fn best_run(tenants: usize, per_tenant: usize, fuse: bool, reps: usize) -> RunStats {
-    best_run_flight(tenants, per_tenant, fuse, reps, false)
-}
-
-/// [`best_run`] with an optional flight recorder attached.
-fn best_run_flight(
-    tenants: usize,
-    per_tenant: usize,
-    fuse: bool,
-    reps: usize,
-    flight: bool,
-) -> RunStats {
-    let mut best: Option<RunStats> = None;
-    for _ in 0..reps {
-        let run = run_once(tenants, per_tenant, fuse, flight);
-        if best.as_ref().is_none_or(|b| run.cps > b.cps) {
-            best = Some(run);
-        }
-    }
-    best.expect("at least one rep")
-}
-
-fn write_json(
-    path: &str,
-    mode: &str,
-    per_tenant: usize,
-    reps: usize,
-    rows: &[Row],
-    flight: Option<&(RunStats, RunStats, f64)>,
-) {
-    // Non-finite percentiles (possible only if a latency landed in the
-    // +Inf bucket) must stay valid JSON.
-    let num = |v: f64| {
-        if v.is_finite() {
-            format!("{v:.1}")
-        } else {
-            "null".to_string()
-        }
-    };
-    let mut out = String::from("{\n  \"bench\": \"service\",\n");
-    out.push_str(&format!(
-        "  \"mode\": \"{mode}\",\n  \"per_tenant\": {per_tenant},\n  \"reps\": {reps},\n"
-    ));
-    out.push_str(
-        "  \"traffic\": \"open-loop: even tenants Poisson(500ns mean gap), \
-         odd tenants bursty(200ns burst gap)\",\n  \"rows\": [\n",
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"tenants\": {}, \"commands\": {}, \"naive_cps\": {:.0}, \
-             \"fused_cps\": {:.0}, \"fused_vs_naive\": {:.2}, \
-             \"naive_p50_us\": {}, \"naive_p95_us\": {}, \"naive_p99_us\": {}, \
-             \"fused_p50_us\": {}, \"fused_p95_us\": {}, \"fused_p99_us\": {}, \
-             \"fused_mean_batch\": {:.1}, \"fused_coalesce\": {:.1}, \
-             \"naive_busy\": {}, \"fused_busy\": {}}}{}\n",
-            r.tenants,
-            r.fused.commands,
-            r.naive.cps,
-            r.fused.cps,
-            r.ratio(),
-            num(r.naive.p50_us),
-            num(r.naive.p95_us),
-            num(r.naive.p99_us),
-            num(r.fused.p50_us),
-            num(r.fused.p95_us),
-            num(r.fused.p99_us),
-            r.mean_fuse(),
-            r.coalesce(),
-            r.naive.busy,
-            r.fused.busy,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    let widest = rows.last().expect("at least one row");
-    out.push_str(&format!(
-        "  ],\n  \"criterion\": {{\"tenants\": {}, \"fused_vs_naive\": {:.2}, \
-         \"required\": 2.0, \"met\": {}}}",
-        widest.tenants,
-        widest.ratio(),
-        widest.ratio() >= 2.0,
-    ));
-    if let Some((off, traced, ratio)) = flight {
-        let attr = traced
-            .attribution
-            .as_ref()
-            .expect("traced run has attribution");
-        out.push_str(&format!(
-            ",\n  \"attribution\": {{\n    \"tenants\": {}, \"recorder_on_cps\": {:.0}, \
-             \"recorder_off_cps\": {:.0}, \"gate_ratio\": {:.3},\n    \"phases\": [\n",
-            widest.tenants, traced.cps, off.cps, ratio,
-        ));
-        for (i, (phase, n, total_ns)) in attr.phases.iter().enumerate() {
-            out.push_str(&format!(
-                "      {{\"phase\": \"{phase}\", \"observations\": {n}, \"total_ns\": {total_ns}}}{}\n",
-                if i + 1 < attr.phases.len() { "," } else { "" },
-            ));
-        }
-        let s = &attr.slowest;
-        out.push_str(&format!(
-            "    ],\n    \"slowest_request\": {{\"wall_ns\": {}, \"sq_wait_ns\": {}, \
-             \"queue_wait_ns\": {}, \"queue_phase\": \"{}\", \"dispatch_ns\": {}, \
-             \"cq_wait_ns\": {}, \"attributed_ns\": {}, \"coverage\": {:.3}}}\n  }}",
-            attr.slowest_wall_ns,
-            s.sq_wait_ns,
-            s.queue_wait_ns,
-            s.queue_phase.label(),
-            s.dispatch_ns,
-            s.cq_wait_ns,
-            s.total_ns(),
-            attr.coverage(),
-        ));
-    }
-    out.push_str("\n}\n");
-    std::fs::write(path, out).expect("write bench JSON");
-    println!("wrote {path}");
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick");
-    let assert_fusion = args.iter().any(|a| a == "--assert-fusion");
     let assert_flight = args.iter().any(|a| a == "--assert-flight");
-    let flight = assert_flight || args.iter().any(|a| a == "--flight");
-    let mode = if quick { "quick" } else { "full" };
-    let (tenant_counts, per_tenant, reps): (Vec<usize>, usize, usize) = if quick {
-        (vec![2, 8], 64, 2)
-    } else {
-        (vec![2, 4, 8], 256, 3)
-    };
+    let flight_reps = if quick { 40 } else { 60 };
 
-    println!("service ring: fused cross-tenant dispatch vs naive per-command dispatch ({mode})");
-    println!("{per_tenant} extracts per tenant on one shared region, best of {reps} reps");
-    println!();
     println!(
-        "{:>7} {:>9} {:>12} {:>12} {:>7} {:>9} {:>9} {:>9} {:>7} {:>9}",
-        "tenants",
-        "commands",
-        "naive c/s",
-        "fused c/s",
-        "ratio",
-        "p50 µs",
-        "p95 µs",
-        "p99 µs",
-        "fuse/k",
-        "coalesce"
+        "service ring: flight recorder cost at {TENANTS} tenants, \
+         {PER_TENANT} extracts per tenant on one shared region"
     );
 
-    let mut rows: Vec<Row> = Vec::new();
-    for &tenants in &tenant_counts {
-        let naive = best_run(tenants, per_tenant, false, reps);
-        let fused = best_run(tenants, per_tenant, true, reps);
-        let row = Row {
-            tenants,
-            naive,
-            fused,
-        };
-        println!(
-            "{:>7} {:>9} {:>12.0} {:>12.0} {:>6.2}x {:>9.1} {:>9.1} {:>9.1} {:>7.1} {:>9.1}",
-            row.tenants,
-            row.fused.commands,
-            row.naive.cps,
-            row.fused.cps,
-            row.ratio(),
-            row.fused.p50_us,
-            row.fused.p95_us,
-            row.fused.p99_us,
-            row.mean_fuse(),
-            row.coalesce(),
-        );
-        rows.push(row);
-    }
-    println!();
-    let widest = rows.last().expect("at least one row");
-    println!(
-        "at {} tenants: fused {:.2}x naive ({:.0} vs {:.0} commands/s, wall {:.3}s vs {:.3}s, \
-         {} busy rejections naive / {} fused)",
-        widest.tenants,
-        widest.ratio(),
-        widest.fused.cps,
-        widest.naive.cps,
-        widest.fused.wall_s,
-        widest.naive.wall_s,
-        widest.naive.busy,
-        widest.fused.busy,
-    );
-
-    // Traced rerun of the widest configuration: same traffic, recorder
-    // attached. Recorder-off and recorder-on runs interleave in pairs,
+    // Recorder-off and recorder-on runs interleave in pairs,
     // alternating which mode goes first so a sustained slow period on
     // a shared machine taxes both arms symmetrically. Two robust
     // estimators of the on/off throughput ratio are computed — the
@@ -631,116 +344,67 @@ fn main() {
     // a noise episode rarely deflates both at once. The delta is the
     // observability tax, the attribution block the latency breakdown
     // evidence.
-    let traced = flight.then(|| {
-        let flight_reps = reps * 20;
-        // The overhead ratio is a steady-state statistic: quick-mode
-        // runs (64 commands/tenant, ~2ms) are dominated by thread
-        // startup and warmup, not per-command cost, so the traced
-        // comparison always runs at the full per-tenant depth.
-        let flight_per_tenant = per_tenant.max(256);
-        let mut offs: Vec<RunStats> = Vec::with_capacity(flight_reps);
-        let mut ons: Vec<RunStats> = Vec::with_capacity(flight_reps);
-        for i in 0..flight_reps {
-            if i % 2 == 0 {
-                offs.push(run_once(widest.tenants, flight_per_tenant, true, false));
-                ons.push(run_once(widest.tenants, flight_per_tenant, true, true));
-            } else {
-                ons.push(run_once(widest.tenants, flight_per_tenant, true, true));
-                offs.push(run_once(widest.tenants, flight_per_tenant, true, false));
-            }
+    let mut offs: Vec<RunStats> = Vec::with_capacity(flight_reps);
+    let mut ons: Vec<RunStats> = Vec::with_capacity(flight_reps);
+    for i in 0..flight_reps {
+        if i % 2 == 0 {
+            offs.push(run_once(false));
+            ons.push(run_once(true));
+        } else {
+            ons.push(run_once(true));
+            offs.push(run_once(false));
         }
-        let mut ratios: Vec<f64> = ons.iter().zip(&offs).map(|(t, o)| t.cps / o.cps).collect();
-        ratios.sort_by(f64::total_cmp);
-        let median_ratio = ratios[ratios.len() / 2];
-        let best = |runs: Vec<RunStats>| {
-            runs.into_iter()
-                .max_by(|a, b| f64::total_cmp(&a.cps, &b.cps))
-                .expect("at least one rep")
-        };
-        let off = best(offs);
-        let traced = best(ons);
-        let ratio = median_ratio.max(traced.cps / off.cps);
-        let attr = traced
-            .attribution
-            .as_ref()
-            .expect("traced run has attribution");
-        println!();
-        println!(
-            "flight recorder on: {:.0} commands/s vs {:.0} off \
-             ({:+.1}% median paired ratio across {} interleaved pairs, \
-             best-vs-best {:+.1}%, gate ratio {:.3})",
-            traced.cps,
-            off.cps,
-            (median_ratio - 1.0) * 100.0,
-            flight_reps,
-            (traced.cps / off.cps - 1.0) * 100.0,
-            ratio,
-        );
-        println!("attribution ({} phases populated):", attr.phases.len());
-        for (phase, n, total_ns) in &attr.phases {
-            println!("  {phase:<12} {n:>7} obs {total_ns:>14} ns total");
-        }
-        let s = &attr.slowest;
-        println!(
-            "slowest request: wall {} ns = sq_wait {} + {} {} + dispatch {} + cq_wait {} \
-             (attributed {} ns, coverage {:.1}%)",
-            attr.slowest_wall_ns,
-            s.sq_wait_ns,
-            s.queue_phase.label(),
-            s.queue_wait_ns,
-            s.dispatch_ns,
-            s.cq_wait_ns,
-            s.total_ns(),
-            attr.coverage() * 100.0,
-        );
-        (off, traced, ratio)
-    });
-
-    if let Ok(path) = std::env::var("RIME_BENCH_JSON") {
-        write_json(&path, mode, per_tenant, reps, &rows, traced.as_ref());
     }
-
-    // CI service-smoke gate: fusion must beat per-command dispatch at
-    // the widest tenant count, and the tail must be measured (finite,
-    // nonzero percentiles from real observations).
-    if assert_fusion {
-        let mut failures: Vec<String> = Vec::new();
-        if widest.ratio() < 1.5 {
-            failures.push(format!(
-                "fused vs naive at {} tenants: {:.2}x < 1.5x",
-                widest.tenants,
-                widest.ratio()
-            ));
-        }
-        for (name, v) in [
-            ("p50", widest.fused.p50_us),
-            ("p95", widest.fused.p95_us),
-            ("p99", widest.fused.p99_us),
-        ] {
-            if !v.is_finite() || v <= 0.0 {
-                failures.push(format!("fused {name} latency not finite/positive: {v}"));
-            }
-        }
-        if !failures.is_empty() {
-            for f in &failures {
-                eprintln!("ASSERT: {f}");
-            }
-            std::process::exit(1);
-        }
-        println!("--assert-fusion: all service checks passed");
+    let mut ratios: Vec<f64> = ons.iter().zip(&offs).map(|(t, o)| t.cps / o.cps).collect();
+    ratios.sort_by(f64::total_cmp);
+    let median_ratio = ratios[ratios.len() / 2];
+    let best = |runs: Vec<RunStats>| {
+        runs.into_iter()
+            .max_by(|a, b| f64::total_cmp(&a.cps, &b.cps))
+            .expect("at least one rep")
+    };
+    let off = best(offs);
+    let traced = best(ons);
+    let ratio = median_ratio.max(traced.cps / off.cps);
+    let attr = traced
+        .attribution
+        .as_ref()
+        .expect("traced run has attribution");
+    println!(
+        "flight recorder on: {:.0} commands/s vs {:.0} off \
+         ({:+.1}% median paired ratio across {} interleaved pairs, \
+         best-vs-best {:+.1}%, gate ratio {:.3})",
+        traced.cps,
+        off.cps,
+        (median_ratio - 1.0) * 100.0,
+        flight_reps,
+        (traced.cps / off.cps - 1.0) * 100.0,
+        ratio,
+    );
+    println!("attribution ({} phases populated):", attr.phases.len());
+    for (phase, n, total_ns) in &attr.phases {
+        println!("  {phase:<12} {n:>7} obs {total_ns:>14} ns total");
     }
+    let s = &attr.slowest;
+    println!(
+        "slowest request: wall {} ns = sq_wait {} + {} {} + dispatch {} + cq_wait {} \
+         (attributed {} ns, coverage {:.1}%)",
+        attr.slowest_wall_ns,
+        s.sq_wait_ns,
+        s.queue_phase.label(),
+        s.queue_wait_ns,
+        s.dispatch_ns,
+        s.cq_wait_ns,
+        s.total_ns(),
+        attr.coverage() * 100.0,
+    );
 
     // CI trace-smoke gate: the recorder must be nearly free (within 5%
     // of recorder-off throughput) and the slowest request must be fully
     // attributable (phase sum >= 95% of its submit→reap wall time).
     if assert_flight {
-        let (_, traced, ratio) = traced.as_ref().expect("--assert-flight implies --flight");
-        let attr = traced
-            .attribution
-            .as_ref()
-            .expect("traced run has attribution");
         let mut failures: Vec<String> = Vec::new();
-        if *ratio < 0.95 {
+        if ratio < 0.95 {
             failures.push(format!(
                 "recorder overhead above 5%: on/off throughput gate ratio {ratio:.3}"
             ));

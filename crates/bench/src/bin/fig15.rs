@@ -2,15 +2,14 @@
 //! off-chip DDR4 and in-package HBM baselines vs RIME, across data sizes.
 //! Ends with the paper's headline average gains.
 
-use rime_bench::{factor, header, print_series, size_sweep, DEFAULT_CORES};
-use rime_core::RimePerfConfig;
-use rime_kernels::{rime_sort, SortAlgorithm};
+use rime_bench::{factor, header, print_series, series, size_sweep, DEFAULT_CORES};
 use rime_memsim::SystemConfig;
 
 fn main() {
     let sizes = size_sweep();
-    let perf = RimePerfConfig::table1();
+    let mean = |ys: &[f64]| ys.iter().sum::<f64>() / ys.len() as f64;
 
+    let mut gains = Vec::new();
     for (panel, sys) in [
         ("Off-Chip (DDR4)", SystemConfig::off_chip(DEFAULT_CORES)),
         ("In-Package (HBM)", SystemConfig::in_package(DEFAULT_CORES)),
@@ -20,42 +19,24 @@ fn main() {
             &format!("sort throughput on {panel} vs RIME"),
             "throughput (MKps)",
         );
-        let mut series: Vec<(String, Vec<f64>)> = SortAlgorithm::ALL
-            .iter()
-            .map(|alg| {
-                (
-                    alg.label().to_string(),
-                    sizes
-                        .iter()
-                        .map(|&n| alg.throughput_mkps(n, &sys))
-                        .collect(),
-                )
-            })
-            .collect();
-        series.push((
-            "RIME".to_string(),
-            sizes
+        let (kernels, rime) = series::fig15(&sizes, &sys);
+        if gains.is_empty() {
+            gains = kernels
                 .iter()
-                .map(|&n| rime_sort::throughput_mkps(n, &perf))
-                .collect(),
-        ));
-        print_series("keys", &sizes, &series);
+                .map(|(alg, ys)| (alg.label(), factor(mean(&rime), mean(ys))))
+                .collect();
+        }
+        let mut table: Vec<(String, Vec<f64>)> = kernels
+            .into_iter()
+            .map(|(alg, ys)| (alg.label().to_string(), ys))
+            .collect();
+        table.push(("RIME".to_string(), rime));
+        print_series("keys", &sizes, &table);
     }
 
     println!("Average RIME gains over the off-chip baseline (paper: M/S 30.2x,");
     println!("Q/S 12.4x, R/S 50.7x, H/S 26x):");
-    let off = SystemConfig::off_chip(DEFAULT_CORES);
-    for alg in SortAlgorithm::ALL {
-        let mean_base: f64 = sizes
-            .iter()
-            .map(|&n| alg.throughput_mkps(n, &off))
-            .sum::<f64>()
-            / sizes.len() as f64;
-        let mean_rime: f64 = sizes
-            .iter()
-            .map(|&n| rime_sort::throughput_mkps(n, &perf))
-            .sum::<f64>()
-            / sizes.len() as f64;
-        println!("  {:>4}: {}", alg.label(), factor(mean_rime, mean_base));
+    for (label, gain) in gains {
+        println!("  {label:>4}: {gain}");
     }
 }

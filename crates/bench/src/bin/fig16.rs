@@ -1,103 +1,38 @@
 //! Regenerates Fig. 16: GroupBy and MergeJoin throughput for the
 //! off-chip, in-package, and RIME systems across data sizes.
 
-use rime_apps::{groupby, mergejoin};
-use rime_bench::{factor, header, print_series, size_sweep, DEFAULT_CORES};
-use rime_core::RimePerfConfig;
-use rime_memsim::SystemConfig;
+use rime_bench::{factor, header, print_series, series, size_sweep};
 
 fn main() {
     let sizes = size_sweep();
-    let perf = RimePerfConfig::table1();
-    let off = SystemConfig::off_chip(DEFAULT_CORES);
-    let hbm = SystemConfig::in_package(DEFAULT_CORES);
+    let [(_, groupby), (_, mergejoin)] = series::fig16(&sizes);
 
-    header(
-        "Fig. 16 (GroupBy)",
-        "key-value GroupBy throughput",
-        "throughput (MKps)",
-    );
-    let series = vec![
-        (
-            "Off-Chip".to_string(),
-            sizes
-                .iter()
-                .map(|&n| groupby::baseline_throughput_mkps(n, &off))
-                .collect(),
-        ),
-        (
-            "In-Package".to_string(),
-            sizes
-                .iter()
-                .map(|&n| groupby::baseline_throughput_mkps(n, &hbm))
-                .collect(),
-        ),
-        (
-            "RIME".to_string(),
-            sizes
-                .iter()
-                .map(|&n| groupby::rime_throughput_mkps(n, &perf))
-                .collect(),
-        ),
-    ];
-    print_series("rows", &sizes, &series);
-
-    header(
-        "Fig. 16 (MergeJoin)",
-        "sort-merge join throughput",
-        "throughput (MKps)",
-    );
-    let series = vec![
-        (
-            "Off-Chip".to_string(),
-            sizes
-                .iter()
-                .map(|&n| mergejoin::baseline_throughput_mkps(n / 2, &off))
-                .collect(),
-        ),
-        (
-            "In-Package".to_string(),
-            sizes
-                .iter()
-                .map(|&n| mergejoin::baseline_throughput_mkps(n / 2, &hbm))
-                .collect(),
-        ),
-        (
-            "RIME".to_string(),
-            sizes
-                .iter()
-                .map(|&n| mergejoin::rime_throughput_mkps(n / 2, &perf))
-                .collect(),
-        ),
-    ];
-    print_series("rows", &sizes, &series);
+    for (name, title, app) in [
+        ("GroupBy", "key-value GroupBy throughput", &groupby),
+        ("MergeJoin", "sort-merge join throughput", &mergejoin),
+    ] {
+        header(&format!("Fig. 16 ({name})"), title, "throughput (MKps)");
+        let table = vec![
+            ("Off-Chip".to_string(), app.off_chip.clone()),
+            ("In-Package".to_string(), app.in_package.clone()),
+            ("RIME".to_string(), app.rime.clone()),
+        ];
+        print_series("rows", &sizes, &table);
+    }
 
     let n = *sizes.last().unwrap();
+    let last = |ys: &[f64]| *ys.last().unwrap();
     println!(
         "Gains at {}M rows (paper: GroupBy RIME 5.4-23.1x, HBM 1.1-2x;",
         n / 1_000_000
     );
     println!("MergeJoin RIME 5.6-24.1x, HBM 1.1-2x):");
-    println!(
-        "  GroupBy  : HBM {}, RIME {}",
-        factor(
-            groupby::baseline_throughput_mkps(n, &hbm),
-            groupby::baseline_throughput_mkps(n, &off)
-        ),
-        factor(
-            groupby::rime_throughput_mkps(n, &perf),
-            groupby::baseline_throughput_mkps(n, &off)
-        ),
-    );
-    println!(
-        "  MergeJoin: HBM {}, RIME {}",
-        factor(
-            mergejoin::baseline_throughput_mkps(n / 2, &hbm),
-            mergejoin::baseline_throughput_mkps(n / 2, &off)
-        ),
-        factor(
-            mergejoin::rime_throughput_mkps(n / 2, &perf),
-            mergejoin::baseline_throughput_mkps(n / 2, &off)
-        ),
-    );
+    for (name, app) in [("GroupBy  ", &groupby), ("MergeJoin", &mergejoin)] {
+        let off = last(&app.off_chip);
+        println!(
+            "  {name}: HBM {}, RIME {}",
+            factor(last(&app.in_package), off),
+            factor(last(&app.rime), off),
+        );
+    }
 }

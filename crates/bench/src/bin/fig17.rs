@@ -2,78 +2,39 @@
 //! Dijkstra, Prim, A*-Search — on the off-chip, in-package, and RIME
 //! systems across data sizes (elements = edges or grid cells).
 
-use rime_apps::{astar, dijkstra, kruskal, prim};
-use rime_bench::{factor, header, print_series, size_sweep, DEFAULT_CORES};
-use rime_core::RimePerfConfig;
-use rime_memsim::SystemConfig;
+use rime_bench::{factor, header, print_series, series, size_sweep};
+
+/// Display name and the paper's RIME gain range, in
+/// [`series::fig17`]'s order.
+const APPS: [(&str, (f64, f64)); 4] = [
+    ("Kruskal", (8.5, 20.9)),
+    ("Dijkstra", (7.5, 17.2)),
+    ("Prim", (6.3, 14.3)),
+    ("A*-Search", (2.3, 23.0)),
+];
 
 fn main() {
     let sizes = size_sweep();
-    let perf = RimePerfConfig::table1();
-    let off = SystemConfig::off_chip(DEFAULT_CORES);
-    let hbm = SystemConfig::in_package(DEFAULT_CORES);
-    // Graph workloads: |V| = |E| / 8 (a typical power-law-ish density).
-    let vertices = |e: u64| (e / 8).max(2);
-
-    type Fns = (
-        &'static str,
-        Box<dyn Fn(u64, &SystemConfig) -> f64>,
-        Box<dyn Fn(u64) -> f64>,
-        (f64, f64), // paper RIME gain range
-    );
-    let perf2 = perf;
-    let off2 = off;
-    let apps: Vec<Fns> = vec![
-        (
-            "Kruskal",
-            Box::new(kruskal::baseline_throughput_mkps),
-            Box::new(move |n| kruskal::rime_throughput_mkps(n, &perf2, &off2)),
-            (8.5, 20.9),
-        ),
-        (
-            "Dijkstra",
-            Box::new(move |n, sys| dijkstra::baseline_throughput_mkps(vertices(n), n, sys)),
-            Box::new(move |n| dijkstra::rime_throughput_mkps(vertices(n), n, &perf2, &off2)),
-            (7.5, 17.2),
-        ),
-        (
-            "Prim",
-            Box::new(move |n, sys| prim::baseline_throughput_mkps(vertices(n), n, sys)),
-            Box::new(move |n| prim::rime_throughput_mkps(vertices(n), n, &perf2, &off2)),
-            (6.3, 14.3),
-        ),
-        (
-            "A*-Search",
-            Box::new(astar::baseline_throughput_mkps),
-            Box::new(move |n| astar::rime_throughput_mkps(n, &perf2, &off2)),
-            (2.3, 23.0),
-        ),
-    ];
-
-    for (name, baseline, rime, (lo, hi)) in &apps {
+    for ((name, (lo, hi)), (_, app)) in APPS.into_iter().zip(series::fig17(&sizes)) {
         header(
             &format!("Fig. 17 ({name})"),
             &format!("{name} throughput"),
             "throughput (MKps, processed elements)",
         );
-        let series = vec![
-            (
-                "Off-Chip".to_string(),
-                sizes.iter().map(|&n| baseline(n, &off)).collect(),
-            ),
-            (
-                "In-Package".to_string(),
-                sizes.iter().map(|&n| baseline(n, &hbm)).collect(),
-            ),
-            ("RIME".to_string(), sizes.iter().map(|&n| rime(n)).collect()),
+        let last = |ys: &[f64]| *ys.last().unwrap();
+        let (off, hbm, rime) = (last(&app.off_chip), last(&app.in_package), last(&app.rime));
+        let table = vec![
+            ("Off-Chip".to_string(), app.off_chip),
+            ("In-Package".to_string(), app.in_package),
+            ("RIME".to_string(), app.rime),
         ];
-        print_series("elements", &sizes, &series);
+        print_series("elements", &sizes, &table);
         let n = *sizes.last().unwrap();
         println!(
             "  at {}M: HBM {}, RIME {}   (paper RIME range {lo}-{hi}x)\n",
             n / 1_000_000,
-            factor(baseline(n, &hbm), baseline(n, &off)),
-            factor(rime(n), baseline(n, &off)),
+            factor(hbm, off),
+            factor(rime, off),
         );
     }
 }

@@ -2,55 +2,32 @@
 //! packet add:remove ratios R = 1..5, on the off-chip, in-package, and
 //! RIME systems, vs initial buffer size.
 
-use rime_apps::spq;
-use rime_bench::{factor, header, print_series, size_sweep, DEFAULT_CORES};
-use rime_core::RimePerfConfig;
-use rime_memsim::SystemConfig;
-
-const REMOVES: u64 = 1_000_000;
+use rime_bench::{factor, header, print_series, series, size_sweep};
 
 fn main() {
     let sizes = size_sweep();
-    let perf = RimePerfConfig::table1();
-
-    for (name, sys) in [
-        (
-            "Off-Chip (DDR4)",
-            Some(SystemConfig::off_chip(DEFAULT_CORES)),
-        ),
-        (
-            "In-Package (HBM)",
-            Some(SystemConfig::in_package(DEFAULT_CORES)),
-        ),
-        ("RIME", None),
-    ] {
+    let panels = series::fig18(&sizes);
+    for (name, (_, by_ratio)) in ["Off-Chip (DDR4)", "In-Package (HBM)", "RIME"]
+        .into_iter()
+        .zip(&panels)
+    {
         header(
             &format!("Fig. 18 ({name})"),
             "strict priority queue remove throughput",
             "throughput (MKps removed)",
         );
-        let series: Vec<(String, Vec<f64>)> = (1u32..=5)
-            .map(|r| {
-                (
-                    format!("R={r}"),
-                    sizes
-                        .iter()
-                        .map(|&n| match &sys {
-                            Some(sys) => spq::baseline_throughput_mkps(n, REMOVES, r, sys),
-                            None => spq::rime_throughput_mkps(n, REMOVES, r, &perf),
-                        })
-                        .collect(),
-                )
-            })
+        let table: Vec<(String, Vec<f64>)> = by_ratio
+            .iter()
+            .enumerate()
+            .map(|(i, ys)| (format!("R={}", i + 1), ys.clone()))
             .collect();
-        print_series("buffer", &sizes, &series);
+        print_series("buffer", &sizes, &table);
     }
 
-    let n = *sizes.last().unwrap();
-    let off = SystemConfig::off_chip(DEFAULT_CORES);
-    let worst = spq::baseline_throughput_mkps(n, REMOVES, 5, &off);
-    let best = spq::baseline_throughput_mkps(*sizes.first().unwrap(), REMOVES, 1, &off);
-    let rime = spq::rime_throughput_mkps(n, REMOVES, 5, &perf);
+    let [(_, off), _, (_, rime)] = &panels;
+    let worst = *off[4].last().unwrap();
+    let best = off[0][0];
+    let rime = *rime[4].last().unwrap();
     println!(
         "RIME gain range over DDR4 across sizes/ratios: {} to {}",
         factor(rime, best),

@@ -2,105 +2,25 @@
 //! 65M keys, for the in-package (HBM) and RIME systems, normalized to
 //! the off-chip DRAM baseline.
 
-use rime_apps::{astar, dijkstra, groupby, kruskal, mergejoin, prim, spq};
-use rime_bench::DEFAULT_CORES;
-use rime_core::RimePerfConfig;
-use rime_energy::{baseline_energy, rime_energy, PowerModel, SystemKind};
-use rime_memsim::perf::Workload;
-use rime_memsim::SystemConfig;
+use rime_bench::series;
 
-const N: u64 = 65_000_000;
-
-struct AppRow {
-    name: &'static str,
-    baseline: Box<dyn Fn(&SystemConfig) -> Workload>,
-    /// (seconds, extractions, transfers) of the RIME run.
-    rime: Box<dyn Fn() -> (f64, u64, u64)>,
-    paper_reduction_pct: f64,
-}
+/// Display name and the energy reduction the paper reports, in
+/// [`series::fig19`]'s order.
+const APPS: [(&str, f64); 11] = [
+    ("Kruskal", 94.0),
+    ("Dijkstra", 92.0),
+    ("Prim", 91.0),
+    ("GroupBy", 95.0),
+    ("MergeJoin", 95.0),
+    ("A*-Search", 94.0),
+    ("SPQ (R=1)", 96.0),
+    ("SPQ (R=2)", 96.0),
+    ("SPQ (R=3)", 96.0),
+    ("SPQ (R=4)", 96.0),
+    ("SPQ (R=5)", 96.0),
+];
 
 fn main() {
-    let off_sys = SystemConfig::off_chip(DEFAULT_CORES);
-    let hbm_sys = SystemConfig::in_package(DEFAULT_CORES);
-    let model = PowerModel::table1();
-    let perf = RimePerfConfig::table1();
-    let v = N / 8;
-
-    let mut rows: Vec<AppRow> = vec![
-        AppRow {
-            name: "Kruskal",
-            baseline: Box::new(|sys| kruskal::baseline_workload(N, sys)),
-            rime: Box::new(move || {
-                (
-                    kruskal::rime_seconds(N, &perf, &SystemConfig::off_chip(DEFAULT_CORES)),
-                    N,
-                    2 * N,
-                )
-            }),
-            paper_reduction_pct: 94.0,
-        },
-        AppRow {
-            name: "Dijkstra",
-            baseline: Box::new(move |sys| dijkstra::baseline_workload(v, N, sys)),
-            rime: Box::new(move || {
-                (
-                    dijkstra::rime_seconds(v, N, &perf, &SystemConfig::off_chip(DEFAULT_CORES)),
-                    v + N / 4,
-                    N + v,
-                )
-            }),
-            paper_reduction_pct: 92.0,
-        },
-        AppRow {
-            name: "Prim",
-            baseline: Box::new(move |sys| prim::baseline_workload(v, N, sys)),
-            rime: Box::new(move || {
-                (
-                    prim::rime_seconds(v, N, &perf, &SystemConfig::off_chip(DEFAULT_CORES)),
-                    v + N / 3,
-                    2 * N + v,
-                )
-            }),
-            paper_reduction_pct: 91.0,
-        },
-        AppRow {
-            name: "GroupBy",
-            baseline: Box::new(|sys| groupby::baseline_workload(N, sys)),
-            rime: Box::new(move || (groupby::rime_seconds(N, &perf), N, 2 * N)),
-            paper_reduction_pct: 95.0,
-        },
-        AppRow {
-            name: "MergeJoin",
-            baseline: Box::new(|sys| mergejoin::baseline_workload(N / 2, sys)),
-            rime: Box::new(move || (mergejoin::rime_seconds(N / 2, &perf), N, 2 * N)),
-            paper_reduction_pct: 95.0,
-        },
-        AppRow {
-            name: "A*-Search",
-            baseline: Box::new(|sys| astar::baseline_workload(N, sys)),
-            rime: Box::new(move || {
-                (
-                    astar::rime_seconds(N, &perf, &SystemConfig::off_chip(DEFAULT_CORES)),
-                    3 * N / 5,
-                    2 * N,
-                )
-            }),
-            paper_reduction_pct: 94.0,
-        },
-    ];
-    for r in 1u32..=5 {
-        rows.push(AppRow {
-            name: Box::leak(format!("SPQ (R={r})").into_boxed_str()),
-            baseline: Box::new(move |sys| spq::baseline_workload(N, 1_000_000, r, sys)),
-            rime: Box::new(move || {
-                let thr = spq::rime_throughput_mkps(N, 1_000_000, r, &perf) * 1e6;
-                let secs = 1_000_000.0 / thr;
-                (secs, 1_000_000, 1_000_000 * (1 + r as u64))
-            }),
-            paper_reduction_pct: 96.0,
-        });
-    }
-
     println!("Fig. 19 — system energy normalized to the off-chip baseline");
     println!("(65M keys; paper: HBM ±, RIME >=90% reduction)\n");
     println!(
@@ -108,29 +28,16 @@ fn main() {
         "app", "Off-Chip", "HBM", "RIME", "paper RIME"
     );
 
-    for row in &rows {
-        let off_exec = (row.baseline)(&off_sys).execute(&off_sys);
-        let hbm_exec = (row.baseline)(&hbm_sys).execute(&hbm_sys);
-        let off_j =
-            baseline_energy(&model, SystemKind::OffChip, &off_exec, DEFAULT_CORES, 2.0).total_j();
-        let hbm_j =
-            baseline_energy(&model, SystemKind::InPackage, &hbm_exec, DEFAULT_CORES, 2.0).total_j();
-        let (secs, extractions, transfers) = (row.rime)();
-        let rime = rime_energy(
-            &model,
-            secs,
-            secs * 2.0,
-            extractions,
-            transfers,
-            DEFAULT_CORES,
-        );
+    for ((name, paper_reduction_pct), row) in APPS.into_iter().zip(series::fig19()) {
+        let off_j = row.off_chip_j;
+        let rime = row.rime;
         println!(
             "{:>12} {:>10.2} {:>10.2} {:>10.2} {:>15.0}%   {:>6.2} / {:>5.2} / {:>5.2} J",
-            row.name,
+            name,
             1.0,
-            hbm_j / off_j,
+            row.in_package_j / off_j,
             rime.total_j() / off_j,
-            row.paper_reduction_pct,
+            paper_reduction_pct,
             rime.cpu_j,
             rime.dram_j,
             rime.rime_j,

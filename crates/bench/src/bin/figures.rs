@@ -1,7 +1,9 @@
 //! `figures`: one deterministic pass over the Figs. 15–19 data, closing
 //! the reproduction loop through the [`rime_memsim::MemoryBackend`]
-//! trait (every baseline series below is priced by
-//! `Workload::execute`, which routes through `MemorySystem::backend()`).
+//! trait (every baseline series is priced by `Workload::execute`, which
+//! routes through `MemorySystem::backend()`). The series come from
+//! [`rime_bench::series`], the same functions the `fig15`–`fig19`
+//! binaries print.
 //!
 //! ```text
 //! figures            # print the snapshot JSON to stdout
@@ -20,12 +22,10 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use rime_apps::{astar, dijkstra, groupby, kruskal, mergejoin, prim, spq};
-use rime_bench::DEFAULT_CORES;
-use rime_core::{MetricsRegistry, RimePerfConfig, Snapshot};
-use rime_energy::{baseline_energy, rime_energy, PowerModel, SystemKind};
+use rime_bench::{series, DEFAULT_CORES};
+use rime_core::{MetricsRegistry, Snapshot};
 use rime_kernels::planner::{Planner, Strategy};
-use rime_kernels::{rime_sort, SortAlgorithm};
+use rime_kernels::SortAlgorithm;
 use rime_memristive::ChipGeometry;
 use rime_memsim::SystemConfig;
 
@@ -34,8 +34,6 @@ use rime_memsim::SystemConfig;
 const SIZES: [u64; 6] = [
     500_000, 2_000_000, 8_000_000, 16_000_000, 32_000_000, 65_000_000,
 ];
-const N: u64 = 65_000_000;
-const SPQ_REMOVES: u64 = 1_000_000;
 
 /// Metric names every committed snapshot must carry; `--check` fails if
 /// one goes missing (e.g. a refactor silently drops the planner gauges).
@@ -52,18 +50,13 @@ fn num(x: f64) -> String {
     format!("{x:.4}")
 }
 
-fn series(out: &mut String, name: &str, values: &[f64], last: bool) {
+fn series_line(out: &mut String, name: &str, values: &[f64], last: bool) {
     let vals: Vec<String> = values.iter().map(|&v| num(v)).collect();
     let comma = if last { "" } else { "," };
     let _ = writeln!(out, "      \"{name}\": [{}]{comma}", vals.join(", "));
 }
 
 fn build_snapshot() -> String {
-    let perf = RimePerfConfig::table1();
-    let off = SystemConfig::off_chip(DEFAULT_CORES);
-    let hbm = SystemConfig::in_package(DEFAULT_CORES);
-    let vertices = |e: u64| (e / 8).max(2);
-
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"figures\",\n");
     let _ = writeln!(
@@ -74,115 +67,46 @@ fn build_snapshot() -> String {
 
     // Fig. 15 — sorting kernels vs RIME on both DRAM baselines.
     out.push_str("  \"fig15\": {\n");
-    for (idx, (panel, sys)) in [("off_chip", &off), ("in_package", &hbm)]
-        .iter()
-        .enumerate()
-    {
-        let _ = writeln!(out, "    \"{panel}\": {{");
-        for alg in SortAlgorithm::ALL {
-            let ys: Vec<f64> = SIZES.iter().map(|&n| alg.throughput_mkps(n, sys)).collect();
-            series(&mut out, alg.label(), &ys, false);
-        }
-        let rime: Vec<f64> = SIZES
-            .iter()
-            .map(|&n| rime_sort::throughput_mkps(n, &perf))
-            .collect();
-        series(&mut out, "rime", &rime, true);
-        let _ = writeln!(out, "    }}{}", if idx == 0 { "," } else { "" });
-    }
-    out.push_str("  },\n");
-
-    // Fig. 16 — GroupBy and MergeJoin.
-    out.push_str("  \"fig16\": {\n");
-    for (idx, (name, base, rime)) in [
-        (
-            "groupby",
-            Box::new(|n: u64, sys: &SystemConfig| groupby::baseline_throughput_mkps(n, sys))
-                as Box<dyn Fn(u64, &SystemConfig) -> f64>,
-            Box::new(|n: u64| groupby::rime_throughput_mkps(n, &perf)) as Box<dyn Fn(u64) -> f64>,
-        ),
-        (
-            "mergejoin",
-            Box::new(|n, sys| mergejoin::baseline_throughput_mkps(n / 2, sys)),
-            Box::new(|n| mergejoin::rime_throughput_mkps(n / 2, &perf)),
-        ),
+    for (idx, (panel, sys)) in [
+        ("off_chip", SystemConfig::off_chip(DEFAULT_CORES)),
+        ("in_package", SystemConfig::in_package(DEFAULT_CORES)),
     ]
-    .into_iter()
+    .iter()
     .enumerate()
     {
-        let _ = writeln!(out, "    \"{name}\": {{");
-        let ys: Vec<f64> = SIZES.iter().map(|&n| base(n, &off)).collect();
-        series(&mut out, "off_chip", &ys, false);
-        let ys: Vec<f64> = SIZES.iter().map(|&n| base(n, &hbm)).collect();
-        series(&mut out, "in_package", &ys, false);
-        let ys: Vec<f64> = SIZES.iter().map(|&n| rime(n)).collect();
-        series(&mut out, "rime", &ys, true);
+        let _ = writeln!(out, "    \"{panel}\": {{");
+        let (kernels, rime) = series::fig15(&SIZES, sys);
+        for (alg, ys) in &kernels {
+            series_line(&mut out, alg.label(), ys, false);
+        }
+        series_line(&mut out, "rime", &rime, true);
         let _ = writeln!(out, "    }}{}", if idx == 0 { "," } else { "" });
     }
     out.push_str("  },\n");
 
-    // Fig. 17 — graph workloads.
-    out.push_str("  \"fig17\": {\n");
-    type GraphRow<'p> = (
-        &'static str,
-        Box<dyn Fn(u64, &SystemConfig) -> f64 + 'p>,
-        Box<dyn Fn(u64) -> f64 + 'p>,
-    );
-    let graph_apps: Vec<GraphRow> = vec![
-        (
-            "kruskal",
-            Box::new(kruskal::baseline_throughput_mkps),
-            Box::new(|n| kruskal::rime_throughput_mkps(n, &perf, &off)),
-        ),
-        (
-            "dijkstra",
-            Box::new(move |n, sys| dijkstra::baseline_throughput_mkps(vertices(n), n, sys)),
-            Box::new(move |n| dijkstra::rime_throughput_mkps(vertices(n), n, &perf, &off)),
-        ),
-        (
-            "prim",
-            Box::new(move |n, sys| prim::baseline_throughput_mkps(vertices(n), n, sys)),
-            Box::new(move |n| prim::rime_throughput_mkps(vertices(n), n, &perf, &off)),
-        ),
-        (
-            "astar",
-            Box::new(astar::baseline_throughput_mkps),
-            Box::new(|n| astar::rime_throughput_mkps(n, &perf, &off)),
-        ),
-    ];
-    let last = graph_apps.len() - 1;
-    for (idx, (name, base, rime)) in graph_apps.iter().enumerate() {
-        let _ = writeln!(out, "    \"{name}\": {{");
-        let ys: Vec<f64> = SIZES.iter().map(|&n| base(n, &off)).collect();
-        series(&mut out, "off_chip", &ys, false);
-        let ys: Vec<f64> = SIZES.iter().map(|&n| base(n, &hbm)).collect();
-        series(&mut out, "in_package", &ys, false);
-        let ys: Vec<f64> = SIZES.iter().map(|&n| rime(n)).collect();
-        series(&mut out, "rime", &ys, true);
-        let _ = writeln!(out, "    }}{}", if idx == last { "" } else { "," });
+    // Figs. 16 and 17 — GroupBy/MergeJoin and the graph workloads.
+    for (fig, apps) in [
+        ("fig16", series::fig16(&SIZES).to_vec()),
+        ("fig17", series::fig17(&SIZES).to_vec()),
+    ] {
+        let _ = writeln!(out, "  \"{fig}\": {{");
+        let last = apps.len() - 1;
+        for (idx, (name, app)) in apps.iter().enumerate() {
+            let _ = writeln!(out, "    \"{name}\": {{");
+            series_line(&mut out, "off_chip", &app.off_chip, false);
+            series_line(&mut out, "in_package", &app.in_package, false);
+            series_line(&mut out, "rime", &app.rime, true);
+            let _ = writeln!(out, "    }}{}", if idx == last { "" } else { "," });
+        }
+        out.push_str("  },\n");
     }
-    out.push_str("  },\n");
 
     // Fig. 18 — strict priority queue, R = 1..5.
     out.push_str("  \"fig18\": {\n");
-    for (idx, (panel, sys)) in [
-        ("off_chip", Some(&off)),
-        ("in_package", Some(&hbm)),
-        ("rime", None),
-    ]
-    .into_iter()
-    .enumerate()
-    {
+    for (idx, (panel, by_ratio)) in series::fig18(&SIZES).iter().enumerate() {
         let _ = writeln!(out, "    \"{panel}\": {{");
-        for r in 1u32..=5 {
-            let ys: Vec<f64> = SIZES
-                .iter()
-                .map(|&n| match sys {
-                    Some(sys) => spq::baseline_throughput_mkps(n, SPQ_REMOVES, r, sys),
-                    None => spq::rime_throughput_mkps(n, SPQ_REMOVES, r, &perf),
-                })
-                .collect();
-            series(&mut out, &format!("r{r}"), &ys, r == 5);
+        for (i, ys) in by_ratio.iter().enumerate() {
+            series_line(&mut out, &format!("r{}", i + 1), ys, i == 4);
         }
         let _ = writeln!(out, "    }}{}", if idx == 2 { "" } else { "," });
     }
@@ -190,82 +114,15 @@ fn build_snapshot() -> String {
 
     // Fig. 19 — normalized system energy at 65M keys.
     out.push_str("  \"fig19\": {\n");
-    let model = PowerModel::table1();
-    let v = N / 8;
-    type EnergyRow = (
-        &'static str,
-        Box<dyn Fn(&SystemConfig) -> rime_memsim::perf::Workload>,
-        Box<dyn Fn() -> (f64, u64, u64)>,
-    );
-    let mut rows: Vec<EnergyRow> = vec![
-        (
-            "kruskal",
-            Box::new(|sys| kruskal::baseline_workload(N, sys)),
-            Box::new(move || (kruskal::rime_seconds(N, &perf, &off), N, 2 * N)),
-        ),
-        (
-            "dijkstra",
-            Box::new(move |sys| dijkstra::baseline_workload(v, N, sys)),
-            Box::new(move || (dijkstra::rime_seconds(v, N, &perf, &off), v + N / 4, N + v)),
-        ),
-        (
-            "prim",
-            Box::new(move |sys| prim::baseline_workload(v, N, sys)),
-            Box::new(move || (prim::rime_seconds(v, N, &perf, &off), v + N / 3, 2 * N + v)),
-        ),
-        (
-            "groupby",
-            Box::new(|sys| groupby::baseline_workload(N, sys)),
-            Box::new(move || (groupby::rime_seconds(N, &perf), N, 2 * N)),
-        ),
-        (
-            "mergejoin",
-            Box::new(|sys| mergejoin::baseline_workload(N / 2, sys)),
-            Box::new(move || (mergejoin::rime_seconds(N / 2, &perf), N, 2 * N)),
-        ),
-        (
-            "astar",
-            Box::new(|sys| astar::baseline_workload(N, sys)),
-            Box::new(move || (astar::rime_seconds(N, &perf, &off), 3 * N / 5, 2 * N)),
-        ),
-    ];
-    for r in 1u32..=5 {
-        rows.push((
-            Box::leak(format!("spq_r{r}").into_boxed_str()),
-            Box::new(move |sys| spq::baseline_workload(N, SPQ_REMOVES, r, sys)),
-            Box::new(move || {
-                let thr = spq::rime_throughput_mkps(N, SPQ_REMOVES, r, &perf) * 1e6;
-                (
-                    SPQ_REMOVES as f64 / thr,
-                    SPQ_REMOVES,
-                    SPQ_REMOVES * (1 + r as u64),
-                )
-            }),
-        ));
-    }
+    let rows = series::fig19();
     let last = rows.len() - 1;
-    for (idx, (name, baseline, rime)) in rows.iter().enumerate() {
-        let off_exec = baseline(&off).execute(&off);
-        let hbm_exec = baseline(&hbm).execute(&hbm);
-        let off_j =
-            baseline_energy(&model, SystemKind::OffChip, &off_exec, DEFAULT_CORES, 2.0).total_j();
-        let hbm_j =
-            baseline_energy(&model, SystemKind::InPackage, &hbm_exec, DEFAULT_CORES, 2.0).total_j();
-        let (secs, extractions, transfers) = rime();
-        let rime_j = rime_energy(
-            &model,
-            secs,
-            secs * 2.0,
-            extractions,
-            transfers,
-            DEFAULT_CORES,
-        )
-        .total_j();
+    for (idx, row) in rows.iter().enumerate() {
         let _ = writeln!(
             out,
-            "    \"{name}\": {{\"hbm_frac\": {}, \"rime_frac\": {}}}{}",
-            num(hbm_j / off_j),
-            num(rime_j / off_j),
+            "    \"{}\": {{\"hbm_frac\": {}, \"rime_frac\": {}}}{}",
+            row.key,
+            num(row.in_package_j / row.off_chip_j),
+            num(row.rime.total_j() / row.off_chip_j),
             if idx == last { "" } else { "," }
         );
     }
@@ -385,7 +242,10 @@ fn main() -> ExitCode {
         "planner must keep tiny sorts on the CPU"
     );
     assert!(
-        !matches!(planner.plan_sort(N, 64), Strategy::CpuSort { .. }),
+        !matches!(
+            planner.plan_sort(series::ENERGY_KEYS, 64),
+            Strategy::CpuSort { .. }
+        ),
         "planner must move 65M-key sorts off the CPU"
     );
 

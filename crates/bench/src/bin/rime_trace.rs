@@ -5,12 +5,12 @@
 //! shared region through the ring service in manual dispatch mode, with
 //! the flight recorder attached and extraction probes enabled — every
 //! request trace runs the full `sq_wait → drain/fusion_wait/drr_defer →
-//! dispatch → cq_wait` tiling, fused batches emit link events, and the
-//! device phase probes contribute `device_sense`/`device_exclude`/
-//! `device_readout` spans under the dispatched command.
+//! dispatch → cq_wait` tiling, fused batches emit link events, and each
+//! chip extraction call contributes one `device` span under the
+//! dispatched command.
 //!
 //! ```text
-//! rime-trace [--export chrome] [--dump [REASON]] [--selfcheck]
+//! rime-trace [--export chrome] [--selfcheck]
 //! ```
 //!
 //! * no flags — run the workload and print the per-phase totals table
@@ -18,9 +18,6 @@
 //! * `--export chrome` — print the snapshot as Chrome trace-event JSON
 //!   (load it in `chrome://tracing` or <https://ui.perfetto.dev>),
 //!   validated through the in-repo parser before printing;
-//! * `--dump [REASON]` — take an anomaly-style dump tagged `REASON`
-//!   (default `manual`) and print it, exercising the same path an SLO
-//!   breach or `recover_traced` takes;
 //! * `--selfcheck` — validate the whole trace plane and exit nonzero on
 //!   any failure (the CI smoke gate): exporter round-trip, one terminal
 //!   `cq_wait` per request, fusion links partition the absorbed
@@ -61,10 +58,7 @@ fn call(service: &RankingService, session: &SessionHandle, command: Command<'sta
 fn run_workload(traced: bool) -> (RankingService, Vec<(Completion, Option<Attribution>)>) {
     let exec = Arc::new(Executor::new(RimeConfig::small()));
     exec.set_parallel_policy(ParallelPolicy::Sequential);
-    let config = ServiceConfig {
-        slo_p99_ns: Some(u64::MAX), // armed but unbreachable
-        ..ServiceConfig::default()
-    };
+    let config = ServiceConfig::default();
     let service = if traced {
         RankingService::with_flight(exec, config, FlightConfig::default())
     } else {
@@ -153,7 +147,7 @@ fn selfcheck() -> Result<(), String> {
     let (service, completions) = run_workload(true);
     let recorder = Arc::clone(service.flight().expect("traced service has a recorder"));
     let snap = recorder.snapshot();
-    let json = snap.to_chrome_json(Some("selfcheck"));
+    let json = snap.to_chrome_json();
     let parsed = parse_chrome(&json).map_err(|e| format!("chrome export invalid: {e}"))?;
     if parsed.len() != snap.events.len() {
         return Err(format!(
@@ -279,10 +273,9 @@ fn selfcheck() -> Result<(), String> {
 
 fn main() -> ExitCode {
     let mut export: Option<String> = None;
-    let mut dump: Option<String> = None;
     let mut run_selfcheck = false;
 
-    let mut args = std::env::args().skip(1).peekable();
+    let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--export" => match args.next() {
@@ -292,18 +285,11 @@ fn main() -> ExitCode {
                     return ExitCode::FAILURE;
                 }
             },
-            "--dump" => {
-                let reason = match args.peek() {
-                    Some(r) if !r.starts_with("--") => args.next().expect("peeked"),
-                    _ => "manual".to_string(),
-                };
-                dump = Some(reason);
-            }
             "--selfcheck" => run_selfcheck = true,
             other => {
                 eprintln!(
                     "unknown argument {other:?}\n\
-                     usage: rime-trace [--export chrome] [--dump [REASON]] [--selfcheck]"
+                     usage: rime-trace [--export chrome] [--selfcheck]"
                 );
                 return ExitCode::FAILURE;
             }
@@ -323,20 +309,8 @@ fn main() -> ExitCode {
     let (service, _completions) = run_workload(true);
     let recorder = service.flight().expect("traced service has a recorder");
 
-    if let Some(reason) = dump {
-        let json = match recorder.dump(&reason) {
-            Ok(json) => json,
-            Err(err) => {
-                eprintln!("dump failed: {err}");
-                return ExitCode::FAILURE;
-            }
-        };
-        print!("{json}");
-        return ExitCode::SUCCESS;
-    }
-
     if export.is_some() {
-        let json = recorder.snapshot().to_chrome_json(None);
+        let json = recorder.snapshot().to_chrome_json();
         if let Err(err) = parse_chrome(&json) {
             eprintln!("refusing to export invalid trace JSON: {err}");
             return ExitCode::FAILURE;

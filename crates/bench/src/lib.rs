@@ -2,9 +2,10 @@
 //!
 //! The experiment harness: one binary per paper table/figure (run with
 //! `cargo run -p rime-bench --bin figNN`) plus Criterion benches over the
-//! functional models. This library holds the shared sweep configuration
-//! and series-printing helpers so every figure binary reports the same
-//! way.
+//! functional models. This library holds the shared sweep configuration,
+//! the Figs. 15–19 series ([`series`]) and series-printing helpers, so
+//! every figure binary reports the same way and the `figures` snapshot
+//! records the same numbers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -12,6 +13,7 @@
 pub mod chart;
 pub mod csv;
 pub mod heatmap;
+pub mod series;
 
 use rime_memsim::SystemConfig;
 

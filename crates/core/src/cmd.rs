@@ -406,8 +406,8 @@ impl Executor {
 
     /// Like [`Executor::execute`], but runs the command under a trace
     /// context: while the command executes, `ctx` is the calling
-    /// thread's [`flight::current`] context, so the chip phase probes
-    /// (and any nested spans) parent their device spans correctly.
+    /// thread's [`flight::current`] context, so the chip probes (and any
+    /// nested spans) parent their `device` spans correctly.
     /// Without an attached recorder — or with `ctx` `None` — this is
     /// exactly `execute` plus one pointer test.
     pub fn execute_traced(
@@ -745,8 +745,8 @@ impl Executor {
         }
         let format = session.format;
         // Scoped worker threads start with an empty thread-local trace
-        // context; re-enter the dispatching thread's so device phase
-        // spans recorded on workers still land under the right request.
+        // context; re-enter the dispatching thread's so device spans
+        // recorded on workers still land under the right request.
         let trace_ctx = if self.flight.get().is_some() {
             flight::current()
         } else {
@@ -1011,7 +1011,7 @@ impl Executor {
     }
 
     /// The built-in metrics registry. Per-command metrics are always
-    /// published here; per-phase chip metrics appear once
+    /// published here; chip phase wall times appear once
     /// [`Executor::enable_extraction_probes`] has run.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.registry
@@ -1022,15 +1022,14 @@ impl Executor {
         self.registry.snapshot()
     }
 
-    /// Installs a registry-backed [`ChipProbe`] on every chip, turning on
-    /// deep per-phase instrumentation. Off by default: the probes read
-    /// the host clock, so benchmarks leave them uninstalled.
+    /// Installs a registry-backed [`ChipProbe`] on every chip: each
+    /// extraction call then reports its rearm and descent wall time once
+    /// (and, with a flight recorder, one `device` span). Off by default:
+    /// the probes read the host clock, so benchmarks leave them
+    /// uninstalled.
     pub fn enable_extraction_probes(&self) {
         for (idx, chip) in self.chips.iter().enumerate() {
-            let mut probe = ChipProbe::new(&self.registry, self.config.timing, idx as u32);
-            if let Some(flight) = self.flight.get() {
-                probe = probe.with_flight(Arc::clone(flight));
-            }
+            let probe = ChipProbe::new(&self.registry, idx as u32, self.flight.get().cloned());
             lock_recover(chip).set_probe(Some(Arc::new(probe)));
         }
     }
@@ -1038,7 +1037,7 @@ impl Executor {
     /// Attaches the causal-trace flight recorder. First attach wins
     /// (the recorder is shared with the service layer and must stay
     /// one object); call before [`Executor::enable_extraction_probes`]
-    /// so device phase spans are recorded too.
+    /// so device spans are recorded too.
     pub fn attach_flight_recorder(&self, recorder: Arc<FlightRecorder>) {
         let _ = self.flight.set(recorder);
     }
@@ -1438,33 +1437,6 @@ impl Executor {
             torn_tail: scanned.torn_tail,
             from_checkpoint: checkpoint.is_some(),
         };
-        Ok((executor, report))
-    }
-
-    /// Like [`Executor::recover`], but correlated with the flight
-    /// recorder: before recovery runs, `recorder` (when given) is
-    /// dumped with reason `"recover"` — the crash ships with its causal
-    /// context, next to the journal when a dump directory is set — and
-    /// afterwards the recorder is attached to the recovered executor so
-    /// tracing continues across the crash boundary.
-    ///
-    /// # Errors
-    ///
-    /// Exactly [`Executor::recover`]'s errors; a failed dump *file*
-    /// write is not fatal (the in-memory dump still lands).
-    pub fn recover_traced(
-        config: RimeConfig,
-        store: Box<dyn JournalStore>,
-        journal_config: JournalConfig,
-        recorder: Option<Arc<FlightRecorder>>,
-    ) -> Result<(Executor, RecoveryReport), RimeError> {
-        if let Some(recorder) = &recorder {
-            let _ = recorder.dump("recover");
-        }
-        let (executor, report) = Executor::recover(config, store, journal_config)?;
-        if let Some(recorder) = recorder {
-            executor.attach_flight_recorder(recorder);
-        }
         Ok((executor, report))
     }
 

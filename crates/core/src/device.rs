@@ -506,7 +506,7 @@ impl RimeDevice {
     }
 
     /// The device's built-in metrics registry (see [`crate::metrics`]).
-    /// Per-command metrics are always published; per-phase chip metrics
+    /// Per-command metrics are always published; chip phase wall times
     /// appear after [`RimeDevice::enable_extraction_metrics`].
     pub fn metrics(&self) -> &MetricsRegistry {
         self.exec.metrics()
@@ -518,10 +518,10 @@ impl RimeDevice {
         self.exec.metrics_snapshot()
     }
 
-    /// Turns on deep per-phase extraction instrumentation by installing
-    /// a registry-backed probe on every chip. Off by
-    /// default — the probes read the host clock on every phase, so
-    /// benchmarks leave them uninstalled.
+    /// Turns on extraction timing by installing a registry-backed probe
+    /// on every chip: each extraction call reports its rearm and descent
+    /// wall time once. Off by default — the probes read the host clock,
+    /// so benchmarks leave them uninstalled.
     pub fn enable_extraction_metrics(&self) {
         self.exec.enable_extraction_probes();
     }

@@ -23,7 +23,7 @@
 //! ([`FlightRecorder::next_id`]): splitmix64 of a monotone counter, so
 //! a fixed allocation order yields fixed ids. Timestamps are wall-clock
 //! and inherently nondeterministic — they live only in the recorder and
-//! its dumps, never in the metrics registry, so masked metric snapshots
+//! its exports, never in the metrics registry, so masked metric snapshots
 //! stay byte-identical with the recorder on or off (the attribution
 //! histograms the service derives from spans are registered
 //! unconditionally and flagged nondeterministic).
@@ -47,19 +47,17 @@
 //! lost to overwrite. A snapshot merges stripes back into global
 //! sequence order.
 //!
-//! # Dump format
+//! # Export format
 //!
-//! [`FlightRecorder::dump`] renders the current snapshot as Chrome
+//! [`FlightSnapshot::to_chrome_json`] renders a snapshot as Chrome
 //! trace-event JSON (the `{"traceEvents": [...]}` envelope understood
 //! by `chrome://tracing` and Perfetto): one `"ph":"X"` complete event
 //! per span (`ts`/`dur` in integer microseconds; exact nanoseconds ride
-//! in `args`) and one `"ph":"i"` instant event per fusion link. Dumps
-//! are kept in memory (`last_dump`) and, when a dump directory is
-//! configured, written beside the journal as
-//! `flight-<seq>-<reason>.json`.
+//! in `args`) and one `"ph":"i"` instant event per fusion link. The
+//! recorder keeps only its ring; a snapshot is taken, and exported,
+//! when a reader asks for one (`rime-trace`).
 
 use std::cell::Cell;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::Instant;
@@ -103,12 +101,9 @@ pub enum PhaseTag {
     /// The fused `ExtractBatch` umbrella span; its links name the
     /// absorbed tenant spans.
     FusedBatch,
-    /// Device busy: wire-OR column sense (from the phase probes).
-    DeviceSense,
-    /// Device busy: exclusion latching (from the phase probes).
-    DeviceExclude,
-    /// Device busy: result readout (from the phase probes).
-    DeviceReadout,
+    /// One chip extraction call (select-vector rearms and descents),
+    /// reported once per call by the chip probe.
+    Device,
     /// Completion posted → reaped: time parked in the tenant CQ. The
     /// terminal exit of every request trace.
     CqWait,
@@ -127,9 +122,7 @@ impl PhaseTag {
             PhaseTag::DrrDefer => "drr_defer",
             PhaseTag::Dispatch => "dispatch",
             PhaseTag::FusedBatch => "fused_batch",
-            PhaseTag::DeviceSense => "device_sense",
-            PhaseTag::DeviceExclude => "device_exclude",
-            PhaseTag::DeviceReadout => "device_readout",
+            PhaseTag::Device => "device",
             PhaseTag::CqWait => "cq_wait",
             PhaseTag::Link => "link",
         }
@@ -215,9 +208,6 @@ pub struct FlightRecorder {
     ids: AtomicU64,
     seed: u64,
     epoch: Instant,
-    dumps: AtomicU64,
-    dump_dir: Mutex<Option<PathBuf>>,
-    last_dump: Mutex<Option<(String, String)>>,
 }
 
 /// Recorder identities for [`SEQ_BLOCK`] (0 is the "no block" marker).
@@ -242,8 +232,10 @@ fn prev_power_of_two(n: u64) -> u64 {
 }
 
 /// Saturating `Duration` → nanoseconds without the 128-bit
-/// `as_nanos` detour — this runs several times per traced command.
-fn dur_ns(d: std::time::Duration) -> u64 {
+/// `as_nanos` detour — this runs several times per traced command, here
+/// and in the service's dispatch and reap paths.
+#[inline]
+pub fn dur_ns(d: std::time::Duration) -> u64 {
     d.as_secs()
         .saturating_mul(1_000_000_000)
         .saturating_add(u64::from(d.subsec_nanos()))
@@ -305,9 +297,6 @@ impl FlightRecorder {
             ids: AtomicU64::new(1),
             seed: config.seed,
             epoch: Instant::now(),
-            dumps: AtomicU64::new(0),
-            dump_dir: Mutex::new(None),
-            last_dump: Mutex::new(None),
         }
     }
 
@@ -528,49 +517,15 @@ impl FlightRecorder {
         self.push_batch(&mut events);
     }
 
-    /// Records one fusion link: the fused span `fused` absorbed the
-    /// request whose root span is `member_span`.
-    pub fn record_link(&self, fused: TraceCtx, member_span: u64, tenant: u32, ordinal: u64) {
-        self.push(SpanEvent {
-            seq: 0,
-            trace: fused.trace,
-            span: fused.span,
-            parent: fused.parent,
-            phase: PhaseTag::Link,
-            start_ns: self.now_ns(),
-            dur_ns: 0,
-            tenant,
-            ordinal,
-            linked: member_span,
-        });
-    }
-
-    /// Records the fusion links for every absorbed member — each item
-    /// is `(member root span, tenant, ordinal)` — in one ring
-    /// transaction, all stamped with the same link timestamp.
-    /// Equivalent to [`Self::record_link`] per member but one stripe
-    /// lock for the whole fused group on the dispatching thread, built
-    /// in stack chunks so the hot path never heap-allocates.
-    pub fn record_links<I>(&self, fused: TraceCtx, members: I)
-    where
-        I: IntoIterator<Item = (u64, u32, u64)>,
-    {
-        self.record_fused(fused, None, self.now_ns(), members);
-    }
-
     /// Records a fused unit's whole causal record in one ring
-    /// transaction: optionally the [`PhaseTag::FusedBatch`] umbrella
-    /// span (`span` as `(start_ns, dur_ns)`), then one
-    /// [`PhaseTag::Link`] event per absorbed member, all stamped
-    /// `link_ns`. This is the dispatcher's only hot-path ring write, so
-    /// it batches everything it knows into a single push.
-    pub fn record_fused<I>(
-        &self,
-        fused: TraceCtx,
-        span: Option<(u64, u64)>,
-        link_ns: u64,
-        members: I,
-    ) where
+    /// transaction: the [`PhaseTag::FusedBatch`] umbrella span, then one
+    /// [`PhaseTag::Link`] event per absorbed member — each `members`
+    /// item is `(member root span, tenant, ordinal)` — stamped at the
+    /// span's start. This is the dispatcher's only hot-path ring write,
+    /// so it batches everything it knows into a single push, built in
+    /// stack chunks so it never heap-allocates.
+    pub fn record_fused<I>(&self, fused: TraceCtx, start_ns: u64, dur_ns: u64, members: I)
+    where
         I: IntoIterator<Item = (u64, u32, u64)>,
     {
         let blank = SpanEvent {
@@ -579,24 +534,20 @@ impl FlightRecorder {
             span: fused.span,
             parent: fused.parent,
             phase: PhaseTag::Link,
-            start_ns: link_ns,
+            start_ns,
             dur_ns: 0,
             tenant: 0,
             ordinal: 0,
             linked: 0,
         };
         let mut buf = [blank; 64];
-        let mut n = 0;
-        if let Some((start_ns, dur_ns)) = span {
-            buf[0] = SpanEvent {
-                phase: PhaseTag::FusedBatch,
-                start_ns,
-                dur_ns,
-                tenant: TENANT_SERVICE,
-                ..blank
-            };
-            n = 1;
-        }
+        buf[0] = SpanEvent {
+            phase: PhaseTag::FusedBatch,
+            dur_ns,
+            tenant: TENANT_SERVICE,
+            ..blank
+        };
+        let mut n = 1;
         for (member_span, tenant, ordinal) in members {
             buf[n] = SpanEvent {
                 tenant,
@@ -631,56 +582,6 @@ impl FlightRecorder {
             capacity: self.capacity,
         }
     }
-
-    /// Sets (or clears) the directory anomaly dumps are written to —
-    /// typically beside the journal. Without one, dumps stay in memory
-    /// only ([`FlightRecorder::last_dump`]).
-    pub fn set_dump_dir(&self, dir: Option<PathBuf>) {
-        *self.dump_dir.lock().unwrap_or_else(PoisonError::into_inner) = dir;
-    }
-
-    /// Snapshots the ring and renders it as a Chrome trace dump tagged
-    /// `reason`. The rendered JSON is kept as [`FlightRecorder::last_dump`]
-    /// and, when a dump directory is set, written to
-    /// `flight-<seq>-<reason>.json` there. Returns the JSON.
-    ///
-    /// # Errors
-    ///
-    /// Only the file write can fail; the in-memory dump always lands.
-    pub fn dump(&self, reason: &str) -> Result<String, std::io::Error> {
-        let n = self.dumps.fetch_add(1, Ordering::Relaxed);
-        let json = self.snapshot().to_chrome_json(Some(reason));
-        *self
-            .last_dump
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner) = Some((reason.to_string(), json.clone()));
-        let dir = self
-            .dump_dir
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        if let Some(dir) = dir {
-            let slug: String = reason
-                .chars()
-                .map(|c| if c.is_ascii_alphanumeric() { c } else { '-' })
-                .collect();
-            std::fs::write(dir.join(format!("flight-{n}-{slug}.json")), &json)?;
-        }
-        Ok(json)
-    }
-
-    /// The most recent dump, as `(reason, chrome_json)`.
-    pub fn last_dump(&self) -> Option<(String, String)> {
-        self.last_dump
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone()
-    }
-
-    /// How many dumps have been taken.
-    pub fn dumps(&self) -> u64 {
-        self.dumps.load(Ordering::Relaxed)
-    }
 }
 
 thread_local! {
@@ -689,8 +590,8 @@ thread_local! {
 
 /// The calling thread's active trace context, set by [`enter`]. The
 /// executor installs the dispatched command's context here so the chip
-/// phase probes (which have no context parameter) can parent their
-/// device spans correctly.
+/// probes (which have no context parameter) can parent their `device`
+/// spans correctly.
 pub fn current() -> Option<TraceCtx> {
     CURRENT.with(Cell::get)
 }
@@ -727,36 +628,16 @@ pub struct FlightSnapshot {
     pub capacity: usize,
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl FlightSnapshot {
     /// Renders the snapshot as Chrome trace-event JSON (see the module
-    /// docs for the mapping). `reason`, when given, is recorded in the
-    /// `otherData` envelope — dump provenance for anomaly snapshots.
-    pub fn to_chrome_json(&self, reason: Option<&str>) -> String {
+    /// docs for the mapping).
+    pub fn to_chrome_json(&self) -> String {
         let mut out = String::with_capacity(128 + self.events.len() * 160);
         out.push_str("{\"displayTimeUnit\":\"ns\",\"otherData\":{");
         out.push_str(&format!(
             "\"overwritten\":{},\"capacity\":{}",
             self.overwritten, self.capacity
         ));
-        if let Some(reason) = reason {
-            out.push_str(&format!(",\"reason\":\"{}\"", escape(reason)));
-        }
         out.push_str("},\"traceEvents\":[");
         for (i, e) in self.events.iter().enumerate() {
             if i > 0 {
@@ -789,16 +670,14 @@ impl FlightSnapshot {
     /// Per-phase `(events, total_ns)` over every span in the snapshot,
     /// in a fixed phase order — the text analogue of the Perfetto view.
     pub fn phase_totals(&self) -> Vec<(&'static str, u64, u64)> {
-        const ORDER: [PhaseTag; 11] = [
+        const ORDER: [PhaseTag; 9] = [
             PhaseTag::SqWait,
             PhaseTag::Drain,
             PhaseTag::FusionWait,
             PhaseTag::DrrDefer,
             PhaseTag::Dispatch,
             PhaseTag::FusedBatch,
-            PhaseTag::DeviceSense,
-            PhaseTag::DeviceExclude,
-            PhaseTag::DeviceReadout,
+            PhaseTag::Device,
             PhaseTag::CqWait,
             PhaseTag::Link,
         ];
@@ -1007,17 +886,9 @@ mod tests {
         let root = r.root();
         let fused = r.root();
         r.record_span(r.child(root), PhaseTag::SqWait, 1_500, 2_500, 3, 9);
-        r.record_link(fused, root.span, TENANT_SERVICE, 0);
-        r.record_span(
-            fused,
-            PhaseTag::FusedBatch,
-            4_000,
-            10_000,
-            TENANT_SERVICE,
-            0,
-        );
+        r.record_fused(fused, 4_000, 10_000, [(root.span, 3, 9)]);
         let snap = r.snapshot();
-        let json = snap.to_chrome_json(Some("unit \"test\""));
+        let json = snap.to_chrome_json();
         let parsed = parse_chrome(&json).expect("exporter output must validate");
         assert_eq!(parsed.len(), snap.events.len());
         for (p, e) in parsed.iter().zip(&snap.events) {
@@ -1039,18 +910,6 @@ mod tests {
         assert!(parse_chrome("{\"traceEvents\":[]}").is_err(), "no unit");
         let bad = "{\"displayTimeUnit\":\"ns\",\"traceEvents\":[{\"name\":\"x\",\"ph\":\"Q\"}]}";
         assert!(parse_chrome(bad).is_err(), "unknown ph");
-    }
-
-    #[test]
-    fn dump_lands_in_memory_and_counts() {
-        let r = recorder(16, 2);
-        r.record_span(r.root(), PhaseTag::CqWait, 0, 5, 1, 0);
-        let json = r.dump("slo-breach-tenant-1").expect("memory dump");
-        assert_eq!(r.dumps(), 1);
-        let (reason, stored) = r.last_dump().expect("dump stored");
-        assert_eq!(reason, "slo-breach-tenant-1");
-        assert_eq!(stored, json);
-        assert!(parse_chrome(&stored).is_ok());
     }
 
     #[test]

@@ -13,12 +13,13 @@
 //! # Determinism contract
 //!
 //! Every metric is either *modeled* (derived from the bit-accurate
-//! simulation: op counts, step counts, modeled nanoseconds, rows removed)
-//! or *wall-clock* (host timing, flagged `nondeterministic`). For a fixed
-//! workload, under either [`rime_memristive::ParallelPolicy`], two runs
-//! produce byte-identical [`Snapshot::masked`] exports: masking zeroes
-//! the nondeterministic metrics and the canonical key order fixes the
-//! rest. Wall-clock metrics are quarantined this way so differential
+//! simulation: op counts, transfers, modeled nanoseconds priced from
+//! `OpCounters`) or *wall-clock* (host timing, flagged
+//! `nondeterministic`). For a fixed workload, under either
+//! [`rime_memristive::ParallelPolicy`], two runs produce byte-identical
+//! [`Snapshot::masked`] exports: masking zeroes the nondeterministic
+//! metrics and the canonical key order fixes the rest. Wall-clock
+//! metrics are quarantined this way so differential
 //! oracles can keep asserting bit-equality while humans still get real
 //! latency distributions. The log2 bucket layout is fixed (powers of
 //! two), never adapted to observed data, so histogram *shape* can never
@@ -45,7 +46,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
-use rime_memristive::probe::{ExtractionProbe, Phase};
+use rime_memristive::probe::{CallTime, ExtractionProbe, Phase};
 use rime_memristive::{ArrayTiming, OpCounters};
 
 use crate::cmd::Command;
@@ -1342,152 +1343,71 @@ impl MetricsSink {
     }
 }
 
-const PHASES: [Phase; 5] = [
-    Phase::Sense,
-    Phase::Exclude,
-    Phase::IndexReduce,
-    Phase::Readout,
-    Phase::Rearm,
-];
-
-fn phase_slot(phase: Phase) -> usize {
-    match phase {
-        Phase::Sense => 0,
-        Phase::Exclude => 1,
-        Phase::IndexReduce => 2,
-        Phase::Readout => 3,
-        Phase::Rearm => 4,
-    }
-}
-
-/// The registry-backed implementation of
-/// [`rime_memristive::probe::ExtractionProbe`]: converts phase op counts
-/// into modeled device nanoseconds via [`ArrayTiming`] and publishes
-/// phase, steps-per-key and rows-removed metrics labeled by chip.
+/// The registry-backed [`ExtractionProbe`]: publishes each extraction
+/// call's host time, once, as `rime_phase_wall_ns{chip, phase}` (`sense`
+/// for the descents, `rearm` for the select-vector rearms) and — with a
+/// flight recorder and a thread trace context — one
+/// [`PhaseTag::Device`](crate::flight::PhaseTag::Device) span under that
+/// context.
 ///
 /// Installed per chip by `RimeDevice::enable_extraction_metrics()` (one
-/// probe per chip so the `chip` label is fixed at construction). Phases
-/// the Table I model does not price separately (exclude, index-reduce,
-/// rearm — CMOS latch and H-tree work folded into the compute step)
-/// record a modeled cost of zero; their op counts and wall time are still
-/// exported.
+/// probe per chip so the `chip` label is fixed at construction). It
+/// prices nothing: what the device did, and its Table I modeled time,
+/// come from the chip's [`OpCounters`] through the executor's ledger
+/// (`rime_chip_ops_total`, `rime_command_modeled_ns`).
 #[derive(Debug)]
 pub struct ChipProbe {
-    timing: ArrayTiming,
-    phase_wall: Vec<Histogram>,
-    phase_modeled: Vec<Histogram>,
-    phase_ops: Vec<Counter>,
-    steps: Histogram,
-    excluded: Histogram,
+    sense: Histogram,
+    rearm: Histogram,
     flight: Option<Arc<crate::flight::FlightRecorder>>,
 }
 
 impl ChipProbe {
-    /// Builds a probe for chip `chip`, publishing into `registry`.
-    pub fn new(registry: &MetricsRegistry, timing: ArrayTiming, chip: u32) -> ChipProbe {
+    /// Builds a probe for chip `chip`, publishing into `registry`. With
+    /// `flight`, each reported call also emits one `device` span
+    /// parented under the dispatching thread's current trace context
+    /// (see [`crate::flight::current`]); without a recorder — or without
+    /// a thread context — a report costs one pointer test extra.
+    pub fn new(
+        registry: &MetricsRegistry,
+        chip: u32,
+        flight: Option<Arc<crate::flight::FlightRecorder>>,
+    ) -> ChipProbe {
         let chip = chip.to_string();
-        let mut phase_wall = Vec::with_capacity(PHASES.len());
-        let mut phase_modeled = Vec::with_capacity(PHASES.len());
-        let mut phase_ops = Vec::with_capacity(PHASES.len());
-        for phase in PHASES {
-            let labels = [("chip", chip.as_str()), ("phase", phase.label())];
-            phase_wall.push(registry.histogram_with(
+        let wall = |phase: Phase| {
+            registry.histogram_with(
                 "rime_phase_wall_ns",
-                &labels,
+                &[("chip", chip.as_str()), ("phase", phase.label())],
                 "wall-clock nanoseconds per extraction phase",
                 true,
-            ));
-            phase_modeled.push(registry.histogram(
-                "rime_phase_modeled_ns",
-                &labels,
-                "modeled device nanoseconds per extraction phase (Table I)",
-            ));
-            phase_ops.push(registry.counter(
-                "rime_phase_ops_total",
-                &labels,
-                "device operations per extraction phase",
-            ));
-        }
-        let chip_label = [("chip", chip.as_str())];
-        ChipProbe {
-            steps: registry.histogram(
-                "rime_extraction_steps",
-                &chip_label,
-                "column-search steps per extracted key",
-            ),
-            excluded: registry.histogram(
-                "rime_excluded_per_step",
-                &chip_label,
-                "rows deselected per exclusion step",
-            ),
-            flight: None,
-            timing,
-            phase_wall,
-            phase_modeled,
-            phase_ops,
-        }
-    }
-
-    /// Attaches the flight recorder: sense/exclude/readout phase
-    /// reports additionally emit `device_*` spans parented under the
-    /// dispatching thread's current trace context (see
-    /// [`crate::flight::current`]). Without a recorder — or without a
-    /// thread context — the phase path costs one pointer test extra.
-    pub fn with_flight(mut self, flight: Arc<crate::flight::FlightRecorder>) -> ChipProbe {
-        self.flight = Some(flight);
-        self
-    }
-
-    /// Modeled cost of `ops` operations of `phase`, in integer
-    /// nanoseconds. Only sense steps and readout carry a Table I price;
-    /// the other phases are CMOS/H-tree work folded into the compute
-    /// figure and price at zero.
-    fn modeled_ns(&self, phase: Phase, ops: u64) -> u64 {
-        let per_op = match phase {
-            Phase::Sense => self.timing.extraction_time_ns(1),
-            Phase::Readout => self.timing.t_read_ns,
-            Phase::Exclude | Phase::IndexReduce | Phase::Rearm => 0.0,
+            )
         };
-        (per_op * ops as f64) as u64
+        ChipProbe {
+            sense: wall(Phase::Sense),
+            rearm: wall(Phase::Rearm),
+            flight,
+        }
     }
 }
 
 impl ExtractionProbe for ChipProbe {
-    fn phase(&self, phase: Phase, wall_ns: u64, ops: u64) {
-        let slot = phase_slot(phase);
-        self.phase_wall[slot].observe(wall_ns);
-        self.phase_modeled[slot].observe(self.modeled_ns(phase, ops));
-        self.phase_ops[slot].add(ops);
+    fn extraction(&self, time: CallTime) {
+        self.sense.observe(time.sense_ns);
+        self.rearm.observe(time.rearm_ns);
         if let Some(flight) = &self.flight {
-            // Device-busy split for the trace view. Index-reduce and
-            // rearm are unpriced CMOS work (see `modeled_ns`) and stay
-            // out of the device_busy decomposition.
-            let tag = match phase {
-                Phase::Sense => crate::flight::PhaseTag::DeviceSense,
-                Phase::Exclude => crate::flight::PhaseTag::DeviceExclude,
-                Phase::Readout => crate::flight::PhaseTag::DeviceReadout,
-                Phase::IndexReduce | Phase::Rearm => return,
-            };
             if let Some(ctx) = crate::flight::current() {
-                let end = flight.now_ns();
+                // The call just ended: its span closes now.
+                let dur = time.rearm_ns.saturating_add(time.sense_ns);
                 flight.record_span(
                     flight.child(ctx),
-                    tag,
-                    end.saturating_sub(wall_ns),
-                    wall_ns,
+                    crate::flight::PhaseTag::Device,
+                    flight.now_ns().saturating_sub(dur),
+                    dur,
                     crate::flight::TENANT_SERVICE,
                     0,
                 );
             }
         }
-    }
-
-    fn extraction(&self, steps: u16) {
-        self.steps.observe(u64::from(steps));
-    }
-
-    fn excluded_step(&self, removed: u64) {
-        self.excluded.observe(removed);
     }
 }
 
@@ -1744,50 +1664,58 @@ mod tests {
     }
 
     #[test]
-    fn chip_probe_prices_phases_per_table1() {
+    fn chip_probe_publishes_wall_time_once_per_call() {
         let reg = MetricsRegistry::new();
-        let probe = ChipProbe::new(&reg, ArrayTiming::table1(), 2);
-        probe.phase(Phase::Sense, 999, 64);
-        probe.phase(Phase::Readout, 5, 1);
-        probe.phase(Phase::Exclude, 7, 10);
-        probe.extraction(64);
-        probe.excluded_step(12);
-        let snap = reg.snapshot();
-        let get = |name: &str, phase: Option<&str>| {
-            snap.metrics
-                .iter()
-                .find(|m| {
-                    m.name == name
-                        && phase
-                            .is_none_or(|p| m.labels.iter().any(|(k, v)| k == "phase" && v == p))
-                })
-                .unwrap_or_else(|| panic!("missing {name}"))
-                .value
-                .clone()
-        };
-        // 64 sense steps at Table I's 282.5 ns / 64 steps = 282 ns (u64).
-        match get("rime_phase_modeled_ns", Some("sense")) {
-            MetricValue::Histogram(h) => assert_eq!(h.sum, 282),
+        let probe = ChipProbe::new(&reg, 2, None);
+        probe.extraction(CallTime {
+            keys: 3,
+            rearm_ns: 40,
+            sense_ns: 999,
+        });
+        // A call on an exhausted range: one rearm, no descent.
+        probe.extraction(CallTime {
+            keys: 0,
+            rearm_ns: 5,
+            sense_ns: 0,
+        });
+        let series: Vec<(String, u64, u64)> = reg
+            .snapshot()
+            .metrics
+            .iter()
+            .map(|m| {
+                assert_eq!(m.name, "rime_phase_wall_ns", "the probe prices nothing");
+                assert!(m.nondeterministic, "wall clock is masked");
+                assert_eq!(m.labels[0], ("chip".to_string(), "2".to_string()));
+                match &m.value {
+                    MetricValue::Histogram(h) => (m.labels[1].1.clone(), h.count, h.sum),
+                    other => panic!("{other:?}"),
+                }
+            })
+            .collect();
+        assert_eq!(
+            series,
+            [("rearm".to_string(), 2, 45), ("sense".to_string(), 2, 999)]
+        );
+
+        // Modeled time comes from the counters through the ledger: keys
+        // 5 and 3 part at bit 2, so one extract runs 62 column-search
+        // steps and one readout, priced 62 × 282.5 / 64 + 4.3 ns.
+        use rime_memristive::{Direction, KeyFormat};
+        let dev = crate::RimeDevice::new(crate::RimeConfig::small());
+        dev.enable_extraction_metrics();
+        let (region, fmt) = (dev.alloc(2).unwrap(), KeyFormat::UNSIGNED64);
+        dev.write_raw(region, 0, &[5, 3], fmt).unwrap();
+        dev.init_raw(region, 0, 2, fmt).unwrap();
+        let hit = dev.next_extreme_raw(region, fmt, Direction::Min);
+        assert_eq!(hit.unwrap(), Some((1, 3)));
+        let modeled = dev
+            .metrics_snapshot()
+            .metrics
+            .into_iter()
+            .find(|m| m.name == "rime_command_modeled_ns" && m.labels[0].1 == "extract");
+        match modeled.map(|m| m.value) {
+            Some(MetricValue::Histogram(h)) => assert_eq!((h.count, h.sum), (1, 277)),
             other => panic!("{other:?}"),
-        }
-        // Readout = one t_read at 4.3 ns → 4 ns.
-        match get("rime_phase_modeled_ns", Some("readout")) {
-            MetricValue::Histogram(h) => assert_eq!(h.sum, 4),
-            other => panic!("{other:?}"),
-        }
-        // Unpriced phase models zero but keeps its op count.
-        match get("rime_phase_modeled_ns", Some("exclude")) {
-            MetricValue::Histogram(h) => assert_eq!(h.sum, 0),
-            other => panic!("{other:?}"),
-        }
-        match get("rime_phase_ops_total", Some("exclude")) {
-            MetricValue::Counter(v) => assert_eq!(v, 10),
-            other => panic!("{other:?}"),
-        }
-        // Wall-clock(-derived) metrics carry the flag; modeled ones don't.
-        for m in &snap.metrics {
-            let wall = m.name.contains("wall_ns");
-            assert_eq!(m.nondeterministic, wall, "{}", m.name);
         }
     }
 

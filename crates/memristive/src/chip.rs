@@ -46,7 +46,7 @@ use crate::mat::{Mat, MatState};
 use crate::memo::MemoTree;
 use crate::plan::{Direction, SearchPlan};
 use crate::pool;
-use crate::probe::{timed, Phase, SharedProbe};
+use crate::probe::{SharedProbe, Stopwatch};
 
 /// Result of one in-situ min/max extraction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -109,8 +109,11 @@ pub struct Chip {
     geometry: ChipGeometry,
     mats: Vec<Option<Mat>>,
     tree: IndexTree,
-    /// Exclusion flags (CMOS latches, §VII-C — not wear-inducing).
-    excluded: Bitmap,
+    /// Exclusion flags (CMOS latches, §VII-C — not wear-inducing), one
+    /// bit per key slot, allocated by the chip's first extraction: a
+    /// Table I chip's flags are a 256 KiB bitmap, and a chip that never
+    /// ranks keeps none.
+    excluded: Option<Bitmap>,
     format: Option<KeyFormat>,
     range: Option<(u64, u64)>,
     counters: OpCounters,
@@ -129,7 +132,7 @@ pub struct Chip {
     /// heap layout alone, with no extra live data.
     auto_threads: usize,
     /// Extraction observer (rime-core's metrics layer). `None` keeps
-    /// every instrumented path free of clock reads.
+    /// every extraction call free of clock reads.
     probe: Option<SharedProbe>,
 }
 
@@ -159,7 +162,7 @@ impl Chip {
             geometry,
             mats: vec![None; mats],
             tree: IndexTree::new(mats, geometry.slots_per_mat()),
-            excluded: Bitmap::zeros(geometry.capacity_slots() as usize),
+            excluded: None,
             format: None,
             range: None,
             counters: OpCounters::new(),
@@ -170,10 +173,11 @@ impl Chip {
         }
     }
 
-    /// Installs (or removes) an extraction probe. Probes observe phase
-    /// timing and step counts — they never touch
-    /// [`OpCounters`], so results and counters are identical with or
-    /// without one. See [`crate::probe::ExtractionProbe`].
+    /// Installs (or removes) an extraction probe. A probe hears each
+    /// extraction call's host time once, read at the rearm/descent
+    /// boundaries; it never touches [`OpCounters`], so results and
+    /// counters are identical with or without one. See
+    /// [`crate::probe::ExtractionProbe`].
     pub fn set_probe(&mut self, probe: Option<SharedProbe>) {
         self.probe = probe;
     }
@@ -325,7 +329,9 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
-        self.excluded.clear_range(begin as usize, end as usize);
+        if let Some(flags) = &mut self.excluded {
+            flags.clear_range(begin as usize, end as usize);
+        }
         self.load_selection(begin, end);
         self.format = Some(format);
         self.range = Some((begin, end));
@@ -373,7 +379,9 @@ impl Chip {
         let span_slots = (last_mat - first_mat + 1) * per_mat;
         let mut membership = Bitmap::zeros(span_slots);
         membership.set_range(begin as usize - span_base, end as usize - span_base);
-        membership.and_not_assign(&self.excluded.slice(span_base, span_slots));
+        if let Some(flags) = &self.excluded {
+            membership.and_not_assign(&flags.slice(span_base, span_slots));
+        }
         membership
     }
 
@@ -393,15 +401,23 @@ impl Chip {
         }
     }
 
+    /// Flags `slot` excluded for later accesses, allocating the flags on
+    /// the chip's first extraction.
+    fn flag_excluded(&mut self, slot: u64) {
+        let slots = self.capacity() as usize;
+        self.excluded
+            .get_or_insert_with(|| Bitmap::zeros(slots))
+            .set(slot as usize, true);
+    }
+
     /// Number of not-yet-extracted keys in the active range.
     pub fn remaining(&self) -> u64 {
         match self.range {
             None => 0,
             Some((begin, end)) => {
-                let excluded = self
-                    .excluded
-                    .count_ones_in_range(begin as usize, end as usize)
-                    as u64;
+                let excluded = self.excluded.as_ref().map_or(0, |flags| {
+                    flags.count_ones_in_range(begin as usize, end as usize) as u64
+                });
                 end - begin - excluded
             }
         }
@@ -457,24 +473,20 @@ impl Chip {
         let plan = SearchPlan::new(format, direction);
 
         // Rearm the select vectors (range minus exclusion flags).
-        let probe = self.probe.clone();
-        let mut rearm_ns = 0u64;
-        timed(&probe, &mut rearm_ns, || self.load_selection(begin, end));
-        if let Some(p) = &probe {
-            p.phase(Phase::Rearm, rearm_ns, 1);
-        }
+        let mut watch = Stopwatch::start(self.probe.clone());
+        self.load_selection(begin, end);
+        watch.rearmed();
 
         let mut selected: u64 = 0;
         for mat in self.mats[first_mat..=last_mat].iter().flatten() {
             selected += mat.selected_count() as u64;
         }
-        if selected == 0 {
-            return Ok(None);
+        let hit = (selected > 0).then(|| self.converge_host(first_mat, last_mat, &plan, selected));
+        if hit.is_some() {
+            watch.descended();
         }
-
-        Ok(Some(
-            self.converge_host(first_mat, last_mat, &plan, selected),
-        ))
+        watch.finish();
+        Ok(hit)
     }
 
     /// Extracts up to `k` consecutive extremes from the active range — the
@@ -531,6 +543,8 @@ impl Chip {
         let per_mat = self.geometry.slots_per_mat() as usize;
         let span_base = (first_mat * per_mat) as u64;
 
+        // The call's setup times as part of its first rearm.
+        let mut watch = Stopwatch::start(self.probe.clone());
         // Host-side span membership, kept in sync as winners are
         // extracted so each rearm is a word-parallel latch instead of a
         // per-slot H-tree walk.
@@ -539,7 +553,6 @@ impl Chip {
 
         let mut selected = membership.count_ones() as u64;
         let mut hits = Vec::with_capacity(k.min(selected as usize));
-        let probe = self.probe.clone();
         // The memoized engine keeps each mat's descent for the whole
         // call; the walk re-senses every mat per key.
         let mut memo = self
@@ -558,18 +571,13 @@ impl Chip {
                 (Some(_), Some(mat)) => first_mat + mat..=first_mat + mat,
                 _ => first_mat..=last_mat,
             };
-            let mut rearm_ns = 0u64;
-            timed(&probe, &mut rearm_ns, || {
-                for idx in rearmed {
-                    self.mat_mut(idx as u32)
-                        .load_select_window(&membership, (idx - first_mat) * per_mat);
-                }
-            });
-            if let Some(p) = &probe {
-                p.phase(Phase::Rearm, rearm_ns, 1);
+            for idx in rearmed {
+                self.mat_mut(idx as u32)
+                    .load_select_window(&membership, (idx - first_mat) * per_mat);
             }
             self.counters.select_loads += 1;
             self.counters.htree_traversals += 1;
+            watch.rearmed();
 
             if selected == 0 {
                 break;
@@ -578,12 +586,14 @@ impl Chip {
                 Some(memo) => self.converge_memo(first_mat, last_mat, memo, dirty),
                 None => self.converge_host(first_mat, last_mat, &plan, selected),
             };
+            watch.descended();
             let span_slot = (hit.slot - span_base) as usize;
             membership.set(span_slot, false);
             selected -= 1;
             dirty = Some(span_slot / per_mat);
             hits.push(hit);
         }
+        watch.finish();
         Ok(hits)
     }
 
@@ -604,9 +614,6 @@ impl Chip {
         plan: &SearchPlan,
         mut selected: u64,
     ) -> ExtractHit {
-        let probe = self.probe.clone();
-        let (mut sense_ns, mut exclude_ns, mut reduce_ns, mut readout_ns) = (0u64, 0, 0, 0);
-        let mut exclusions = 0u64;
         let mut survivors_negative = false;
         let mut steps_executed = 0u16;
         for step in 0..plan.steps() {
@@ -617,9 +624,8 @@ impl Chip {
             let pos = plan.position(step);
 
             // Column search on every active mat; wire-OR the signals.
-            let (global, active_mats) = timed(&probe, &mut sense_ns, || {
-                sense_step(&self.mats[first_mat..=last_mat], pos, self.scalar_oracle)
-            });
+            let (global, active_mats) =
+                sense_step(&self.mats[first_mat..=last_mat], pos, self.scalar_oracle);
             self.counters.column_search_steps += 1;
             self.counters.mat_column_searches += active_mats;
 
@@ -631,55 +637,38 @@ impl Chip {
             // non-uniform across the whole selected set.
             if !global.all_same() {
                 let keep = plan.keep_bit(step, survivors_negative);
-                let removed = timed(&probe, &mut exclude_ns, || {
-                    exclude_step(
-                        &mut self.mats[first_mat..=last_mat],
-                        pos,
-                        keep,
-                        self.scalar_oracle,
-                    )
-                });
+                let removed = exclude_step(
+                    &mut self.mats[first_mat..=last_mat],
+                    pos,
+                    keep,
+                    self.scalar_oracle,
+                );
                 self.counters.select_loads += 1;
                 selected -= removed;
-                exclusions += 1;
-                if let Some(p) = &probe {
-                    p.excluded_step(removed);
-                }
             }
         }
 
         // Upstream index reduction (Fig. 10) over the span's leaves: the
         // caller cleared every select outside the span, so no other mat
         // can raise E.
-        let slot = timed(&probe, &mut reduce_ns, || {
-            let mats = &self.mats;
-            self.tree
-                .reduce_window(first_mat..=last_mat, |m| {
-                    mats[m].as_ref().and_then(Mat::first_selected)
-                })
-                .expect("non-empty selection must reduce to a winner")
-        });
+        let mats = &self.mats;
+        let slot = self
+            .tree
+            .reduce_window(first_mat..=last_mat, |m| {
+                mats[m].as_ref().and_then(Mat::first_selected)
+            })
+            .expect("non-empty selection must reduce to a winner");
         self.counters.htree_traversals += 1;
 
         // Read the winner out and flag it excluded for later accesses.
         let (mat, local) = self.geometry.split_slot(slot);
-        let raw_bits = timed(&probe, &mut readout_ns, || {
-            self.mats[mat as usize]
-                .as_ref()
-                .expect("winning mat is materialized")
-                .read_slot(local)
-        });
+        let raw_bits = self.mats[mat as usize]
+            .as_ref()
+            .expect("winning mat is materialized")
+            .read_slot(local);
         self.counters.row_reads += 1;
-        self.excluded.set(slot as usize, true);
+        self.flag_excluded(slot);
         self.counters.extractions += 1;
-
-        if let Some(p) = &probe {
-            p.phase(Phase::Sense, sense_ns, u64::from(steps_executed));
-            p.phase(Phase::Exclude, exclude_ns, exclusions);
-            p.phase(Phase::IndexReduce, reduce_ns, 1);
-            p.phase(Phase::Readout, readout_ns, 1);
-            p.extraction(steps_executed);
-        }
 
         ExtractHit {
             slot,
@@ -701,32 +690,23 @@ impl Chip {
         memo: &mut MemoTree,
         dirty: Option<usize>,
     ) -> ExtractHit {
-        let probe = self.probe.clone();
         let per_mat = self.geometry.slots_per_mat();
-        let scalar = self.scalar_oracle;
-        let mut sense_ns = 0u64;
-        timed(&probe, &mut sense_ns, || {
-            let leaves = match dirty {
-                Some(leaf) => leaf..=leaf,
-                None => 0..=last_mat - first_mat,
-            };
-            for leaf in leaves {
-                let mat = self.mats[first_mat + leaf]
-                    .as_mut()
-                    .expect("span mats are materialized");
-                memo.speculate(leaf, mat, leaf as u64 * per_mat, scalar);
-            }
-            match dirty {
-                Some(leaf) => memo.refold(leaf),
-                None => memo.fold_all(),
-            }
-        });
+        let leaves = match dirty {
+            Some(leaf) => leaf..=leaf,
+            None => 0..=last_mat - first_mat,
+        };
+        for leaf in leaves {
+            let mat = self.mats[first_mat + leaf]
+                .as_mut()
+                .expect("span mats are materialized");
+            memo.speculate(leaf, mat, leaf as u64 * per_mat, self.scalar_oracle);
+        }
+        match dirty {
+            Some(leaf) => memo.refold(leaf),
+            None => memo.fold_all(),
+        }
         let descent = memo
-            .descent(|removed| {
-                if let Some(p) = &probe {
-                    p.excluded_step(removed);
-                }
-            })
+            .descent()
             .expect("non-empty selection must reduce to a winner");
         self.counters.column_search_steps += u64::from(descent.steps);
         self.counters.mat_column_searches += descent.mat_searches;
@@ -737,18 +717,8 @@ impl Chip {
         self.counters.htree_traversals += 1;
         let slot = first_mat as u64 * per_mat + descent.winner.slot;
         self.counters.row_reads += 1;
-        self.excluded.set(slot as usize, true);
+        self.flag_excluded(slot);
         self.counters.extractions += 1;
-
-        if let Some(p) = &probe {
-            // The whole descent's wall time lands on Sense (it is
-            // overwhelmingly sensing); op counts are exact.
-            p.phase(Phase::Sense, sense_ns, u64::from(descent.steps));
-            p.phase(Phase::Exclude, 0, descent.exclusions);
-            p.phase(Phase::IndexReduce, 0, 1);
-            p.phase(Phase::Readout, 0, 1);
-            p.extraction(descent.steps);
-        }
 
         ExtractHit {
             slot,
@@ -766,7 +736,10 @@ impl Chip {
                 .iter()
                 .map(|m| m.as_ref().map(Mat::state))
                 .collect(),
-            excluded: self.excluded.clone(),
+            excluded: self
+                .excluded
+                .clone()
+                .unwrap_or_else(|| Bitmap::zeros(self.capacity() as usize)),
             format: self.format,
             range: self.range,
             counters: self.counters,
@@ -783,7 +756,7 @@ impl Chip {
     /// (a mat of the wrong shape, or an active range that is empty or
     /// runs past the chip's capacity).
     pub fn restore_state(&mut self, state: &ChipState) -> bool {
-        if state.mats.len() != self.mats.len() || state.excluded.len() != self.excluded.len() {
+        if state.mats.len() != self.mats.len() || state.excluded.len() as u64 != self.capacity() {
             return false;
         }
         if let Some((begin, end)) = state.range {
@@ -805,7 +778,7 @@ impl Chip {
         }
         self.mats = mats;
         self.tree = IndexTree::new(state.mats.len(), self.geometry.slots_per_mat());
-        self.excluded = state.excluded.clone();
+        self.excluded = Some(state.excluded.clone());
         self.format = state.format;
         self.range = state.range;
         self.counters = state.counters;
@@ -976,7 +949,12 @@ mod tests {
     fn exclusion_flags_persist_until_reinit() {
         let keys = [4u32, 2, 6];
         let mut chip = chip_with(&keys);
+        // The flags are allocated by the first extraction; a snapshot
+        // holds every slot's flag either way.
+        assert!(chip.excluded.is_none());
+        assert_eq!(chip.state().excluded.len() as u64, chip.capacity());
         assert_eq!(chip.extract(Direction::Min).unwrap().unwrap().raw_bits, 2);
+        assert_eq!(chip.state().excluded.count_ones(), 1);
         assert_eq!(chip.remaining(), 2);
         // Re-init rearms everything.
         chip.init_range(0, 3, KeyFormat::UNSIGNED32).unwrap();
@@ -1149,6 +1127,36 @@ mod tests {
                     assert_eq!(&hits, want_hits, "{policy:?}");
                     assert_eq!(chip.counters(), want_counters, "{policy:?}");
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn probe_hears_each_rearming_call_once_with_its_hits() {
+        // A two-mat range: `Auto` runs the memo engine, `Sequential`
+        // the walk, for batches and single extracts alike.
+        let keys: Vec<u32> = (0..40).map(|i| (i * 2654435761u64 % 997) as u32).collect();
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
+            let probe = std::sync::Arc::new(crate::probe::tests::Recording::default());
+            let mut chip = chip_with(&keys);
+            chip.set_parallel_policy(policy);
+            chip.set_probe(Some(probe.clone()));
+            let hits = [
+                chip.extract_batch(Direction::Min, 7).unwrap().len(),
+                usize::from(chip.extract(Direction::Min).unwrap().is_some()),
+                chip.extract_batch(Direction::Min, 100).unwrap().len(),
+                // The range is exhausted: each call still rearms once.
+                chip.extract_batch(Direction::Min, 5).unwrap().len(),
+                usize::from(chip.extract(Direction::Min).unwrap().is_some()),
+            ];
+            assert_eq!(hits, [7, 1, 32, 0, 0], "{policy:?}");
+            // A batch of zero rearms nothing and reports nothing.
+            assert!(chip.extract_batch(Direction::Min, 0).unwrap().is_empty());
+            let reports = probe.0.lock().unwrap();
+            let keys: Vec<usize> = reports.iter().map(|t| t.keys as usize).collect();
+            assert_eq!(keys, hits, "{policy:?}: one report per call, keys == hits");
+            for report in reports.iter().filter(|t| t.keys == 0) {
+                assert_eq!(report.sense_ns, 0, "{policy:?}: no descent, no sense time");
             }
         }
     }

@@ -29,8 +29,9 @@
 //!   [`ParallelPolicy::Auto`]: one descent trace per mat, folded up a
 //!   binary tree over the range's mats, so host work per key follows one
 //!   mat rather than the range's span.
-//! * [`probe`] — zero-cost-when-disabled observation hooks for extraction
-//!   phases (rime-core's metrics layer plugs in here).
+//! * [`probe`] — a zero-cost-when-disabled hook that hears each
+//!   extraction call's host time once (rime-core's metrics layer plugs
+//!   in here).
 //! * [`timing`] / [`counters`] — Table I device timings and energy, and
 //!   the typed event counters every operation increments.
 //! * [`lifetime`] — write-endurance tracking and lifetime estimation
@@ -101,7 +102,7 @@ pub use lifetime::EnduranceTracker;
 pub use mat::{Mat, MatCommand, MatResponse, MatState};
 pub use plan::{Direction, SearchPlan};
 pub use pool::{pool_calibration, PoolCalibration};
-pub use probe::{ExtractionProbe, Phase, SharedProbe};
+pub use probe::{CallTime, ExtractionProbe, Phase, SharedProbe};
 pub use selftest::{march_test, SelfTestReport};
 pub use storage::NormalStorageView;
 pub use timing::ArrayTiming;

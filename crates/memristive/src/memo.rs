@@ -306,9 +306,8 @@ impl MemoTree {
         parents[node].merge(&kids[0], &kids[1], &self.plan);
     }
 
-    /// The span's descent, read from the root; `on_exclusion` sees each
-    /// exclusion's removed rows in step order. `None` for an empty span.
-    pub(crate) fn descent(&self, mut on_exclusion: impl FnMut(u64)) -> Option<Descent> {
+    /// The span's descent, read from the root. `None` for an empty span.
+    pub(crate) fn descent(&self) -> Option<Descent> {
         let root = &self.nodes[1];
         let winner = root.survivor?;
         let mut selected = root.selected;
@@ -327,7 +326,6 @@ impl MemoTree {
             descent.mat_searches += u64::from(root.active[s]);
             if root.one & root.zero & (1 << step) != 0 {
                 descent.exclusions += 1;
-                on_exclusion(root.removed[s]);
                 selected -= root.removed[s];
             }
         }
@@ -430,7 +428,7 @@ mod tests {
                         memo.speculate(leaf, mat, leaf as u64 * 8, false);
                     }
                     memo.fold_all();
-                    let got = memo.descent(|_| {}).expect("nonempty range");
+                    let got = memo.descent().expect("nonempty range");
                     assert_eq!(got, want, "{keys:?} {format:?} {direction:?}");
                 }
             }
@@ -442,6 +440,6 @@ mod tests {
         let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
         let mut memo = MemoTree::new(3, plan);
         memo.fold_all();
-        assert_eq!(memo.descent(|_| {}), None);
+        assert_eq!(memo.descent(), None);
     }
 }

@@ -1,40 +1,36 @@
-//! Observation hooks for extraction phases.
+//! Observation hook for extraction calls.
 //!
 //! The chip model is deliberately free of any metrics dependency: higher
 //! layers (rime-core's metrics registry) implement [`ExtractionProbe`] and
 //! install it with [`crate::Chip::set_probe`]. When no probe is installed
-//! the instrumented paths take a single `Option` branch and perform **no**
-//! clock reads, so the functional model stays as fast as before PR 5.
+//! an extraction call takes a single `Option` branch and reads **no**
+//! clock.
 //!
-//! Two kinds of payload flow through a probe:
+//! A probe hears host time only, once per extraction call that rearmed
+//! the select vectors. The chip reads the clock once per phase boundary
+//! (rearm → descent → next rearm) into plain integers and reports the
+//! call's sums as one [`CallTime`]. Wall-clock nanoseconds measure the
+//! host simulation and are inherently non-deterministic; consumers must
+//! quarantine them from differential oracles (rime-core flags the
+//! derived metrics as such).
 //!
-//! - **Modeled quantities** (operation counts, step counts, rows removed
-//!   per exclusion) are derived from the bit-accurate simulation and are
-//!   deterministic for a fixed workload, under either
-//!   [`crate::ParallelPolicy`].
-//! - **Wall-clock nanoseconds** measure the host simulation and are
-//!   inherently non-deterministic; consumers must quarantine them from
-//!   differential oracles (rime-core flags the derived metrics as such).
-//!
-//! Probes never touch [`crate::OpCounters`] — the performance layer's
-//! source of truth is unchanged whether or not a probe is installed, which
-//! is what keeps counters bit-identical across scheduling policies.
+//! What the device *did* — column-search steps, mat senses, exclusions,
+//! readouts — is counted in [`crate::OpCounters`], which probes never
+//! touch: results and counters are bit-identical with or without one,
+//! and modeled device time is priced from the counters
+//! ([`crate::ArrayTiming::time_ns`]), not from probe reports.
 
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Phases of one extraction (Fig. 9 inner loop) plus select-vector rearm.
+/// The two host phases of an extraction call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
-    /// Bit-position sense: wire-OR column search across the active mats.
+    /// Descents: bit-serial column search with its exclusions, the
+    /// H-tree index reduction, and the winner's readout.
     Sense,
-    /// Exclusion: latch the match vector into the select latches.
-    Exclude,
-    /// H-tree index reduction locating the first selected slot.
-    IndexReduce,
-    /// Result readout of the winning row.
-    Readout,
-    /// Select-vector rearm between batch extractions (`rime_min_k`).
+    /// Select-vector rearm before each key (`rime_min_k`), including
+    /// the call's span membership setup.
     Rearm,
 }
 
@@ -43,103 +39,129 @@ impl Phase {
     pub fn label(self) -> &'static str {
         match self {
             Phase::Sense => "sense",
-            Phase::Exclude => "exclude",
-            Phase::IndexReduce => "index_reduce",
-            Phase::Readout => "readout",
             Phase::Rearm => "rearm",
         }
     }
 }
 
-/// Observer for chip extraction phases.
+/// Host time of one extraction call, summed over its keys.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct CallTime {
+    /// Keys the call extracted: exactly the hits it returned.
+    pub keys: u64,
+    /// Wall nanoseconds spent rearming select vectors ([`Phase::Rearm`]).
+    pub rearm_ns: u64,
+    /// Wall nanoseconds spent in descents ([`Phase::Sense`]).
+    pub sense_ns: u64,
+}
+
+/// Observer for chip extraction calls.
 ///
-/// All methods take `&self`: implementations are expected to be cheap,
-/// lock-free aggregators (atomics) held behind an `Arc`. Default
-/// implementations are no-ops so implementors can subscribe to a subset
-/// of the surface.
+/// Takes `&self`: implementations are expected to be cheap, lock-free
+/// aggregators (atomics) held behind an `Arc`.
 pub trait ExtractionProbe: Send + Sync {
-    /// One completed phase: total wall nanoseconds spent in the phase and
-    /// the number of device operations it performed (sense steps,
-    /// exclusion latches, reductions, readouts, or rearms).
-    fn phase(&self, _phase: Phase, _wall_ns: u64, _ops: u64) {}
-
-    /// One completed extraction and the column-search steps it took
-    /// (the paper's fixed per-key step count; 64 for `u64` keys).
-    fn extraction(&self, _steps: u16) {}
-
-    /// Rows deselected by a single exclusion step.
-    fn excluded_step(&self, _removed: u64) {}
+    /// One completed extraction call that rearmed at least once
+    /// (including a call on an exhausted range, which reports zero
+    /// keys).
+    fn extraction(&self, time: CallTime);
 }
 
 /// Shared probe handle as stored by [`crate::Chip`].
 pub type SharedProbe = Arc<dyn ExtractionProbe>;
 
-/// Runs `f`, adding its wall-clock duration to `acc` only when a probe is
-/// installed. The no-probe path performs no clock reads.
-#[inline]
-pub(crate) fn timed<T>(probe: &Option<SharedProbe>, acc: &mut u64, f: impl FnOnce() -> T) -> T {
-    if probe.is_some() {
-        let start = Instant::now();
-        let out = f();
-        *acc += u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        out
-    } else {
-        f()
+/// Times one extraction call's phases for an installed probe: one clock
+/// read at the start and one per phase boundary. Without a probe it
+/// holds `None` and every method is a branch.
+pub(crate) struct Stopwatch {
+    probe: Option<SharedProbe>,
+    last: Option<Instant>,
+    time: CallTime,
+}
+
+impl Stopwatch {
+    /// Starts timing a call, the first rearm included.
+    pub(crate) fn start(probe: Option<SharedProbe>) -> Stopwatch {
+        Stopwatch {
+            last: probe.as_ref().map(|_| Instant::now()),
+            probe,
+            time: CallTime::default(),
+        }
+    }
+
+    /// Nanoseconds since the previous boundary; `None` without a probe.
+    fn lap(&mut self) -> Option<u64> {
+        let last = self.last.as_mut()?;
+        let now = Instant::now();
+        let ns = now.duration_since(*last);
+        *last = now;
+        Some(u64::try_from(ns.as_nanos()).unwrap_or(u64::MAX))
+    }
+
+    /// Closes a rearm: a descent (or the call's end) starts now.
+    pub(crate) fn rearmed(&mut self) {
+        if let Some(ns) = self.lap() {
+            self.time.rearm_ns += ns;
+        }
+    }
+
+    /// Closes a descent that extracted one key.
+    pub(crate) fn descended(&mut self) {
+        if let Some(ns) = self.lap() {
+            self.time.sense_ns += ns;
+            self.time.keys += 1;
+        }
+    }
+
+    /// Reports the call to the probe, if one is installed.
+    pub(crate) fn finish(self) {
+        if let Some(probe) = self.probe {
+            probe.extraction(self.time);
+        }
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::sync::Mutex;
 
+    /// Records every report, in call order.
     #[derive(Default)]
-    struct CountingProbe {
-        phases: AtomicU64,
-        extractions: AtomicU64,
-    }
+    pub(crate) struct Recording(pub(crate) Mutex<Vec<CallTime>>);
 
-    impl ExtractionProbe for CountingProbe {
-        fn phase(&self, _phase: Phase, _wall_ns: u64, ops: u64) {
-            self.phases.fetch_add(ops, Ordering::Relaxed);
-        }
-        fn extraction(&self, _steps: u16) {
-            self.extractions.fetch_add(1, Ordering::Relaxed);
+    impl ExtractionProbe for Recording {
+        fn extraction(&self, time: CallTime) {
+            self.0.lock().unwrap().push(time);
         }
     }
 
     #[test]
     fn labels_are_stable() {
         assert_eq!(Phase::Sense.label(), "sense");
-        assert_eq!(Phase::Exclude.label(), "exclude");
-        assert_eq!(Phase::IndexReduce.label(), "index_reduce");
-        assert_eq!(Phase::Readout.label(), "readout");
         assert_eq!(Phase::Rearm.label(), "rearm");
     }
 
     #[test]
-    fn timed_accumulates_only_with_probe() {
-        let mut acc = 0u64;
-        let none: Option<SharedProbe> = None;
-        assert_eq!(timed(&none, &mut acc, || 7), 7);
-        assert_eq!(acc, 0);
+    fn stopwatch_times_only_with_a_probe() {
+        let mut quiet = Stopwatch::start(None);
+        assert!(quiet.last.is_none(), "no probe, no clock read");
+        quiet.rearmed();
+        quiet.descended();
+        assert_eq!(quiet.time, CallTime::default());
+        quiet.finish();
 
-        let probe: Option<SharedProbe> = Some(Arc::new(CountingProbe::default()));
-        let out = timed(&probe, &mut acc, || {
+        let probe = Arc::new(Recording::default());
+        let mut watch = Stopwatch::start(Some(probe.clone()));
+        for _ in 0..2 {
+            watch.rearmed();
             std::thread::sleep(std::time::Duration::from_millis(1));
-            42
-        });
-        assert_eq!(out, 42);
-        assert!(acc > 0);
-    }
-
-    #[test]
-    fn default_methods_are_noops() {
-        struct Quiet;
-        impl ExtractionProbe for Quiet {}
-        let q = Quiet;
-        q.phase(Phase::Sense, 1, 1);
-        q.extraction(3);
-        q.excluded_step(2);
+            watch.descended();
+        }
+        watch.rearmed();
+        watch.finish();
+        let reports = probe.0.lock().unwrap();
+        assert_eq!(reports.len(), 1, "one report per call");
+        assert_eq!(reports[0].keys, 2);
+        assert!(reports[0].sense_ns >= 2_000_000);
     }
 }

@@ -12,11 +12,9 @@
 //! same tenants would have seen issuing serial `Extract`s, which
 //! return `None` past exhaustion.
 //!
-//! Posting is also where the per-tenant SLO burn-rate window is
-//! advanced: when more than 1% of a [`SLO_WINDOW`]-completion window
-//! exceeds [`crate::ServiceConfig::slo_p99_ns`], the flight recorder is
-//! dumped with the breaching tenant in the reason — the latency spike
-//! ships with its causal context.
+//! Posting is also where each completion's submit-to-post latency is
+//! observed (`rime_service_latency_ns`); the latency's causal breakdown
+//! is recorded at reap time (see `session`).
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,12 +23,6 @@ use rime_core::{Outcome, RimeError};
 
 use crate::fusion::WorkItem;
 use crate::session::{Completion, CqTrace, SessionShared};
-use crate::ServiceInner;
-
-/// Completions per SLO burn-rate evaluation window. Sized for a p99
-/// budget: one bad completion in a window is within SLO, two or more
-/// (>1%) breach it.
-pub(crate) const SLO_WINDOW: u64 = 128;
 
 /// One completed command on its way back to a tenant CQ.
 #[derive(Debug)]
@@ -81,11 +73,7 @@ pub(crate) fn fan_out(
 /// one lock + notify per tenant. Latency is observed here (submit →
 /// post), so queueing delay introduced by coalescing is part of the
 /// measured tail.
-pub(crate) fn post(
-    inner: &ServiceInner,
-    sessions: &[Arc<SessionShared>],
-    mut completed: Vec<Completed>,
-) {
+pub(crate) fn post(sessions: &[Arc<SessionShared>], mut completed: Vec<Completed>) {
     // (tenant, ordinal) pairs are unique, so unstable sorting is
     // observably identical and skips the stable sort's allocation.
     completed.sort_unstable_by_key(|c| (c.tenant, c.ordinal));
@@ -97,26 +85,12 @@ pub(crate) fn post(
         rest = tail;
         let session = &sessions[tenant];
         let now = Instant::now();
-        let mut slo_dump = false;
         let mut state = session.lock();
         debug_assert!(state.in_flight >= batch.len(), "in-flight accounting");
         state.in_flight -= batch.len().min(state.in_flight);
         for c in batch {
             let latency = now.duration_since(c.enqueued).as_nanos() as u64;
             session.metrics.latency.observe(latency);
-            if let Some(slo) = inner.config.slo_p99_ns {
-                state.slo_window += 1;
-                if latency > slo {
-                    state.slo_over += 1;
-                    session.metrics.slo_breach.inc();
-                }
-                if state.slo_window >= SLO_WINDOW {
-                    // p99 budget: >1% of the window over SLO is a burn.
-                    slo_dump |= state.slo_over * 100 > state.slo_window;
-                    state.slo_window = 0;
-                    state.slo_over = 0;
-                }
-            }
             state.cq.push_back((
                 Completion {
                     ordinal: c.ordinal,
@@ -128,11 +102,5 @@ pub(crate) fn post(
         drop(state);
         session.metrics.completions.add(batch.len() as u64);
         session.cv.notify_all();
-        if slo_dump {
-            if let Some(flight) = &inner.flight {
-                let _ = flight.dump(&format!("slo-breach-tenant-{tenant}"));
-                inner.metrics.flight_dumps.inc();
-            }
-        }
     }
 }

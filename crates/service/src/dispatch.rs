@@ -30,6 +30,7 @@ use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
 use std::time::Instant;
 
+use rime_core::flight::dur_ns as ns;
 use rime_core::{Command, Executor, FlightRecorder, PhaseTag};
 
 use crate::completion::{self, Completed};
@@ -38,14 +39,6 @@ use crate::ring::Wakeup;
 use crate::scheduler;
 use crate::session::{CqTrace, Submission};
 use crate::ServiceInner;
-
-/// Saturating `Duration` → nanoseconds without the 128-bit `as_nanos`
-/// detour; this runs several times per traced command.
-fn ns(d: std::time::Duration) -> u64 {
-    d.as_secs()
-        .saturating_mul(1_000_000_000)
-        .saturating_add(u64::from(d.subsec_nanos()))
-}
 
 /// Trace context one wave's units execute under: the recorder, the
 /// pass's drain timestamp (start of every queue-wait span), and the
@@ -190,7 +183,7 @@ pub(crate) fn pass(inner: &ServiceInner) -> usize {
         }
     }
 
-    completion::post(inner, &sessions, completed);
+    completion::post(&sessions, completed);
     total
 }
 
@@ -255,11 +248,10 @@ fn run_unit(exec: &Executor, unit: WorkUnit, fp: Option<&FlightPass<'_>>) -> Vec
                     let done = Instant::now();
                     let (queue_wait_ns, queue_phase, dispatch_ns) =
                         fp.unit_phases(start, done, true);
-                    let start_ns = fp.recorder.ns_since(start);
                     fp.recorder.record_fused(
                         fused,
-                        Some((start_ns, dispatch_ns)),
-                        start_ns,
+                        fp.recorder.ns_since(start),
+                        dispatch_ns,
                         members.iter().filter_map(|m| {
                             m.trace.map(|t| (t.ctx.span, m.tenant as u32, m.ordinal))
                         }),

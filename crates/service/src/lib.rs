@@ -77,18 +77,12 @@ pub struct ServiceConfig {
     pub queue_depth: usize,
     /// Maximum members of one fused `ExtractBatch`. At `1` there is no
     /// cross-tenant fusion: every command dispatches individually — the
-    /// naive baseline the benchmark compares against.
+    /// naive baseline the determinism tests compare against.
     pub max_fuse: usize,
     /// Deficit-round-robin quantum: commands a tenant may release per
     /// turn. Larger quanta keep same-tenant runs adjacent (deeper
     /// fusion); smaller quanta interleave tenants more finely.
     pub drr_quantum: u64,
-    /// Per-request latency SLO in nanoseconds, evaluated as a p99
-    /// burn rate per tenant: when more than 1% of a 128-completion
-    /// window exceeds this budget, the flight recorder (if attached)
-    /// dumps a snapshot tagged with the breaching tenant. `None`
-    /// disables SLO monitoring.
-    pub slo_p99_ns: Option<u64>,
 }
 
 impl Default for ServiceConfig {
@@ -97,7 +91,6 @@ impl Default for ServiceConfig {
             queue_depth: 64,
             max_fuse: 64,
             drr_quantum: 8,
-            slo_p99_ns: None,
         }
     }
 }
@@ -158,9 +151,8 @@ impl RankingService {
     /// Service metrics register on the executor's registry, so one
     /// snapshot covers device and service.
     pub fn new(exec: Arc<Executor>, config: ServiceConfig) -> RankingService {
-        // Adopt a recorder already attached to the executor (e.g. by
-        // `Executor::recover_traced`) so service and device spans land
-        // in the same ring.
+        // Adopt a recorder already attached to the executor so service
+        // and device spans land in the same ring.
         let flight = exec.flight_recorder().cloned();
         RankingService::build(exec, config, flight)
     }

@@ -45,8 +45,6 @@ pub(crate) struct ServiceMetrics {
     /// Per-phase latency attribution histograms, indexed parallel to
     /// [`ATTRIBUTION_PHASES`]. Wall-clock, so nondeterministic.
     pub attribution: Vec<Histogram>,
-    /// Anomaly-triggered flight-recorder dumps taken (SLO breaches).
-    pub flight_dumps: Counter,
 }
 
 impl ServiceMetrics {
@@ -99,12 +97,6 @@ impl ServiceMetrics {
                     )
                 })
                 .collect(),
-            flight_dumps: registry.counter_with(
-                "rime_service_flight_dumps_total",
-                &[],
-                "Anomaly-triggered flight recorder dumps",
-                true,
-            ),
         }
     }
 }
@@ -215,8 +207,6 @@ pub(crate) struct TenantMetrics {
     pub busy: Counter,
     /// Submit-to-completion-post latency in wall-clock nanoseconds.
     pub latency: Histogram,
-    /// Completions whose latency exceeded [`crate::ServiceConfig::slo_p99_ns`].
-    pub slo_breach: Counter,
 }
 
 impl TenantMetrics {
@@ -245,12 +235,6 @@ impl TenantMetrics {
                 "rime_service_latency_ns",
                 labels,
                 "Submit-to-completion latency (wall clock, ns)",
-                true,
-            ),
-            slo_breach: registry.counter_with(
-                "rime_service_slo_breach_total",
-                labels,
-                "Completions whose submit-to-post latency exceeded the p99 SLO budget",
                 true,
             ),
         }

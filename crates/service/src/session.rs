@@ -11,19 +11,12 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
+use rime_core::flight::dur_ns as ns;
 use rime_core::{Command, Outcome, PhaseTag, RimeError, TraceCtx};
 
 use crate::admission;
 use crate::metrics::{AttrShard, TenantMetrics};
 use crate::ServiceInner;
-
-/// Saturating `Duration` → nanoseconds without the 128-bit `as_nanos`
-/// detour; this runs on every traced reap.
-fn ns(d: std::time::Duration) -> u64 {
-    d.as_secs()
-        .saturating_mul(1_000_000_000)
-        .saturating_add(u64::from(d.subsec_nanos()))
-}
 
 /// Why a submission was not accepted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -159,10 +152,6 @@ pub(crate) struct SessionState {
     /// attached only); [`Completion`] itself is unchanged so tenant
     /// code is oblivious.
     pub(crate) cq: VecDeque<(Completion, Option<CqTrace>)>,
-    /// Completions seen in the current SLO burn-rate window.
-    pub(crate) slo_window: u64,
-    /// Of those, completions over the p99 SLO budget.
-    pub(crate) slo_over: u64,
     /// Commands taken from the SQ but not yet posted to the CQ.
     pub(crate) in_flight: usize,
     /// Next ordinal to assign at submit.

@@ -90,118 +90,138 @@ fn counter_value(exec: &Executor, name: &str) -> u64 {
         .sum()
 }
 
-/// One tenant per extract, submitted in tenant order; returns each
-/// tenant's single completion after one pass.
-fn fan_extracts(service: &RankingService, region: Region, tenants: usize) -> Vec<Completion> {
+/// `tenants` sessions each submit `per_tenant` extracts, in tenant
+/// order, before one pass; returns every completion, tenant by tenant.
+fn fan_extracts(
+    service: &RankingService,
+    region: Region,
+    tenants: usize,
+    per_tenant: usize,
+) -> Vec<Completion> {
     let sessions: Vec<SessionHandle> = (0..tenants).map(|_| service.session()).collect();
     for s in &sessions {
-        s.submit(extract(region)).expect("extract");
+        for _ in 0..per_tenant {
+            s.submit(extract(region)).expect("extract");
+        }
     }
-    assert_eq!(service.process_pending(), tenants);
+    assert_eq!(service.process_pending(), tenants * per_tenant);
     sessions
         .iter()
-        .map(|s| {
-            let mut got = s.reap(8);
-            assert_eq!(got.len(), 1, "one completion per tenant");
-            got.pop().expect("len checked")
+        .flat_map(|s| {
+            let got = s.reap(per_tenant + 1);
+            assert_eq!(got.len(), per_tenant, "every extract completes");
+            got
         })
         .collect()
 }
 
 #[test]
 fn fused_batch_is_bit_identical_to_direct_extract_batch() {
-    let (n, k) = (64usize, 8usize);
+    // (tenants, extracts per tenant, region keys, and the pinned
+    // drained / fused-batch / fused-command counters). Setup drains
+    // three commands; at `max_fuse` 64, 8 × 64 extracts fuse into eight
+    // full batches — the saturated shape of the open-loop service bench.
+    for (tenants, per_tenant, n, drained, batches, fused_commands) in [
+        (8usize, 1usize, 64usize, 11, 1, 8),
+        (8, 64, 512, 515, 8, 512),
+    ] {
+        let k = tenants * per_tenant;
+        let max_fuse = ServiceConfig::default().max_fuse;
 
-    // Arm 1: direct executor issuing the equivalent ExtractBatch.
-    let direct = Executor::new(RimeConfig::small());
-    let region = match direct.execute(Command::Alloc { len: n as u64 }) {
-        Ok(Outcome::Region(r)) => r,
-        other => panic!("alloc: {other:?}"),
-    };
-    direct
-        .execute(Command::Write {
-            region,
-            offset: 0,
-            raw: Cow::Owned(keys(n)),
-            format: FMT,
-        })
-        .expect("write");
-    direct
-        .execute(Command::Init {
-            region,
-            offset: 0,
-            len: n as u64,
-            format: FMT,
-        })
-        .expect("init");
-    let direct_hits = match direct.execute(Command::ExtractBatch {
-        region,
-        format: FMT,
-        direction: Direction::Min,
-        k,
-    }) {
-        Ok(Outcome::Hits(hits)) => hits,
-        other => panic!("batch: {other:?}"),
-    };
-    assert_eq!(direct_hits.len(), k);
+        // Arm 1: direct executor issuing the equivalent ExtractBatches.
+        let direct = Executor::new(RimeConfig::small());
+        let region = match direct.execute(Command::Alloc { len: n as u64 }) {
+            Ok(Outcome::Region(r)) => r,
+            other => panic!("alloc: {other:?}"),
+        };
+        direct
+            .execute(Command::Write {
+                region,
+                offset: 0,
+                raw: Cow::Owned(keys(n)),
+                format: FMT,
+            })
+            .expect("write");
+        direct
+            .execute(Command::Init {
+                region,
+                offset: 0,
+                len: n as u64,
+                format: FMT,
+            })
+            .expect("init");
+        let mut direct_hits = Vec::with_capacity(k);
+        for _ in 0..k.div_ceil(max_fuse) {
+            match direct.execute(Command::ExtractBatch {
+                region,
+                format: FMT,
+                direction: Direction::Min,
+                k: max_fuse.min(k),
+            }) {
+                Ok(Outcome::Hits(hits)) => direct_hits.extend(hits),
+                other => panic!("batch: {other:?}"),
+            }
+        }
+        assert_eq!(direct_hits.len(), k);
 
-    // Arm 2: fused service — k tenants, one Extract each, one pass.
-    let fused = RankingService::with_device(RimeConfig::small(), ServiceConfig::default());
-    let setup = fused.session();
-    let fregion = setup_region(&fused, &setup, n);
-    let fused_results = fan_extracts(&fused, fregion, k);
+        // Arm 2: fused service — every tenant's extracts in one pass.
+        let fused = RankingService::with_device(RimeConfig::small(), ServiceConfig::default());
+        let setup = fused.session();
+        let fregion = setup_region(&fused, &setup, n);
+        let fused_results = fan_extracts(&fused, fregion, tenants, per_tenant);
 
-    // Arm 3: naive service — identical submission history, fusion off.
-    let naive = RankingService::with_device(
-        RimeConfig::small(),
-        ServiceConfig {
-            max_fuse: 1,
-            ..ServiceConfig::default()
-        },
-    );
-    let nsetup = naive.session();
-    let nregion = setup_region(&naive, &nsetup, n);
-    let naive_results = fan_extracts(&naive, nregion, k);
+        // Arm 3: naive service — identical submission history, fusion off.
+        let naive = RankingService::with_device(
+            RimeConfig::small(),
+            ServiceConfig {
+                max_fuse: 1,
+                ..ServiceConfig::default()
+            },
+        );
+        let nsetup = naive.session();
+        let nregion = setup_region(&naive, &nsetup, n);
+        let naive_results = fan_extracts(&naive, nregion, tenants, per_tenant);
 
-    // Fusion must not change any tenant's answer.
-    assert_eq!(fused_results, naive_results, "fused == naive per tenant");
+        // Fusion must not change any tenant's answer.
+        assert_eq!(fused_results, naive_results, "fused == naive per tenant");
 
-    // The fused pass really was one batch of k.
-    assert_eq!(
-        counter_value(fused.executor(), "rime_service_fused_batches_total"),
-        1
-    );
-    assert_eq!(
-        counter_value(fused.executor(), "rime_service_fused_commands_total"),
-        k as u64
-    );
+        // The pass drained everything and fused it into full batches.
+        let exec = fused.executor();
+        assert_eq!(
+            [
+                counter_value(exec, "rime_service_drained_total"),
+                counter_value(exec, "rime_service_fused_batches_total"),
+                counter_value(exec, "rime_service_fused_commands_total"),
+            ],
+            [drained, batches, fused_commands],
+            "{tenants} tenants × {per_tenant}"
+        );
 
-    // Same extremes as the direct batch: successive minima are unique
-    // here, so sorting the per-tenant hits by raw bits must reproduce
-    // the batch's extraction order exactly.
-    let mut fused_hits: Vec<(u64, u64)> = fused_results
-        .iter()
-        .map(|c| match &c.result {
-            Ok(Outcome::Hit(Some(hit))) => *hit,
-            other => panic!("expected a hit, got {other:?}"),
-        })
-        .collect();
-    fused_hits.sort_by_key(|&(_, raw)| raw);
-    assert_eq!(fused_hits, direct_hits, "same hits as the direct batch");
+        // Every extract hit, with the direct batches' extremes:
+        // successive minima are unique here, so sorting the per-tenant
+        // hits by raw bits must reproduce the extraction order exactly.
+        let mut fused_hits: Vec<(u64, u64)> = fused_results
+            .iter()
+            .map(|c| match &c.result {
+                Ok(Outcome::Hit(Some(hit))) => *hit,
+                other => panic!("expected a hit, got {other:?}"),
+            })
+            .collect();
+        fused_hits.sort_by_key(|&(_, raw)| raw);
+        assert_eq!(fused_hits, direct_hits, "same hits as the direct batches");
 
-    // Bit-identical device effects: the fused arm executed exactly
-    // [Alloc, Write, Init, ExtractBatch{k}] — the direct arm's stream.
-    assert_eq!(fused.executor().counters(), direct.counters(), "OpCounters");
-    assert_eq!(
-        fused.executor().per_chip_counters(),
-        direct.per_chip_counters(),
-        "per-chip OpCounters"
-    );
-    assert_eq!(
-        fused.executor().interface_transfers(),
-        direct.interface_transfers()
-    );
-    assert_eq!(fused.executor().chip_states(), direct.chip_states());
+        // Bit-identical device effects: the fused arm executed exactly
+        // [Alloc, Write, Init, ExtractBatch{..}, ...] — the direct arm's
+        // stream.
+        assert_eq!(exec.counters(), direct.counters(), "OpCounters");
+        assert_eq!(
+            exec.per_chip_counters(),
+            direct.per_chip_counters(),
+            "per-chip OpCounters"
+        );
+        assert_eq!(exec.interface_transfers(), direct.interface_transfers());
+        assert_eq!(exec.chip_states(), direct.chip_states());
+    }
 }
 
 #[test]
@@ -212,7 +232,7 @@ fn fused_exhaustion_hands_overflow_members_none() {
     let fused = RankingService::with_device(RimeConfig::small(), ServiceConfig::default());
     let setup = fused.session();
     let region = setup_region(&fused, &setup, n);
-    let fused_results = fan_extracts(&fused, region, tenants);
+    let fused_results = fan_extracts(&fused, region, tenants, 1);
 
     let naive = RankingService::with_device(
         RimeConfig::small(),
@@ -223,7 +243,7 @@ fn fused_exhaustion_hands_overflow_members_none() {
     );
     let nsetup = naive.session();
     let nregion = setup_region(&naive, &nsetup, n);
-    let naive_results = fan_extracts(&naive, nregion, tenants);
+    let naive_results = fan_extracts(&naive, nregion, tenants, 1);
 
     assert_eq!(fused_results, naive_results, "fused == naive per tenant");
     let somes = fused_results

@@ -160,41 +160,37 @@ fn masked_run(policy: ParallelPolicy) -> (String, rime_core::Snapshot, rime_core
 /// Regression for an observability gap: the committed bench snapshots
 /// are *masked* (nondeterministic series zeroed), which once hid that a
 /// family of wall-clock probes never fired. Pin the unmasked truth for
-/// the extraction phases: a batch lands nonzero sense wall time and one
-/// rearm per key, and masking zeroes the wall time but keeps the counts
-/// of modeled series.
+/// the extraction phases: a batch lands nonzero sense and rearm wall
+/// time, the chips rearm once per key (read from `OpCounters`, where
+/// the device's work is counted), and masking zeroes the wall time but
+/// keeps the modeled op counts.
 #[test]
 fn extraction_lands_nonzero_wall_clock_metrics() {
     let (_, snapshot, counters) = masked_run(ParallelPolicy::Auto);
-    let phase = |name: &str, phase: &str| {
-        snapshot
+    for phase in ["sense", "rearm"] {
+        let (count, sum) = snapshot
             .metrics
             .iter()
-            .filter(|m| m.name == name && m.labels.iter().any(|(k, v)| k == "phase" && v == phase))
-            .map(|m| (m.value.clone(), m.nondeterministic))
-            .collect::<Vec<_>>()
-    };
-    let sense = phase("rime_phase_wall_ns", "sense");
-    assert!(!sense.is_empty(), "sense wall time registered");
-    let (count, sum) = sense.iter().fold((0, 0), |(c, t), (v, nondet)| {
-        assert!(nondet, "wall time is flagged nondeterministic");
-        match v {
-            MetricValue::Histogram(h) => (c + h.count, t + h.sum),
-            other => panic!("sense wall time is not a histogram: {other:?}"),
-        }
-    });
-    assert!(
-        count > 0 && sum > 0,
-        "extraction recorded no sense wall time"
-    );
-    let rearms: u64 = phase("rime_phase_ops_total", "rearm")
-        .iter()
-        .map(|(v, _)| match v {
-            MetricValue::Counter(c) => *c,
-            other => panic!("{other:?}"),
-        })
-        .sum();
-    // Each chip prefills its own queue, so count the chips' keys.
+            .filter(|m| {
+                m.name == "rime_phase_wall_ns"
+                    && m.labels.iter().any(|(k, v)| k == "phase" && v == phase)
+            })
+            .fold((0, 0), |(c, t), m| {
+                assert!(m.nondeterministic, "wall time is flagged nondeterministic");
+                match &m.value {
+                    MetricValue::Histogram(h) => (c + h.count, t + h.sum),
+                    other => panic!("{phase} wall time is not a histogram: {other:?}"),
+                }
+            });
+        assert!(
+            count > 0 && sum > 0,
+            "extraction recorded no {phase} wall time"
+        );
+    }
+    // Every rearm and every index reduction walks the H-tree once, and
+    // so does each `init`; what is left is one rearm per extracted key
+    // (no call here ran its range dry).
+    let rearms = counters.htree_traversals - counters.extractions - counters.init_ops;
     assert_eq!(rearms, counters.extractions, "one rearm per extracted key");
 
     // Masking — the determinism contract — zeroes the wall time and
@@ -203,7 +199,7 @@ fn extraction_lands_nonzero_wall_clock_metrics() {
     for (m, live) in masked.metrics.iter().zip(&snapshot.metrics) {
         match (m.name.as_str(), &m.value) {
             ("rime_phase_wall_ns", MetricValue::Histogram(h)) => assert_eq!(h.count, 0),
-            ("rime_phase_ops_total", value) => assert_eq!(value, &live.value),
+            ("rime_chip_ops_total", value) => assert_eq!(value, &live.value),
             _ => {}
         }
     }
