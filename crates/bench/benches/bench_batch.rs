@@ -15,10 +15,14 @@
 //! (the memoized engine) and `Sequential` (the full walk). Each
 //! iteration extracts 2048 keys, so µs/key is the reported mean divided
 //! by 2048. Before the timed rows, every span drains three times under
-//! each policy, and the bench exits nonzero if `Auto`'s hits or any
-//! `OpCounters` field differ from `Sequential`'s, or if `Auto`'s best
-//! drain runs below 2× `Sequential`'s keys/s at 64 or 128 mats. Run it
-//! with `cargo bench -p rime-bench --bench bench_batch -- --quick`.
+//! each policy, plus one cross-call drain on a copy of the chip: calls
+//! of 1, 16 and 256 keys in turn, with a `store_keys` into one span mat
+//! and an `init_range` of the region halfway through, so `Auto` keeps
+//! its memo tree across calls and across a write. The bench exits
+//! nonzero if `Auto`'s hits or any `OpCounters` field differ from
+//! `Sequential`'s in either drain, or if `Auto`'s best drain runs below
+//! 2× `Sequential`'s keys/s at 64 or 128 mats. Run it with
+//! `cargo bench -p rime-bench --bench bench_batch -- --quick`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rime_core::{ops, RimeConfig, RimeDevice};
@@ -130,6 +134,44 @@ fn gate_drains(
     (hits, *chip.counters(), best)
 }
 
+/// Call sizes of the cross-call drain, used in turn.
+const CROSS_CALL_KS: [usize; 3] = [1, 16, 256];
+
+/// The cross-call drain of `[0, n)` under `policy`, on a copy of `chip`:
+/// calls of [`CROSS_CALL_KS`] keys in turn until [`KEYS_OUT`] keys are
+/// out. Once half are out, 256 new keys land in the span's middle mat
+/// and the region is re-initialized. Returns the hits and the drain's
+/// counters.
+fn cross_call_drain(chip: &Chip, n: u64, policy: ParallelPolicy) -> (Vec<ExtractHit>, OpCounters) {
+    let mut chip = chip.clone();
+    chip.set_parallel_policy(policy);
+    chip.reset_counters();
+    chip.init_range(0, n, KeyFormat::UNSIGNED64).unwrap();
+    let per_mat = chip.geometry().slots_per_mat();
+    let written: Vec<u64> = (0..256u64)
+        .map(|i| i.wrapping_mul(0x2545F4914F6CDD1D) >> 8)
+        .collect();
+    let mut hits = Vec::with_capacity(KEYS_OUT);
+    let mut rewritten = false;
+    for k in CROSS_CALL_KS.iter().cycle() {
+        if hits.len() >= KEYS_OUT {
+            break;
+        }
+        if !rewritten && hits.len() >= KEYS_OUT / 2 {
+            let middle = n / per_mat / 2 * per_mat;
+            chip.store_keys(middle, &written, KeyFormat::UNSIGNED64)
+                .unwrap();
+            chip.init_range(0, n, KeyFormat::UNSIGNED64).unwrap();
+            rewritten = true;
+        }
+        hits.extend(
+            chip.extract_range_batch(0, n, KeyFormat::UNSIGNED64, Direction::Min, *k)
+                .unwrap(),
+        );
+    }
+    (hits, *chip.counters())
+}
+
 fn bench_table1_span(c: &mut Criterion) {
     let mut group = c.benchmark_group("chip_span_table1");
     let geometry = ChipGeometry::table1();
@@ -159,6 +201,18 @@ fn bench_table1_span(c: &mut Criterion) {
                 "Auto counters differ from Sequential at {mats} mats: {auto_counters:?} vs {seq_counters:?}"
             ));
         }
+        let (auto_hits, auto_counters) = cross_call_drain(&chip, n, ParallelPolicy::Auto);
+        let (seq_hits, seq_counters) = cross_call_drain(&chip, n, ParallelPolicy::Sequential);
+        if auto_hits != seq_hits {
+            failures.push(format!(
+                "Auto cross-call hits differ from Sequential at {mats} mats"
+            ));
+        }
+        if auto_counters != seq_counters {
+            failures.push(format!(
+                "Auto cross-call counters differ from Sequential at {mats} mats: {auto_counters:?} vs {seq_counters:?}"
+            ));
+        }
         if mats >= AUTO_FLOOR_MATS && speedup < AUTO_FLOOR {
             failures.push(format!(
                 "Auto runs {speedup:.2}× Sequential's keys/s at {mats} mats (floor {AUTO_FLOOR}×)"
@@ -178,7 +232,7 @@ fn bench_table1_span(c: &mut Criterion) {
         }
         std::process::exit(1);
     }
-    println!("chip_span_table1 gate: Auto matches Sequential at every span and clears {AUTO_FLOOR}× from {AUTO_FLOOR_MATS} mats");
+    println!("chip_span_table1 gate: Auto matches Sequential at every span, within and across calls, and clears {AUTO_FLOOR}× from {AUTO_FLOOR_MATS} mats");
 }
 
 fn bench_device_batch(c: &mut Criterion) {

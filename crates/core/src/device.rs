@@ -456,10 +456,10 @@ impl RimeDevice {
 
     /// Sets every chip's mat fan-out policy (model-execution knob; see
     /// [`ParallelPolicy`] — results and counters are unaffected).
-    /// `Auto` (the default) memoizes each mat's descent for the length
-    /// of an extraction call and folds the traces up a tree over the
-    /// range's mats; `Sequential` is the full walk `Auto` is checked
-    /// against. Both run on the calling thread. Independent of this knob, multi-chip batched commands dispatch
+    /// `Auto` (the default) keeps each mat's resumable descent across
+    /// extraction calls and folds the traces up a tree over the range's
+    /// mats; `Sequential` is the full walk `Auto` is checked against.
+    /// Both run on the calling thread. Independent of this knob, multi-chip batched commands dispatch
     /// each chip's prefill on its own thread with a deterministic
     /// chip-order merge (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {

@@ -217,6 +217,16 @@ impl Array {
         self.selected = self.select.count_ones();
     }
 
+    /// Latches select words saved from this array's [`Array::select`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word count differs.
+    pub(crate) fn load_select_words(&mut self, words: &[u64]) {
+        self.select.copy_words_from(words);
+        self.selected = self.select.count_ones();
+    }
+
     /// Sets or clears one select latch.
     pub fn set_select_bit(&mut self, row: usize, value: bool) {
         let was = self.select.get(row);

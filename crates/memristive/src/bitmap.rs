@@ -321,6 +321,17 @@ impl Bitmap {
         &self.words
     }
 
+    /// Overwrites the backing words with `words` (a copy of another
+    /// bitmap's [`Bitmap::words`] of the same length).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word counts differ.
+    pub(crate) fn copy_words_from(&mut self, words: &[u64]) {
+        self.words.copy_from_slice(words);
+        self.mask_tail();
+    }
+
     /// Number of one bits in the intersection with `other`, without
     /// materializing it.
     ///

@@ -22,12 +22,17 @@
 //! bit-identical [`OpCounters`].
 //!
 //! - [`ParallelPolicy::Auto`] (the default) runs the memoized engine
-//!   (`crate::memo`). For the length of one extraction call it keeps one
-//!   descent trace per span mat and one merged trace per node of a
-//!   binary tree over the span, folded with Fig. 10's lower-address
-//!   priority. A key re-runs only the previous winner's mat and
-//!   re-merges its `log2(span)` ancestors, so host work per key follows
-//!   one mat, not the span. Single extractions are batches of one.
+//!   (`crate::memo`). The chip keeps, across calls on one range and
+//!   plan, one resumable descent per span mat and one merged trace per
+//!   node of a binary tree over the span, folded in closed form with
+//!   Fig. 10's lower-address priority. A key resumes only the previous
+//!   winner's mat where that winner split off and re-merges its
+//!   `log2(span)` ancestors, so draining a mat walks its key trie once.
+//!   Each mat's generation (bumped by row writes, stuck-at faults and
+//!   changes to its exclusion flags) tells a call which kept descents
+//!   must re-run; [`Chip::restore_state`] drops them all. Single
+//!   extractions are batches of one, and single-mat spans take the same
+//!   path.
 //! - [`ParallelPolicy::Sequential`] walks every span mat at every step:
 //!   the differential oracle `Auto` is checked against.
 //!
@@ -43,7 +48,7 @@ use crate::error::Error;
 use crate::geometry::ChipGeometry;
 use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
-use crate::memo::MemoTree;
+use crate::memo::{Membership, MemoTree};
 use crate::plan::{Direction, SearchPlan};
 use crate::pool;
 use crate::probe::{SharedProbe, Stopwatch};
@@ -71,12 +76,14 @@ pub enum ParallelPolicy {
     /// Walk every mat of the span at every column-search step — the
     /// differential oracle.
     Sequential,
-    /// The memoized engine: each span mat's descent is computed once per
-    /// extraction call and folded up a binary tree over the span with
-    /// Fig. 10's lower-address priority, so after the first key only the
-    /// previous winner's mat re-runs and only its `log2(span)` ancestors
-    /// re-merge. Reads no calibration. Single-mat spans walk as
-    /// `Sequential` does. The default.
+    /// The memoized engine: each span mat's descent is kept in the chip
+    /// across calls on the same range and plan, and folded up a binary
+    /// tree over the span with Fig. 10's lower-address priority. A key
+    /// resumes only the previous winner's mat, from the step where that
+    /// winner split off, and re-merges its `log2(span)` ancestors; a mat
+    /// written, faulted or re-flagged since re-runs. Reads no
+    /// calibration. Every span takes this path, one mat or many. The
+    /// default.
     #[default]
     Auto,
 }
@@ -107,7 +114,9 @@ pub struct ChipState {
 #[derive(Clone)]
 pub struct Chip {
     geometry: ChipGeometry,
-    mats: Vec<Option<Mat>>,
+    /// One entry per mat, boxed so a chip's unmaterialized mats cost a
+    /// pointer each: a Table I chip has 1024 of them.
+    mats: Vec<Option<Box<Mat>>>,
     tree: IndexTree,
     /// Exclusion flags (CMOS latches, §VII-C — not wear-inducing), one
     /// bit per key slot, allocated by the chip's first extraction: a
@@ -134,6 +143,10 @@ pub struct Chip {
     /// Extraction observer (rime-core's metrics layer). `None` keeps
     /// every extraction call free of clock reads.
     probe: Option<SharedProbe>,
+    /// The memo engine's trace cache, kept across calls for the last
+    /// range `Auto` extracted from (see `crate::memo`). Built by the first
+    /// such call; dropped by [`Chip::restore_state`].
+    memo: Option<Box<MemoTree>>,
 }
 
 impl std::fmt::Debug for Chip {
@@ -150,6 +163,7 @@ impl std::fmt::Debug for Chip {
             .field("scalar_oracle", &self.scalar_oracle)
             .field("auto_threads", &self.auto_threads)
             .field("probe", &self.probe.as_ref().map(|_| "installed"))
+            .field("memo", &self.memo.as_ref().map(|_| "cached"))
             .finish()
     }
 }
@@ -170,6 +184,7 @@ impl Chip {
             scalar_oracle: false,
             auto_threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             probe: None,
+            memo: None,
         }
     }
 
@@ -209,11 +224,10 @@ impl Chip {
         self.parallel = policy;
     }
 
-    /// Whether a span of `mats` mats runs the memoized engine: every
-    /// multi-mat span under [`ParallelPolicy::Auto`]. A single mat has
-    /// nothing to fold, so it always walks.
-    fn memoized(&self, mats: usize) -> bool {
-        mats > 1 && self.parallel == ParallelPolicy::Auto
+    /// Whether extraction runs the memoized engine: every span, one mat
+    /// or many, under [`ParallelPolicy::Auto`].
+    fn memoized(&self) -> bool {
+        self.parallel == ParallelPolicy::Auto
     }
 
     /// Span width (in mats) from which the retired mat-shard pool was
@@ -243,7 +257,7 @@ impl Chip {
     fn mat_mut(&mut self, mat: u32) -> &mut Mat {
         let geometry = self.geometry;
         self.mats[mat as usize]
-            .get_or_insert_with(|| Mat::new(geometry.arrays_per_mat, geometry.rows))
+            .get_or_insert_with(|| Box::new(Mat::new(geometry.arrays_per_mat, geometry.rows)))
     }
 
     fn check_slot(&self, slot: u64) -> Result<(), Error> {
@@ -329,7 +343,19 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
+        let (first_mat, last_mat) = self.mat_span(begin, end);
+        let per_mat = self.geometry.slots_per_mat();
         if let Some(flags) = &mut self.excluded {
+            // A mat's membership changes only where a flag was set.
+            for idx in first_mat..=last_mat {
+                let base = idx as u64 * per_mat;
+                let (lo, hi) = (begin.max(base), end.min(base + per_mat));
+                if flags.count_ones_in_range(lo as usize, hi as usize) > 0 {
+                    if let Some(mat) = &mut self.mats[idx] {
+                        mat.bump_generation();
+                    }
+                }
+            }
             flags.clear_range(begin as usize, end as usize);
         }
         self.load_selection(begin, end);
@@ -402,12 +428,17 @@ impl Chip {
     }
 
     /// Flags `slot` excluded for later accesses, allocating the flags on
-    /// the chip's first extraction.
+    /// the chip's first extraction, and bumps its mat's generation.
     fn flag_excluded(&mut self, slot: u64) {
         let slots = self.capacity() as usize;
         self.excluded
             .get_or_insert_with(|| Bitmap::zeros(slots))
             .set(slot as usize, true);
+        let (mat, _) = self.geometry.split_slot(slot);
+        self.mats[mat as usize]
+            .as_mut()
+            .expect("an extracted slot's mat is materialized")
+            .bump_generation();
     }
 
     /// Number of not-yet-extracted keys in the active range.
@@ -464,12 +495,12 @@ impl Chip {
             return Err(Error::EmptyRange { begin, end });
         }
         self.check_slot(end - 1)?;
-        let (first_mat, last_mat) = self.mat_span(begin, end);
-        if self.memoized(last_mat - first_mat + 1) {
+        if self.memoized() {
             return Ok(self
                 .extract_range_batch(begin, end, format, direction, 1)?
                 .pop());
         }
+        let (first_mat, last_mat) = self.mat_span(begin, end);
         let plan = SearchPlan::new(format, direction);
 
         // Rearm the select vectors (range minus exclusion flags).
@@ -539,6 +570,9 @@ impl Chip {
             return Ok(Vec::new());
         }
         let plan = SearchPlan::new(format, direction);
+        if self.memoized() {
+            return Ok(self.extract_memo(begin, end, plan, k));
+        }
         let (first_mat, last_mat) = self.mat_span(begin, end);
         let per_mat = self.geometry.slots_per_mat() as usize;
         let span_base = (first_mat * per_mat) as u64;
@@ -553,25 +587,12 @@ impl Chip {
 
         let mut selected = membership.count_ones() as u64;
         let mut hits = Vec::with_capacity(k.min(selected as usize));
-        // The memoized engine keeps each mat's descent for the whole
-        // call; the walk re-senses every mat per key.
-        let mut memo = self
-            .memoized(last_mat - first_mat + 1)
-            .then(|| MemoTree::new(last_mat - first_mat + 1, plan));
-        // The span mat whose membership window changed since the last key
-        // (`None`: every mat, before the first key).
-        let mut dirty: Option<usize> = None;
         for _ in 0..k {
             // Rearm: one select-vector load through the H-tree, exactly as
             // the single-key path counts it. Each mat latches its window of
             // the membership vector in place — zero allocations per
-            // iteration. The memo engine re-latches only the mat it will
-            // re-run.
-            let rearmed = match (&memo, dirty) {
-                (Some(_), Some(mat)) => first_mat + mat..=first_mat + mat,
-                _ => first_mat..=last_mat,
-            };
-            for idx in rearmed {
+            // iteration.
+            for idx in first_mat..=last_mat {
                 self.mat_mut(idx as u32)
                     .load_select_window(&membership, (idx - first_mat) * per_mat);
             }
@@ -582,19 +603,119 @@ impl Chip {
             if selected == 0 {
                 break;
             }
-            let hit = match &mut memo {
-                Some(memo) => self.converge_memo(first_mat, last_mat, memo, dirty),
-                None => self.converge_host(first_mat, last_mat, &plan, selected),
-            };
+            let hit = self.converge_host(first_mat, last_mat, &plan, selected);
             watch.descended();
-            let span_slot = (hit.slot - span_base) as usize;
-            membership.set(span_slot, false);
+            membership.set((hit.slot - span_base) as usize, false);
             selected -= 1;
-            dirty = Some(span_slot / per_mat);
             hits.push(hit);
         }
         watch.finish();
         Ok(hits)
+    }
+
+    /// [`Chip::extract_range_batch`] under the memoized engine
+    /// (`crate::memo`), with the chip's trace cache re-keyed to this range
+    /// and plan. The call's first key brings every span leaf up to date;
+    /// each later key resumes only the previous winner's leaf and
+    /// re-merges its ancestors. Counter arithmetic matches the walk line
+    /// for line: one rearm per key (and one more on running dry), and
+    /// the descent's steps, mat senses and exclusions read off the root.
+    fn extract_memo(
+        &mut self,
+        begin: u64,
+        end: u64,
+        plan: SearchPlan,
+        k: usize,
+    ) -> Vec<ExtractHit> {
+        let (first_mat, last_mat) = self.mat_span(begin, end);
+        let mats = last_mat - first_mat + 1;
+        let per_mat = self.geometry.slots_per_mat();
+        let mut watch = Stopwatch::start(self.probe.clone());
+        let mut memo = match self.memo.take() {
+            Some(mut memo) => {
+                memo.rekey((begin, end), plan, mats);
+                memo
+            }
+            None => Box::new(MemoTree::new((begin, end), plan, mats, per_mat as u32)),
+        };
+        let mut hits = Vec::with_capacity(k.min((end - begin) as usize));
+        // The previous key's winning leaf (`None` before the first key).
+        let mut winner: Option<usize> = None;
+        for _ in 0..k {
+            self.counters.select_loads += 1;
+            self.counters.htree_traversals += 1;
+            watch.rearmed();
+            match winner {
+                None => {
+                    for leaf in 0..mats {
+                        if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
+                            memo.mark(leaf);
+                        }
+                    }
+                    memo.refold_marked();
+                }
+                Some(leaf) => {
+                    if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
+                        memo.refold(leaf);
+                    }
+                }
+            }
+            let Some(descent) = memo.descent() else {
+                break;
+            };
+            self.counters.column_search_steps += u64::from(descent.steps);
+            self.counters.mat_column_searches += descent.mat_searches;
+            self.counters.select_loads += descent.exclusions;
+
+            // The root's survivor is the index reduction's winner (Fig. 10),
+            // and its raw bits came with it.
+            self.counters.htree_traversals += 1;
+            let slot = first_mat as u64 * per_mat + descent.winner.slot;
+            self.counters.row_reads += 1;
+            self.flag_excluded(slot);
+            self.counters.extractions += 1;
+            let leaf = (descent.winner.slot / per_mat) as usize;
+            let generation = self.mats[first_mat + leaf]
+                .as_ref()
+                .expect("the winning mat is materialized")
+                .generation();
+            memo.extracted(leaf, (descent.winner.slot % per_mat) as u32, generation);
+            hits.push(ExtractHit {
+                slot,
+                raw_bits: descent.winner.raw,
+                steps: descent.steps,
+            });
+            watch.descended();
+            winner = Some(leaf);
+        }
+        self.memo = Some(memo);
+        watch.finish();
+        hits
+    }
+
+    /// Brings span leaf `leaf` of `memo` up to date with its mat,
+    /// materializing the mat; returns whether the leaf's trace changed.
+    fn refresh_leaf(
+        &mut self,
+        memo: &mut MemoTree,
+        leaf: usize,
+        first_mat: usize,
+        begin: u64,
+        end: u64,
+    ) -> bool {
+        let geometry = self.geometry;
+        let per_mat = geometry.slots_per_mat();
+        let idx = first_mat + leaf;
+        let base = idx as u64 * per_mat;
+        let membership = Membership {
+            flags: self.excluded.as_ref(),
+            base: base as usize,
+            lo: (begin.max(base) - base) as usize,
+            hi: (end.min(base + per_mat) - base) as usize,
+        };
+        let mat = self.mats[idx]
+            .get_or_insert_with(|| Box::new(Mat::new(geometry.arrays_per_mat, geometry.rows)));
+        memo.refresh(leaf, mat, membership, self.scalar_oracle)
     }
 
     /// Indices of the first and last mats a `[begin, end)` range touches.
@@ -655,7 +776,7 @@ impl Chip {
         let slot = self
             .tree
             .reduce_window(first_mat..=last_mat, |m| {
-                mats[m].as_ref().and_then(Mat::first_selected)
+                mats[m].as_deref().and_then(Mat::first_selected)
             })
             .expect("non-empty selection must reduce to a winner");
         self.counters.htree_traversals += 1;
@@ -677,56 +798,6 @@ impl Chip {
         }
     }
 
-    /// Memoized twin of [`Chip::converge_host`]: re-runs the descent of
-    /// span mat `dirty` (of every span mat when `None`, for a call's
-    /// first key), re-merges its ancestors in `memo`, and reads the
-    /// span's descent off the root. The caller has rearmed the re-run
-    /// mats' select windows and counted `selected > 0`. Counter
-    /// arithmetic matches the host path line for line.
-    fn converge_memo(
-        &mut self,
-        first_mat: usize,
-        last_mat: usize,
-        memo: &mut MemoTree,
-        dirty: Option<usize>,
-    ) -> ExtractHit {
-        let per_mat = self.geometry.slots_per_mat();
-        let leaves = match dirty {
-            Some(leaf) => leaf..=leaf,
-            None => 0..=last_mat - first_mat,
-        };
-        for leaf in leaves {
-            let mat = self.mats[first_mat + leaf]
-                .as_mut()
-                .expect("span mats are materialized");
-            memo.speculate(leaf, mat, leaf as u64 * per_mat, self.scalar_oracle);
-        }
-        match dirty {
-            Some(leaf) => memo.refold(leaf),
-            None => memo.fold_all(),
-        }
-        let descent = memo
-            .descent()
-            .expect("non-empty selection must reduce to a winner");
-        self.counters.column_search_steps += u64::from(descent.steps);
-        self.counters.mat_column_searches += descent.mat_searches;
-        self.counters.select_loads += descent.exclusions;
-
-        // The root's survivor is the index reduction's winner (Fig. 10),
-        // and its raw bits came with it.
-        self.counters.htree_traversals += 1;
-        let slot = first_mat as u64 * per_mat + descent.winner.slot;
-        self.counters.row_reads += 1;
-        self.flag_excluded(slot);
-        self.counters.extractions += 1;
-
-        ExtractHit {
-            slot,
-            raw_bits: descent.winner.raw,
-            steps: descent.steps,
-        }
-    }
-
     /// Snapshots the chip's durable state — see [`ChipState`] for the
     /// capture boundary.
     pub fn state(&self) -> ChipState {
@@ -734,7 +805,7 @@ impl Chip {
             mats: self
                 .mats
                 .iter()
-                .map(|m| m.as_ref().map(Mat::state))
+                .map(|m| m.as_deref().map(Mat::state))
                 .collect(),
             excluded: self
                 .excluded
@@ -764,19 +835,20 @@ impl Chip {
                 return false;
             }
         }
-        let mut mats: Vec<Option<Mat>> = Vec::with_capacity(state.mats.len());
+        let mut mats: Vec<Option<Box<Mat>>> = Vec::with_capacity(state.mats.len());
         for mat_state in &state.mats {
             match mat_state {
                 None => mats.push(None),
                 Some(ms) => {
                     match Mat::from_state(ms, self.geometry.arrays_per_mat, self.geometry.rows) {
-                        Some(mat) => mats.push(Some(mat)),
+                        Some(mat) => mats.push(Some(Box::new(mat))),
                         None => return false,
                     }
                 }
             }
         }
         self.mats = mats;
+        self.memo = None;
         self.tree = IndexTree::new(state.mats.len(), self.geometry.slots_per_mat());
         self.excluded = Some(state.excluded.clone());
         self.format = state.format;
@@ -804,14 +876,18 @@ impl Chip {
         self.mats
             .iter()
             .flatten()
-            .map(Mat::max_wear)
+            .map(|mat| mat.max_wear())
             .max()
             .unwrap_or(0)
     }
 
     /// Total writes absorbed by the chip's arrays.
     pub fn total_writes(&self) -> u64 {
-        self.mats.iter().flatten().map(Mat::total_writes).sum()
+        self.mats
+            .iter()
+            .flatten()
+            .map(|mat| mat.total_writes())
+            .sum()
     }
 
     /// Per-mat write counts (index = mat number; unmaterialized mats
@@ -821,7 +897,7 @@ impl Chip {
     pub fn wear_by_mat(&self) -> Vec<u64> {
         self.mats
             .iter()
-            .map(|m| m.as_ref().map_or(0, Mat::total_writes))
+            .map(|m| m.as_deref().map_or(0, Mat::total_writes))
             .collect()
     }
 }
@@ -829,7 +905,7 @@ impl Chip {
 /// One column-search step across a mat span: every active mat senses bit
 /// `pos` and the signals wire-OR upstream (Fig. 9). Returns the merged
 /// signals and the number of active mats.
-fn sense_step(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
+fn sense_step(mats: &[Option<Box<Mat>>], pos: u16, scalar: bool) -> (ColumnSignals, u64) {
     let mut signals = ColumnSignals::default();
     let mut active = 0u64;
     for mat in mats.iter().flatten() {
@@ -844,7 +920,7 @@ fn sense_step(mats: &[Option<Mat>], pos: u16, scalar: bool) -> (ColumnSignals, u
 
 /// One global exclusion across a mat span: every active mat latches its
 /// match vector for (`pos`, `keep`). Returns total rows deselected.
-fn exclude_step(mats: &mut [Option<Mat>], pos: u16, keep: bool, scalar: bool) -> u64 {
+fn exclude_step(mats: &mut [Option<Box<Mat>>], pos: u16, keep: bool, scalar: bool) -> u64 {
     let mut removed = 0u64;
     for mat in mats.iter_mut().flatten() {
         if mat.selected_count() == 0 {
@@ -1260,19 +1336,29 @@ mod tests {
 
     #[test]
     fn auto_policy_memoizes_every_multi_mat_span_and_ignores_the_crossover() {
-        // Pins the Auto decision (DESIGN.md §13): every span of two or
-        // more mats runs the memo engine, whatever the reported crossover
-        // says; single-mat spans walk, and Sequential always walks.
-        let mut chip = Chip::new(ChipGeometry::tiny());
-        assert!(!chip.memoized(1));
-        for span in [2, 15, 16, 17, 1000] {
-            assert!(chip.memoized(span), "span {span}");
+        // Pins the Auto decision (DESIGN.md §13): every span runs the memo
+        // engine, one mat (0..8) or two (8..40), whatever the reported
+        // crossover says, and keeps its trace cache for the range after
+        // the call; Sequential always walks and builds none.
+        for policy in [ParallelPolicy::Auto, ParallelPolicy::Sequential] {
+            let keys: Vec<u32> = (0..40).map(|i| (i * 2654435761u64 % 997) as u32).collect();
+            let mut chip = chip_with(&keys);
+            chip.set_parallel_policy(policy);
+            assert_eq!(chip.memoized(), policy == ParallelPolicy::Auto);
+            for (begin, end) in [(0, 8), (8, 40)] {
+                chip.init_range(begin, end, KeyFormat::UNSIGNED32).unwrap();
+                chip.extract(Direction::Min).unwrap();
+                assert_eq!(
+                    chip.memo.is_some(),
+                    chip.memoized(),
+                    "{policy:?} {begin}..{end}"
+                );
+            }
         }
-        chip.set_parallel_policy(ParallelPolicy::Sequential);
-        assert!(!chip.memoized(16));
         // The crossover is still reported, inside the documented clamp
         // (this exercises the real calibration once per process), and
         // repeated asks agree.
+        let chip = Chip::new(ChipGeometry::tiny());
         let reported = chip.pool_crossover_mats();
         assert!((2..=1 << 20).contains(&reported));
         assert_eq!(chip.pool_crossover_mats(), reported);

@@ -26,9 +26,9 @@
 //!   coordinates multi-mat exclusion with the two-signal protocol (Fig. 9)
 //!   and streams ranked values.
 //! * `memo` — the memoized descent engine behind
-//!   [`ParallelPolicy::Auto`]: one descent trace per mat, folded up a
-//!   binary tree over the range's mats, so host work per key follows one
-//!   mat rather than the range's span.
+//!   [`ParallelPolicy::Auto`]: one resumable descent per mat, kept across
+//!   calls and folded up a binary tree over the range's mats, so host work
+//!   per key follows one mat's key trie rather than the range's span.
 //! * [`probe`] — a zero-cost-when-disabled hook that hears each
 //!   extraction call's host time once (rime-core's metrics layer plugs
 //!   in here).

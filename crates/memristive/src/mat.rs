@@ -81,6 +81,11 @@ pub struct MatState {
 pub struct Mat {
     arrays: Vec<Array>,
     rows_per_array: u32,
+    /// Counts changes to what a descent over the mat reads besides its
+    /// select latches: row writes and stuck-at faults bump it here, and
+    /// the chip bumps it when the mat's exclusion flags change. The memo
+    /// engine keeps a mat's descent across calls while it holds still.
+    generation: u64,
 }
 
 impl Mat {
@@ -89,7 +94,18 @@ impl Mat {
         Mat {
             arrays: (0..arrays_per_mat).map(|_| Array::new(rows)).collect(),
             rows_per_array: rows,
+            generation: 0,
         }
+    }
+
+    /// The mat's generation (see the field docs).
+    pub(crate) fn generation(&self) -> u64 {
+        self.generation
+    }
+
+    /// Records a change the mat cannot see itself: its exclusion flags.
+    pub(crate) fn bump_generation(&mut self) {
+        self.generation += 1;
     }
 
     /// Key-slot capacity of the mat.
@@ -113,6 +129,7 @@ impl Mat {
     pub fn write_slot(&mut self, slot: u32, raw: u64) {
         let (array, row) = self.split(slot);
         self.arrays[array].write_row(row, raw);
+        self.generation += 1;
     }
 
     /// Row-read command: loads the raw key stored in `slot`.
@@ -179,6 +196,48 @@ impl Mat {
     /// Number of selected slots across the mat's arrays.
     pub fn selected_count(&self) -> usize {
         self.arrays.iter().map(Array::selected_count).sum()
+    }
+
+    /// Select words per array.
+    fn select_words_per_array(&self) -> usize {
+        (self.rows_per_array as usize).div_ceil(64)
+    }
+
+    /// Words in one saved copy of the select vector ([`Mat::save_select`]).
+    pub(crate) fn select_words(&self) -> usize {
+        self.arrays.len() * self.select_words_per_array()
+    }
+
+    /// Appends the select latches to `out`, array by array, so bit order
+    /// is slot order.
+    pub(crate) fn save_select(&self, out: &mut Vec<u64>) {
+        for array in &self.arrays {
+            out.extend_from_slice(array.select().words());
+        }
+    }
+
+    /// Latches select words saved by [`Mat::save_select`].
+    pub(crate) fn restore_select(&mut self, words: &[u64]) {
+        let per_array = self.select_words_per_array();
+        for (array, chunk) in self.arrays.iter_mut().zip(words.chunks_exact(per_array)) {
+            array.load_select_words(chunk);
+        }
+    }
+
+    /// The word index and bit mask of `slot` in saved select words.
+    pub(crate) fn select_bit_of(&self, slot: u32) -> (usize, u64) {
+        let (array, row) = self.split(slot);
+        (
+            array * self.select_words_per_array() + row / 64,
+            1 << (row % 64),
+        )
+    }
+
+    /// The slot of bit `bit` of word `word` in saved select words.
+    pub(crate) fn slot_of_select_bit(&self, word: usize, bit: u32) -> u32 {
+        let per_array = self.select_words_per_array();
+        let (array, row) = (word / per_array, (word % per_array) * 64 + bit as usize);
+        array as u32 * self.rows_per_array + row as u32
     }
 
     /// Column-search command: all four arrays sense column `pos`; the mat
@@ -346,6 +405,7 @@ impl Mat {
     pub fn inject_stuck_cell(&mut self, slot: u32, bit: u16, stuck: bool) {
         let (array, row) = self.split(slot);
         self.arrays[array].inject_stuck_cell(row, bit, stuck);
+        self.generation += 1;
     }
 
     /// Snapshots the mat's durable state (all arrays, in array order).
@@ -373,6 +433,7 @@ impl Mat {
         Some(Mat {
             arrays,
             rows_per_array: rows,
+            generation: 0,
         })
     }
 

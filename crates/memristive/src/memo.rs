@@ -1,28 +1,29 @@
-//! Memoized descent engine: host work per extracted key follows one mat
-//! and the H-tree depth, not the range's span (§IV-B.2, Figs. 9/10).
+//! Memoized descent engine: host work per extracted key follows one mat's
+//! key trie and the H-tree depth, not the range's span (§IV-B.2, Figs.
+//! 9/10).
 //!
 //! The chip controller senses every mat of a range at once and wire-ORs
 //! the two search signals up the H-tree, so hardware pays a fixed number
 //! of column steps per key however many mats the range spans. The
 //! sequential walk instead senses every span mat at every step. This
-//! engine ([`MemoTree`], behind [`crate::ParallelPolicy::Auto`]) keeps,
-//! for the length of one extraction call:
+//! engine ([`MemoTree`], behind [`crate::ParallelPolicy::Auto`]) keeps, in
+//! the chip and across extraction calls on one range and plan:
 //!
-//! - one **leaf trace** per span mat: the mat's whole bit-serial descent
-//!   run as if the mat were the entire range. It is a pure function of
-//!   the mat's cells, its membership window and the plan.
+//! - one **leaf** per span mat: the mat's bit-serial descent run as if the
+//!   mat were the entire range, a pure function of the mat's cells, its
+//!   membership window and the plan. Beside its trace it keeps the rows
+//!   alive before each of its exclusions and after its last step, so it
+//!   can resume (below).
 //! - one **merged trace** per internal node of a binary tree over the
 //!   span (lower addresses in the left child, Fig. 10's priority): the
 //!   descent of the node's mats run as if they were the entire range,
 //!   folded from its two children.
 //!
-//! Extracting a key clears one membership bit, which changes one leaf.
-//! So after the first key only the previous winner's mat re-runs its
-//! descent and only its `log2(span)` ancestors re-merge: per key the host
-//! does `O(steps × (rows/64 + log2 span))` work where the walk does
-//! `O(steps × span × rows/64)`. Steps, active-mat senses, exclusions
-//! with their removed rows, and the winner's slot and raw bits all come
-//! from the root, which is the span's own descent.
+//! Extracting a key clears one membership bit, which changes one leaf. It
+//! resumes where the winner split off, and only its `log2(span)`
+//! ancestors re-merge. Steps, active-mat senses, exclusions with their
+//! removed rows, and the winner's slot and raw bits all come from the
+//! root, which is the span's own descent.
 //!
 //! # A trace
 //!
@@ -35,6 +36,32 @@
 //! anyway, with that row's bits, so every trace covers all `steps` and
 //! has the same shape at a leaf and at the root. The trace also names
 //! its lowest-address survivor after the last step.
+//!
+//! # Resuming a leaf
+//!
+//! Every row alive at a step shares its bits at all earlier steps with
+//! every other row alive there: a uniform column leaves the alive rows
+//! equal in that bit, and an exclusion keeps only rows holding the keep
+//! bit. Let `m` be the leaf's survivor, just extracted. If some row
+//! besides `m` is alive at step `e`, dropping `m` from the membership
+//! changes no signal and no removed count before `e`, so the alive set at
+//! `e` is the old one minus `m`. So the leaf keeps a **snapshot** of the
+//! select words alive before each of its exclusions, with their count,
+//! and the words alive after its last step:
+//!
+//! - If that final set still holds another row, `m` had ties. The next
+//!   row of the final set is the new survivor and nothing is sensed.
+//! - Otherwise the last exclusion step `e` removed every row but `m`.
+//!   The leaf latches `e`'s snapshot minus `m` (never empty: `e` removed
+//!   a row) and descends again from `e`. At `e = 0` that re-senses the
+//!   sign step, so a float range's polarity is recomputed.
+//! - Either way `m` is first cleared from every snapshot, decrementing its
+//!   count. Otherwise a later resume from a shallower step would bring
+//!   `m` back.
+//!
+//! Draining a mat is therefore a depth-first walk of its key trie: its
+//! senses follow the trie's nodes, not keys × key width. A resumed leaf's
+//! trace equals a fresh descent over its new membership.
 //!
 //! # Why a merge is exact
 //!
@@ -58,21 +85,51 @@
 //! * **Uniform in the kept bit**: neither the union nor the child
 //!   removes anything from the child; it stays in sync.
 //! * **Uniform in the discarded bit**: the union removes every survivor
-//!   the child holds. The child **dies**; its tracked remaining count is
-//!   the rows removed.
+//!   the child holds. The child **dies**; its remaining rows are the
+//!   rows removed.
 //!
 //! At a step where the union does not exclude, every alive child saw a
 //! uniform column too, so neither excluded. By induction the merged
 //! trace equals the union's own descent, and a merged trace can be
-//! merged again. Past the union's collapse the one alive child holds the
-//! lone survivor, and is itself collapsed, so its trace is the union's
-//! continuation. The union's lowest-address survivor lies in its
-//! lower-address alive child.
+//! merged again. Both children of a union stay alive until one dies,
+//! and the two cannot die at the same step (the union would then be
+//! uniform there). So the fold has a **closed form**:
+//!
+//! - The first death step `d` is the lowest set bit, over both children
+//!   `c`, of `mixed & ((c.one & !c.zero & !keep) | (c.zero & !c.one &
+//!   keep))`, where `mixed` is the union's `one & zero` and `keep` is the
+//!   plan's keep-bit mask for the union's sign-step polarity (two masks
+//!   per plan).
+//! - Up to `d` the union's signals are the children's OR, and its active
+//!   mats and removed rows per step are their sums; at `d` the dying
+//!   child's remaining rows join the removed rows. After `d` the union's
+//!   trace is the surviving child's, which holds every surviving row.
+//! - If no child dies, both end on equal bits and the lower child's
+//!   survivor wins (Fig. 10's priority).
 //!
 //! Nothing in the argument depends on how the span is split: it holds
 //! for any partition into disjoint parts, so the power-of-two tree is
-//! only the shape that makes a dirty leaf cost `log2(span)` merges.
+//! only the shape that makes a changed leaf cost `log2(span)` merges.
+//!
+//! # Keeping the tree across calls
+//!
+//! The chip keeps one tree, keyed by range and plan, and re-keys it
+//! (reusing its allocations) when a call names another. Each mat carries
+//! a generation. Row writes and stuck-at faults bump it, and so does any
+//! change to the mat's exclusion flags: an extraction under either
+//! policy, or an init that clears a set flag in that mat. Restoring a
+//! chip snapshot drops the tree. At the start of a call:
+//!
+//! - a leaf whose mat's generation differs from the one it recorded
+//!   re-runs from its membership window;
+//! - the previous winner's leaf resumes only if its mat's generation
+//!   still equals the one recorded right after flagging that winner;
+//! - any other leaf stands, and only changed leaves' ancestors refold.
+//!
+//! Select latches are never trusted across calls: a resume latches a
+//! snapshot, and a re-run latches its membership window.
 
+use crate::bitmap::Bitmap;
 use crate::mat::Mat;
 use crate::plan::SearchPlan;
 
@@ -90,7 +147,7 @@ pub(crate) struct Survivor {
 }
 
 /// One subtree's whole descent, run as if its mats were the whole range.
-#[derive(Clone)]
+#[derive(Debug, Clone, PartialEq)]
 struct Trace {
     /// Bit `s`: some selected cell held 1 at step `s`.
     one: u64,
@@ -106,6 +163,75 @@ struct Trace {
     survivor: Option<Survivor>,
 }
 
+/// An exclusion step of a leaf's descent and the rows alive before it.
+#[derive(Debug, Clone, Copy)]
+struct Split {
+    step: u16,
+    alive: u64,
+}
+
+/// What a leaf keeps beside its trace so it can resume: see the module
+/// docs.
+#[derive(Debug, Clone, Default)]
+struct Leaf {
+    /// The mat's first slot within the span.
+    base: u64,
+    /// The mat generation the descent reflects (`None`: never run).
+    generation: Option<u64>,
+    /// Mat slot extracted since the descent ran, not yet removed from it.
+    pending: Option<u32>,
+    /// The descent's exclusion steps, shallowest first.
+    splits: Vec<Split>,
+    /// Select words alive before each split, one mat's worth per split.
+    snapshots: Vec<u64>,
+    /// Select words alive after the last step, and their count.
+    last: Vec<u64>,
+    last_count: u64,
+}
+
+impl Leaf {
+    /// Forgets the descent, keeping allocations.
+    fn clear(&mut self) {
+        self.generation = None;
+        self.pending = None;
+        self.splits.clear();
+        self.snapshots.clear();
+        self.last.clear();
+        self.last_count = 0;
+    }
+
+    /// Clears `slot` from every snapshot and from the final set.
+    fn remove(&mut self, mat: &Mat, slot: u32) {
+        let (word, bit) = mat.select_bit_of(slot);
+        let words = mat.select_words();
+        for (split, snapshot) in self
+            .splits
+            .iter_mut()
+            .zip(self.snapshots.chunks_exact_mut(words))
+        {
+            if snapshot[word] & bit != 0 {
+                snapshot[word] &= !bit;
+                split.alive -= 1;
+            }
+        }
+        if self.last[word] & bit != 0 {
+            self.last[word] &= !bit;
+            self.last_count -= 1;
+        }
+    }
+
+    /// Lowest slot of the nonempty final set.
+    fn first_of_last(&self, mat: &Mat) -> u32 {
+        let (word, bits) = self
+            .last
+            .iter()
+            .enumerate()
+            .find(|(_, &bits)| bits != 0)
+            .expect("the final set holds a row");
+        mat.slot_of_select_bit(word, bits.trailing_zeros())
+    }
+}
+
 impl Trace {
     const EMPTY: Trace = Trace {
         one: 0,
@@ -116,20 +242,78 @@ impl Trace {
         survivor: None,
     };
 
-    /// Runs `mat`'s descent (its select latches hold its membership
-    /// window; `base` is its first slot within the span). Physical
-    /// stepping stops at the local collapse; the rest of the trace is
-    /// the survivor's own bits, read once.
-    fn speculate(&mut self, mat: &mut Mat, plan: &SearchPlan, scalar: bool, base: u64) {
+    /// Runs `mat`'s whole descent over the rows its select latches hold.
+    fn rerun(&mut self, leaf: &mut Leaf, mat: &mut Mat, plan: &SearchPlan, scalar: bool) {
         *self = Trace::EMPTY;
-        let mut running = mat.selected_count() as u64;
-        if running == 0 {
+        leaf.clear();
+        let selected = mat.selected_count() as u64;
+        if selected == 0 {
             return;
         }
-        self.selected = running;
+        self.selected = selected;
+        self.active[..plan.steps() as usize].fill(1);
+        self.descend(leaf, mat, plan, scalar, 0, selected);
+    }
+
+    /// Removes the extracted survivor `slot` from the descent: a tie
+    /// reads the next row, anything else descends again from the last
+    /// split (see the module docs).
+    fn resume(
+        &mut self,
+        leaf: &mut Leaf,
+        mat: &mut Mat,
+        plan: &SearchPlan,
+        scalar: bool,
+        slot: u32,
+    ) {
+        self.selected -= 1;
+        leaf.remove(mat, slot);
+        if leaf.last_count > 0 {
+            let first = leaf.first_of_last(mat);
+            self.survivor = Some(Survivor {
+                slot: leaf.base + u64::from(first),
+                raw: mat.read_slot(first),
+            });
+            return;
+        }
+        let words = mat.select_words();
+        while let Some(Split { step, alive }) = leaf.splits.pop() {
+            let top = leaf.snapshots.len() - words;
+            if alive > 0 {
+                mat.restore_select(&leaf.snapshots[top..]);
+                leaf.snapshots.truncate(top);
+                self.descend(leaf, mat, plan, scalar, step, alive);
+                return;
+            }
+            leaf.snapshots.truncate(top);
+        }
+        // `slot` was the mat's last row.
+        *self = Trace::EMPTY;
+        leaf.last.clear();
+    }
+
+    /// Descends from `start` over the `running` rows latched in `mat`,
+    /// recording a snapshot before each exclusion. The trace before
+    /// `start` stands. Physical stepping stops at the local collapse;
+    /// the rest of the trace is the survivor's own bits, read once.
+    fn descend(
+        &mut self,
+        leaf: &mut Leaf,
+        mat: &mut Mat,
+        plan: &SearchPlan,
+        scalar: bool,
+        start: u16,
+        mut running: u64,
+    ) {
         let steps = plan.steps();
-        let mut survivors_negative = false;
-        let mut step = 0u16;
+        self.one &= step_mask(start);
+        self.zero &= step_mask(start);
+        self.removed[start as usize..steps as usize].fill(0);
+        // Resuming past the sign step: its signals are the trace's.
+        let mut survivors_negative = start > 0
+            && plan.is_sign_step(0)
+            && plan.survivors_negative(self.one & 1 != 0, self.zero & 1 != 0);
+        let mut step = start;
         while step < steps && running > 1 {
             let pos = plan.position(step);
             let signals = mat.sense(pos, scalar);
@@ -139,13 +323,20 @@ impl Trace {
                 survivors_negative = plan.survivors_negative(signals.any_one, signals.any_zero);
             }
             if !signals.all_same() {
+                leaf.splits.push(Split {
+                    step,
+                    alive: running,
+                });
+                mat.save_select(&mut leaf.snapshots);
                 let removed = mat.exclude(pos, plan.keep_bit(step, survivors_negative), scalar);
                 self.removed[step as usize] = removed;
                 running -= removed;
             }
             step += 1;
         }
-        self.active[..steps as usize].fill(1);
+        leaf.last.clear();
+        mat.save_select(&mut leaf.last);
+        leaf.last_count = running;
         let first = mat
             .first_selected()
             .expect("a descent keeps at least one row");
@@ -156,15 +347,16 @@ impl Trace {
         self.one |= by_step & tail;
         self.zero |= !by_step & tail;
         self.survivor = Some(Survivor {
-            slot: base + u64::from(first),
+            slot: leaf.base + u64::from(first),
             raw,
         });
     }
 
-    /// Folds two adjacent subtrees into their union's descent; `lo`
-    /// holds the lower addresses. See the module docs for why it is
-    /// exact.
-    fn merge(&mut self, lo: &Trace, hi: &Trace, plan: &SearchPlan) {
+    /// Folds two adjacent subtrees into their union's descent in closed
+    /// form; `lo` holds the lower addresses and `keep` is the plan's
+    /// keep-bit masks for positive and negative survivors. See the
+    /// module docs for why it is exact.
+    fn merge(&mut self, lo: &Trace, hi: &Trace, plan: &SearchPlan, keep: &[u64; 2]) {
         if hi.selected == 0 {
             self.clone_from(lo);
             return;
@@ -173,64 +365,42 @@ impl Trace {
             self.clone_from(hi);
             return;
         }
-        let kids = [lo, hi];
-        let mut remaining = [lo.selected, hi.selected];
-        let mut alive = [true, true];
-        let mut total = lo.selected + hi.selected;
-        self.selected = total;
-        self.one = 0;
-        self.zero = 0;
-        let steps = plan.steps();
-        let mut survivors_negative = false;
-        let mut step = 0u16;
-        while step < steps && total > 1 {
-            let s = step as usize;
-            let bit = 1u64 << step;
-            let (mut one, mut zero, mut active) = (0u64, 0u64, 0u32);
-            for (kid, _) in kids.iter().zip(alive).filter(|(_, alive)| *alive) {
-                one |= kid.one;
-                zero |= kid.zero;
-                active += kid.active[s];
-            }
-            let (any_one, any_zero) = (one & bit != 0, zero & bit != 0);
-            self.one |= one & bit;
-            self.zero |= zero & bit;
-            self.active[s] = active;
-            if plan.is_sign_step(step) {
-                survivors_negative = plan.survivors_negative(any_one, any_zero);
-            }
-            let mut removed = 0;
-            if any_one && any_zero {
-                let keep = plan.keep_bit(step, survivors_negative);
-                for (c, kid) in kids.iter().enumerate() {
-                    if !alive[c] {
-                        continue;
-                    }
-                    if kid.one & kid.zero & bit != 0 {
-                        removed += kid.removed[s];
-                        remaining[c] -= kid.removed[s];
-                    } else if (kid.one & bit != 0) != keep {
-                        removed += remaining[c];
-                        alive[c] = false;
-                    }
-                }
-                total -= removed;
-            }
-            self.removed[s] = removed;
-            step += 1;
+        let steps = plan.steps() as usize;
+        let (one, zero) = (lo.one | hi.one, lo.zero | hi.zero);
+        let negative = plan.is_sign_step(0) && plan.survivors_negative(one & 1 != 0, zero & 1 != 0);
+        let keep = keep[usize::from(negative)];
+        let mixed = one & zero;
+        let dies =
+            |kid: &Trace| mixed & ((kid.one & !kid.zero & !keep) | (kid.zero & !kid.one & keep));
+        let lo_dies = dies(lo);
+        let death = lo_dies | dies(hi);
+        self.selected = lo.selected + hi.selected;
+        // Both children are alive through step `split`.
+        let split = (death.trailing_zeros() as usize).min(steps - 1);
+        for s in 0..=split {
+            self.active[s] = lo.active[s] + hi.active[s];
+            self.removed[s] = lo.removed[s] + hi.removed[s];
         }
-        if step < steps {
-            // Collapsed: the one alive child holds the lone survivor and
-            // its trace continues the union's.
-            let kid = kids[usize::from(!alive[0])];
-            let tail = step_mask(steps) & !step_mask(step);
-            self.one |= kid.one & tail;
-            self.zero |= kid.zero & tail;
-            let rest = step as usize..steps as usize;
-            self.active[rest.clone()].copy_from_slice(&kid.active[rest.clone()]);
-            self.removed[rest.clone()].copy_from_slice(&kid.removed[rest]);
+        if death == 0 {
+            self.one = one;
+            self.zero = zero;
+            self.survivor = lo.survivor;
+            return;
         }
-        self.survivor = if alive[0] { lo.survivor } else { hi.survivor };
+        let (winner, loser) = if lo_dies >> split & 1 == 1 {
+            (hi, lo)
+        } else {
+            (lo, hi)
+        };
+        let alive = step_mask(split as u16 + 1);
+        self.one = (one & alive) | (winner.one & !alive);
+        self.zero = (zero & alive) | (winner.zero & !alive);
+        let lost: u64 = loser.removed[..=split].iter().sum();
+        self.removed[split] = winner.removed[split] + (loser.selected - lost);
+        let rest = split + 1..steps;
+        self.active[rest.clone()].copy_from_slice(&winner.active[rest.clone()]);
+        self.removed[rest.clone()].copy_from_slice(&winner.removed[rest]);
+        self.survivor = winner.survivor;
     }
 }
 
@@ -256,33 +426,126 @@ pub(crate) struct Descent {
     pub winner: Survivor,
 }
 
-/// The per-call trace cache over one span: leaf `i` is span mat `i`,
-/// padded with empty leaves to a power of two, and node `n` (heap order,
-/// root 1) merges nodes `2n` and `2n + 1`. Sized by the span only.
+/// Where a span mat's membership comes from: its slots `[lo, hi)` are in
+/// the range, minus the chip's exclusion flags from chip slot `base` on.
+pub(crate) struct Membership<'a> {
+    pub flags: Option<&'a Bitmap>,
+    pub base: usize,
+    pub lo: usize,
+    pub hi: usize,
+}
+
+/// The trace cache over one span: leaf `i` is span mat `i`, padded with
+/// empty leaves to a power of two, and node `n` (heap order, root 1)
+/// merges nodes `2n` and `2n + 1`. Sized by the span only.
+#[derive(Clone)]
 pub(crate) struct MemoTree {
+    /// The key: the range `[begin, end)` and its plan.
+    range: (u64, u64),
     plan: SearchPlan,
+    /// Keep-bit masks for positive and negative sign-step survivors.
+    keep: [u64; 2],
     /// Leaves, a power of two ≥ the span's mats.
     leaves: usize,
     /// Heap-ordered traces; index 0 is unused.
     nodes: Vec<Trace>,
+    /// One per span mat.
+    cells: Vec<Leaf>,
+    /// Internal nodes due a merge ([`MemoTree::refold_marked`]).
+    marked: Vec<bool>,
+    /// Scratch for one mat's membership window and its flags.
+    window: Bitmap,
+    flags: Bitmap,
 }
 
 impl MemoTree {
-    /// An empty cache for a span of `mats` mats, ranked by `plan`.
-    pub(crate) fn new(mats: usize, plan: SearchPlan) -> MemoTree {
-        let leaves = mats.next_power_of_two();
-        MemoTree {
+    /// An empty cache for `range` ranked by `plan`, spanning `mats` mats
+    /// of `slots` slots each.
+    pub(crate) fn new(range: (u64, u64), plan: SearchPlan, mats: usize, slots: u32) -> MemoTree {
+        let mut memo = MemoTree {
+            range,
             plan,
-            leaves,
-            nodes: vec![Trace::EMPTY; 2 * leaves],
+            keep: [0; 2],
+            leaves: 0,
+            nodes: Vec::new(),
+            cells: Vec::new(),
+            marked: Vec::new(),
+            window: Bitmap::zeros(slots as usize),
+            flags: Bitmap::zeros(slots as usize),
+        };
+        memo.reset(mats);
+        memo
+    }
+
+    /// Points the cache at `range` ranked by `plan` over `mats` mats. The
+    /// same key keeps every leaf; another drops them all, keeping the
+    /// allocations.
+    pub(crate) fn rekey(&mut self, range: (u64, u64), plan: SearchPlan, mats: usize) {
+        if (range, plan) != (self.range, self.plan) {
+            self.range = range;
+            self.plan = plan;
+            self.reset(mats);
         }
     }
 
-    /// Re-runs leaf `leaf`'s descent on `mat`, whose select latches hold
-    /// its membership window and whose first slot is `base` within the
-    /// span. Its ancestors are stale until [`MemoTree::refold`].
-    pub(crate) fn speculate(&mut self, leaf: usize, mat: &mut Mat, base: u64, scalar: bool) {
-        self.nodes[self.leaves + leaf].speculate(mat, &self.plan, scalar, base);
+    fn reset(&mut self, mats: usize) {
+        let plan = self.plan;
+        self.keep = [false, true].map(|negative| {
+            (0..plan.steps())
+                .filter(|&step| plan.keep_bit(step, negative))
+                .fold(0u64, |mask, step| mask | 1 << step)
+        });
+        self.leaves = mats.next_power_of_two();
+        self.nodes.clear();
+        self.nodes.resize(2 * self.leaves, Trace::EMPTY);
+        self.cells.truncate(mats);
+        self.cells.iter_mut().for_each(Leaf::clear);
+        self.cells.resize_with(mats, Leaf::default);
+        self.marked.clear();
+        self.marked.resize(self.leaves, false);
+    }
+
+    /// Brings leaf `leaf` up to date with `mat` (see the module docs):
+    /// re-runs it from `membership` if the mat changed, or resumes it
+    /// without its pending winner. Returns whether its trace changed; its
+    /// ancestors are stale until [`MemoTree::refold`] or
+    /// [`MemoTree::refold_marked`].
+    pub(crate) fn refresh(
+        &mut self,
+        leaf: usize,
+        mat: &mut Mat,
+        membership: Membership<'_>,
+        scalar: bool,
+    ) -> bool {
+        let trace = &mut self.nodes[self.leaves + leaf];
+        let cell = &mut self.cells[leaf];
+        if cell.generation != Some(mat.generation()) {
+            self.window.clear();
+            self.window.set_range(membership.lo, membership.hi);
+            if let Some(flags) = membership.flags {
+                self.flags.assign_slice(flags, membership.base);
+                self.window.and_not_assign(&self.flags);
+            }
+            mat.load_select_bits(&self.window);
+            cell.base = leaf as u64 * u64::from(mat.slots());
+            trace.rerun(cell, mat, &self.plan, scalar);
+            cell.generation = Some(mat.generation());
+            true
+        } else if let Some(slot) = cell.pending.take() {
+            trace.resume(cell, mat, &self.plan, scalar, slot);
+            true
+        } else {
+            false
+        }
+    }
+
+    /// Records that slot `slot` of leaf `leaf`'s mat was extracted and
+    /// flagged, leaving the mat at `generation`: the next refresh resumes
+    /// the leaf without it, unless the mat changes again first.
+    pub(crate) fn extracted(&mut self, leaf: usize, slot: u32, generation: u64) {
+        let cell = &mut self.cells[leaf];
+        cell.generation = Some(generation);
+        cell.pending = Some(slot);
     }
 
     /// Re-merges the ancestors of `leaf`, bottom-up.
@@ -294,16 +557,27 @@ impl MemoTree {
         }
     }
 
-    /// Merges every internal node, bottom-up.
-    pub(crate) fn fold_all(&mut self) {
+    /// Marks the ancestors of `leaf` for [`MemoTree::refold_marked`].
+    pub(crate) fn mark(&mut self, leaf: usize) {
+        let mut node = (self.leaves + leaf) / 2;
+        while node > 0 && !self.marked[node] {
+            self.marked[node] = true;
+            node /= 2;
+        }
+    }
+
+    /// Merges every marked node, bottom-up, and clears the marks.
+    pub(crate) fn refold_marked(&mut self) {
         for node in (1..self.leaves).rev() {
-            self.merge(node);
+            if std::mem::take(&mut self.marked[node]) {
+                self.merge(node);
+            }
         }
     }
 
     fn merge(&mut self, node: usize) {
         let (parents, kids) = self.nodes.split_at_mut(2 * node);
-        parents[node].merge(&kids[0], &kids[1], &self.plan);
+        parents[node].merge(&kids[0], &kids[1], &self.plan, &self.keep);
     }
 
     /// The span's descent, read from the root. `None` for an empty span.
@@ -336,29 +610,36 @@ impl MemoTree {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bitmap::Bitmap;
     use crate::encoding::KeyFormat;
     use crate::plan::Direction;
 
-    /// One-array mats of 8 rows holding `keys`, every row selected.
+    /// Slots per test mat (one array of 8 rows).
+    const SLOTS: u64 = 8;
+
+    /// One-array mats of 8 rows holding `keys`.
     fn mats(keys: &[u64]) -> Vec<Mat> {
-        keys.chunks(8)
+        keys.chunks(SLOTS as usize)
             .map(|chunk| {
-                let mut mat = Mat::new(1, 8);
+                let mut mat = Mat::new(1, SLOTS as u32);
                 for (slot, &raw) in chunk.iter().enumerate() {
                     mat.write_slot(slot as u32, raw);
                 }
-                let mut select = Bitmap::zeros(8);
-                select.set_range(0, chunk.len());
-                mat.load_select_bits(&select);
                 mat
             })
             .collect()
     }
 
-    /// The sequential walk over `mats` as one range: steps, active-mat
-    /// senses, exclusions and the winner.
-    fn walk(mats: &mut [Mat], plan: &SearchPlan) -> Descent {
+    /// The sequential walk over `mats` as one range of `len` keys minus
+    /// the `gone` slots: steps, active-mat senses, exclusions and the
+    /// winner. `None` once every key is gone.
+    fn walk(mats: &mut [Mat], len: u64, gone: &Bitmap, plan: &SearchPlan) -> Option<Descent> {
+        for (m, mat) in mats.iter_mut().enumerate() {
+            let mut select = Bitmap::zeros(SLOTS as usize);
+            let base = m as u64 * SLOTS;
+            select.set_range(0, (len.saturating_sub(base)).min(SLOTS) as usize);
+            select.and_not_assign(&gone.slice(base as usize, SLOTS as usize));
+            mat.load_select_bits(&select);
+        }
         let mut selected: u64 = mats.iter().map(|m| m.selected_count() as u64).sum();
         let (mut steps, mut searches, mut exclusions) = (0, 0, 0);
         let mut survivors_negative = false;
@@ -389,57 +670,166 @@ mod tests {
         let (mat, slot) = mats
             .iter()
             .enumerate()
-            .find_map(|(m, mat)| mat.first_selected().map(|s| (m, s)))
-            .expect("nonempty range");
-        Descent {
+            .find_map(|(m, mat)| mat.first_selected().map(|s| (m, s)))?;
+        Some(Descent {
             steps,
             mat_searches: searches,
             exclusions,
             winner: Survivor {
-                slot: mat as u64 * 8 + u64::from(slot),
+                slot: mat as u64 * SLOTS + u64::from(slot),
                 raw: mats[mat].read_slot(slot),
             },
+        })
+    }
+
+    /// Brings every leaf of `memo` up to date over `span` (range
+    /// `[0, len)` minus `gone`) and refolds.
+    fn refresh_all(memo: &mut MemoTree, span: &mut [Mat], len: u64, gone: &Bitmap) {
+        for (leaf, mat) in span.iter_mut().enumerate() {
+            let base = leaf as u64 * SLOTS;
+            let membership = Membership {
+                flags: Some(gone),
+                base: base as usize,
+                lo: 0,
+                hi: (len.saturating_sub(base)).min(SLOTS) as usize,
+            };
+            if memo.refresh(leaf, mat, membership, false) {
+                memo.mark(leaf);
+            }
         }
+        memo.refold_marked();
+    }
+
+    /// Key sets with ties across and within mats, an empty mat, a
+    /// lone-row mat, sign-mixed keys, and spans that are not a power of
+    /// two.
+    const SETS: [&[u64]; 5] = [
+        &[9, 3, 3, 7, 1, 1, 8, 2, 5, 1, 6, 6, 4, 0, 2, 9, 3],
+        &[5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
+        &[0x8000_0000, 1, 0xffff_ffff, 0x7fff_ffff, 0x8000_0001, 3],
+        &[4; 1],
+        &[
+            0xbf80_0000,
+            0x3f80_0000,
+            0x8000_0000,
+            0,
+            0xbf80_0000,
+            7,
+            0xc000_0000,
+            0x4000_0000,
+            0xff80_0000,
+            0x7f80_0000,
+            0x8000_0001,
+            1,
+        ],
+    ];
+
+    fn plans() -> impl Iterator<Item = SearchPlan> {
+        [
+            KeyFormat::UNSIGNED32,
+            KeyFormat::SIGNED32,
+            KeyFormat::FLOAT32,
+        ]
+        .into_iter()
+        .flat_map(|format| {
+            [Direction::Min, Direction::Max].map(|direction| SearchPlan::new(format, direction))
+        })
     }
 
     #[test]
     fn root_equals_the_sequential_walk() {
-        // Ties across mats, an empty mat, a lone-row mat, and a span
-        // that is not a power of two.
-        let sets: [&[u64]; 4] = [
-            &[9, 3, 3, 7, 1, 1, 8, 2, 5, 1, 6, 6, 4, 0, 2, 9, 3],
-            &[5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5],
-            &[0x8000_0000, 1, 0xffff_ffff, 0x7fff_ffff, 0x8000_0001, 3],
-            &[4; 1],
-        ];
-        for keys in sets {
-            for format in [
-                KeyFormat::UNSIGNED32,
-                KeyFormat::SIGNED32,
-                KeyFormat::FLOAT32,
-            ] {
-                for direction in [Direction::Min, Direction::Max] {
-                    let plan = SearchPlan::new(format, direction);
-                    let mut span = mats(keys);
-                    span.push(Mat::new(1, 8)); // empty, never selected
-                    let want = walk(&mut mats(keys), &plan);
-                    let mut memo = MemoTree::new(span.len(), plan);
-                    for (leaf, mat) in span.iter_mut().enumerate() {
-                        memo.speculate(leaf, mat, leaf as u64 * 8, false);
-                    }
-                    memo.fold_all();
-                    let got = memo.descent().expect("nonempty range");
-                    assert_eq!(got, want, "{keys:?} {format:?} {direction:?}");
-                }
+        for keys in SETS {
+            for plan in plans() {
+                let len = keys.len() as u64;
+                let mut span = mats(keys);
+                span.push(Mat::new(1, SLOTS as u32)); // empty, never selected
+                let gone = Bitmap::zeros(span.len() * SLOTS as usize);
+                let want = walk(&mut mats(keys), len, &gone, &plan);
+                let mut memo = MemoTree::new((0, len), plan, span.len(), SLOTS as u32);
+                refresh_all(&mut memo, &mut span, len, &gone);
+                assert_eq!(memo.descent(), want, "{keys:?} {plan:?}");
             }
         }
     }
 
     #[test]
+    fn a_drain_that_resumes_equals_fresh_descents() {
+        // Each key resumes the winner's leaf; every leaf trace must equal
+        // a fresh descent of its mat's remaining rows, and the root the
+        // walk, until the range runs dry.
+        for keys in SETS {
+            for plan in plans() {
+                let len = keys.len() as u64;
+                let mut span = mats(keys);
+                let mut gone = Bitmap::zeros(span.len() * SLOTS as usize);
+                let mut memo = MemoTree::new((0, len), plan, span.len(), SLOTS as u32);
+                refresh_all(&mut memo, &mut span, len, &gone);
+                for _ in 0..len {
+                    let fresh = {
+                        let mut fresh = MemoTree::new((0, len), plan, span.len(), SLOTS as u32);
+                        refresh_all(&mut fresh, &mut span.clone(), len, &gone);
+                        fresh
+                    };
+                    assert_eq!(memo.nodes, fresh.nodes, "{keys:?} {plan:?}");
+                    let want = walk(&mut mats(keys), len, &gone, &plan);
+                    let got = memo.descent();
+                    assert_eq!(got, want, "{keys:?} {plan:?}");
+                    let slot = got.expect("keys remain").winner.slot;
+                    let leaf = (slot / SLOTS) as usize;
+                    gone.set(slot as usize, true);
+                    span[leaf].bump_generation();
+                    memo.extracted(leaf, (slot % SLOTS) as u32, span[leaf].generation());
+                    // The winner's leaf resumes (its generation held).
+                    assert!(memo.refresh(
+                        leaf,
+                        &mut span[leaf],
+                        Membership {
+                            flags: Some(&gone),
+                            base: 0,
+                            lo: 0,
+                            hi: 0,
+                        },
+                        false
+                    ));
+                    memo.refold(leaf);
+                }
+                assert_eq!(memo.descent(), None, "{keys:?} {plan:?} drained");
+            }
+        }
+    }
+
+    #[test]
+    fn a_moved_generation_reruns_the_leaf() {
+        let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
+        let keys = [6, 2, 9, 4, 1, 8, 3, 7, 5, 0];
+        let len = keys.len() as u64;
+        let mut span = mats(&keys);
+        let gone = Bitmap::zeros(span.len() * SLOTS as usize);
+        let mut memo = MemoTree::new((0, len), plan, span.len(), SLOTS as u32);
+        refresh_all(&mut memo, &mut span, len, &gone);
+        assert_eq!(memo.descent().unwrap().winner.raw, 0);
+        // Nothing moved: nothing refreshes.
+        for (leaf, mat) in span.iter_mut().enumerate() {
+            let membership = Membership {
+                flags: None,
+                base: 0,
+                lo: 0,
+                hi: 0,
+            };
+            assert!(!memo.refresh(leaf, mat, membership, false));
+        }
+        // A write to mat 0 re-runs its leaf from its window.
+        span[0].write_slot(3, 0);
+        refresh_all(&mut memo, &mut span, len, &gone);
+        let winner = memo.descent().unwrap().winner;
+        assert_eq!((winner.slot, winner.raw), (3, 0));
+    }
+
+    #[test]
     fn empty_span_has_no_descent() {
         let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
-        let mut memo = MemoTree::new(3, plan);
-        memo.fold_all();
+        let mut memo = MemoTree::new((0, 1), plan, 3, SLOTS as u32);
+        memo.refold_marked();
         assert_eq!(memo.descent(), None);
     }
 }

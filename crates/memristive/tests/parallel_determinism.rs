@@ -13,10 +13,18 @@
 //! the span's first slot, so only the offset placement pins that
 //! arithmetic; the decoy leaves stale selects and exclusion flags
 //! outside the span that must not leak into it.
+//!
+//! The cross-call properties (`*_cross_calls_agree`) check what `Auto`
+//! keeps between calls: its memo tree and each mat's resumable descent.
+//! An `Auto` and a `Sequential` chip take the same random interleaving
+//! of writes, inits, extractions on two ranges sharing a mat, stuck-at
+//! faults, snapshots and clones, and must agree on hits and every
+//! counter after every call.
 
 use proptest::prelude::*;
 use rime_memristive::{
-    Chip, ChipGeometry, Direction, ExtractHit, OpCounters, ParallelPolicy, SortableBits,
+    Chip, ChipGeometry, ChipState, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
+    SortableBits,
 };
 
 /// Slots per mat under [`geometry`] (4 arrays × 4 rows).
@@ -242,5 +250,281 @@ fn wide_span_drain_is_policy_invariant() {
                 assert_eq!(chip.counters(), want_counters, "{policy:?}");
             }
         }
+    }
+}
+
+/// Mats in the cross-call chip.
+const CROSS_MATS: u16 = 6;
+/// Key slots in the cross-call chip.
+const CROSS_SLOTS: u64 = CROSS_MATS as u64 * SLOTS_PER_MAT;
+
+/// The two ranges of a cross-call case: `[a, b)` and `[b, c)`, disjoint
+/// but sharing the mat that holds slot `b`.
+#[derive(Debug, Clone, Copy)]
+struct Ranges {
+    a: u64,
+    b: u64,
+    c: u64,
+}
+
+impl Ranges {
+    /// `a` in `0..16`; `b` off a mat boundary; `c` past `b`, within the
+    /// chip.
+    fn new(a: u64, first_len: u64, second_len: u64) -> Ranges {
+        let mut b = a + first_len;
+        if b.is_multiple_of(SLOTS_PER_MAT) {
+            b += 1;
+        }
+        Ranges {
+            a,
+            b,
+            c: (b + second_len).min(CROSS_SLOTS),
+        }
+    }
+}
+
+/// One chip call of a cross-call case.
+#[derive(Debug, Clone, Copy)]
+enum Call {
+    /// Store `len` keys from `slot` on, cycling the case's keys from
+    /// index `from` (`len == 1`: a single-slot write).
+    Store {
+        slot: u64,
+        len: u64,
+        from: usize,
+    },
+    Init {
+        begin: u64,
+        end: u64,
+    },
+    /// `k: None` is a single extract. With `walk`, the `Auto` chip runs
+    /// this one call under `Sequential`.
+    Extract {
+        begin: u64,
+        end: u64,
+        max: bool,
+        k: Option<usize>,
+        walk: bool,
+    },
+    Fault {
+        slot: u64,
+        bit: u16,
+        stuck: bool,
+    },
+    /// Snapshot the chip; restore the last snapshot; replace the chip by
+    /// its clone.
+    Save,
+    Restore,
+    Clone,
+}
+
+impl Call {
+    /// Decodes one random word into a call on `ranges`; `max` is the
+    /// case's direction on the first range, the second runs the other.
+    fn decode(word: u64, ranges: Ranges, keys: usize, bits: u16, max: bool) -> Call {
+        let Ranges { a, b, c } = ranges;
+        let arg = word >> 8;
+        // One first-range extraction in eight flips direction.
+        let max = max ^ (arg >> 40 & 7 == 0);
+        let walk = arg >> 44 & 7 == 0;
+        match word % 16 {
+            0 | 1 => Call::Store {
+                slot: arg % CROSS_SLOTS,
+                len: 1,
+                from: (arg >> 16) as usize % keys,
+            },
+            2 => {
+                let slot = arg % CROSS_SLOTS;
+                Call::Store {
+                    slot,
+                    len: (arg >> 8 & 31).min(CROSS_SLOTS - slot - 1) + 1,
+                    from: (arg >> 16) as usize % keys,
+                }
+            }
+            3 => Call::Init { begin: a, end: b },
+            4 => {
+                let begin = a + arg % (b - a);
+                Call::Init {
+                    begin,
+                    end: begin + 1 + (arg >> 16) % (b - begin),
+                }
+            }
+            5 | 6 => Call::Extract {
+                begin: a,
+                end: b,
+                max,
+                k: None,
+                walk,
+            },
+            7..=9 => Call::Extract {
+                begin: a,
+                end: b,
+                max,
+                k: Some((arg % 40) as usize),
+                walk,
+            },
+            10 => Call::Extract {
+                begin: b,
+                end: c,
+                max: !max,
+                k: Some((arg % 8) as usize),
+                walk,
+            },
+            11 => Call::Init { begin: b, end: c },
+            // Half the faults hit one of a key's top six bits, where they
+            // move its rank.
+            12 => Call::Fault {
+                slot: a + arg % (c - a),
+                bit: if arg >> 24 & 1 == 1 {
+                    bits - 1 - (arg >> 16) as u16 % 6
+                } else {
+                    (arg >> 16) as u16 % bits
+                },
+                stuck: arg >> 32 & 1 == 1,
+            },
+            13 => Call::Save,
+            14 => Call::Restore,
+            _ => Call::Clone,
+        }
+    }
+}
+
+/// One side of a cross-call case: a chip under one policy and its last
+/// snapshot.
+struct Side {
+    chip: Chip,
+    policy: ParallelPolicy,
+    saved: Option<ChipState>,
+}
+
+impl Side {
+    /// Runs `call`; returns its hits (none for a call that extracts none).
+    fn apply(&mut self, call: Call, raw: &[u64], format: KeyFormat) -> Vec<ExtractHit> {
+        let chip = &mut self.chip;
+        match call {
+            Call::Store { slot, len, from } => {
+                let keys: Vec<u64> = (0..len as usize)
+                    .map(|i| raw[(from + i) % raw.len()])
+                    .collect();
+                chip.store_keys(slot, &keys, format).unwrap();
+            }
+            Call::Init { begin, end } => chip.init_range(begin, end, format).unwrap(),
+            Call::Extract {
+                begin,
+                end,
+                max,
+                k,
+                walk,
+            } => {
+                let direction = if max { Direction::Max } else { Direction::Min };
+                if walk {
+                    chip.set_parallel_policy(ParallelPolicy::Sequential);
+                }
+                let hits = match k {
+                    None => chip
+                        .extract_range(begin, end, format, direction)
+                        .unwrap()
+                        .into_iter()
+                        .collect(),
+                    Some(k) => chip
+                        .extract_range_batch(begin, end, format, direction, k)
+                        .unwrap(),
+                };
+                chip.set_parallel_policy(self.policy);
+                return hits;
+            }
+            Call::Fault { slot, bit, stuck } => chip.inject_stuck_cell(slot, bit, stuck).unwrap(),
+            Call::Save => self.saved = Some(chip.state()),
+            Call::Restore => {
+                if let Some(state) = &self.saved {
+                    assert!(chip.restore_state(state));
+                }
+            }
+            Call::Clone => *chip = chip.clone(),
+        }
+        Vec::new()
+    }
+}
+
+/// The cross-call property: a chip under `Auto` and one under
+/// `Sequential` take the same random interleaving of writes, inits,
+/// extractions on two ranges sharing a mat, faults, snapshots and
+/// clones; after every call their hits and every `OpCounters` field are
+/// equal. `Auto` keeps its memo tree across these calls, so a stale leaf
+/// or a wrong resume shows up as a differing hit or count.
+fn assert_cross_calls_agree<T: SortableBits>(
+    keys: &[T],
+    words: &[u64],
+    ranges: Ranges,
+    max: bool,
+) -> Result<(), TestCaseError> {
+    let raw: Vec<u64> = keys.iter().map(|k| k.to_raw_bits()).collect();
+    let format = T::FORMAT;
+    let mut sides = [ParallelPolicy::Sequential, ParallelPolicy::Auto].map(|policy| {
+        let mut chip = Chip::new(geometry(CROSS_MATS));
+        chip.set_parallel_policy(policy);
+        let fill: Vec<u64> = (0..CROSS_SLOTS as usize)
+            .map(|i| raw[i % raw.len()])
+            .collect();
+        chip.store_keys(0, &fill, format).unwrap();
+        chip.init_range(ranges.a, ranges.b, format).unwrap();
+        Side {
+            chip,
+            policy,
+            saved: None,
+        }
+    });
+    for (i, &word) in words.iter().enumerate() {
+        let call = Call::decode(word, ranges, raw.len(), format.bits(), max);
+        let [want, got] = sides.each_mut().map(|side| side.apply(call, &raw, format));
+        prop_assert_eq!(&got, &want, "call {} {:?}: hits", i, call);
+        prop_assert_eq!(
+            sides[1].chip.counters(),
+            sides[0].chip.counters(),
+            "call {} {:?}: counters",
+            i,
+            call
+        );
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn unsigned_cross_calls_agree(
+        keys in prop::collection::vec(any::<u64>(), 1..24),
+        words in prop::collection::vec(any::<u64>(), 1..80),
+        a in 0u64..16,
+        first_len in 2u64..70,
+        second_len in 1u64..24,
+        max in any::<bool>(),
+    ) {
+        assert_cross_calls_agree(&keys, &words, Ranges::new(a, first_len, second_len), max)?;
+    }
+
+    #[test]
+    fn signed_cross_calls_agree(
+        keys in prop::collection::vec(any::<i32>(), 1..24),
+        words in prop::collection::vec(any::<u64>(), 1..80),
+        a in 0u64..16,
+        first_len in 2u64..70,
+        second_len in 1u64..24,
+        max in any::<bool>(),
+    ) {
+        assert_cross_calls_agree(&keys, &words, Ranges::new(a, first_len, second_len), max)?;
+    }
+
+    #[test]
+    fn float_cross_calls_agree(
+        keys in prop::collection::vec(any::<f32>(), 1..24),
+        words in prop::collection::vec(any::<u64>(), 1..80),
+        a in 0u64..16,
+        first_len in 2u64..70,
+        second_len in 1u64..24,
+        max in any::<bool>(),
+    ) {
+        assert_cross_calls_agree(&keys, &words, Ranges::new(a, first_len, second_len), max)?;
     }
 }
