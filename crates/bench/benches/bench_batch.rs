@@ -23,12 +23,26 @@
 //! `Sequential`'s in either drain, or if `Auto`'s best drain runs below
 //! 2× `Sequential`'s keys/s at 64 or 128 mats. Run it with
 //! `cargo bench -p rime-bench --bench bench_batch -- --quick`.
+//!
+//! `device_straddle_table1` is an ungated probe of multi-chip commands.
+//! On a Table I device, 16Ki and 64Ki uniform u64 keys sit in one region
+//! placed two ways: on chip 0, or straddling chips 0/1 with half the keys
+//! on each (placed like perfbench's `device_sort`: a pad allocation, the
+//! region, then the pad freed). Each region is re-initialized and drained
+//! by `rime_min_k(16)` and `rime_min_k(256)` until it runs dry; every
+//! drain is checked against `slice::sort`. The two placements drain in
+//! turn, in rounds that repeat until at least three have run and a
+//! second has passed; each placement's best drain is printed in µs per
+//! key with the straddling/one-chip ratio. A straddling refill engages
+//! both chips one after another on the calling thread, so the two
+//! placements should cost about the same per key.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use rime_core::{ops, RimeConfig, RimeDevice};
+use rime_core::{ops, Region, RimeConfig, RimeDevice};
 use rime_memristive::{
     Chip, ChipGeometry, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
 };
+use rime_workloads::keys::{generate_u64, KeyDistribution};
 use std::hint::black_box;
 use std::time::{Duration, Instant};
 
@@ -263,11 +277,79 @@ fn bench_device_batch(c: &mut Criterion) {
     group.finish();
 }
 
+/// Straddle-probe rounds per case (one drain of each placement per
+/// round): at least this many, and at least [`PROBE_BUDGET`] of them.
+const PROBE_RUNS: usize = 3;
+const PROBE_BUDGET: Duration = Duration::from_secs(1);
+
+/// A Table I device holding `keys` in one region, on chip 0 or
+/// straddling chips 0/1 with half the keys on each.
+fn placed_region(keys: &[u64], straddle: bool) -> (RimeDevice, Region) {
+    let dev = RimeDevice::new(RimeConfig::table1());
+    let n = keys.len() as u64;
+    let region = if straddle {
+        let chip_slots = dev.config().chip_slots();
+        let pad = dev.alloc(chip_slots - n / 2).unwrap();
+        let region = dev.alloc(n).unwrap();
+        dev.free(pad).unwrap();
+        assert_eq!(region.start(), chip_slots - n / 2, "straddling placement");
+        region
+    } else {
+        dev.alloc(n).unwrap()
+    };
+    dev.write(region, 0, keys).unwrap();
+    (dev, region)
+}
+
+/// Re-initializes `region` and drains it by `rime_min_k(k)`.
+fn drain_min_k(dev: &RimeDevice, region: Region, k: usize) -> Vec<u64> {
+    dev.init_all::<u64>(region).unwrap();
+    let mut out = Vec::with_capacity(region.len() as usize);
+    loop {
+        let batch = dev.rime_min_k::<u64>(region, k).unwrap();
+        if batch.is_empty() {
+            return out;
+        }
+        out.extend(batch.into_iter().map(|(_, key)| key));
+    }
+}
+
+fn bench_device_straddle(_c: &mut Criterion) {
+    for n in [16usize << 10, 64 << 10] {
+        let keys = generate_u64(n, KeyDistribution::Uniform, 42);
+        let mut want = keys.clone();
+        want.sort_unstable();
+        let placed = [false, true].map(|straddle| placed_region(&keys, straddle));
+        for k in [16usize, 256] {
+            // The placements drain in turn, so a slow stretch of the host
+            // lands on both rather than on one.
+            let mut best = [Duration::MAX; 2];
+            let (mut spent, mut rounds) = (Duration::ZERO, 0);
+            while rounds < PROBE_RUNS || spent < PROBE_BUDGET {
+                for ((dev, region), best) in placed.iter().zip(&mut best) {
+                    let t = Instant::now();
+                    let got = black_box(drain_min_k(dev, *region, k));
+                    let took = t.elapsed();
+                    (*best, spent) = ((*best).min(took), spent + took);
+                    assert_eq!(got, want, "rime_min_k({k}) drain of {n} keys");
+                }
+                rounds += 1;
+            }
+            let [one_chip, straddle] = best.map(|b| b.as_secs_f64() * 1e6 / n as f64);
+            println!(
+                "device_straddle_table1/{n}_keys/k={k}: one chip {one_chip:.2} µs/key, straddling chips 0/1 {straddle:.2} µs/key ({:.2}×, best of {rounds})",
+                straddle / one_chip
+            );
+        }
+    }
+}
+
 criterion_group!(
     benches,
     bench_chip_batch_vs_loop,
     bench_table1_chip_batch,
     bench_table1_span,
-    bench_device_batch
+    bench_device_batch,
+    bench_device_straddle
 );
 criterion_main!(benches);

@@ -22,9 +22,14 @@
 //! executor feature rather than a three-way rewrite.
 //!
 //! Internal locks use poison *recovery* (`PoisonError::into_inner`), not
-//! `expect`: a worker thread that panics mid-operation may leave its own
-//! range in an undefined state, but it cannot cascade into a panic for
-//! every other thread sharing the device.
+//! `expect`: a caller that panics mid-command may leave its own range in
+//! an undefined state, but it cannot cascade into a panic for every
+//! other thread sharing the device.
+//!
+//! Every command runs on the thread that executes it. A command that
+//! spans several chips engages them one after another in ascending chip
+//! order; the hardware's concurrency across chips (Fig. 14) is priced
+//! from the recorded counter deltas, not from host threads.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -34,9 +39,7 @@ use std::sync::{
 };
 use std::time::Instant;
 
-use rime_memristive::{
-    Chip, ChipState, Direction, ExtractHit, KeyFormat, OpCounters, ParallelPolicy,
-};
+use rime_memristive::{Chip, ChipState, Direction, KeyFormat, OpCounters, ParallelPolicy};
 
 use crate::device::{Region, RimeConfig};
 use crate::driver::ContiguousAllocator;
@@ -713,16 +716,12 @@ impl Executor {
     /// using the chip's batched extraction, so one command can drain
     /// several results without re-engaging every chip in between.
     ///
-    /// Chips are independent devices behind their own locks, so when a
-    /// session spans more than one, the per-chip extractions dispatch
-    /// concurrently on scoped threads — the executor-level mirror of the
-    /// chip's mat fan-out. The merge is deterministic by construction:
-    /// per-chip results come back keyed by chip index and are folded in
-    /// ascending chip order, so buffered candidates, `Outcome::Hits`,
-    /// and the per-chip [`Effects`] deltas the ledger records
-    /// are identical to the serial walk regardless of scheduling. On
-    /// failure every chip's partial delta is still recorded (all chips
-    /// ran) and the lowest-chip-index error is returned.
+    /// The chips that need a refill run one after another in ascending
+    /// chip order, on the calling thread. In hardware they rank at the
+    /// same time; the model prices that concurrency from the recorded
+    /// deltas (`modeled_busy_ns` charges the busiest chip), not from
+    /// host scheduling. On failure every chip still runs and records its
+    /// partial delta, and the lowest chip's error is returned.
     fn prefill_queues(
         &self,
         session: &mut Session,
@@ -732,32 +731,18 @@ impl Executor {
     ) -> Result<(), RimeError> {
         let mut chip_ids: Vec<u32> = session.queues.keys().copied().collect();
         chip_ids.sort_unstable();
-        // (chip, need, chip_base, local_begin, local_end) per chip that
-        // actually needs a refill, in ascending chip order.
-        let mut work: Vec<(u32, usize, u64, u64, u64)> = Vec::new();
-        for &chip_idx in &chip_ids {
+        let format = session.format;
+        let mut first_err = None;
+        for chip_idx in chip_ids {
             let have = session.queues[&chip_idx].len();
             if have >= depth {
                 continue;
             }
-            let (chip_base, local_begin, local_end) = self.chip_local_range(session, chip_idx);
-            work.push((chip_idx, depth - have, chip_base, local_begin, local_end));
-        }
-        let format = session.format;
-        // Scoped worker threads start with an empty thread-local trace
-        // context; re-enter the dispatching thread's so device spans
-        // recorded on workers still land under the right request.
-        let trace_ctx = if self.flight.get().is_some() {
-            flight::current()
-        } else {
-            None
-        };
-        let refill = |&(chip_idx, need, chip_base, begin, end): &(u32, usize, u64, u64, u64)| {
-            let _trace = trace_ctx.map(flight::enter);
+            let (chip_base, begin, end) = self.chip_local_range(session, chip_idx);
             let mut chip = lock_recover(&self.chips[chip_idx as usize]);
             let before = *chip.counters();
             let res = chip
-                .extract_range_batch(begin, end, format, direction, need)
+                .extract_range_batch(begin, end, format, direction, depth - have)
                 .map_err(RimeError::from);
             let delta = chip.counters().delta_since(&before);
             drop(chip);
@@ -767,28 +752,8 @@ impl Executor {
                 Some(err) => Err(err),
                 None => res,
             };
-            // Crash site: mid-extraction, possibly on a worker thread.
+            // Crash site: mid-extraction.
             self.crash_point();
-            (chip_idx, chip_base, delta, res)
-        };
-        type Refill = (u32, u64, OpCounters, Result<Vec<ExtractHit>, RimeError>);
-        let results: Vec<Refill> = if work.len() <= 1 {
-            work.iter().map(refill).collect()
-        } else {
-            std::thread::scope(|scope| {
-                let refill = &refill;
-                let handles: Vec<_> = work
-                    .iter()
-                    .map(|item| scope.spawn(move || refill(item)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("chip dispatch worker panicked"))
-                    .collect()
-            })
-        };
-        let mut first_err = None;
-        for (chip_idx, chip_base, delta, res) in results {
             fx.record_chip(chip_idx, delta);
             match res {
                 Ok(hits) => {
@@ -796,9 +761,7 @@ impl Executor {
                     queue.extend(hits.iter().map(|h| (chip_base + h.slot, h.raw_bits)));
                 }
                 Err(err) => {
-                    if first_err.is_none() {
-                        first_err = Some(err);
-                    }
+                    first_err.get_or_insert(err);
                 }
             }
         }

@@ -87,14 +87,14 @@ pub struct TraceCtx {
 pub enum PhaseTag {
     /// Submit → dispatch-pass drain: time parked in the tenant SQ.
     SqWait,
-    /// Pass drain/fuse/schedule work (singles in wave 0 wait exactly
-    /// this long; also the pass-scope span's tag).
+    /// Pass drain/fuse work: drain → execution of a single that runs
+    /// first in its pass (also the pass-scope span's tag).
     Drain,
-    /// Drain → unit execution for members of a fused batch in wave 0:
-    /// time waiting for the fusion wave to form.
+    /// Drain → execution of a fused batch that runs first in its pass:
+    /// time spent forming the fused group.
     FusionWait,
-    /// Drain → unit execution for units deferred to a later wave by
-    /// DRR ordering / chip-footprint conflicts.
+    /// Drain → execution of a unit that runs behind an earlier unit of
+    /// its pass, in DRR pass order.
     DrrDefer,
     /// Unit execution on the shared executor (includes device time).
     Dispatch,

@@ -1448,9 +1448,9 @@ pub struct RecoveryReport {
 // Crash-point fault injection (crash-test feature)
 // ---------------------------------------------------------------------
 
-/// Panic payload [`CrashPoint::hit`] throws, so harnesses can tell an
-/// injected crash from a genuine bug. Worker-thread joins may replace
-/// the payload; [`CrashPoint::fired`] is the authoritative signal.
+/// Panic payload [`CrashPoint::hit`] throws, on the thread running the
+/// command, so harnesses can tell an injected crash from a genuine bug;
+/// [`CrashPoint::fired`] is the authoritative signal.
 #[cfg(feature = "crash-test")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CrashSignal;

@@ -8,9 +8,10 @@
 //!    `tCompute(k) + tRead ≈ 286.8 ns` for 64-bit keys. Every chip ranks
 //!    its ranges independently, so chips are the unit of concurrency
 //!    (Fig. 14 activates all chips and then only the winner). The
-//!    functional executor honors this: multi-chip batched commands run
-//!    each chip's prefill concurrently, so [`modeled_busy_ns`] taking
-//!    the max over chips matches how the simulator actually schedules.
+//!    functional executor refills the chips of a multi-chip command one
+//!    after another on the calling thread, and prices that concurrency
+//!    from their counter deltas: [`modeled_busy_ns`] takes the max over
+//!    chips, whatever order the host ran them in.
 //! 2. **Interface** — `rime_min` results and refill commands travel as
 //!    in-order strong-uncacheable DDR4 accesses (§V), a fixed cost per
 //!    value per channel.

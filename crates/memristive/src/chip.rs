@@ -326,8 +326,15 @@ impl Chip {
     }
 
     /// `rime_init`: prepares the range `[begin, end)` for a new
-    /// sort/rank/merge operation — clears its exclusion flags and walks the
-    /// H-tree downstream to latch the select vectors (Fig. 11).
+    /// sort/rank/merge operation — clears its exclusion flags and prices
+    /// the H-tree's downstream walk that latches the select vectors
+    /// (Fig. 11: one select load, one traversal).
+    ///
+    /// The host latches nothing here: every extraction latches its own
+    /// select vectors from the range and the flags, so a latch set at
+    /// init would never be read. One visible consequence: the mats of a
+    /// range that was initialized but never written nor extracted stay
+    /// unmaterialized, so checkpoints omit them.
     ///
     /// Format agreement between stored data and ranking operations is the
     /// responsibility of the API library (`rime-core`), which tracks the
@@ -358,10 +365,11 @@ impl Chip {
             }
             flags.clear_range(begin as usize, end as usize);
         }
-        self.load_selection(begin, end);
         self.format = Some(format);
         self.range = Some((begin, end));
         self.counters.init_ops += 1;
+        self.counters.select_loads += 1;
+        self.counters.htree_traversals += 1;
         Ok(())
     }
 

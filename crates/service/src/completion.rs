@@ -1,6 +1,6 @@
 //! Completion fan-out and batched posting.
 //!
-//! Execution produces results in wave order; tenants must see ordinal
+//! Execution produces results in pass order; tenants must see ordinal
 //! order. The pass buffers every completion, then posts each tenant's
 //! batch sorted by ordinal under one session lock — one lock
 //! acquisition and one condvar broadcast per tenant per pass, however

@@ -2,10 +2,11 @@
 //!
 //! A pass is the unit of amortization. Whatever accumulated in the
 //! tenant SQs since the last wakeup is drained fairly (DRR), fused
-//! (cross-tenant `Extract` → `ExtractBatch`), wave-scheduled across
-//! disjoint chips, executed, and completion-posted in one sweep — the
-//! fixed costs (fusion scan, wave formation, per-tenant CQ lock and
-//! broadcast) are paid once per pass instead of once per command.
+//! (cross-tenant `Extract` → `ExtractBatch`), executed one unit after
+//! another in pass order on the thread running the pass, and
+//! completion-posted in one sweep — the fixed costs (fusion scan,
+//! per-tenant CQ lock and broadcast) are paid once per pass instead of
+//! once per command.
 //!
 //! Passes serialize on the scheduler lock, so manual-mode
 //! `process_pending` and a started dispatcher thread can coexist
@@ -16,15 +17,16 @@
 //! With a flight recorder attached, the pass is where a request's
 //! latency gets tiled: `sq_wait` ends when the pass drains the SQs
 //! (one clock read per pass, shared by every drained item); the drain
-//! → unit-execution gap becomes `drain` (wave-0 single), `fusion_wait`
-//! (wave-0 fused member), or `drr_defer` (deferred wave); execution
-//! itself is `dispatch`. The pass only *measures* these phases — the
-//! durations ride the CQ entry and the spans are recorded at reap time
-//! on the tenant's thread (see `session`), keeping ring pushes off the
-//! dispatcher's critical path. The dispatcher records just what it
-//! alone witnesses: a fused unit's root span and the `link` events
-//! naming every absorbed member — the causal record of the fusion
-//! decision. Recorder off, every trace site is one pointer test.
+//! → unit-execution gap becomes `drr_defer` when the unit ran behind an
+//! earlier unit of its pass, and otherwise `fusion_wait` (fused unit)
+//! or `drain` (single); execution itself is `dispatch`. The pass only
+//! *measures* these phases — the durations ride the CQ entry and the
+//! spans are recorded at reap time on the tenant's thread (see
+//! `session`), keeping ring pushes off the dispatcher's critical path.
+//! The dispatcher records just what it alone witnesses: a fused unit's
+//! root span and the `link` events naming every absorbed member — the
+//! causal record of the fusion decision. Recorder off, every trace site
+//! is one pointer test.
 
 use std::collections::VecDeque;
 use std::sync::{Arc, PoisonError};
@@ -40,13 +42,13 @@ use crate::scheduler;
 use crate::session::{CqTrace, Submission};
 use crate::ServiceInner;
 
-/// Trace context one wave's units execute under: the recorder, the
-/// pass's drain timestamp (start of every queue-wait span), and the
-/// wave index (wave > 0 means the unit was DRR-deferred).
+/// Trace context one unit executes under: the recorder, the pass's
+/// drain timestamp (start of every queue-wait span), and whether an
+/// earlier unit of the pass ran first (the unit was DRR-deferred).
 struct FlightPass<'a> {
     recorder: &'a FlightRecorder,
     drained_at: Instant,
-    wave: usize,
+    deferred: bool,
 }
 
 impl FlightPass<'_> {
@@ -54,9 +56,9 @@ impl FlightPass<'_> {
     /// member of one executed unit: `(queue_wait_ns, queue_phase,
     /// dispatch_ns)` — pure arithmetic, computed once per unit no
     /// matter how many members share it. `fused` tags the queue wait
-    /// as fusion-wave formation rather than plain drain.
+    /// as fused-group formation rather than plain drain.
     fn unit_phases(&self, exec_start: Instant, done: Instant, fused: bool) -> (u64, PhaseTag, u64) {
-        let queue_phase = if self.wave > 0 {
+        let queue_phase = if self.deferred {
             PhaseTag::DrrDefer
         } else if fused {
             PhaseTag::FusionWait
@@ -133,54 +135,22 @@ pub(crate) fn pass(inner: &ServiceInner) -> usize {
     let order = scheduler::drr_drain(queues, sched.cursor, inner.config.drr_quantum);
     sched.cursor = sched.cursor.wrapping_add(1);
 
+    let mut completed: Vec<Completed> = Vec::with_capacity(total);
     let units = fusion::fuse(order, inner.config.max_fuse);
-    for unit in &units {
-        if let WorkUnit::Fused { members, .. } = unit {
+    for (position, unit) in units.into_iter().enumerate() {
+        if let WorkUnit::Fused { members, .. } = &unit {
             inner.metrics.fused_batches.inc();
             inner.metrics.fused_commands.add(members.len() as u64);
         }
-    }
-
-    let mut completed: Vec<Completed> = Vec::with_capacity(total);
-    for (wave_idx, wave) in scheduler::waves(units, inner.exec.config())
-        .into_iter()
-        .enumerate()
-    {
-        inner.metrics.waves.inc();
-        inner.metrics.wave_units.add(wave.len() as u64);
         let fp = match (flight, drained_at) {
             (Some(recorder), Some(drained_at)) => Some(FlightPass {
                 recorder,
                 drained_at,
-                wave: wave_idx,
+                deferred: position > 0,
             }),
             _ => None,
         };
-        let fp = fp.as_ref();
-        if wave.len() == 1 {
-            let unit = wave.into_iter().next().expect("len checked");
-            completed.extend(run_unit(&inner.exec, unit, fp));
-        } else {
-            // Chip-disjoint units: execute concurrently, reassemble in
-            // wave order so completion posting stays deterministic for
-            // a given wave composition.
-            let results: Vec<Vec<Completed>> = std::thread::scope(|scope| {
-                let handles: Vec<_> = wave
-                    .into_iter()
-                    .map(|unit| scope.spawn(move || run_unit(&inner.exec, unit, fp)))
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| match h.join() {
-                        Ok(batch) => batch,
-                        Err(panic) => std::panic::resume_unwind(panic),
-                    })
-                    .collect()
-            });
-            for batch in results {
-                completed.extend(batch);
-            }
-        }
+        completed.extend(run_unit(&inner.exec, unit, fp.as_ref()));
     }
 
     completion::post(&sessions, completed);

@@ -93,28 +93,6 @@ pub(crate) enum WorkUnit {
     },
 }
 
-impl WorkUnit {
-    /// The region the unit addresses, if any.
-    pub(crate) fn region(&self) -> Option<Region> {
-        match self {
-            WorkUnit::Single(item) => item.command.region(),
-            WorkUnit::Fused { key, .. } => Some(key.region),
-        }
-    }
-
-    /// Whether the unit must serialize against the allocator (commands
-    /// with allocator side effects never share a wave).
-    pub(crate) fn touches_allocator(&self) -> bool {
-        matches!(
-            self,
-            WorkUnit::Single(WorkItem {
-                command: Command::Alloc { .. } | Command::Free { .. },
-                ..
-            })
-        )
-    }
-}
-
 /// Fuses a pass-order command stream into work units, preserving
 /// per-region execution order per the barrier rules above. With
 /// `max_fuse <= 1` every item becomes a `Single` — the naive

@@ -23,8 +23,8 @@
 //!    region, format, and direction, possibly from different tenants —
 //!    into one `ExtractBatch { k }`, amortizing the select-vector
 //!    rearm exactly as PR 1's batch path does per chip;
-//! 3. packs chip-disjoint work units into concurrent *waves*
-//!    (allocator commands serialize);
+//! 3. executes the work units one after another in that pass order,
+//!    on the dispatching thread;
 //! 4. posts completions per tenant in ordinal order, one CQ lock per
 //!    tenant per pass.
 //!
@@ -34,7 +34,9 @@
 //!   [`ServiceConfig::queue_depth`] commands across SQ + in-flight +
 //!   unreaped CQ; beyond that [`SubmitError::Busy`] pushes back.
 //! * **Program order**: a tenant's completions arrive in submit
-//!   (ordinal) order, whatever fusion or waves did underneath.
+//!   (ordinal) order, whatever fusion did underneath; and the executor
+//!   sees the units in exactly DRR pass order, so the command stream
+//!   (and a journal's intents) is a pure function of the queues.
 //! * **Determinism**: a fused group executes literally
 //!   `Command::ExtractBatch` on the shared executor, so its results,
 //!   `OpCounters`, and telemetry are bit-identical to an equivalent

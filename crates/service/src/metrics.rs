@@ -37,11 +37,6 @@ pub(crate) struct ServiceMetrics {
     pub fused_batches: Counter,
     /// Single-key `Extract` commands absorbed into fused batches.
     pub fused_commands: Counter,
-    /// Chip-disjoint waves executed.
-    pub waves: Counter,
-    /// Work units placed into waves (`wave_units / waves` is the
-    /// intra-wave parallelism).
-    pub wave_units: Counter,
     /// Per-phase latency attribution histograms, indexed parallel to
     /// [`ATTRIBUTION_PHASES`]. Wall-clock, so nondeterministic.
     pub attribution: Vec<Histogram>,
@@ -72,18 +67,6 @@ impl ServiceMetrics {
                 "rime_service_fused_commands_total",
                 &[],
                 "Extract commands absorbed into fused batches",
-                true,
-            ),
-            waves: registry.counter_with(
-                "rime_service_waves_total",
-                &[],
-                "Chip-disjoint execution waves run",
-                true,
-            ),
-            wave_units: registry.counter_with(
-                "rime_service_wave_units_total",
-                &[],
-                "Work units scheduled into execution waves",
                 true,
             ),
             attribution: ATTRIBUTION_PHASES

@@ -5,8 +5,8 @@
 //! dispatcher parks on [`Doorbell::wait`] and is handed the *number of
 //! rings* it slept through. That count is the coalescing signal — one
 //! wakeup that drains 32 rings means 32 submissions shared a single
-//! dispatch pass (one fusion scan, one wave schedule, one completion
-//! post) instead of paying the per-command path 32 times. This is the
+//! dispatch pass (one drain, one fusion scan, one completion post)
+//! instead of paying the per-command path 32 times. This is the
 //! same trick an NVMe driver plays with its SQ doorbell register:
 //! writes are cheap, the expensive work happens once per wakeup.
 

@@ -1,7 +1,4 @@
-//! Fairness and placement: deficit-round-robin SQ draining and
-//! chip-disjoint wave formation.
-//!
-//! # Deficit round robin
+//! Fairness: deficit-round-robin SQ draining.
 //!
 //! Each pass drains the tenant SQs into one interleaved pass-order
 //! stream. Tenants take turns in a rotating order (the cursor advances
@@ -11,23 +8,10 @@
 //! round robin — a flooding tenant cannot starve a trickling one, and
 //! the quantum trades fusion adjacency (longer same-tenant runs fuse
 //! into deeper batches) against interleave granularity.
-//!
-//! # Waves
-//!
-//! Work units whose chip footprints are disjoint cannot contend for
-//! chip locks or touch each other's sessions, so they execute
-//! concurrently as one *wave*. Units are greedily packed in pass order;
-//! a unit that conflicts with the current wave (or with an
-//! already-deferred unit — order between conflicting units must be
-//! preserved) waits for a later wave. Allocator-touching commands
-//! (`Alloc`, `Free`) conflict with everything: allocation order is
-//! observable through region addresses and must follow pass order.
 
 use std::collections::VecDeque;
 
-use rime_core::RimeConfig;
-
-use crate::fusion::{WorkItem, WorkUnit};
+use crate::fusion::WorkItem;
 
 /// Drains per-tenant FIFO queues into one fair pass-order stream.
 /// `queues[i]` belongs to tenant slot `i`; `cursor` picks who goes
@@ -72,80 +56,10 @@ pub(crate) fn drr_drain(
     out
 }
 
-/// The chip-footprint mask of a unit: bit `c` set when the unit may
-/// touch chip `c` (chips beyond 127 share the top bit, which is merely
-/// conservative). `None` means "conflicts with everything" — allocator
-/// commands, whose global ordering is observable.
-fn footprint(unit: &WorkUnit, config: &RimeConfig) -> Option<u128> {
-    if unit.touches_allocator() {
-        return None;
-    }
-    let region = unit
-        .region()
-        .expect("non-allocator units always address a region");
-    let chip_slots = config.chip_slots().max(1);
-    let first = region.start() / chip_slots;
-    let last = (region.start() + region.len().saturating_sub(1)) / chip_slots;
-    let mut mask = 0u128;
-    for chip in first..=last {
-        mask |= 1u128 << (chip.min(127) as u32);
-    }
-    Some(mask)
-}
-
-/// Partitions pass-order units into waves of chip-disjoint units.
-/// Within a wave every pair of units has disjoint footprints; across
-/// waves, any two conflicting units appear in their pass order.
-pub(crate) fn waves(units: Vec<WorkUnit>, config: &RimeConfig) -> Vec<Vec<WorkUnit>> {
-    let mut remaining = units;
-    let mut out = Vec::new();
-    while !remaining.is_empty() {
-        let mut wave = Vec::new();
-        let mut wave_mask = 0u128;
-        let mut wave_has_allocator = false;
-        // Footprints of deferred units: anything overlapping one of
-        // them must also defer, or conflicting units would reorder.
-        let mut blocked = 0u128;
-        let mut blocked_all = false;
-        let mut defer = Vec::new();
-        for unit in remaining.drain(..) {
-            match footprint(&unit, config) {
-                Some(mask)
-                    if !blocked_all
-                        && !wave_has_allocator
-                        && mask & wave_mask == 0
-                        && mask & blocked == 0 =>
-                {
-                    wave_mask |= mask;
-                    wave.push(unit);
-                }
-                Some(mask) => {
-                    blocked |= mask;
-                    defer.push(unit);
-                }
-                None if wave.is_empty() && !blocked_all && blocked == 0 => {
-                    // An allocator command runs alone at the head of
-                    // its wave.
-                    wave_has_allocator = true;
-                    wave.push(unit);
-                }
-                None => {
-                    blocked_all = true;
-                    defer.push(unit);
-                }
-            }
-        }
-        out.push(wave);
-        remaining = defer;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_support;
-    use rime_core::{Command, Direction, KeyFormat};
+    use rime_core::Command;
     use std::time::Instant;
 
     fn item(tenant: usize, ordinal: u64) -> WorkItem {
@@ -212,85 +126,5 @@ mod tests {
                 .collect();
             assert_eq!(ordinals, [0, 1, 2, 3, 4], "tenant {tenant} stays FIFO");
         }
-    }
-
-    #[test]
-    fn waves_pack_disjoint_regions_and_serialize_conflicts() {
-        // Two disjoint single-chip regions on a 4-chip device, plus a
-        // second command on the first region.
-        let (exec, regions) = tests_support::device_with_regions(2);
-        let extract = |tenant: usize, region| {
-            WorkUnit::Single(WorkItem {
-                tenant,
-                ordinal: 0,
-                enqueued: Instant::now(),
-                command: Command::Extract {
-                    region,
-                    format: KeyFormat::UNSIGNED64,
-                    direction: Direction::Min,
-                },
-                trace: None,
-            })
-        };
-        let units = vec![
-            extract(0, regions[0]),
-            extract(1, regions[1]),
-            extract(2, regions[0]),
-        ];
-        let waves = waves(units, exec.config());
-        let sizes: Vec<usize> = waves.iter().map(Vec::len).collect();
-        assert_eq!(
-            sizes,
-            [2, 1],
-            "disjoint pair shares a wave; conflict defers"
-        );
-        // The deferred unit is the later command on region 0.
-        let WorkUnit::Single(last) = &waves[1][0] else {
-            panic!("single")
-        };
-        assert_eq!(last.tenant, 2);
-    }
-
-    #[test]
-    fn allocator_commands_run_alone_and_in_order() {
-        let (exec, regions) = tests_support::device_with_regions(1);
-        let alloc = WorkUnit::Single(item(0, 0));
-        let free = WorkUnit::Single(WorkItem {
-            tenant: 1,
-            ordinal: 0,
-            enqueued: Instant::now(),
-            command: Command::Free { region: regions[0] },
-            trace: None,
-        });
-        let extract = WorkUnit::Single(WorkItem {
-            tenant: 2,
-            ordinal: 0,
-            enqueued: Instant::now(),
-            command: Command::Read {
-                region: regions[0],
-                offset: 0,
-                n: 1,
-            },
-            trace: None,
-        });
-        let waves = waves(vec![alloc, extract, free], exec.config());
-        let sizes: Vec<usize> = waves.iter().map(Vec::len).collect();
-        // Alloc alone, then the read, then the free — allocator
-        // commands never share a wave and never reorder.
-        assert_eq!(sizes, [1, 1, 1]);
-        assert!(matches!(
-            &waves[0][0],
-            WorkUnit::Single(WorkItem {
-                command: Command::Alloc { .. },
-                ..
-            })
-        ));
-        assert!(matches!(
-            &waves[2][0],
-            WorkUnit::Single(WorkItem {
-                command: Command::Free { .. },
-                ..
-            })
-        ));
     }
 }

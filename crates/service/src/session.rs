@@ -120,9 +120,10 @@ pub struct Attribution {
     pub sq_wait_ns: u64,
     /// Drain → unit execution start.
     pub queue_wait_ns: u64,
-    /// What `queue_wait` was spent on: [`PhaseTag::Drain`] (wave 0
-    /// single), [`PhaseTag::FusionWait`] (wave 0 fused member), or
-    /// [`PhaseTag::DrrDefer`] (deferred to a later wave).
+    /// What `queue_wait` was spent on: [`PhaseTag::DrrDefer`] when the
+    /// unit ran behind an earlier unit of its pass; otherwise
+    /// [`PhaseTag::FusionWait`] for a fused member and
+    /// [`PhaseTag::Drain`] for a single.
     pub queue_phase: PhaseTag,
     /// Unit execution on the shared executor.
     pub dispatch_ns: u64,

@@ -5,25 +5,18 @@
 
 use rime_core::{Command, Executor, Outcome, Region, RimeConfig};
 
-/// A small executor plus `n` regions of one chip each (regions are
-/// chip-aligned and chip-sized, so region `i` footprints exactly chip
-/// `i`).
-pub(crate) fn device_with_regions(n: usize) -> (Executor, Vec<Region>) {
-    let config = RimeConfig::small();
-    let exec = Executor::new(config);
-    let chip_slots = exec.config().chip_slots();
-    let regions = (0..n)
-        .map(|_| match exec.execute(Command::Alloc { len: chip_slots }) {
-            Ok(Outcome::Region(region)) => region,
-            other => panic!("alloc failed: {other:?}"),
-        })
-        .collect();
-    (exec, regions)
-}
-
-/// The `n`-th region a fresh small device would allocate — a stable,
-/// distinct-by-`n` region value for pure-function tests.
+/// The `n`-th region a fresh small device would allocate (one chip
+/// each) — a stable, distinct-by-`n` region value for pure-function
+/// tests.
 pub(crate) fn region(n: u64) -> Region {
-    let (_exec, regions) = device_with_regions(n as usize + 1);
-    regions[n as usize]
+    let exec = Executor::new(RimeConfig::small());
+    let chip_slots = exec.config().chip_slots();
+    let mut last = None;
+    for _ in 0..=n {
+        match exec.execute(Command::Alloc { len: chip_slots }) {
+            Ok(Outcome::Region(region)) => last = Some(region),
+            other => panic!("alloc failed: {other:?}"),
+        }
+    }
+    last.expect("at least one allocation")
 }

@@ -10,7 +10,9 @@
 //!    results to driving `RimeDevice` directly;
 //! 4. admission control bounds outstanding commands and recovers after
 //!    reaping;
-//! 5. completions always arrive in per-tenant ordinal order.
+//! 5. completions always arrive in per-tenant ordinal order;
+//! 6. the executor runs a pass's work units one after another in DRR
+//!    pass order, whatever chips they touch.
 //!
 //! All multi-arm tests drive the service in *manual* mode
 //! (`process_pending`), where the pass composition is a pure function
@@ -20,7 +22,10 @@ use std::borrow::Cow;
 use std::sync::Arc;
 
 use rime_core::metrics::MetricValue;
-use rime_core::{Command, Direction, Executor, KeyFormat, Outcome, Region, RimeConfig, RimeDevice};
+use rime_core::{
+    journal, Command, Direction, Executor, JournalConfig, JournalRecord, KeyFormat,
+    MemJournalStore, Outcome, Region, RimeConfig, RimeDevice,
+};
 use rime_service::{Completion, RankingService, ServiceConfig, SessionHandle, SubmitError};
 
 const FMT: KeyFormat = KeyFormat::UNSIGNED64;
@@ -458,4 +463,119 @@ fn started_mode_serves_concurrent_tenants() {
     let completed = counter_value(service.executor(), "rime_service_completions_total");
     assert_eq!(submitted, completed, "every accepted command completed");
     assert_eq!(submitted, 4 * (16 + 4));
+}
+
+/// Allocates three chip-sized regions on a fresh small executor — one
+/// per chip 0, 1 and 2 — and writes and inits 64 keys in the first two.
+fn three_chip_regions(exec: &Executor) -> [Region; 3] {
+    let chip_slots = exec.config().chip_slots();
+    let regions = [0, 1, 2].map(|_| match exec.execute(Command::Alloc { len: chip_slots }) {
+        Ok(Outcome::Region(r)) => r,
+        other => panic!("alloc: {other:?}"),
+    });
+    for (salt, &region) in regions[..2].iter().enumerate() {
+        let raw: Vec<u64> = keys(64).iter().map(|k| k ^ salt as u64).collect();
+        exec.execute(Command::Write {
+            region,
+            offset: 0,
+            raw: Cow::Owned(raw),
+            format: FMT,
+        })
+        .expect("write");
+        exec.execute(Command::Init {
+            region,
+            offset: 0,
+            len: 64,
+            format: FMT,
+        })
+        .expect("init");
+    }
+    regions
+}
+
+#[test]
+fn a_pass_executes_its_units_in_drr_pass_order() {
+    // Regions on chips 0, 1 and 2, set up before the journal attaches,
+    // so the journal's intents are exactly the pass under test.
+    let exec = Arc::new(Executor::new(RimeConfig::small()));
+    let [a, b, c] = three_chip_regions(&exec);
+    let store = MemJournalStore::new();
+    exec.attach_journal(Box::new(store.clone()), JournalConfig::default())
+        .expect("attach journal");
+    let config = ServiceConfig {
+        drr_quantum: 1,
+        ..ServiceConfig::default()
+    };
+    let service = RankingService::new(Arc::clone(&exec), config);
+    let tenants: Vec<SessionHandle> = (0..3).map(|_| service.session()).collect();
+    let batch = Command::ExtractBatch {
+        region: a,
+        format: FMT,
+        direction: Direction::Min,
+        k: 2,
+    };
+    // Per tenant, in submit order. Fusion keeps all five apart: the
+    // batch is a barrier for region `a`, and nothing else shares a key.
+    let submitted = [
+        vec![extract(a), Command::Free { region: c }],
+        vec![batch.clone()],
+        vec![extract(b), Command::Alloc { len: 64 }],
+    ];
+    for (tenant, commands) in tenants.iter().zip(&submitted) {
+        for command in commands {
+            tenant.submit(command.clone()).expect("submit");
+        }
+    }
+    assert_eq!(service.process_pending(), 5);
+
+    // Quantum 1 from cursor 0 releases one command per tenant per turn.
+    // `extract(b)` touches only chip 1, so a schedule that ran
+    // chip-disjoint units side by side could start it before the batch
+    // on chip 0; the order pinned here leaves no such freedom.
+    let pass_order = [
+        extract(a),
+        batch,
+        extract(b),
+        Command::Free { region: c },
+        Command::Alloc { len: 64 },
+    ];
+    let intents: Vec<Command<'static>> = journal::scan(&store.snapshot())
+        .expect("journal scans clean")
+        .records
+        .into_iter()
+        .filter_map(|(_, record)| match record {
+            JournalRecord::Intent { command, .. } => Some(command),
+            _ => None,
+        })
+        .collect();
+    assert_eq!(intents, pass_order, "the executor saw the pass order");
+
+    // Every completion equals the same order run serially on a fresh
+    // executor with the same setup.
+    let serial = Executor::new(RimeConfig::small());
+    assert_eq!(three_chip_regions(&serial), [a, b, c]);
+    let want: Vec<_> = pass_order
+        .iter()
+        .map(|command| serial.execute(command.clone()))
+        .collect();
+    // (tenant, ordinal) of each pass-order position.
+    let positions = [(0, 0), (1, 0), (2, 0), (0, 1), (2, 1)];
+    let mut checked = 0;
+    for (tenant, session) in tenants.iter().enumerate() {
+        for completion in session.reap(4) {
+            let position = positions
+                .iter()
+                .position(|&p| p == (tenant, completion.ordinal))
+                .expect("a submitted ordinal");
+            assert_eq!(
+                completion.result, want[position],
+                "tenant {tenant} ordinal {}",
+                completion.ordinal
+            );
+            checked += 1;
+        }
+    }
+    assert_eq!(checked, pass_order.len(), "every command completed");
+    assert_eq!(exec.per_chip_counters(), serial.per_chip_counters());
+    assert_eq!(exec.allocation_map(), serial.allocation_map());
 }

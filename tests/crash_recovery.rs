@@ -68,22 +68,15 @@ mod harness {
     }
 
     /// Injected crashes panic on purpose — many times per property.
-    /// Silence exactly those payloads (the raw [`CrashSignal`] and the
-    /// dispatch-worker rethrow) so real failures still print.
+    /// Silence exactly that payload (the raw [`CrashSignal`]) so real
+    /// failures still print.
     fn silence_injected_panics() {
         static ONCE: Once = Once::new();
         ONCE.call_once(|| {
             let prev = panic::take_hook();
             panic::set_hook(Box::new(move |info| {
                 let payload = info.payload();
-                let injected = payload.downcast_ref::<CrashSignal>().is_some()
-                    || payload
-                        .downcast_ref::<String>()
-                        .is_some_and(|s| s.contains("chip dispatch worker panicked"))
-                    || payload
-                        .downcast_ref::<&str>()
-                        .is_some_and(|s| s.contains("chip dispatch worker panicked"));
-                if !injected {
+                if payload.downcast_ref::<CrashSignal>().is_none() {
                     prev(info);
                 }
             }));
@@ -156,7 +149,7 @@ mod harness {
     }
 
     /// A fixed script prefix so *every* case crosses the interesting
-    /// sites — mid-write, mid-extraction (worker threads), and (at
+    /// sites — mid-write, mid-extraction, and (at
     /// `checkpoint_every = 3`) a mid-checkpoint — before the random
     /// suffix takes over.
     fn preamble() -> Vec<ScriptOp> {
