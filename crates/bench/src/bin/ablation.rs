@@ -122,5 +122,4 @@ fn main() {
             chosen.label()
         );
     }
-    println!("(force a class at runtime with RIME_PLANNER_FORCE=cpu|rime|hybrid)");
 }

@@ -222,11 +222,7 @@ fn selfcheck() -> Result<(), String> {
     }
 
     // 4. Ring overwrite accounting on a deliberately tiny recorder.
-    let tiny = FlightRecorder::new(FlightConfig {
-        capacity: 8,
-        stripes: 2,
-        seed: 1,
-    });
+    let tiny = FlightRecorder::new(FlightConfig { capacity: 8 });
     let ctx = tiny.root();
     for i in 0..24u64 {
         tiny.record_span(ctx, PhaseTag::Dispatch, i, 1, 0, i);

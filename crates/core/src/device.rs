@@ -459,9 +459,9 @@ impl RimeDevice {
     /// `Auto` (the default) keeps each mat's resumable descent across
     /// extraction calls and folds the traces up a tree over the range's
     /// mats; `Sequential` is the full walk `Auto` is checked against.
-    /// Both run on the calling thread. Independent of this knob, multi-chip batched commands dispatch
-    /// each chip's prefill on its own thread with a deterministic
-    /// chip-order merge (DESIGN.md §10).
+    /// Both run on the calling thread, and so, independent of this knob,
+    /// do a multi-chip batched command's prefills, one chip after
+    /// another in ascending chip order (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         self.exec.set_parallel_policy(policy);
     }

@@ -6,7 +6,7 @@
 //! adds the per-request layer: a [`TraceCtx`] stamped at submission and
 //! carried through every stage, emitting [`SpanEvent`]s (phase-tagged
 //! enter/exit pairs, collapsed into complete spans) into a fixed-size
-//! lock-striped ring buffer — the **flight recorder** — that is cheap
+//! ring buffer under one lock — the **flight recorder** — that is cheap
 //! enough to leave on in production.
 //!
 //! # Cost discipline
@@ -14,14 +14,18 @@
 //! The recorder follows the probe discipline from the metrics PR: every
 //! holder stores an `Option<Arc<FlightRecorder>>`, so the disabled (or
 //! passive) cost on a hot path is one pointer test and **no clock
-//! reads**. An enabled `record_span` is one atomic increment plus one
-//! striped mutex push of a plain-old-data event.
+//! reads**. An enabled `record_span` is one mutex push of a
+//! plain-old-data event; a request's reap-time spans, and a fused
+//! unit's umbrella span with its links, each share one lock round-trip.
+//! One lock suffices: commands run on the threads that ask for them, so
+//! no worker pool records spans.
 //!
 //! # Determinism contract
 //!
-//! Trace and span ids come from a *seeded* deterministic source
-//! ([`FlightRecorder::next_id`]): splitmix64 of a monotone counter, so
-//! a fixed allocation order yields fixed ids. Timestamps are wall-clock
+//! Trace and span ids come from the recorder's own counter
+//! ([`FlightRecorder::next_id`]), starting at 1: ids are never 0, dense,
+//! and a fixed allocation order on one recorder yields fixed ids,
+//! whatever other recorders or threads do. Timestamps are wall-clock
 //! and inherently nondeterministic — they live only in the recorder and
 //! its exports, never in the metrics registry, so masked metric snapshots
 //! stay byte-identical with the recorder on or off (the attribution
@@ -30,22 +34,17 @@
 //!
 //! # Ring-buffer overwrite semantics
 //!
-//! Capacity is fixed at construction and split evenly across stripes;
-//! events are striped round-robin by sequence-number *block*. Sequence
-//! numbers come from a global counter, but each thread reserves them in
-//! aligned blocks (one atomic fetch per block, not per event), and a
-//! whole block lands in one stripe — so a recording thread stays
-//! sticky on one stripe for a block's worth of events instead of
-//! ping-ponging every push across every stripe lock. Within one thread
-//! sequence order is exact; across threads it can skew by up to a
-//! block per thread (the exact interleaving of concurrent pushes was
-//! never observable anyway — sort by timestamp for wall order).
+//! Capacity is fixed at construction. An event's `seq` is its position
+//! in lock order, so sequence numbers are dense and the ring holds
+//! exactly the last `capacity` events recorded, for any interleaving of
+//! recording threads. A span is recorded when it ends, so `seq` is not
+//! start order — sort by `start_ns` for wall order.
 //!
-//! When a stripe is full the oldest event in that stripe is
-//! overwritten — a flight recorder keeps the *most recent* window, and
+//! When the ring is full its oldest event is overwritten — a flight
+//! recorder keeps the *most recent* window, and
 //! [`FlightSnapshot::overwritten`] reports exactly how many events were
-//! lost to overwrite. A snapshot merges stripes back into global
-//! sequence order.
+//! lost to overwrite. A snapshot returns the kept window in recording
+//! order.
 //!
 //! # Export format
 //!
@@ -59,7 +58,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::metrics::json;
@@ -134,7 +133,7 @@ impl PhaseTag {
 /// stores these by value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SpanEvent {
-    /// Global sequence number (snapshot order; detects overwrite).
+    /// Position in recording order (dense; detects overwrite).
     pub seq: u64,
     /// Trace id.
     pub trace: u64,
@@ -159,76 +158,50 @@ pub struct SpanEvent {
 /// Construction knobs for a [`FlightRecorder`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlightConfig {
-    /// Total event capacity across all stripes. Older events are
-    /// overwritten once exceeded.
+    /// Event capacity (at least 1). Older events are overwritten once
+    /// exceeded.
     pub capacity: usize,
-    /// Lock stripes; each holds `capacity / stripes` events (rounded
-    /// up, min 1).
-    pub stripes: usize,
-    /// Seed for the deterministic id source.
-    pub seed: u64,
 }
 
 impl Default for FlightConfig {
     fn default() -> FlightConfig {
         FlightConfig {
             capacity: 16 * 1024,
-            stripes: 8,
-            seed: 0x51ED_0BAD_CAFE,
         }
     }
 }
 
-/// One lock stripe of the ring: a fixed ring of events plus the total
-/// ever written (the excess over `ring.len()` is the overwrite count).
+/// The ring's slots, the slot the next event lands in, and the number
+/// of events ever recorded, which is also the next event's `seq`.
 #[derive(Debug)]
-struct Stripe {
-    ring: Vec<SpanEvent>,
+struct Ring {
+    slots: Vec<SpanEvent>,
     next: usize,
     written: u64,
 }
 
-/// The fixed-size, lock-striped flight recorder. See the module docs
-/// for cost, determinism, and overwrite semantics.
+impl Ring {
+    fn push(&mut self, mut event: SpanEvent) {
+        event.seq = self.written;
+        self.slots[self.next] = event;
+        self.next = if self.next + 1 == self.slots.len() {
+            0
+        } else {
+            self.next + 1
+        };
+        self.written += 1;
+    }
+}
+
+/// The fixed-size flight recorder: one ring under one lock. See the
+/// module docs for cost, determinism, and overwrite semantics.
 #[derive(Debug)]
 pub struct FlightRecorder {
-    stripes: Vec<Mutex<Stripe>>,
-    stripe_cap: usize,
+    ring: Mutex<Ring>,
     capacity: usize,
-    /// Identity for the thread-local sequence-block cache (recorders
-    /// come and go; a stale cached block must never leak across).
-    identity: u64,
-    /// Events per reserved sequence block (aligned: `seq` only ever
-    /// advances in multiples of it). Always a power of two so the
-    /// per-event stripe computation is a shift, not a division.
-    block: u64,
-    /// `log2(block)`.
-    block_shift: u32,
-    seq: AtomicU64,
+    /// The next id to hand out; starts at 1, so no id is 0.
     ids: AtomicU64,
-    seed: u64,
     epoch: Instant,
-}
-
-/// Recorder identities for [`SEQ_BLOCK`] (0 is the "no block" marker).
-static RECORDER_IDENTITY: AtomicU64 = AtomicU64::new(1);
-
-thread_local! {
-    /// This thread's reserved sequence block: `(recorder identity,
-    /// next unused seq, block end)`.
-    static SEQ_BLOCK: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
-    /// This thread's reserved id-counter block, same shape. Ids stay
-    /// deterministic in per-thread allocation order; the block merely
-    /// batches the global counter fetch.
-    static ID_BLOCK: Cell<(u64, u64, u64)> = const { Cell::new((0, 0, 0)) };
-}
-
-/// Id-counter values reserved per [`ID_BLOCK`] refill.
-const ID_BLOCK_LEN: u64 = 64;
-
-/// Largest power of two `<= n` (`n >= 1`).
-fn prev_power_of_two(n: u64) -> u64 {
-    1 << (63 - n.leading_zeros())
 }
 
 /// Saturating `Duration` → nanoseconds without the 128-bit
@@ -241,98 +214,52 @@ pub fn dur_ns(d: std::time::Duration) -> u64 {
         .saturating_add(u64::from(d.subsec_nanos()))
 }
 
-/// splitmix64: a fixed bijective mix so ids are deterministic in
-/// allocation order yet don't collide with small integers.
-fn mix(seed: u64, n: u64) -> u64 {
-    let mut z = seed.wrapping_add(n.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
-
 impl FlightRecorder {
     /// Builds a recorder; the epoch (t=0 of every timestamp) is now.
     pub fn new(config: FlightConfig) -> FlightRecorder {
-        let stripes = config.stripes.max(1);
-        let stripe_cap = config.capacity.div_ceil(stripes).max(1);
+        let capacity = config.capacity.max(1);
+        let blank = SpanEvent {
+            seq: 0,
+            trace: 0,
+            span: 0,
+            parent: 0,
+            phase: PhaseTag::Link,
+            start_ns: 0,
+            dur_ns: 0,
+            tenant: 0,
+            ordinal: 0,
+            linked: 0,
+        };
         FlightRecorder {
-            stripes: (0..stripes)
-                .map(|_| {
-                    // Pre-fault the ring pages now, at construction,
-                    // so the first recorded events don't pay first-
-                    // touch page faults on the hot path.
-                    let mut ring = Vec::with_capacity(stripe_cap);
-                    ring.resize(
-                        stripe_cap,
-                        SpanEvent {
-                            seq: 0,
-                            trace: 0,
-                            span: 0,
-                            parent: 0,
-                            phase: PhaseTag::Link,
-                            start_ns: 0,
-                            dur_ns: 0,
-                            tenant: 0,
-                            ordinal: 0,
-                            linked: 0,
-                        },
-                    );
-                    ring.clear();
-                    Mutex::new(Stripe {
-                        ring,
-                        next: 0,
-                        written: 0,
-                    })
-                })
-                .collect(),
-            stripe_cap,
-            capacity: stripe_cap * stripes,
-            identity: RECORDER_IDENTITY.fetch_add(1, Ordering::Relaxed),
-            // Small rings keep block <= stripe size so round-robin
-            // still covers every stripe before any overwrite; rounded
-            // down to a power of two so striping needs no division.
-            block: prev_power_of_two(stripe_cap.min(64) as u64),
-            block_shift: prev_power_of_two(stripe_cap.min(64) as u64).trailing_zeros(),
-            seq: AtomicU64::new(0),
+            // Every slot is written now, at construction, so the first
+            // recorded events don't pay first-touch page faults on the
+            // hot path.
+            ring: Mutex::new(Ring {
+                slots: vec![blank; capacity],
+                next: 0,
+                written: 0,
+            }),
+            capacity,
             ids: AtomicU64::new(1),
-            seed: config.seed,
             epoch: Instant::now(),
         }
     }
 
-    /// Total event capacity (stripe-rounded).
+    /// Event capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
 
-    /// Reserves `n` consecutive id-counter values from this thread's
-    /// cached block — one global atomic fetch per [`ID_BLOCK_LEN`]
-    /// ids instead of one per id. Returns the first counter value.
-    fn next_ids(&self, n: u64) -> u64 {
-        if n >= ID_BLOCK_LEN {
-            return self.ids.fetch_add(n, Ordering::Relaxed);
-        }
-        ID_BLOCK.with(|cell| {
-            let (identity, next, end) = cell.get();
-            if identity == self.identity && next + n <= end {
-                cell.set((identity, next + n, end));
-                return next;
-            }
-            let start = self.ids.fetch_add(ID_BLOCK_LEN, Ordering::Relaxed);
-            cell.set((self.identity, start + n, start + ID_BLOCK_LEN));
-            start
-        })
+    /// Every push leaves the ring whole, so a panic elsewhere while the
+    /// lock was held cannot have corrupted it.
+    fn ring(&self) -> MutexGuard<'_, Ring> {
+        self.ring.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// Allocates the next deterministic id (never 0).
+    /// Allocates the next id (never 0): this recorder's own counter,
+    /// starting at 1.
     pub fn next_id(&self) -> u64 {
-        let n = self.next_ids(1);
-        let id = mix(self.seed, n);
-        if id == 0 {
-            1
-        } else {
-            id
-        }
+        self.ids.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Allocates a fresh root context (new trace).
@@ -366,97 +293,6 @@ impl FlightRecorder {
             .unwrap_or(0)
     }
 
-    /// Takes the next sequence number from this thread's reserved
-    /// block, reserving a fresh one (a single global atomic fetch per
-    /// `block` events) when the cache is empty or belongs to another
-    /// recorder.
-    fn next_seq(&self) -> u64 {
-        SEQ_BLOCK.with(|cell| {
-            let (identity, next, end) = cell.get();
-            if identity == self.identity && next < end {
-                cell.set((identity, next + 1, end));
-                return next;
-            }
-            let start = self.seq.fetch_add(self.block, Ordering::Relaxed);
-            cell.set((self.identity, start + 1, start + self.block));
-            start
-        })
-    }
-
-    /// Which stripe a sequence number lands in. Blocks are aligned, so
-    /// a whole block maps to one stripe: the hot path reuses a lock
-    /// this thread already owns in cache. The block divide is a shift,
-    /// and the stripe-count modulo a mask whenever the count is a
-    /// power of two (the default) — this runs once per recorded event.
-    fn stripe_of(&self, seq: u64) -> usize {
-        let block = seq >> self.block_shift;
-        let n = self.stripes.len() as u64;
-        if n & (n - 1) == 0 {
-            (block & (n - 1)) as usize
-        } else {
-            (block % n) as usize
-        }
-    }
-
-    fn write(&self, stripe: &mut Stripe, event: SpanEvent) {
-        stripe.written += 1;
-        if stripe.ring.len() < self.stripe_cap {
-            stripe.ring.push(event);
-            stripe.next = if stripe.ring.len() == self.stripe_cap {
-                0
-            } else {
-                stripe.ring.len()
-            };
-        } else {
-            let at = stripe.next;
-            stripe.ring[at] = event;
-            stripe.next = if at + 1 == self.stripe_cap { 0 } else { at + 1 };
-        }
-    }
-
-    fn push(&self, mut event: SpanEvent) {
-        let seq = self.next_seq();
-        event.seq = seq;
-        let stripe = &self.stripes[self.stripe_of(seq)];
-        let mut stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-        self.write(&mut stripe, event);
-    }
-
-    /// Pushes a batch of events, stamping each with its sequence number
-    /// and sharing one stripe lock across every run of consecutive
-    /// events that land in the same stripe. Sequence numbers come from
-    /// the thread's reserved block, so the whole batch usually maps to
-    /// a single stripe — one lock round-trip instead of one per event.
-    fn push_batch(&self, events: &mut [SpanEvent]) {
-        // Stamp sequence numbers and compute each event's stripe once
-        // (chunked so the scratch stays on the stack); consecutive
-        // same-stripe runs (the common whole-batch case, thanks to
-        // block-aligned striping) share one lock round-trip.
-        for events in events.chunks_mut(64) {
-            let mut idxs = [0usize; 64];
-            for (event, idx) in events.iter_mut().zip(idxs.iter_mut()) {
-                event.seq = self.next_seq();
-                *idx = self.stripe_of(event.seq);
-            }
-            let mut i = 0;
-            while i < events.len() {
-                let idx = idxs[i];
-                let mut j = i + 1;
-                while j < events.len() && idxs[j] == idx {
-                    j += 1;
-                }
-                let mut stripe = self.stripes[idx]
-                    .lock()
-                    .unwrap_or_else(PoisonError::into_inner);
-                for event in &events[i..j] {
-                    self.write(&mut stripe, *event);
-                }
-                drop(stripe);
-                i = j;
-            }
-        }
-    }
-
     /// Records one completed span under `ctx`.
     pub fn record_span(
         &self,
@@ -467,7 +303,7 @@ impl FlightRecorder {
         tenant: u32,
         ordinal: u64,
     ) {
-        self.push(SpanEvent {
+        self.ring().push(SpanEvent {
             seq: 0,
             trace: ctx.trace,
             span: ctx.span,
@@ -482,11 +318,10 @@ impl FlightRecorder {
     }
 
     /// Records several completed spans as fresh children of `parent`
-    /// in one ring transaction: the child ids come from a single
-    /// allocation (identical to calling [`Self::child`] +
-    /// [`Self::record_span`] once per tile, in order) and the ring
-    /// writes share stripe locks via the batched push — the hot-path
-    /// form for a request's reap-time phase tiling.
+    /// under one lock: the child ids come from a single allocation
+    /// (identical to calling [`Self::child`] + [`Self::record_span`]
+    /// once per tile, in order) — the hot-path form for a request's
+    /// reap-time phase tiling.
     pub fn record_span_tiles<const N: usize>(
         &self,
         parent: TraceCtx,
@@ -494,13 +329,13 @@ impl FlightRecorder {
         tenant: u32,
         ordinal: u64,
     ) {
-        let first = self.next_ids(N as u64);
-        let mut events = tiles.map(|(phase, start_ns, dur_ns)| {
-            // Placeholder span id; fixed up below so `map` stays simple.
-            SpanEvent {
+        let first = self.ids.fetch_add(N as u64, Ordering::Relaxed);
+        let mut ring = self.ring();
+        for (span, (phase, start_ns, dur_ns)) in (first..).zip(tiles) {
+            ring.push(SpanEvent {
                 seq: 0,
                 trace: parent.trace,
-                span: 0,
+                span,
                 parent: parent.span,
                 phase,
                 start_ns,
@@ -508,77 +343,60 @@ impl FlightRecorder {
                 tenant,
                 ordinal,
                 linked: 0,
-            }
-        });
-        for (i, event) in events.iter_mut().enumerate() {
-            let id = mix(self.seed, first + i as u64);
-            event.span = if id == 0 { 1 } else { id };
+            });
         }
-        self.push_batch(&mut events);
     }
 
-    /// Records a fused unit's whole causal record in one ring
-    /// transaction: the [`PhaseTag::FusedBatch`] umbrella span, then one
+    /// Records a fused unit's whole causal record under one lock: the
+    /// [`PhaseTag::FusedBatch`] umbrella span, then one
     /// [`PhaseTag::Link`] event per absorbed member — each `members`
     /// item is `(member root span, tenant, ordinal)` — stamped at the
-    /// span's start. This is the dispatcher's only hot-path ring write,
-    /// so it batches everything it knows into a single push, built in
-    /// stack chunks so it never heap-allocates.
+    /// span's start. `members` is iterated with the lock held, so it
+    /// must not record into this recorder.
     pub fn record_fused<I>(&self, fused: TraceCtx, start_ns: u64, dur_ns: u64, members: I)
     where
         I: IntoIterator<Item = (u64, u32, u64)>,
     {
-        let blank = SpanEvent {
+        let umbrella = SpanEvent {
             seq: 0,
             trace: fused.trace,
             span: fused.span,
             parent: fused.parent,
-            phase: PhaseTag::Link,
+            phase: PhaseTag::FusedBatch,
             start_ns,
-            dur_ns: 0,
-            tenant: 0,
+            dur_ns,
+            tenant: TENANT_SERVICE,
             ordinal: 0,
             linked: 0,
         };
-        let mut buf = [blank; 64];
-        buf[0] = SpanEvent {
-            phase: PhaseTag::FusedBatch,
-            dur_ns,
-            tenant: TENANT_SERVICE,
-            ..blank
-        };
-        let mut n = 1;
+        let mut ring = self.ring();
+        ring.push(umbrella);
         for (member_span, tenant, ordinal) in members {
-            buf[n] = SpanEvent {
+            ring.push(SpanEvent {
+                phase: PhaseTag::Link,
+                dur_ns: 0,
                 tenant,
                 ordinal,
                 linked: member_span,
-                ..blank
-            };
-            n += 1;
-            if n == buf.len() {
-                self.push_batch(&mut buf);
-                n = 0;
-            }
-        }
-        if n > 0 {
-            self.push_batch(&mut buf[..n]);
+                ..umbrella
+            });
         }
     }
 
-    /// A consistent merge of every stripe, in global sequence order.
+    /// The kept window: the last [`Self::capacity`] events, in
+    /// recording order.
     pub fn snapshot(&self) -> FlightSnapshot {
-        let mut events = Vec::new();
-        let mut overwritten = 0u64;
-        for stripe in &self.stripes {
-            let stripe = stripe.lock().unwrap_or_else(PoisonError::into_inner);
-            overwritten += stripe.written - stripe.ring.len() as u64;
-            events.extend_from_slice(&stripe.ring);
+        let ring = self.ring();
+        let kept = ring.written.min(self.capacity as u64) as usize;
+        let mut events = Vec::with_capacity(kept);
+        if kept == self.capacity {
+            // A full ring's oldest event sits where the next one lands.
+            events.extend_from_slice(&ring.slots[ring.next..]);
         }
-        events.sort_by_key(|e| e.seq);
+        events.extend_from_slice(&ring.slots[..ring.next]);
         FlightSnapshot {
             events,
-            overwritten,
+            overwritten: ring.written - kept as u64,
             capacity: self.capacity,
         }
     }
@@ -806,37 +624,36 @@ pub fn parse_chrome(text: &str) -> Result<Vec<ChromeEvent>, String> {
 mod tests {
     use super::*;
 
-    fn recorder(capacity: usize, stripes: usize) -> FlightRecorder {
-        FlightRecorder::new(FlightConfig {
-            capacity,
-            stripes,
-            seed: 7,
-        })
+    fn recorder(capacity: usize) -> FlightRecorder {
+        FlightRecorder::new(FlightConfig { capacity })
     }
 
     #[test]
-    fn ids_are_seed_deterministic_and_nonzero() {
-        let a = recorder(64, 2);
-        let b = recorder(64, 2);
+    fn ids_are_deterministic_and_nonzero() {
+        let a = recorder(64);
+        let b = recorder(64);
         let ids: Vec<u64> = (0..100).map(|_| a.next_id()).collect();
         assert_eq!(ids, (0..100).map(|_| b.next_id()).collect::<Vec<u64>>());
-        assert!(ids.iter().all(|&id| id != 0));
-        let dedup: std::collections::HashSet<u64> = ids.iter().copied().collect();
-        assert_eq!(dedup.len(), ids.len(), "ids collide");
-        let c = FlightRecorder::new(FlightConfig {
-            seed: 8,
-            ..FlightConfig {
-                capacity: 64,
-                stripes: 2,
-                seed: 0,
-            }
-        });
-        assert_ne!(c.next_id(), ids[0], "seed changes the id stream");
+        assert_eq!(ids, (1..=100).collect::<Vec<u64>>(), "dense from 1");
+    }
+
+    #[test]
+    fn ids_do_not_depend_on_other_recorders() {
+        let lone = recorder(8);
+        let expected: Vec<u64> = (0..200).map(|_| lone.next_id()).collect();
+        let (a, b) = (recorder(8), recorder(8));
+        let (mut from_a, mut from_b) = (Vec::new(), Vec::new());
+        for _ in 0..200 {
+            from_a.push(a.next_id());
+            from_b.push(b.next_id());
+        }
+        assert_eq!(from_a, expected);
+        assert_eq!(from_b, expected);
     }
 
     #[test]
     fn child_spans_nest_under_their_parent() {
-        let r = recorder(64, 2);
+        let r = recorder(64);
         let root = r.root();
         assert_eq!(root.trace, root.span);
         assert_eq!(root.parent, 0);
@@ -848,7 +665,7 @@ mod tests {
 
     #[test]
     fn ring_overwrites_oldest_and_reports_it() {
-        let r = recorder(8, 2);
+        let r = recorder(8);
         assert_eq!(r.capacity(), 8);
         let ctx = r.root();
         for i in 0..20u64 {
@@ -863,9 +680,32 @@ mod tests {
     }
 
     #[test]
+    fn the_window_is_the_last_events_in_recording_order_across_threads() {
+        let r = recorder(64);
+        let ctx = r.root();
+        // This thread records one event, a second thread 64, then this
+        // thread one more; `ordinal` numbers them in recording order.
+        r.record_span(ctx, PhaseTag::Dispatch, 0, 1, 0, 0);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for i in 1..=64 {
+                    r.record_span(ctx, PhaseTag::Dispatch, i, 1, 1, i);
+                }
+            });
+        });
+        r.record_span(ctx, PhaseTag::Dispatch, 65, 1, 0, 65);
+        let snap = r.snapshot();
+        assert_eq!(snap.overwritten, 2);
+        let ordinals: Vec<u64> = snap.events.iter().map(|e| e.ordinal).collect();
+        assert_eq!(ordinals, (2..=65).collect::<Vec<u64>>());
+        let seqs: Vec<u64> = snap.events.iter().map(|e| e.seq).collect();
+        assert_eq!(seqs, (2..=65).collect::<Vec<u64>>());
+    }
+
+    #[test]
     fn thread_context_nests_and_restores() {
         assert_eq!(current(), None);
-        let r = recorder(8, 1);
+        let r = recorder(8);
         let outer = r.root();
         let inner = r.child(outer);
         {
@@ -882,26 +722,34 @@ mod tests {
 
     #[test]
     fn chrome_export_round_trips_through_the_parser() {
-        let r = recorder(64, 4);
-        let root = r.root();
-        let fused = r.root();
-        r.record_span(r.child(root), PhaseTag::SqWait, 1_500, 2_500, 3, 9);
-        r.record_fused(fused, 4_000, 10_000, [(root.span, 3, 9)]);
-        let snap = r.snapshot();
-        let json = snap.to_chrome_json();
-        let parsed = parse_chrome(&json).expect("exporter output must validate");
-        assert_eq!(parsed.len(), snap.events.len());
-        for (p, e) in parsed.iter().zip(&snap.events) {
-            assert_eq!(p.name, e.phase.label());
-            assert_eq!(p.span, e.span);
-            assert_eq!(p.parent, e.parent);
-            assert_eq!(p.linked, e.linked);
-            assert_eq!(p.start_ns, e.start_ns);
-            assert_eq!(p.dur_ns, e.dur_ns);
-            assert_eq!(p.ph, if e.phase == PhaseTag::Link { "i" } else { "X" });
-            assert_eq!(p.tid, e.trace);
-            assert_eq!(u64::from(e.tenant), p.pid);
+        // One fused round on a small ring, and enough rounds to wrap a
+        // full default ring.
+        let small = recorder(64);
+        let full = FlightRecorder::new(FlightConfig::default());
+        for (r, rounds) in [(&small, 1), (&full, full.capacity() / 3 + 1)] {
+            for i in 0..rounds as u64 {
+                let root = r.root();
+                let fused = r.root();
+                r.record_span(r.child(root), PhaseTag::SqWait, 1_500 + i, 2_500, 3, i);
+                r.record_fused(fused, 4_000 + i, 10_000, [(root.span, 3, i)]);
+            }
+            let snap = r.snapshot();
+            let json = snap.to_chrome_json();
+            let parsed = parse_chrome(&json).expect("exporter output must validate");
+            assert_eq!(parsed.len(), snap.events.len());
+            for (p, e) in parsed.iter().zip(&snap.events) {
+                assert_eq!(p.name, e.phase.label());
+                assert_eq!(p.span, e.span);
+                assert_eq!(p.parent, e.parent);
+                assert_eq!(p.linked, e.linked);
+                assert_eq!(p.start_ns, e.start_ns);
+                assert_eq!(p.dur_ns, e.dur_ns);
+                assert_eq!(p.ph, if e.phase == PhaseTag::Link { "i" } else { "X" });
+                assert_eq!(p.tid, e.trace);
+                assert_eq!(u64::from(e.tenant), p.pid);
+            }
         }
+        assert_eq!(full.snapshot().events.len(), full.capacity());
     }
 
     #[test]
@@ -914,7 +762,7 @@ mod tests {
 
     #[test]
     fn phase_totals_sum_durations() {
-        let r = recorder(16, 2);
+        let r = recorder(16);
         let ctx = r.root();
         r.record_span(ctx, PhaseTag::SqWait, 0, 5, 0, 0);
         r.record_span(ctx, PhaseTag::SqWait, 5, 7, 0, 1);

@@ -31,8 +31,8 @@
 //! * [`perf`] — the calibrated analytic performance model used by the
 //!   figure-regeneration harness at paper scale.
 //! * [`flight`] — end-to-end causal tracing: per-request trace
-//!   contexts, the fixed-size lock-striped flight recorder, and the
-//!   Chrome trace-event exporter behind `rime-trace`.
+//!   contexts, the fixed-size flight recorder (one ring under one
+//!   lock), and the Chrome trace-event exporter behind `rime-trace`.
 //! * [`journal`] — the one command log: an append-only, checksummed
 //!   write-ahead log of commands with commit markers and periodic
 //!   checkpoints, plus the typed [`journal::scan`] reader and the

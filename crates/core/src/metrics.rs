@@ -399,7 +399,7 @@ impl HistogramSnap {
             if b == 0 {
                 continue;
             }
-            if cumulative + b >= target {
+            if cumulative.saturating_add(b) >= target {
                 if i == self.buckets.len() - 1 {
                     return Some(f64::INFINITY);
                 }
@@ -412,7 +412,7 @@ impl HistogramSnap {
                 let into = (target - cumulative) as f64 / b as f64;
                 return Some(lower + (upper - lower) * into);
             }
-            cumulative += b;
+            cumulative = cumulative.saturating_add(b);
         }
         // Unreachable when count equals the bucket total, but a stale
         // (racing) snapshot may undercount: fall back to the top edge.
@@ -546,7 +546,7 @@ impl Snapshot {
                 MetricValue::Histogram(h) => {
                     let mut cumulative = 0u64;
                     for (i, &b) in h.buckets.iter().enumerate() {
-                        cumulative += b;
+                        cumulative = cumulative.saturating_add(b);
                         let le = if i == h.buckets.len() - 1 {
                             "+Inf".to_string()
                         } else {
@@ -736,7 +736,14 @@ impl Snapshot {
                         .ok_or("histogram value must be an object")?;
                     let buckets = json::field(h, "buckets")?
                         .as_array()
-                        .ok_or("\"buckets\" must be an array")?
+                        .ok_or("\"buckets\" must be an array")?;
+                    if buckets.len() != HISTOGRAM_BUCKETS {
+                        return Err(format!(
+                            "histogram {name:?} has {} buckets, not {HISTOGRAM_BUCKETS}",
+                            buckets.len()
+                        ));
+                    }
+                    let buckets = buckets
                         .iter()
                         .map(|b| b.as_u64().ok_or("buckets must hold u64s".to_string()))
                         .collect::<Result<Vec<u64>, _>>()?;
@@ -1010,13 +1017,18 @@ pub(crate) mod json {
                         self.pos += 1;
                     }
                     Some(_) => {
-                        // Consume one UTF-8 scalar (input is a &str, so
-                        // boundaries are valid).
+                        // Copy the run up to the next quote or backslash.
+                        // Both are ASCII, so the run of the `&str` input
+                        // ends on a character boundary.
                         let rest = &self.bytes[self.pos..];
-                        let s = std::str::from_utf8(rest).map_err(|_| "invalid UTF-8")?;
-                        let c = s.chars().next().ok_or("unterminated string")?;
-                        out.push(c);
-                        self.pos += c.len_utf8();
+                        let run = rest
+                            .iter()
+                            .position(|&b| b == b'"' || b == b'\\')
+                            .unwrap_or(rest.len());
+                        out.push_str(
+                            std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?,
+                        );
+                        self.pos += run;
                     }
                 }
             }
@@ -1726,6 +1738,8 @@ mod tests {
         let arr = json::field(obj, "a").unwrap().as_array().unwrap();
         assert_eq!(arr[1].as_i64(), Some(-2));
         assert_eq!(arr[2].as_str(), Some("x\nyA"));
+        let runs = json::parse(r#""é\u00e9ü\"x\\""#).unwrap();
+        assert_eq!(runs.as_str(), Some("ééü\"x\\"));
         assert!(json::parse("{").is_err());
         assert!(json::parse("[1,]").is_err());
         assert!(json::parse("1.5").is_err(), "schema is integral");

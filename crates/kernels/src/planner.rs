@@ -21,10 +21,6 @@
 //! busy nanoseconds — so the calibration, the exported gauges, and every
 //! plan are deterministic and safe to embed in masked metric snapshots.
 //!
-//! `RIME_PLANNER_FORCE=cpu|rime|hybrid` restricts the candidate set (the
-//! operational escape hatch), and is how the ablation harness measures
-//! the planner's win margin.
-//!
 //! [`MemoryBackend`]: rime_memsim::MemoryBackend
 
 use std::sync::OnceLock;
@@ -309,7 +305,7 @@ impl Planner {
 
     /// The candidate strategies for sorting `n` keys of `key_bits`.
     /// Hybrids require 64-bit keys (the [`crate::hybrid`] kernels are
-    /// u64); `RIME_PLANNER_FORCE=cpu|rime|hybrid` restricts the classes.
+    /// u64).
     pub fn candidates(&self, n: u64, key_bits: u16) -> Vec<Strategy> {
         let mut out: Vec<Strategy> = SortAlgorithm::ALL
             .into_iter()
@@ -322,14 +318,6 @@ impl Planner {
             for algo in SortAlgorithm::ALL {
                 out.push(Strategy::Hybrid { algo, stripes });
             }
-        }
-        if let Ok(force) = std::env::var("RIME_PLANNER_FORCE") {
-            out.retain(|s| match force.as_str() {
-                "cpu" => matches!(s, Strategy::CpuSort { .. }),
-                "rime" => matches!(s, Strategy::Rime),
-                "hybrid" => matches!(s, Strategy::Hybrid { .. }),
-                _ => true,
-            });
         }
         out
     }
@@ -564,15 +552,5 @@ mod tests {
         // Deterministic gauges survive masking (byte-identical embeds).
         let masked = registry.snapshot().masked().to_prometheus();
         assert!(masked.contains("rime_planner_extract_ps_per_slot"));
-    }
-
-    #[test]
-    fn force_env_is_respected() {
-        // Serialize around the env var: candidates() reads it directly.
-        let planner = Planner::table1();
-        std::env::set_var("RIME_PLANNER_FORCE", "rime");
-        let only_rime = planner.candidates(1_000_000, 64);
-        std::env::remove_var("RIME_PLANNER_FORCE");
-        assert_eq!(only_rime, vec![Strategy::Rime]);
     }
 }

@@ -260,7 +260,7 @@ impl SessionHandle {
     ///
     /// Runs with the session lock still held from the CQ drain, so the
     /// shard observations cost plain adds with no extra lock cycle.
-    /// (Lock order is session → recorder stripe; the recorder never
+    /// (Lock order is session → recorder ring; the recorder never
     /// calls back into the service, so this cannot invert.)
     fn finish(
         &self,
