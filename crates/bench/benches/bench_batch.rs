@@ -24,6 +24,16 @@
 //! 2× `Sequential`'s keys/s at 64 or 128 mats. Run it with
 //! `cargo bench -p rime-bench --bench bench_batch -- --quick`.
 //!
+//! `chip_drain_table1` is an ungated full-drain row of the span probe. A
+//! Table I chip holds 16Ki or 128Ki keys (8 or 64 mats) from slot 0 in
+//! each of perfbench `device_sort`'s three distributions: uniform u64
+//! keys, 16 distinct random values, and ascending keys with one in a
+//! hundred displaced. Each run re-initializes the range and drains it
+//! completely by `extract_range_batch(Min, 256)` under `Auto`; every
+//! drain is checked against `slice::sort`. Runs repeat until at least
+//! three have run and a second has passed; the best is printed in ns per
+//! key.
+//!
 //! `device_straddle_table1` is an ungated probe of multi-chip commands.
 //! On a Table I device, 16Ki and 64Ki uniform u64 keys sit in one region
 //! placed two ways: on chip 0, or straddling chips 0/1 with half the keys
@@ -249,6 +259,71 @@ fn bench_table1_span(c: &mut Criterion) {
     println!("chip_span_table1 gate: Auto matches Sequential at every span, within and across calls, and clears {AUTO_FLOOR}× from {AUTO_FLOOR_MATS} mats");
 }
 
+/// perfbench `device_sort`'s key distributions, by name: `n` keys each.
+fn drain_inputs(n: usize, seed: u64) -> [(&'static str, Vec<u64>); 3] {
+    let values = generate_u64(16, KeyDistribution::Uniform, seed);
+    let picks = generate_u64(n, KeyDistribution::FewDistinct { distinct: 16 }, seed + 1);
+    [
+        (
+            "uniform",
+            generate_u64(n, KeyDistribution::Uniform, seed + 2),
+        ),
+        (
+            "16_distinct",
+            picks.iter().map(|&i| values[i as usize]).collect(),
+        ),
+        (
+            // `fraction` counts both ends of a swap: n/100 swaps.
+            "nearly_sorted",
+            generate_u64(
+                n,
+                KeyDistribution::NearlySorted { fraction: 0.02 },
+                seed + 3,
+            ),
+        ),
+    ]
+}
+
+/// Re-initializes `[0, n)` and drains it by `extract_range_batch(Min,
+/// 256)`, returning the keys in extraction order.
+fn full_drain(chip: &mut Chip, n: u64) -> Vec<u64> {
+    chip.init_range(0, n, KeyFormat::UNSIGNED64).unwrap();
+    let mut out = Vec::with_capacity(n as usize);
+    loop {
+        let hits = chip
+            .extract_range_batch(0, n, KeyFormat::UNSIGNED64, Direction::Min, 256)
+            .unwrap();
+        if hits.is_empty() {
+            return out;
+        }
+        out.extend(hits.iter().map(|hit| hit.raw_bits));
+    }
+}
+
+fn bench_table1_drain(_c: &mut Criterion) {
+    for n in [16usize << 10, 128 << 10] {
+        for (dist, keys) in drain_inputs(n, 42) {
+            let mut want = keys.clone();
+            want.sort();
+            let mut chip = Chip::new(ChipGeometry::table1());
+            chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
+            let mut best = Duration::MAX;
+            let (mut spent, mut runs) = (Duration::ZERO, 0);
+            while runs < PROBE_RUNS || spent < PROBE_BUDGET {
+                let t = Instant::now();
+                let got = black_box(full_drain(&mut chip, n as u64));
+                let took = t.elapsed();
+                (best, spent, runs) = (best.min(took), spent + took, runs + 1);
+                assert_eq!(got, want, "full drain of {n} {dist} keys");
+            }
+            println!(
+                "chip_drain_table1/{n}_keys/{dist}: {:.0} ns/key (best of {runs})",
+                best.as_secs_f64() * 1e9 / n as f64
+            );
+        }
+    }
+}
+
 fn bench_device_batch(c: &mut Criterion) {
     let mut group = c.benchmark_group("device_top_k");
     let n = 4096u64;
@@ -277,8 +352,9 @@ fn bench_device_batch(c: &mut Criterion) {
     group.finish();
 }
 
-/// Straddle-probe rounds per case (one drain of each placement per
-/// round): at least this many, and at least [`PROBE_BUDGET`] of them.
+/// Drain- and straddle-probe runs per case (a straddle round drains
+/// each placement once): at least this many, and at least
+/// [`PROBE_BUDGET`] of them.
 const PROBE_RUNS: usize = 3;
 const PROBE_BUDGET: Duration = Duration::from_secs(1);
 
@@ -349,6 +425,7 @@ criterion_group!(
     bench_chip_batch_vs_loop,
     bench_table1_chip_batch,
     bench_table1_span,
+    bench_table1_drain,
     bench_device_batch,
     bench_device_straddle
 );

@@ -175,12 +175,7 @@ impl Histogram {
     /// interpolation rule. `None` while the histogram is empty.
     pub fn percentile(&self, p: f64) -> Option<f64> {
         let snap = HistogramSnap {
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            buckets: std::array::from_fn(|i| self.0.buckets[i].load(Ordering::Relaxed)),
             sum: self.0.sum.load(Ordering::Relaxed),
             count: self.0.count(),
         };
@@ -339,15 +334,11 @@ impl MetricsRegistry {
                 value: match &entry.handle {
                     Handle::Counter(c) => MetricValue::Counter(c.load(Ordering::Relaxed)),
                     Handle::Gauge(g) => MetricValue::Gauge(g.load(Ordering::Relaxed)),
-                    Handle::Histogram(h) => MetricValue::Histogram(HistogramSnap {
-                        buckets: h
-                            .buckets
-                            .iter()
-                            .map(|b| b.load(Ordering::Relaxed))
-                            .collect(),
+                    Handle::Histogram(h) => MetricValue::Histogram(Box::new(HistogramSnap {
+                        buckets: std::array::from_fn(|i| h.buckets[i].load(Ordering::Relaxed)),
                         sum: h.sum.load(Ordering::Relaxed),
                         count: h.count(),
-                    }),
+                    })),
                 },
             })
             .collect();
@@ -359,8 +350,8 @@ impl MetricsRegistry {
 /// count.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnap {
-    /// Raw per-bucket counts (length [`HISTOGRAM_BUCKETS`]).
-    pub buckets: Vec<u64>,
+    /// Raw per-bucket counts.
+    pub buckets: [u64; HISTOGRAM_BUCKETS],
     /// Sum of all observations.
     pub sum: u64,
     /// Number of observations.
@@ -381,7 +372,7 @@ impl HistogramSnap {
     /// Returns `None` for an empty histogram; `p` is clamped to
     /// `[0, 100]`.
     pub fn percentile(&self, p: f64) -> Option<f64> {
-        if self.count == 0 || self.buckets.is_empty() {
+        if self.count == 0 {
             return None;
         }
         if self.count == 1 {
@@ -400,7 +391,7 @@ impl HistogramSnap {
                 continue;
             }
             if cumulative.saturating_add(b) >= target {
-                if i == self.buckets.len() - 1 {
+                if i == HISTOGRAM_BUCKETS - 1 {
                     return Some(f64::INFINITY);
                 }
                 let lower = if i == 0 {
@@ -427,8 +418,8 @@ pub enum MetricValue {
     Counter(u64),
     /// Gauge value.
     Gauge(i64),
-    /// Histogram state.
-    Histogram(HistogramSnap),
+    /// Histogram state (boxed: its buckets are an inline array).
+    Histogram(Box<HistogramSnap>),
 }
 
 impl MetricValue {
@@ -444,11 +435,11 @@ impl MetricValue {
         match self {
             MetricValue::Counter(_) => MetricValue::Counter(0),
             MetricValue::Gauge(_) => MetricValue::Gauge(0),
-            MetricValue::Histogram(h) => MetricValue::Histogram(HistogramSnap {
-                buckets: vec![0; h.buckets.len()],
+            MetricValue::Histogram(_) => MetricValue::Histogram(Box::new(HistogramSnap {
+                buckets: [0; HISTOGRAM_BUCKETS],
                 sum: 0,
                 count: 0,
-            }),
+            })),
         }
     }
 }
@@ -547,7 +538,7 @@ impl Snapshot {
                     let mut cumulative = 0u64;
                     for (i, &b) in h.buckets.iter().enumerate() {
                         cumulative = cumulative.saturating_add(b);
-                        let le = if i == h.buckets.len() - 1 {
+                        let le = if i == HISTOGRAM_BUCKETS - 1 {
                             "+Inf".to_string()
                         } else {
                             (1u64 << i).to_string()
@@ -662,19 +653,14 @@ impl Snapshot {
                             (MetricValue::Counter(now), MetricValue::Counter(then)) => {
                                 MetricValue::Counter(now.saturating_sub(*then))
                             }
-                            (MetricValue::Histogram(now), MetricValue::Histogram(then))
-                                if now.buckets.len() == then.buckets.len() =>
-                            {
-                                MetricValue::Histogram(HistogramSnap {
-                                    buckets: now
-                                        .buckets
-                                        .iter()
-                                        .zip(&then.buckets)
-                                        .map(|(a, b)| a.saturating_sub(*b))
-                                        .collect(),
+                            (MetricValue::Histogram(now), MetricValue::Histogram(then)) => {
+                                MetricValue::Histogram(Box::new(HistogramSnap {
+                                    buckets: std::array::from_fn(|i| {
+                                        now.buckets[i].saturating_sub(then.buckets[i])
+                                    }),
                                     sum: now.sum.saturating_sub(then.sum),
                                     count: now.count.saturating_sub(then.count),
-                                })
+                                }))
                             }
                             (current, _) => (*current).clone(),
                         };
@@ -743,19 +729,19 @@ impl Snapshot {
                             buckets.len()
                         ));
                     }
-                    let buckets = buckets
-                        .iter()
-                        .map(|b| b.as_u64().ok_or("buckets must hold u64s".to_string()))
-                        .collect::<Result<Vec<u64>, _>>()?;
-                    MetricValue::Histogram(HistogramSnap {
-                        buckets,
+                    let mut counts = [0; HISTOGRAM_BUCKETS];
+                    for (count, b) in counts.iter_mut().zip(buckets) {
+                        *count = b.as_u64().ok_or("buckets must hold u64s")?;
+                    }
+                    MetricValue::Histogram(Box::new(HistogramSnap {
+                        buckets: counts,
                         sum: json::field(h, "sum")?
                             .as_u64()
                             .ok_or("\"sum\" must be a u64")?,
                         count: json::field(h, "count")?
                             .as_u64()
                             .ok_or("\"count\" must be a u64")?,
-                    })
+                    }))
                 }
                 other => return Err(format!("unknown metric type {other:?}")),
             };
@@ -775,6 +761,11 @@ impl Snapshot {
 /// the workspace is offline, so no serde. Crate-visible so the flight
 /// recorder's Chrome-trace selfcheck can reuse it.
 pub(crate) mod json {
+    /// The error for a surrogate escape `\u{code}` without its partner.
+    fn lone_surrogate(code: u32) -> String {
+        format!("lone surrogate \\u{code:04x}")
+    }
+
     /// A parsed JSON value (numbers are kept as `i128`; the snapshot
     /// schema never uses fractions).
     #[derive(Debug, Clone, PartialEq)]
@@ -999,16 +990,30 @@ pub(crate) mod json {
                             Some(b'n') => out.push('\n'),
                             Some(b'r') => out.push('\r'),
                             Some(b't') => out.push('\t'),
+                            Some(b'b') => out.push('\u{8}'),
+                            Some(b'f') => out.push('\u{c}'),
                             Some(b'u') => {
-                                let hex = self
-                                    .bytes
-                                    .get(self.pos + 1..self.pos + 5)
-                                    .ok_or("truncated \\u escape")?;
-                                let hex = std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?;
-                                let code =
-                                    u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
+                                let code = self.hex4(self.pos + 1)?;
                                 self.pos += 4;
+                                let code = match code {
+                                    // A high surrogate needs a low one
+                                    // right after it; together they are
+                                    // one character.
+                                    0xD800..=0xDBFF => {
+                                        let low = match self.bytes.get(self.pos + 1..self.pos + 3) {
+                                            Some(b"\\u") => self.hex4(self.pos + 3)?,
+                                            _ => return Err(lone_surrogate(code)),
+                                        };
+                                        if !(0xDC00..=0xDFFF).contains(&low) {
+                                            return Err(lone_surrogate(code));
+                                        }
+                                        self.pos += 6;
+                                        0x10000 + ((code - 0xD800) << 10) + (low - 0xDC00)
+                                    }
+                                    0xDC00..=0xDFFF => return Err(lone_surrogate(code)),
+                                    code => code,
+                                };
+                                out.push(char::from_u32(code).ok_or("bad \\u code point")?);
                             }
                             other => {
                                 return Err(format!("bad escape {:?}", other.map(|c| c as char)))
@@ -1016,14 +1021,17 @@ pub(crate) mod json {
                         }
                         self.pos += 1;
                     }
+                    Some(c) if c < 0x20 => {
+                        return Err(format!("raw control character U+{c:04X} in a string"))
+                    }
                     Some(_) => {
-                        // Copy the run up to the next quote or backslash.
-                        // Both are ASCII, so the run of the `&str` input
-                        // ends on a character boundary.
+                        // Copy the run up to the next quote, backslash or
+                        // control character. All are ASCII, so the run of
+                        // the `&str` input ends on a character boundary.
                         let rest = &self.bytes[self.pos..];
                         let run = rest
                             .iter()
-                            .position(|&b| b == b'"' || b == b'\\')
+                            .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
                             .unwrap_or(rest.len());
                         out.push_str(
                             std::str::from_utf8(&rest[..run]).map_err(|_| "invalid UTF-8")?,
@@ -1032,6 +1040,15 @@ pub(crate) mod json {
                     }
                 }
             }
+        }
+
+        /// The four hex digits of a `\\u` escape starting at byte `at`.
+        fn hex4(&self, at: usize) -> Result<u32, String> {
+            let hex = self.bytes.get(at..at + 4).ok_or("truncated \\u escape")?;
+            hex.iter().try_fold(0, |code, &b| {
+                let digit = char::from(b).to_digit(16).ok_or("bad \\u escape")?;
+                Ok(code << 4 | digit)
+            })
         }
 
         fn number(&mut self) -> Result<Value, String> {
@@ -1740,6 +1757,26 @@ mod tests {
         assert_eq!(arr[2].as_str(), Some("x\nyA"));
         let runs = json::parse(r#""é\u00e9ü\"x\\""#).unwrap();
         assert_eq!(runs.as_str(), Some("ééü\"x\\"));
+        // Escapes JSON allows: `\b`, `\f`, and a surrogate pair as one
+        // character.
+        let allowed = json::parse(r#""\b\f\ud83d\ude00\uD834\uDD1E""#).unwrap();
+        assert_eq!(allowed.as_str(), Some("\u{8}\u{c}\u{1f600}\u{1d11e}"));
+        // Strings JSON forbids: a `\u` with a sign, and raw control
+        // characters.
+        for bad in [r#""a\u+041""#, "\"a\u{1}b\"", "\"a\nb\""] {
+            assert!(json::parse(bad).is_err(), "{bad:?}");
+        }
+        // A surrogate without its partner is an error of its own.
+        for lone in [
+            r#""\ud800""#,
+            r#""\ud800x""#,
+            r#""\ud800\u0041""#,
+            r#""\ud800\ud800""#,
+            r#""\udc00\ud800""#,
+        ] {
+            let err = json::parse(lone).unwrap_err();
+            assert!(err.contains("lone surrogate"), "{lone}: {err}");
+        }
         assert!(json::parse("{").is_err());
         assert!(json::parse("[1,]").is_err());
         assert!(json::parse("1.5").is_err(), "schema is integral");

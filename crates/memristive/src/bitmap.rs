@@ -260,26 +260,7 @@ impl Bitmap {
     /// Panics if lengths differ.
     pub fn and_assign_count_removed(&mut self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
-        let mut removed = 0usize;
-        let mut dst = self.words.chunks_exact_mut(4);
-        let mut src = other.words.chunks_exact(4);
-        for (a, b) in dst.by_ref().zip(src.by_ref()) {
-            let (n0, n1, n2, n3) = (a[0] & b[0], a[1] & b[1], a[2] & b[2], a[3] & b[3]);
-            removed += ((a[0] ^ n0).count_ones()
-                + (a[1] ^ n1).count_ones()
-                + (a[2] ^ n2).count_ones()
-                + (a[3] ^ n3).count_ones()) as usize;
-            a[0] = n0;
-            a[1] = n1;
-            a[2] = n2;
-            a[3] = n3;
-        }
-        for (a, &b) in dst.into_remainder().iter_mut().zip(src.remainder()) {
-            let n = *a & b;
-            removed += (*a ^ n).count_ones() as usize;
-            *a = n;
-        }
-        removed
+        self.and_words_count_removed(&other.words, true)
     }
 
     /// Fused `self &= !other` that also reports how many bits were
@@ -291,11 +272,34 @@ impl Bitmap {
     /// Panics if lengths differ.
     pub fn and_not_assign_count_removed(&mut self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
+        self.and_words_count_removed(&other.words, false)
+    }
+
+    /// `self &= words` (`keep`) or `self &= !words` (`!keep`) over raw
+    /// words of the same count — a column of a mat's shadow — reporting
+    /// how many bits were cleared. Four-wide unrolled, skipping chunks
+    /// of `self` that are all zero; the complement's tail bits are
+    /// harmless because `self`'s tail is zero.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word counts differ.
+    pub(crate) fn and_words_count_removed(&mut self, words: &[u64], keep: bool) -> usize {
+        assert_eq!(self.words.len(), words.len(), "bitmap length mismatch");
+        let flip = if keep { 0 } else { u64::MAX };
         let mut removed = 0usize;
         let mut dst = self.words.chunks_exact_mut(4);
-        let mut src = other.words.chunks_exact(4);
+        let mut src = words.chunks_exact(4);
         for (a, b) in dst.by_ref().zip(src.by_ref()) {
-            let (n0, n1, n2, n3) = (a[0] & !b[0], a[1] & !b[1], a[2] & !b[2], a[3] & !b[3]);
+            if a[0] | a[1] | a[2] | a[3] == 0 {
+                continue; // nothing to clear: leave `words` unread
+            }
+            let (n0, n1, n2, n3) = (
+                a[0] & (b[0] ^ flip),
+                a[1] & (b[1] ^ flip),
+                a[2] & (b[2] ^ flip),
+                a[3] & (b[3] ^ flip),
+            );
             removed += ((a[0] ^ n0).count_ones()
                 + (a[1] ^ n1).count_ones()
                 + (a[2] ^ n2).count_ones()
@@ -306,7 +310,7 @@ impl Bitmap {
             a[3] = n3;
         }
         for (a, &b) in dst.into_remainder().iter_mut().zip(src.remainder()) {
-            let n = *a & !b;
+            let n = *a & (b ^ flip);
             removed += (*a ^ n).count_ones() as usize;
             *a = n;
         }
@@ -410,8 +414,8 @@ impl Bitmap {
 
     /// Overwrites `self` with the `self.len()`-bit subrange of `src`
     /// starting at `start` — [`Bitmap::slice`] without the allocation,
-    /// which is what lets the batched extraction engine rearm per-array
-    /// select vectors from the membership bitmap with zero per-iteration
+    /// which is what lets the extraction engines rearm each mat's
+    /// select vector from the membership bitmap with zero per-iteration
     /// allocations.
     ///
     /// # Panics

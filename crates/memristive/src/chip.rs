@@ -656,15 +656,18 @@ impl Chip {
             match winner {
                 None => {
                     for leaf in 0..mats {
-                        if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
+                        if self
+                            .refresh_leaf(&mut memo, leaf, first_mat, begin, end)
+                            .is_some()
+                        {
                             memo.mark(leaf);
                         }
                     }
                     memo.refold_marked();
                 }
                 Some(leaf) => {
-                    if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
-                        memo.refold(leaf);
+                    if let Some(from) = self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
+                        memo.refold(leaf, from);
                     }
                 }
             }
@@ -702,7 +705,8 @@ impl Chip {
     }
 
     /// Brings span leaf `leaf` of `memo` up to date with its mat,
-    /// materializing the mat; returns whether the leaf's trace changed.
+    /// materializing the mat; returns the step from which the leaf's
+    /// trace changed, if it did ([`MemoTree::refresh`]).
     fn refresh_leaf(
         &mut self,
         memo: &mut MemoTree,
@@ -710,7 +714,7 @@ impl Chip {
         first_mat: usize,
         begin: u64,
         end: u64,
-    ) -> bool {
+    ) -> Option<usize> {
         let geometry = self.geometry;
         let per_mat = geometry.slots_per_mat();
         let idx = first_mat + leaf;

@@ -14,11 +14,12 @@
 //!   reference bit each column-search step uses, for min or max, per format.
 //! * [`mod@reference`] — a pure-software golden model of Algorithm 1 and its
 //!   signed/float variants, used to cross-check the hardware model.
-//! * [`mod@array`] — a single 1T1R memristive array with a select vector,
-//!   column search, match-vector generation, and the *all-0-or-1* load
-//!   gate (Fig. 7).
+//! * [`mod@array`] — a single 1T1R memristive array's cells: rows, wear
+//!   and stuck-at faults (Fig. 7).
 //! * [`mat`] — four arrays sharing sense/drive circuitry plus the mat
-//!   controller (Fig. 8).
+//!   controller (Fig. 8): one select vector and one bit-sliced column
+//!   shadow per mat, column search, match-vector generation, and the
+//!   *all-0-or-1* load gate.
 //! * [`htree`] — the bidirectional data/index H-tree: priority-encoded
 //!   index reduction (Fig. 10) and select-vector initialization by address
 //!   range (Fig. 11).

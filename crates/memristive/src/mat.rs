@@ -8,8 +8,31 @@
 //! orders a global exclusion.
 //!
 //! Key slots within a mat are numbered `array * rows + row`.
+//!
+//! # Bit-sliced view
+//!
+//! The four arrays share their sense circuits, so the periphery that
+//! gates and senses their cells is modelled once per mat, over all its
+//! slots:
+//!
+//! * the **select vector**: one latch per slot (bit index = slot), with
+//!   its count kept beside it so survivor checks cost O(1);
+//! * the **column shadow**: the slots' *effective* (post-fault) bits in
+//!   column-major order, 64 columns of `slots/64` words each, so bit `s`
+//!   of column `b` is bit `b` of slot `s`.
+//!
+//! A column search in hardware senses every selected row in one analog
+//! step (Fig. 7); the shadow lets the model match it with `slots/64` word
+//! operations (`select & column`, `select & !column`) instead of a
+//! row-at-a-time walk. Its one coherence point is `Mat::sync_slot`:
+//! [`Mat::write_slot`], [`Mat::inject_stuck_cell`], [`Mat::clear_faults`]
+//! and [`Mat::from_state`] call it. The arrays keep only what checkpoints
+//! carry (rows, wear, faults). The view is a pure simulator
+//! optimization: it models no extra hardware and changes no operation
+//! counts, and the scalar oracle (`scalar-oracle` feature) reads rows
+//! through [`Mat::read_slot`] instead.
 
-use crate::array::{Array, ArrayState, ColumnSignals};
+use crate::array::{Array, ArrayState, ColumnSignals, KEY_BITS};
 use crate::bitmap::Bitmap;
 use crate::error::Error;
 
@@ -76,11 +99,19 @@ pub struct MatState {
     pub arrays: Vec<ArrayState>,
 }
 
-/// Four memristive arrays under one mat controller.
+/// Four memristive arrays under one mat controller, with the mat's
+/// select latches and column shadow (see the module docs).
 #[derive(Debug, Clone)]
 pub struct Mat {
     arrays: Vec<Array>,
     rows_per_array: u32,
+    /// Select latches, bit index = slot.
+    select: Bitmap,
+    /// Cached `select.count_ones()`, maintained by every select mutator.
+    selected: usize,
+    /// Column-major shadow: word `b * select_words() + w` holds
+    /// effective bit `b` of slots `64w..64w + 64`.
+    columns: Vec<u64>,
     /// Counts changes to what a descent over the mat reads besides its
     /// select latches: row writes and stuck-at faults bump it here, and
     /// the chip bumps it when the mat's exclusion flags change. The memo
@@ -91,11 +122,46 @@ pub struct Mat {
 impl Mat {
     /// Creates a mat of `arrays_per_mat` arrays with `rows` wordlines each.
     pub fn new(arrays_per_mat: u16, rows: u32) -> Mat {
+        Mat::with_arrays(
+            (0..arrays_per_mat).map(|_| Array::new(rows)).collect(),
+            rows,
+        )
+    }
+
+    /// A mat over `arrays` of `rows` rows each with its latches cleared
+    /// and an all-zero shadow: the caller syncs any nonzero slot.
+    fn with_arrays(arrays: Vec<Array>, rows: u32) -> Mat {
+        let slots = arrays.len() * rows as usize;
         Mat {
-            arrays: (0..arrays_per_mat).map(|_| Array::new(rows)).collect(),
+            arrays,
             rows_per_array: rows,
+            select: Bitmap::zeros(slots),
+            selected: 0,
+            columns: vec![0; KEY_BITS * slots.div_ceil(64)],
             generation: 0,
         }
+    }
+
+    /// Re-transposes one slot's effective bits into the column shadow
+    /// after a write or a fault edit: the view's single coherence point.
+    fn sync_slot(&mut self, slot: u32) {
+        let eff = self.read_slot(slot);
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
+        let words = self.select_words();
+        for (b, column_word) in self.columns[word..].iter_mut().step_by(words).enumerate() {
+            if eff >> b & 1 == 1 {
+                *column_word |= bit;
+            } else {
+                *column_word &= !bit;
+            }
+        }
+    }
+
+    /// Column `pos` of the shadow.
+    fn column(&self, pos: u16) -> &[u64] {
+        let words = self.select_words();
+        let start = pos as usize * words;
+        &self.columns[start..start + words]
     }
 
     /// The mat's generation (see the field docs).
@@ -129,6 +195,7 @@ impl Mat {
     pub fn write_slot(&mut self, slot: u32, raw: u64) {
         let (array, row) = self.split(slot);
         self.arrays[array].write_row(row, raw);
+        self.sync_slot(slot);
         self.generation += 1;
     }
 
@@ -142,23 +209,33 @@ impl Mat {
         self.arrays[array].read_row(row)
     }
 
+    /// The select vector (one latch per slot, in slot order).
+    pub fn select(&self) -> &Bitmap {
+        &self.select
+    }
+
     /// Sets one select latch.
     pub fn set_select_bit(&mut self, slot: u32, value: bool) {
-        let (array, row) = self.split(slot);
-        self.arrays[array].set_select_bit(row, value);
+        let slot = slot as usize;
+        if self.select.get(slot) != value {
+            self.select.set(slot, value);
+            if value {
+                self.selected += 1;
+            } else {
+                self.selected -= 1;
+            }
+        }
     }
 
     /// Whether the latch for `slot` is set.
     pub fn select_bit(&self, slot: u32) -> bool {
-        let (array, row) = self.split(slot);
-        self.arrays[array].select().get(row)
+        self.select.get(slot as usize)
     }
 
     /// Clears every select latch in the mat.
     pub fn clear_select(&mut self) {
-        for array in &mut self.arrays {
-            array.clear_select();
-        }
+        self.select.clear();
+        self.selected = 0;
     }
 
     /// Replaces the mat's entire select vector with `bits` (one bit per
@@ -179,102 +256,147 @@ impl Mat {
     }
 
     /// Latches the mat's select vector from the `slots()`-bit window of a
-    /// larger (e.g. chip-global membership) bitmap starting at `start`,
-    /// without allocating: each array's select vector is assigned its
-    /// slice of the window in place.
+    /// larger (e.g. chip-global membership) bitmap starting at `start`:
+    /// one slice assignment, without allocating.
     ///
     /// # Panics
     ///
     /// Panics if the window runs past `bits.len()`.
     pub fn load_select_window(&mut self, bits: &Bitmap, start: usize) {
-        let rows = self.rows_per_array as usize;
-        for (ai, array) in self.arrays.iter_mut().enumerate() {
-            array.load_select_window(bits, start + ai * rows);
-        }
+        self.select.assign_slice(bits, start);
+        self.selected = self.select.count_ones();
     }
 
-    /// Number of selected slots across the mat's arrays.
+    /// Number of selected slots (cached; O(1)).
     pub fn selected_count(&self) -> usize {
-        self.arrays.iter().map(Array::selected_count).sum()
+        self.selected
     }
 
-    /// Select words per array.
-    fn select_words_per_array(&self) -> usize {
-        (self.rows_per_array as usize).div_ceil(64)
-    }
-
-    /// Words in one saved copy of the select vector ([`Mat::save_select`]).
+    /// Words in one saved copy of the select vector ([`Mat::save_select`]);
+    /// bit `s % 64` of word `s / 64` is slot `s`.
     pub(crate) fn select_words(&self) -> usize {
-        self.arrays.len() * self.select_words_per_array()
+        self.select.words().len()
     }
 
-    /// Appends the select latches to `out`, array by array, so bit order
-    /// is slot order.
+    /// Appends the select latches to `out`.
     pub(crate) fn save_select(&self, out: &mut Vec<u64>) {
-        for array in &self.arrays {
-            out.extend_from_slice(array.select().words());
-        }
+        out.extend_from_slice(self.select.words());
     }
 
-    /// Latches select words saved by [`Mat::save_select`].
-    pub(crate) fn restore_select(&mut self, words: &[u64]) {
-        let per_array = self.select_words_per_array();
-        for (array, chunk) in self.arrays.iter_mut().zip(words.chunks_exact(per_array)) {
-            array.load_select_words(chunk);
-        }
+    /// Latches select words saved by [`Mat::save_select`], holding
+    /// `count` selected slots.
+    pub(crate) fn restore_select(&mut self, words: &[u64], count: u64) {
+        self.select.copy_words_from(words);
+        self.selected = count as usize;
+        debug_assert_eq!(self.selected, self.select.count_ones(), "select count");
     }
 
-    /// The word index and bit mask of `slot` in saved select words.
-    pub(crate) fn select_bit_of(&self, slot: u32) -> (usize, u64) {
-        let (array, row) = self.split(slot);
-        (
-            array * self.select_words_per_array() + row / 64,
-            1 << (row % 64),
-        )
-    }
-
-    /// The slot of bit `bit` of word `word` in saved select words.
-    pub(crate) fn slot_of_select_bit(&self, word: usize, bit: u32) -> u32 {
-        let per_array = self.select_words_per_array();
-        let (array, row) = (word / per_array, (word % per_array) * 64 + bit as usize);
-        array as u32 * self.rows_per_array + row as u32
-    }
-
-    /// Column-search command: all four arrays sense column `pos`; the mat
-    /// wire-ORs their signals upstream (Fig. 9's two-signal protocol).
+    /// Column-search command: the mat senses column `pos` over its
+    /// selected slots in all four arrays at once and sends the two
+    /// signals upstream (Fig. 9's two-signal protocol).
+    ///
+    /// Bit-sliced: one pass over the select words, ANDing each against
+    /// the column (and its complement), with an early exit once both
+    /// signals are raised; column words under unselected slots are
+    /// skipped four at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= 64`.
     pub fn sense_column(&self, pos: u16) -> ColumnSignals {
-        let mut signals = ColumnSignals::default();
-        for array in &self.arrays {
-            signals.merge(array.sense_column(pos));
-            if signals.any_one && signals.any_zero {
-                break;
+        if self.selected == 0 {
+            return ColumnSignals::default();
+        }
+        let (sel, col) = (self.select.words(), self.column(pos));
+        let (mut one, mut zero) = (0u64, 0u64);
+        let mut chunks = sel.chunks_exact(4).zip(col.chunks_exact(4));
+        for (s, c) in chunks.by_ref() {
+            if s[0] | s[1] | s[2] | s[3] == 0 {
+                continue; // nothing selected here: leave the column unread
+            }
+            one |= (s[0] & c[0]) | (s[1] & c[1]) | (s[2] & c[2]) | (s[3] & c[3]);
+            zero |= (s[0] & !c[0]) | (s[1] & !c[1]) | (s[2] & !c[2]) | (s[3] & !c[3]);
+            if one != 0 && zero != 0 {
+                return ColumnSignals {
+                    any_one: true,
+                    any_zero: true,
+                };
             }
         }
-        signals
+        let (s_rem, c_rem) = (sel.chunks_exact(4), col.chunks_exact(4));
+        for (&s, &c) in s_rem.remainder().iter().zip(c_rem.remainder()) {
+            one |= s & c;
+            zero |= s & !c;
+        }
+        ColumnSignals {
+            any_one: one != 0,
+            any_zero: zero != 0,
+        }
     }
 
-    /// Applies a global exclusion: every array latches its match vector for
-    /// (`pos`, `keep`) into its select vector. Returns rows deselected.
+    /// The match vector for column `pos` against reference bit `keep`,
+    /// written into the caller-provided scratch bitmap: `out = select &
+    /// column` (`keep`) or `select & !column` (`!keep`), word-parallel.
     ///
-    /// Uses the fused in-place AND/ANDN over the column shadow
-    /// ([`Array::apply_exclusion`]) — no match-vector allocation per array
-    /// per step.
-    pub fn apply_exclusion(&mut self, pos: u16, keep: bool) -> usize {
-        let mut removed = 0;
-        for array in &mut self.arrays {
-            removed += array.apply_exclusion(pos, keep);
-        }
+    /// # Panics
+    ///
+    /// Panics if `pos >= 64` or `out.len()` differs from the slot count.
+    pub fn match_vector_into(&self, pos: u16, keep: bool, out: &mut Bitmap) {
+        assert_eq!(out.len(), self.select.len(), "match vector length");
+        out.copy_words_from(self.select.words());
+        out.and_words_count_removed(self.column(pos), keep);
+    }
+
+    /// The match vector for column `pos` against reference bit `keep`:
+    /// selected slots whose cell XNORs true with the reference. Allocating
+    /// form of [`Mat::match_vector_into`].
+    pub fn match_vector(&self, pos: u16, keep: bool) -> Bitmap {
+        let mut matches = Bitmap::zeros(self.select.len());
+        self.match_vector_into(pos, keep, &mut matches);
+        matches
+    }
+
+    /// Loads a match vector into the select latches (selective row
+    /// exclusion, §IV-A.2). Returns the number of slots deselected.
+    pub fn load_select(&mut self, matches: &Bitmap) -> usize {
+        let removed = self.select.and_assign_count_removed(matches);
+        self.selected -= removed;
         removed
     }
 
-    /// Scalar-oracle column search: wire-ORs the arrays' row-major
-    /// [`Array::sense_column_scalar`] results. Differential-test
-    /// counterpart of [`Mat::sense_column`].
+    /// Applies a global exclusion: the mat latches its match vector for
+    /// (`pos`, `keep`) into its select vector. Returns slots deselected.
+    ///
+    /// Fused match-and-load: because `select &= select & col` simplifies
+    /// to `select &= col`, it needs no match vector at all — one in-place
+    /// AND/ANDN over the select words. Semantically identical to
+    /// `load_select(&match_vector(pos, keep))`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `pos >= 64`.
+    pub fn apply_exclusion(&mut self, pos: u16, keep: bool) -> usize {
+        let words = self.select_words();
+        let start = pos as usize * words;
+        let column = &self.columns[start..start + words];
+        let removed = self.select.and_words_count_removed(column, keep);
+        self.selected -= removed;
+        removed
+    }
+
+    /// Scalar row-major column search — the differential oracle for the
+    /// bit-sliced path, kept alive under the `scalar-oracle` feature (and
+    /// in tests). Walks the selected slots one at a time through
+    /// [`Mat::read_slot`], never touching the shadow.
     #[cfg(any(test, feature = "scalar-oracle"))]
     pub fn sense_column_scalar(&self, pos: u16) -> ColumnSignals {
         let mut signals = ColumnSignals::default();
-        for array in &self.arrays {
-            signals.merge(array.sense_column_scalar(pos));
+        for slot in self.select.iter_ones() {
+            if self.read_slot(slot as u32) >> pos & 1 == 1 {
+                signals.any_one = true;
+            } else {
+                signals.any_zero = true;
+            }
             if signals.any_one && signals.any_zero {
                 break;
             }
@@ -282,17 +404,26 @@ impl Mat {
         signals
     }
 
-    /// Scalar-oracle exclusion: per-array row-major match vector, then a
+    /// Scalar row-major match vector — differential oracle counterpart
+    /// of [`Mat::match_vector`] (see [`Mat::sense_column_scalar`]).
+    #[cfg(any(test, feature = "scalar-oracle"))]
+    pub fn match_vector_scalar(&self, pos: u16, keep: bool) -> Bitmap {
+        let mut matches = Bitmap::zeros(self.select.len());
+        for slot in self.select.iter_ones() {
+            if (self.read_slot(slot as u32) >> pos & 1 == 1) == keep {
+                matches.set(slot, true);
+            }
+        }
+        matches
+    }
+
+    /// Scalar-oracle exclusion: the row-major match vector, then a
     /// select-latch load — the pre-shadow two-step path. Differential-test
     /// counterpart of [`Mat::apply_exclusion`].
     #[cfg(any(test, feature = "scalar-oracle"))]
     pub fn apply_exclusion_scalar(&mut self, pos: u16, keep: bool) -> usize {
-        let mut removed = 0;
-        for array in &mut self.arrays {
-            let matches = array.match_vector_scalar(pos, keep);
-            removed += array.load_select(&matches);
-        }
-        removed
+        let matches = self.match_vector_scalar(pos, keep);
+        self.load_select(&matches)
     }
 
     /// [`Mat::sense_column`], or its scalar oracle when `scalar` is set
@@ -320,12 +451,7 @@ impl Mat {
     /// Lowest selected slot in the mat, if any — the mat's initial index
     /// `A` fed into the H-tree (Fig. 10, priority to smaller indices).
     pub fn first_selected(&self) -> Option<u32> {
-        for (ai, array) in self.arrays.iter().enumerate() {
-            if let Some(row) = array.first_selected() {
-                return Some(ai as u32 * self.rows_per_array + row as u32);
-            }
-        }
-        None
+        self.select.first_one().map(|slot| slot as u32)
     }
 
     /// Executes one controller command — the explicit protocol form of
@@ -405,7 +531,23 @@ impl Mat {
     pub fn inject_stuck_cell(&mut self, slot: u32, bit: u16, stuck: bool) {
         let (array, row) = self.split(slot);
         self.arrays[array].inject_stuck_cell(row, bit, stuck);
+        self.sync_slot(slot);
         self.generation += 1;
+    }
+
+    /// Removes every injected fault, re-syncing the slots they covered.
+    pub fn clear_faults(&mut self) {
+        for array in 0..self.arrays.len() {
+            if self.arrays[array].fault_count() == 0 {
+                continue;
+            }
+            self.arrays[array].clear_faults();
+            let first = array as u32 * self.rows_per_array;
+            for slot in first..first + self.rows_per_array {
+                self.sync_slot(slot);
+            }
+            self.generation += 1;
+        }
     }
 
     /// Snapshots the mat's durable state (all arrays, in array order).
@@ -415,8 +557,9 @@ impl Mat {
         }
     }
 
-    /// Rebuilds a mat from a snapshot against the expected geometry.
-    /// Returns `None` when the snapshot disagrees with `arrays_per_mat` /
+    /// Rebuilds a mat from a snapshot against the expected geometry: the
+    /// column shadow is re-transposed through the fault lists and the
+    /// select latches come up cleared. Returns `None` when the snapshot disagrees with `arrays_per_mat` /
     /// `rows` or any array snapshot is internally inconsistent.
     pub fn from_state(state: &MatState, arrays_per_mat: u16, rows: u32) -> Option<Mat> {
         if state.arrays.len() != arrays_per_mat as usize {
@@ -430,11 +573,11 @@ impl Mat {
         if arrays.iter().any(|a| a.rows() != rows as usize) {
             return None;
         }
-        Some(Mat {
-            arrays,
-            rows_per_array: rows,
-            generation: 0,
-        })
+        let mut mat = Mat::with_arrays(arrays, rows);
+        for slot in 0..mat.slots() {
+            mat.sync_slot(slot);
+        }
+        Some(mat)
     }
 
     /// The most-written slot's write count (endurance).

@@ -27,7 +27,7 @@
 //!
 //! # A trace
 //!
-//! Per step `s`, a subtree's trace records its wire-ORed `any_one` and
+//! Per step `s`, a subtree's trace has its wire-ORed `any_one` and
 //! `any_zero` signals, the mats with a nonempty selection, and the rows
 //! its exclusion removed. A step excludes exactly when both signals are
 //! raised, so no decision bits are stored. Once the subtree is down to
@@ -111,6 +111,36 @@
 //! for any partition into disjoint parts, so the power-of-two tree is
 //! only the shape that makes a changed leaf cost `log2(span)` merges.
 //!
+//! # What a node stores
+//!
+//! The signals are two `u64` masks; the per-step counts are stored only
+//! as far as a node owns them, and a node reads every later step from
+//! the node its `rest` names:
+//!
+//! - a merged node records steps `0..=d` (all steps if no child dies)
+//!   and reads past `d` from its winning child: from the first node down
+//!   that child's chain that records more steps, so `recorded` rises
+//!   along every chain and reading one is a hop or two;
+//! - a leaf records up to its collapse, and any subtree down to one row
+//!   reads every later step from [`Trace::SOLO`] (one active mat,
+//!   nothing removed), a node past the leaves;
+//! - a node with an empty child records nothing and reads the other.
+//!
+//! A merge walks both children's chains once over steps `0..=d`, adding
+//! one packed count word per step, and copies nothing past `d`: a refold
+//! costs O(`d` + chain length) per level. The root's descent is read
+//! down its chain the same way.
+//!
+//! A refold after a resume does less. The resumed leaf's trace changes
+//! only from the step it resumed at (a tie changes no step), and the
+//! leaf holds one row fewer. At an ancestor whose split `d` comes before
+//! that step, every step through `d` stands, so the death, the winner
+//! and the recorded counts stand too. The winner is the resumed path's
+//! child, since the extracted key was the union's survivor. Only the row
+//! count, the signals past `d`, the survivor and `rest` move: O(1). Any
+//! other ancestor merges in full, and its trace changes from the same
+//! step on.
+//!
 //! # Keeping the tree across calls
 //!
 //! The chip keeps one tree, keyed by range and plan, and re-keys it
@@ -137,6 +167,16 @@ use crate::plan::SearchPlan;
 /// arrays (and bit `s` of a `u64` stands for step `s`).
 const MAX_STEPS: usize = 64;
 
+/// A step's count word holds the rows it removed in its low
+/// `REMOVED_BITS` bits and its active mats above them, so a merge adds
+/// one word per step. A span holds fewer than 2^40 rows and 2^24 mats
+/// (checked whenever the tree is keyed), so sums never carry between the
+/// two.
+const REMOVED_BITS: u32 = 40;
+const REMOVED: u64 = (1 << REMOVED_BITS) - 1;
+/// The count word of one active mat that removed nothing.
+const ONE_MAT: u64 = 1 << REMOVED_BITS;
+
 /// A subtree's lowest-address survivor after its descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct Survivor {
@@ -147,7 +187,10 @@ pub(crate) struct Survivor {
 }
 
 /// One subtree's whole descent, run as if its mats were the whole range.
-#[derive(Debug, Clone, PartialEq)]
+/// Its fields fill one cache line ahead of `counts`, so a merge that
+/// reads a child's first steps touches few lines.
+#[derive(Debug, Clone)]
+#[repr(C, align(64))]
 struct Trace {
     /// Bit `s`: some selected cell held 1 at step `s`.
     one: u64,
@@ -155,12 +198,20 @@ struct Trace {
     zero: u64,
     /// Rows selected when the descent starts.
     selected: u64,
-    /// Mats with a nonempty selection at each step.
-    active: [u32; MAX_STEPS],
-    /// Rows removed at each step (0 unless both signals were raised).
-    removed: [u64; MAX_STEPS],
+    /// `counts` holds steps `0..recorded` (a leaf's up to its collapse,
+    /// a merged node's up to and including its split); every later step
+    /// is node `rest`'s. That is [`Trace::SOLO`] once the subtree is down
+    /// to one row, else the first node down the winning child's chain
+    /// that records more steps than this one, so `recorded` rises along
+    /// every chain.
+    recorded: usize,
+    rest: usize,
     /// Lowest-address survivor (`None` for an empty subtree).
     survivor: Option<Survivor>,
+    /// Per step, packed (see [`REMOVED_BITS`]): the mats with a nonempty
+    /// selection, and the rows removed (0 unless both signals were
+    /// raised).
+    counts: [u64; MAX_STEPS],
 }
 
 /// An exclusion step of a leaf's descent and the rows alive before it.
@@ -184,7 +235,8 @@ struct Leaf {
     splits: Vec<Split>,
     /// Select words alive before each split, one mat's worth per split.
     snapshots: Vec<u64>,
-    /// Select words alive after the last step, and their count.
+    /// Select words alive after the last step (kept only while they
+    /// hold more than one row), and their count.
     last: Vec<u64>,
     last_count: u64,
 }
@@ -200,10 +252,10 @@ impl Leaf {
         self.last_count = 0;
     }
 
-    /// Clears `slot` from every snapshot and from the final set.
-    fn remove(&mut self, mat: &Mat, slot: u32) {
-        let (word, bit) = mat.select_bit_of(slot);
-        let words = mat.select_words();
+    /// Clears `slot` from every snapshot (of `words` words each) and
+    /// from the final set.
+    fn remove(&mut self, words: usize, slot: u32) {
+        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
         for (split, snapshot) in self
             .splits
             .iter_mut()
@@ -214,21 +266,26 @@ impl Leaf {
                 split.alive -= 1;
             }
         }
-        if self.last[word] & bit != 0 {
-            self.last[word] &= !bit;
-            self.last_count -= 1;
+        if self.last_count > 1 {
+            if self.last[word] & bit != 0 {
+                self.last[word] &= !bit;
+                self.last_count -= 1;
+            }
+        } else {
+            // A lone final row is the survivor, the only row that leaves.
+            self.last_count = 0;
         }
     }
 
     /// Lowest slot of the nonempty final set.
-    fn first_of_last(&self, mat: &Mat) -> u32 {
+    fn first_of_last(&self) -> u32 {
         let (word, bits) = self
             .last
             .iter()
             .enumerate()
             .find(|(_, &bits)| bits != 0)
             .expect("the final set holds a row");
-        mat.slot_of_select_bit(word, bits.trailing_zeros())
+        word as u32 * 64 + bits.trailing_zeros()
     }
 }
 
@@ -237,9 +294,19 @@ impl Trace {
         one: 0,
         zero: 0,
         selected: 0,
-        active: [0; MAX_STEPS],
-        removed: [0; MAX_STEPS],
+        recorded: MAX_STEPS,
+        rest: 0,
         survivor: None,
+        counts: [0; MAX_STEPS],
+    };
+
+    /// The node past the heap's last leaf, which is no tree node: one
+    /// active mat that removes nothing, at every step. A subtree past its
+    /// collapse holds one row, so every later step of its trace reads
+    /// here.
+    const SOLO: Trace = Trace {
+        counts: [ONE_MAT; MAX_STEPS],
+        ..Trace::EMPTY
     };
 
     /// Runs `mat`'s whole descent over the rows its select latches hold.
@@ -251,13 +318,13 @@ impl Trace {
             return;
         }
         self.selected = selected;
-        self.active[..plan.steps() as usize].fill(1);
-        self.descend(leaf, mat, plan, scalar, 0, selected);
+        self.descend(leaf, mat, plan, scalar, 0);
     }
 
     /// Removes the extracted survivor `slot` from the descent: a tie
     /// reads the next row, anything else descends again from the last
-    /// split (see the module docs).
+    /// split (see the module docs). Returns the step from which the
+    /// trace's signals and counts changed ([`MAX_STEPS`] for a tie).
     fn resume(
         &mut self,
         leaf: &mut Leaf,
@@ -265,37 +332,38 @@ impl Trace {
         plan: &SearchPlan,
         scalar: bool,
         slot: u32,
-    ) {
+    ) -> usize {
+        let words = mat.select_words();
         self.selected -= 1;
-        leaf.remove(mat, slot);
+        leaf.remove(words, slot);
         if leaf.last_count > 0 {
-            let first = leaf.first_of_last(mat);
+            let first = leaf.first_of_last();
             self.survivor = Some(Survivor {
                 slot: leaf.base + u64::from(first),
                 raw: mat.read_slot(first),
             });
-            return;
+            return MAX_STEPS;
         }
-        let words = mat.select_words();
         while let Some(Split { step, alive }) = leaf.splits.pop() {
             let top = leaf.snapshots.len() - words;
             if alive > 0 {
-                mat.restore_select(&leaf.snapshots[top..]);
+                mat.restore_select(&leaf.snapshots[top..], alive);
                 leaf.snapshots.truncate(top);
-                self.descend(leaf, mat, plan, scalar, step, alive);
-                return;
+                self.descend(leaf, mat, plan, scalar, step);
+                return step as usize;
             }
             leaf.snapshots.truncate(top);
         }
         // `slot` was the mat's last row.
         *self = Trace::EMPTY;
         leaf.last.clear();
+        0
     }
 
-    /// Descends from `start` over the `running` rows latched in `mat`,
-    /// recording a snapshot before each exclusion. The trace before
-    /// `start` stands. Physical stepping stops at the local collapse;
-    /// the rest of the trace is the survivor's own bits, read once.
+    /// Descends from `start` over the rows latched in `mat`, recording a
+    /// snapshot before each exclusion. The trace before `start` stands.
+    /// Physical stepping stops at the local collapse; the rest of the
+    /// trace is the survivor's own bits, read once.
     fn descend(
         &mut self,
         leaf: &mut Leaf,
@@ -303,12 +371,11 @@ impl Trace {
         plan: &SearchPlan,
         scalar: bool,
         start: u16,
-        mut running: u64,
     ) {
         let steps = plan.steps();
+        let mut running = mat.selected_count() as u64;
         self.one &= step_mask(start);
         self.zero &= step_mask(start);
-        self.removed[start as usize..steps as usize].fill(0);
         // Resuming past the sign step: its signals are the trace's.
         let mut survivors_negative = start > 0
             && plan.is_sign_step(0)
@@ -322,20 +389,26 @@ impl Trace {
             if plan.is_sign_step(step) {
                 survivors_negative = plan.survivors_negative(signals.any_one, signals.any_zero);
             }
+            let mut removed = 0;
             if !signals.all_same() {
                 leaf.splits.push(Split {
                     step,
                     alive: running,
                 });
                 mat.save_select(&mut leaf.snapshots);
-                let removed = mat.exclude(pos, plan.keep_bit(step, survivors_negative), scalar);
-                self.removed[step as usize] = removed;
+                removed = mat.exclude(pos, plan.keep_bit(step, survivors_negative), scalar);
                 running -= removed;
             }
+            self.counts[step as usize] = ONE_MAT + removed;
             step += 1;
         }
+        // Any later step holds one row: [`Trace::SOLO`] reads for it (the
+        // tree points `rest` there).
+        self.recorded = step as usize;
         leaf.last.clear();
-        mat.save_select(&mut leaf.last);
+        if running > 1 {
+            mat.save_select(&mut leaf.last);
+        }
         leaf.last_count = running;
         let first = mat
             .first_selected()
@@ -350,57 +423,6 @@ impl Trace {
             slot: leaf.base + u64::from(first),
             raw,
         });
-    }
-
-    /// Folds two adjacent subtrees into their union's descent in closed
-    /// form; `lo` holds the lower addresses and `keep` is the plan's
-    /// keep-bit masks for positive and negative survivors. See the
-    /// module docs for why it is exact.
-    fn merge(&mut self, lo: &Trace, hi: &Trace, plan: &SearchPlan, keep: &[u64; 2]) {
-        if hi.selected == 0 {
-            self.clone_from(lo);
-            return;
-        }
-        if lo.selected == 0 {
-            self.clone_from(hi);
-            return;
-        }
-        let steps = plan.steps() as usize;
-        let (one, zero) = (lo.one | hi.one, lo.zero | hi.zero);
-        let negative = plan.is_sign_step(0) && plan.survivors_negative(one & 1 != 0, zero & 1 != 0);
-        let keep = keep[usize::from(negative)];
-        let mixed = one & zero;
-        let dies =
-            |kid: &Trace| mixed & ((kid.one & !kid.zero & !keep) | (kid.zero & !kid.one & keep));
-        let lo_dies = dies(lo);
-        let death = lo_dies | dies(hi);
-        self.selected = lo.selected + hi.selected;
-        // Both children are alive through step `split`.
-        let split = (death.trailing_zeros() as usize).min(steps - 1);
-        for s in 0..=split {
-            self.active[s] = lo.active[s] + hi.active[s];
-            self.removed[s] = lo.removed[s] + hi.removed[s];
-        }
-        if death == 0 {
-            self.one = one;
-            self.zero = zero;
-            self.survivor = lo.survivor;
-            return;
-        }
-        let (winner, loser) = if lo_dies >> split & 1 == 1 {
-            (hi, lo)
-        } else {
-            (lo, hi)
-        };
-        let alive = step_mask(split as u16 + 1);
-        self.one = (one & alive) | (winner.one & !alive);
-        self.zero = (zero & alive) | (winner.zero & !alive);
-        let lost: u64 = loser.removed[..=split].iter().sum();
-        self.removed[split] = winner.removed[split] + (loser.selected - lost);
-        let rest = split + 1..steps;
-        self.active[rest.clone()].copy_from_slice(&winner.active[rest.clone()]);
-        self.removed[rest.clone()].copy_from_slice(&winner.removed[rest]);
-        self.survivor = winner.survivor;
     }
 }
 
@@ -447,7 +469,8 @@ pub(crate) struct MemoTree {
     keep: [u64; 2],
     /// Leaves, a power of two ≥ the span's mats.
     leaves: usize,
-    /// Heap-ordered traces; index 0 is unused.
+    /// Heap-ordered traces; index 0 is unused and the last one, past the
+    /// leaves, is [`Trace::SOLO`].
     nodes: Vec<Trace>,
     /// One per span mat.
     cells: Vec<Leaf>,
@@ -461,6 +484,10 @@ pub(crate) struct MemoTree {
 impl MemoTree {
     /// An empty cache for `range` ranked by `plan`, spanning `mats` mats
     /// of `slots` slots each.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the span holds 2^40 rows or 2^24 mats or more.
     pub(crate) fn new(range: (u64, u64), plan: SearchPlan, mats: usize, slots: u32) -> MemoTree {
         let mut memo = MemoTree {
             range,
@@ -480,6 +507,10 @@ impl MemoTree {
     /// Points the cache at `range` ranked by `plan` over `mats` mats. The
     /// same key keeps every leaf; another drops them all, keeping the
     /// allocations.
+    ///
+    /// # Panics
+    ///
+    /// As [`MemoTree::new`].
     pub(crate) fn rekey(&mut self, range: (u64, u64), plan: SearchPlan, mats: usize) {
         if (range, plan) != (self.range, self.plan) {
             self.range = range;
@@ -489,6 +520,11 @@ impl MemoTree {
     }
 
     fn reset(&mut self, mats: usize) {
+        let rows = mats as u64 * self.window.len() as u64;
+        assert!(
+            mats < 1 << (64 - REMOVED_BITS) && rows < ONE_MAT,
+            "span too large for packed step counts"
+        );
         let plan = self.plan;
         self.keep = [false, true].map(|negative| {
             (0..plan.steps())
@@ -498,6 +534,7 @@ impl MemoTree {
         self.leaves = mats.next_power_of_two();
         self.nodes.clear();
         self.nodes.resize(2 * self.leaves, Trace::EMPTY);
+        self.nodes.push(Trace::SOLO);
         self.cells.truncate(mats);
         self.cells.iter_mut().for_each(Leaf::clear);
         self.cells.resize_with(mats, Leaf::default);
@@ -507,16 +544,17 @@ impl MemoTree {
 
     /// Brings leaf `leaf` up to date with `mat` (see the module docs):
     /// re-runs it from `membership` if the mat changed, or resumes it
-    /// without its pending winner. Returns whether its trace changed; its
-    /// ancestors are stale until [`MemoTree::refold`] or
-    /// [`MemoTree::refold_marked`].
+    /// without its pending winner. Returns the step from which its trace
+    /// changed (0 for a re-run), or `None` if it did not; its ancestors
+    /// are stale until [`MemoTree::refold`] or [`MemoTree::refold_marked`].
     pub(crate) fn refresh(
         &mut self,
         leaf: usize,
         mat: &mut Mat,
         membership: Membership<'_>,
         scalar: bool,
-    ) -> bool {
+    ) -> Option<usize> {
+        let solo = self.solo();
         let trace = &mut self.nodes[self.leaves + leaf];
         let cell = &mut self.cells[leaf];
         if cell.generation != Some(mat.generation()) {
@@ -529,13 +567,15 @@ impl MemoTree {
             mat.load_select_bits(&self.window);
             cell.base = leaf as u64 * u64::from(mat.slots());
             trace.rerun(cell, mat, &self.plan, scalar);
+            trace.rest = solo;
             cell.generation = Some(mat.generation());
-            true
+            Some(0)
         } else if let Some(slot) = cell.pending.take() {
-            trace.resume(cell, mat, &self.plan, scalar, slot);
-            true
+            let from = trace.resume(cell, mat, &self.plan, scalar, slot);
+            trace.rest = solo;
+            Some(from)
         } else {
-            false
+            None
         }
     }
 
@@ -548,12 +588,19 @@ impl MemoTree {
         cell.pending = Some(slot);
     }
 
-    /// Re-merges the ancestors of `leaf`, bottom-up.
-    pub(crate) fn refold(&mut self, leaf: usize) {
-        let mut node = (self.leaves + leaf) / 2;
-        while node > 0 {
-            self.merge(node);
+    /// The index of [`Trace::SOLO`].
+    fn solo(&self) -> usize {
+        2 * self.leaves
+    }
+
+    /// Re-merges the ancestors of `leaf`, bottom-up, after its trace
+    /// changed from step `from` on ([`MemoTree::refresh`]).
+    pub(crate) fn refold(&mut self, leaf: usize, mut from: usize) {
+        let mut node = self.leaves + leaf;
+        while node > 1 {
+            let path = node;
             node /= 2;
+            from = self.merge(node, Some((path, from)));
         }
     }
 
@@ -570,20 +617,161 @@ impl MemoTree {
     pub(crate) fn refold_marked(&mut self) {
         for node in (1..self.leaves).rev() {
             if std::mem::take(&mut self.marked[node]) {
-                self.merge(node);
+                self.merge(node, None);
             }
         }
     }
 
-    fn merge(&mut self, node: usize) {
-        let (parents, kids) = self.nodes.split_at_mut(2 * node);
-        parents[node].merge(&kids[0], &kids[1], &self.plan, &self.keep);
+    /// Folds node `node`'s children into their union's descent in closed
+    /// form (see the module docs for why it is exact). The node records
+    /// its steps up to and including the first death and reads the
+    /// winning child past it; with an empty child it reads the other
+    /// child from step 0. Each child's winner chain is walked once, so a
+    /// merge costs O(split + depth) and copies nothing past its split.
+    ///
+    /// `changed` names the child on a resumed leaf's path and the step
+    /// from which its trace changed; it also holds one row fewer. A node
+    /// whose split comes before that step keeps its counts but one (see
+    /// the module docs). Returns the step from which the node's own trace
+    /// changed (0 when unknown).
+    fn merge(&mut self, node: usize, changed: Option<(usize, usize)>) -> usize {
+        let (lo_at, hi_at) = (2 * node, 2 * node + 1);
+        let solo = self.solo();
+        let (head, kids) = self.nodes.split_at_mut(node + 1);
+        let kids: &[Trace] = kids;
+        let kid = |at: usize| &kids[at - node - 1];
+        let this = &mut head[node];
+        let (lo, hi) = (kid(lo_at), kid(hi_at));
+        // The first node down `at`'s chain that records more than
+        // `recorded` steps (`recorded` rises along a chain, up to `solo`'s
+        // 64).
+        let past = |mut at: usize, recorded: usize| {
+            while kid(at).recorded <= recorded {
+                at = kid(at).rest;
+            }
+            at
+        };
+        if lo.selected == 0 || hi.selected == 0 {
+            let only = if hi.selected == 0 { lo_at } else { hi_at };
+            let t = kid(only);
+            (this.one, this.zero, this.selected) = (t.one, t.zero, t.selected);
+            (this.recorded, this.rest, this.survivor) = (0, past(only, 0), t.survivor);
+            return match changed {
+                Some((path, from)) if path == only => from,
+                _ => 0,
+            };
+        }
+        let steps = self.plan.steps() as usize;
+        let (one, zero) = (lo.one | hi.one, lo.zero | hi.zero);
+        let negative =
+            self.plan.is_sign_step(0) && self.plan.survivors_negative(one & 1 != 0, zero & 1 != 0);
+        let keep = self.keep[usize::from(negative)];
+        let mixed = one & zero;
+        let dies =
+            |kid: &Trace| mixed & ((kid.one & !kid.zero & !keep) | (kid.zero & !kid.one & keep));
+        let lo_dies = dies(lo);
+        let death = lo_dies | dies(hi);
+        // Both children are alive through step `split`.
+        let split = (death.trailing_zeros() as usize).min(steps - 1);
+        let (winner, loser) = if lo_dies >> split & 1 == 1 {
+            (hi_at, lo_at)
+        } else {
+            (lo_at, hi_at)
+        };
+        let recorded = split + 1;
+        let alive = step_mask(recorded as u16);
+        let changed_from = match changed {
+            // The changed child's steps through `split` stand, so the
+            // death, the winner and the recorded counts stand too.
+            Some((path, from)) if from > split => {
+                this.selected = lo.selected + hi.selected;
+                if death == 0 {
+                    this.survivor = lo.survivor;
+                    return from;
+                }
+                let w = kid(winner);
+                this.one = (one & alive) | (w.one & !alive);
+                this.zero = (zero & alive) | (w.zero & !alive);
+                this.survivor = w.survivor;
+                // The extracted key was this union's survivor, so its child
+                // won, and still wins.
+                debug_assert_eq!(path, winner, "a resumed path wins");
+                // A union down to one row past `split` stays so.
+                if this.rest != solo {
+                    this.rest = past(winner, recorded);
+                }
+                return from;
+            }
+            Some((_, from)) => from,
+            None => 0,
+        };
+        // Steps `0..recorded` are the children's sums, read down both
+        // winner chains at once: each pass covers the steps over which
+        // neither child's holder changes.
+        let (mut wi, mut w, mut l) = (winner, kid(winner), kid(loser));
+        // `gone`: rows the union removed through `split`; `lost`: the
+        // loser's share.
+        let (mut from, mut gone, mut lost) = (0, 0, 0);
+        while from < recorded {
+            while w.recorded <= from {
+                (wi, w) = (w.rest, kid(w.rest));
+            }
+            while l.recorded <= from {
+                l = kid(l.rest);
+            }
+            let to = w.recorded.min(l.recorded).min(recorded);
+            let sums = this.counts[from..to].iter_mut();
+            for ((sum, &wc), &lc) in sums.zip(&w.counts[from..to]).zip(&l.counts[from..to]) {
+                *sum = wc + lc;
+                gone += *sum & REMOVED;
+                lost += lc & REMOVED;
+            }
+            from = to;
+        }
+        this.selected = lo.selected + hi.selected;
+        this.recorded = recorded;
+        if death == 0 {
+            // No death: `recorded` covers every step.
+            (this.rest, this.one, this.zero, this.survivor) = (winner, one, zero, lo.survivor);
+            return changed_from;
+        }
+        // The loser is uniform at its death step, so it removed nothing
+        // there; its remaining rows leave with it.
+        let left = kid(loser).selected - lost;
+        this.counts[split] += left;
+        gone += left;
+        // Holding one row past `split`, the union reads `solo` from there;
+        // else the first node down the winner's chain (`wi` holds
+        // `split`) that records later steps, if any are left.
+        this.rest = if this.selected - gone <= 1 || recorded == MAX_STEPS {
+            solo
+        } else {
+            past(wi, recorded)
+        };
+        let winner = kid(winner);
+        this.one = (one & alive) | (winner.one & !alive);
+        this.zero = (zero & alive) | (winner.zero & !alive);
+        this.survivor = winner.survivor;
+        changed_from
     }
 
-    /// The span's descent, read from the root. `None` for an empty span.
+    /// The node whose arrays hold step `step` of the trace read from
+    /// `node`: the first node down its chain that records it.
+    #[cfg(test)]
+    fn holder(&self, mut node: usize, step: usize) -> usize {
+        while step >= self.nodes[node].recorded {
+            node = self.nodes[node].rest;
+        }
+        node
+    }
+
+    /// The span's descent, read from the root down its chain. `None` for
+    /// an empty span.
     pub(crate) fn descent(&self) -> Option<Descent> {
         let root = &self.nodes[1];
         let winner = root.survivor?;
+        let steps = self.plan.steps() as usize;
+        let excluded = root.one & root.zero;
         let mut selected = root.selected;
         let mut descent = Descent {
             steps: 0,
@@ -591,17 +779,35 @@ impl MemoTree {
             exclusions: 0,
             winner,
         };
-        for step in 0..self.plan.steps() {
-            if selected <= 1 {
-                break;
+        let (mut held, mut step) = (root, 0);
+        'walk: while step < steps {
+            while held.recorded <= step {
+                held = &self.nodes[held.rest];
             }
-            let s = step as usize;
-            descent.steps += 1;
-            descent.mat_searches += u64::from(root.active[s]);
-            if root.one & root.zero & (1 << step) != 0 {
-                descent.exclusions += 1;
-                selected -= root.removed[s];
+            let to = held.recorded.min(steps);
+            if excluded >> step == 0 {
+                // No exclusion is left, so every remaining step runs.
+                if selected <= 1 {
+                    break;
+                }
+                descent.steps += (to - step) as u16;
+                let counts = held.counts[step..to].iter();
+                descent.mat_searches += counts.map(|c| c >> REMOVED_BITS).sum::<u64>();
+                step = to;
+                continue;
             }
+            for s in step..to {
+                if selected <= 1 {
+                    break 'walk;
+                }
+                descent.steps += 1;
+                descent.mat_searches += held.counts[s] >> REMOVED_BITS;
+                if excluded >> s & 1 == 1 {
+                    descent.exclusions += 1;
+                    selected -= held.counts[s] & REMOVED;
+                }
+            }
+            step = to;
         }
         Some(descent)
     }
@@ -693,11 +899,34 @@ mod tests {
                 lo: 0,
                 hi: (len.saturating_sub(base)).min(SLOTS) as usize,
             };
-            if memo.refresh(leaf, mat, membership, false) {
+            if memo.refresh(leaf, mat, membership, false).is_some() {
                 memo.mark(leaf);
             }
         }
         memo.refold_marked();
+    }
+
+    /// A node's signals, selection and survivor, and `(active mats,
+    /// removed rows)` at each plan step.
+    type NodeView = (u64, u64, u64, Option<Survivor>, Vec<(u64, u64)>);
+
+    /// Every node's trace as read through the representation, each step
+    /// followed down the node's winner chain.
+    fn read(memo: &MemoTree) -> Vec<NodeView> {
+        (1..memo.solo())
+            .map(|node| {
+                let t = &memo.nodes[node];
+                let mut at = node;
+                let steps = (0..memo.plan.steps() as usize)
+                    .map(|s| {
+                        at = memo.holder(at, s);
+                        let counts = memo.nodes[at].counts[s];
+                        (counts >> REMOVED_BITS, counts & REMOVED)
+                    })
+                    .collect();
+                (t.one, t.zero, t.selected, t.survivor, steps)
+            })
+            .collect()
     }
 
     /// Key sets with ties across and within mats, an empty mat, a
@@ -770,7 +999,7 @@ mod tests {
                         refresh_all(&mut fresh, &mut span.clone(), len, &gone);
                         fresh
                     };
-                    assert_eq!(memo.nodes, fresh.nodes, "{keys:?} {plan:?}");
+                    assert_eq!(read(&memo), read(&fresh), "{keys:?} {plan:?}");
                     let want = walk(&mut mats(keys), len, &gone, &plan);
                     let got = memo.descent();
                     assert_eq!(got, want, "{keys:?} {plan:?}");
@@ -780,7 +1009,7 @@ mod tests {
                     span[leaf].bump_generation();
                     memo.extracted(leaf, (slot % SLOTS) as u32, span[leaf].generation());
                     // The winner's leaf resumes (its generation held).
-                    assert!(memo.refresh(
+                    let from = memo.refresh(
                         leaf,
                         &mut span[leaf],
                         Membership {
@@ -789,9 +1018,9 @@ mod tests {
                             lo: 0,
                             hi: 0,
                         },
-                        false
-                    ));
-                    memo.refold(leaf);
+                        false,
+                    );
+                    memo.refold(leaf, from.expect("the winner's leaf resumes"));
                 }
                 assert_eq!(memo.descent(), None, "{keys:?} {plan:?} drained");
             }
@@ -816,7 +1045,7 @@ mod tests {
                 lo: 0,
                 hi: 0,
             };
-            assert!(!memo.refresh(leaf, mat, membership, false));
+            assert_eq!(memo.refresh(leaf, mat, membership, false), None);
         }
         // A write to mat 0 re-runs its leaf from its window.
         span[0].write_slot(3, 0);

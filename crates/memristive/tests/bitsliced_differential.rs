@@ -1,30 +1,35 @@
 //! Differential properties for the bit-sliced column-search engine: the
-//! transposed column shadow must be observationally identical to the
+//! mat's column-major shadow must be observationally identical to the
 //! row-major scalar path it replaced (compiled here via the
-//! `scalar-oracle` feature) — at array level (`sense_column`,
-//! `match_vector`), and at chip level for whole `extract_batch` runs
-//! (same slots, same raw bits, bit-identical [`OpCounters`]) across
-//! formats, random select vectors, and injected stuck-at faults.
+//! `scalar-oracle` feature) — at mat level (`sense_column`,
+//! `match_vector`, exclusions), and at chip level for whole
+//! `extract_batch` runs (same slots, same raw bits, bit-identical
+//! [`OpCounters`]) across formats, random select vectors, and injected
+//! stuck-at faults.
 
 use proptest::prelude::*;
-use rime_memristive::{Array, Chip, ChipGeometry, Direction, ParallelPolicy, SortableBits};
+use rime_memristive::{Chip, ChipGeometry, Direction, Mat, ParallelPolicy, SortableBits};
 
-const ROWS: usize = 70; // spans a word boundary in every per-row bitmap
+/// Mats of four 70-row arrays: every array boundary but the first falls
+/// inside a select/column word, and the last word is partial.
+const ARRAYS: u16 = 4;
+const ROWS: u32 = 70;
+const SLOTS: usize = ARRAYS as usize * ROWS as usize;
 
-/// Builds an array with the given rows, select pattern, and faults —
+/// Builds a mat with the given slots, select pattern, and faults —
 /// exercising both representations through the same public mutators.
-fn loaded_array(rows: &[u64], select: &[bool], faults: &[(usize, u16, bool)]) -> Array {
-    let mut a = Array::new(rows.len() as u32);
-    for (row, &raw) in rows.iter().enumerate() {
-        a.write_row(row, raw);
+fn loaded_mat(slots: &[u64], select: &[bool], faults: &[(usize, u16, bool)]) -> Mat {
+    let mut m = Mat::new(ARRAYS, ROWS);
+    for (slot, &raw) in slots.iter().enumerate() {
+        m.write_slot(slot as u32, raw);
     }
-    for (row, &sel) in select.iter().enumerate() {
-        a.set_select_bit(row, sel);
+    for (slot, &sel) in select.iter().enumerate() {
+        m.set_select_bit(slot as u32, sel);
     }
-    for &(row, bit, stuck) in faults {
-        a.inject_stuck_cell(row % rows.len(), bit % 64, stuck);
+    for &(slot, bit, stuck) in faults {
+        m.inject_stuck_cell((slot % SLOTS) as u32, bit % 64, stuck);
     }
-    a
+    m
 }
 
 /// A geometry with `mats` mats of 32 slots each (1 bank, 1 subbank).
@@ -84,9 +89,10 @@ fn assert_chips_agree(
 }
 
 /// Zips independently generated fault component vectors (the proptest
-/// shim has no tuple strategies); the count is driven by `rows`.
-fn zip_faults(rows: &[usize], bits: &[u16], stuck: &[bool]) -> Vec<(usize, u16, bool)> {
-    rows.iter()
+/// shim has no tuple strategies); the count is driven by `slots`.
+fn zip_faults(slots: &[usize], bits: &[u16], stuck: &[bool]) -> Vec<(usize, u16, bool)> {
+    slots
+        .iter()
         .zip(bits)
         .zip(stuck)
         .map(|((&r, &b), &s)| (r, b, s))
@@ -107,53 +113,54 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn array_sense_and_match_agree(
-        rows in prop::collection::vec(any::<u64>(), ROWS..=ROWS),
-        select in prop::collection::vec(any::<bool>(), ROWS..=ROWS),
-        fault_rows in prop::collection::vec(0usize..ROWS, 0..6),
+    fn mat_sense_and_match_agree(
+        slots in prop::collection::vec(any::<u64>(), SLOTS..=SLOTS),
+        select in prop::collection::vec(any::<bool>(), SLOTS..=SLOTS),
+        fault_slots in prop::collection::vec(0usize..SLOTS, 0..6),
         fault_bits in prop::collection::vec(0u16..64, 6..=6),
         fault_stuck in prop::collection::vec(any::<bool>(), 6..=6),
         pos in 0u16..64,
     ) {
-        let faults = zip_faults(&fault_rows, &fault_bits, &fault_stuck);
-        let a = loaded_array(&rows, &select, &faults);
-        prop_assert_eq!(a.sense_column(pos), a.sense_column_scalar(pos));
+        let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
+        let m = loaded_mat(&slots, &select, &faults);
+        prop_assert_eq!(m.sense_column(pos), m.sense_column_scalar(pos));
         for keep in [false, true] {
             prop_assert_eq!(
-                a.match_vector(pos, keep),
-                a.match_vector_scalar(pos, keep),
+                m.match_vector(pos, keep),
+                m.match_vector_scalar(pos, keep),
                 "keep = {}", keep
             );
         }
     }
 
     #[test]
-    fn array_exclusion_cascade_agrees(
-        rows in prop::collection::vec(any::<u64>(), ROWS..=ROWS),
-        select in prop::collection::vec(any::<bool>(), ROWS..=ROWS),
-        fault_rows in prop::collection::vec(0usize..ROWS, 0..4),
+    fn mat_exclusion_cascade_agrees(
+        slots in prop::collection::vec(any::<u64>(), SLOTS..=SLOTS),
+        select in prop::collection::vec(any::<bool>(), SLOTS..=SLOTS),
+        fault_slots in prop::collection::vec(0usize..SLOTS, 0..4),
         fault_bits in prop::collection::vec(0u16..64, 4..=4),
         fault_stuck in prop::collection::vec(any::<bool>(), 4..=4),
         schedule_pos in prop::collection::vec(0u16..64, 1..16),
         schedule_keep in prop::collection::vec(any::<bool>(), 16..=16),
     ) {
-        let faults = zip_faults(&fault_rows, &fault_bits, &fault_stuck);
+        let faults = zip_faults(&fault_slots, &fault_bits, &fault_stuck);
         let schedule: Vec<(u16, bool)> = schedule_pos
             .iter()
             .copied()
             .zip(schedule_keep.iter().copied())
             .collect();
         // Apply a whole exclusion schedule through the fused bit-sliced
-        // path and the scalar match+load two-step; the select vectors
-        // must never diverge.
-        let mut fused = loaded_array(&rows, &select, &faults);
+        // path and the scalar match+load two-step; the select vectors,
+        // their counts and every sense must never diverge.
+        let mut fused = loaded_mat(&slots, &select, &faults);
         let mut twostep = fused.clone();
         for &(pos, keep) in &schedule {
+            prop_assert_eq!(fused.sense_column(pos), twostep.sense_column_scalar(pos));
             let removed_fused = fused.apply_exclusion(pos, keep);
-            let matches = twostep.match_vector_scalar(pos, keep);
-            let removed_two = twostep.load_select(&matches);
+            let removed_two = twostep.apply_exclusion_scalar(pos, keep);
             prop_assert_eq!(removed_fused, removed_two);
             prop_assert_eq!(fused.select(), twostep.select());
+            prop_assert_eq!(fused.selected_count(), twostep.select().count_ones());
             prop_assert_eq!(fused.first_selected(), twostep.first_selected());
         }
     }
