@@ -32,7 +32,8 @@
 //! completely by `extract_range_batch(Min, 256)` under `Auto`; every
 //! drain is checked against `slice::sort`. Runs repeat until at least
 //! three have run and a second has passed; the best is printed in ns per
-//! key.
+//! key, then the 128Ki/16Ki ratio of the uniform rows (ungated): the
+//! chip's host cost per key should barely grow with the span.
 //!
 //! `device_straddle_table1` is an ungated probe of multi-chip commands.
 //! On a Table I device, 16Ki and 64Ki uniform u64 keys sit in one region
@@ -301,6 +302,8 @@ fn full_drain(chip: &mut Chip, n: u64) -> Vec<u64> {
 }
 
 fn bench_table1_drain(_c: &mut Criterion) {
+    // Uniform ns/key at 16Ki and 128Ki keys.
+    let mut uniform = Vec::new();
     for n in [16usize << 10, 128 << 10] {
         for (dist, keys) in drain_inputs(n, 42) {
             let mut want = keys.clone();
@@ -316,12 +319,17 @@ fn bench_table1_drain(_c: &mut Criterion) {
                 (best, spent, runs) = (best.min(took), spent + took, runs + 1);
                 assert_eq!(got, want, "full drain of {n} {dist} keys");
             }
-            println!(
-                "chip_drain_table1/{n}_keys/{dist}: {:.0} ns/key (best of {runs})",
-                best.as_secs_f64() * 1e9 / n as f64
-            );
+            let ns = best.as_secs_f64() * 1e9 / n as f64;
+            println!("chip_drain_table1/{n}_keys/{dist}: {ns:.0} ns/key (best of {runs})");
+            if dist == "uniform" {
+                uniform.push(ns);
+            }
         }
     }
+    println!(
+        "chip_drain_table1/uniform 128Ki/16Ki: {:.2}× ns/key (ungated)",
+        uniform[1] / uniform[0]
+    );
 }
 
 fn bench_device_batch(c: &mut Criterion) {

@@ -11,8 +11,8 @@ use std::fmt;
 /// A fixed-length vector of bits backed by `u64` words.
 ///
 /// Invariant: bits in the last word beyond `len` are always zero, so
-/// word-level kernels (`intersects_not`, `assign_and_not`, …) never see
-/// phantom tail bits even when they complement an operand.
+/// word-level kernels (`and_not_assign`, `and_words_count_removed`, …)
+/// never see phantom tail bits even when they complement an operand.
 ///
 /// # Example
 ///
@@ -216,18 +216,6 @@ impl Bitmap {
         }
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn or_assign(&mut self, other: &Bitmap) {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-    }
-
     /// In-place difference: clears every bit that is set in `other`.
     ///
     /// Four-wide unrolled like [`Bitmap::and_assign`].
@@ -261,18 +249,6 @@ impl Bitmap {
     pub fn and_assign_count_removed(&mut self, other: &Bitmap) -> usize {
         assert_eq!(self.len, other.len, "bitmap length mismatch");
         self.and_words_count_removed(&other.words, true)
-    }
-
-    /// Fused `self &= !other` that also reports how many bits were
-    /// cleared — ANDN counterpart of
-    /// [`Bitmap::and_assign_count_removed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn and_not_assign_count_removed(&mut self, other: &Bitmap) -> usize {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.and_words_count_removed(&other.words, false)
     }
 
     /// `self &= words` (`keep`) or `self &= !words` (`!keep`) over raw
@@ -317,6 +293,34 @@ impl Bitmap {
         removed
     }
 
+    /// [`Bitmap::and_words_count_removed`] that also appends, one word per
+    /// word of `self`, the bits it cleared to `out`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word counts differ.
+    pub(crate) fn and_words_saving_removed(
+        &mut self,
+        words: &[u64],
+        keep: bool,
+        out: &mut Vec<u64>,
+    ) -> usize {
+        assert_eq!(self.words.len(), words.len(), "bitmap length mismatch");
+        let flip = if keep { 0 } else { u64::MAX };
+        let mut removed = 0;
+        out.extend(self.words.iter_mut().zip(words).map(|(a, &b)| {
+            if *a == 0 {
+                return 0; // nothing to clear: leave `words` unread
+            }
+            let kept = *a & (b ^ flip);
+            let gone = *a ^ kept;
+            removed += gone.count_ones() as usize;
+            *a = kept;
+            gone
+        }));
+        removed
+    }
+
     /// The backing `u64` words, least-significant bit first. Bits beyond
     /// `len` in the last word are guaranteed zero (see the type-level
     /// invariant), so word-level consumers need no tail handling of their
@@ -336,21 +340,6 @@ impl Bitmap {
         self.mask_tail();
     }
 
-    /// Number of one bits in the intersection with `other`, without
-    /// materializing it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn and_count(&self, other: &Bitmap) -> usize {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .map(|(&a, &b)| (a & b).count_ones() as usize)
-            .sum()
-    }
-
     /// Whether any bit is set in both `self` and `other` (early-exits on
     /// the first overlapping word).
     ///
@@ -363,53 +352,6 @@ impl Bitmap {
             .iter()
             .zip(&other.words)
             .any(|(&a, &b)| a & b != 0)
-    }
-
-    /// Whether any bit is set in `self` but clear in `other` (early-exits
-    /// on the first such word). The complement's phantom tail bits are
-    /// harmless because `self`'s tail is guaranteed zero.
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn intersects_not(&self, other: &Bitmap) -> bool {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & !b != 0)
-    }
-
-    /// Overwrites `self` with `a & b` — the zero-allocation form the
-    /// match-vector scratch path uses.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three lengths differ.
-    pub fn assign_and(&mut self, a: &Bitmap, b: &Bitmap) {
-        assert!(
-            self.len == a.len && self.len == b.len,
-            "bitmap length mismatch"
-        );
-        for ((dst, &wa), &wb) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            *dst = wa & wb;
-        }
-    }
-
-    /// Overwrites `self` with `a & !b` (ANDN). `a`'s zero tail keeps the
-    /// result's tail zero despite the complement.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the three lengths differ.
-    pub fn assign_and_not(&mut self, a: &Bitmap, b: &Bitmap) {
-        assert!(
-            self.len == a.len && self.len == b.len,
-            "bitmap length mismatch"
-        );
-        for ((dst, &wa), &wb) in self.words.iter_mut().zip(&a.words).zip(&b.words) {
-            *dst = wa & !wb;
-        }
     }
 
     /// Overwrites `self` with the `self.len()`-bit subrange of `src`
@@ -609,10 +551,6 @@ mod tests {
         and.and_assign(&b);
         assert_eq!(and.iter_ones().collect::<Vec<_>>(), vec![4, 5]);
 
-        let mut or = a.clone();
-        or.or_assign(&b);
-        assert_eq!(or.count_ones(), 10);
-
         a.and_not_assign(&b);
         assert_eq!(a.iter_ones().collect::<Vec<_>>(), vec![0, 1, 2, 3]);
     }
@@ -721,40 +659,14 @@ mod tests {
     }
 
     #[test]
-    fn and_count_and_intersects() {
+    fn intersects_finds_overlap() {
         let mut a = Bitmap::zeros(130);
         let mut b = Bitmap::zeros(130);
         a.set_range(0, 70);
         b.set_range(63, 129);
-        assert_eq!(a.and_count(&b), 7); // bits 63..70 overlap
-        assert!(a.intersects(&b));
-        assert!(a.intersects_not(&b)); // bits 0..63 are in a only
-        assert!(b.intersects_not(&a)); // bits 70..129 are in b only
-
+        assert!(a.intersects(&b)); // bits 63..70 overlap
         let disjoint: Bitmap = Bitmap::zeros(130);
-        assert_eq!(a.and_count(&disjoint), 0);
         assert!(!a.intersects(&disjoint));
-        assert!(!disjoint.intersects_not(&a));
-        // intersects_not must not be fooled by !other's phantom tail bits.
-        let full = Bitmap::ones(130);
-        assert!(!full.intersects_not(&full));
-    }
-
-    #[test]
-    fn assign_and_kernels_match_per_bit() {
-        let a: Bitmap = (0..150).map(|i| i % 3 == 0).collect();
-        let b: Bitmap = (0..150).map(|i| i % 5 != 0).collect();
-        let mut and = Bitmap::ones(150);
-        and.assign_and(&a, &b);
-        let mut andn = Bitmap::ones(150);
-        andn.assign_and_not(&a, &b);
-        for idx in 0..150 {
-            assert_eq!(and.get(idx), a.get(idx) && b.get(idx), "and bit {idx}");
-            assert_eq!(andn.get(idx), a.get(idx) && !b.get(idx), "andn bit {idx}");
-        }
-        assert_eq!(and.count_ones(), a.and_count(&b));
-        // Tail stays masked even though !b has phantom ones there.
-        assert_eq!(andn.words.last().unwrap() >> (150 % 64), 0);
     }
 
     #[test]
@@ -800,13 +712,25 @@ mod tests {
             assert_eq!(fused, three, "and result at len {len}");
             assert_eq!(removed, before - three.count_ones(), "and removed {len}");
 
-            let mut fused = a.clone();
-            let removed = fused.and_not_assign_count_removed(&b);
-            let mut three = a.clone();
-            let before = three.count_ones();
-            three.and_not_assign(&b);
-            assert_eq!(fused, three, "andn result at len {len}");
-            assert_eq!(removed, before - three.count_ones(), "andn removed {len}");
+            // The saving form clears the same bits and hands them back.
+            for keep in [true, false] {
+                let mut counted = a.clone();
+                let removed = counted.and_words_count_removed(b.words(), keep);
+                let mut saved = a.clone();
+                let mut gone = Vec::new();
+                assert_eq!(
+                    saved.and_words_saving_removed(b.words(), keep, &mut gone),
+                    removed
+                );
+                assert_eq!(saved, counted, "saving result at len {len}, keep {keep}");
+                let want: Vec<u64> = a
+                    .words
+                    .iter()
+                    .zip(&counted.words)
+                    .map(|(x, y)| x ^ y)
+                    .collect();
+                assert_eq!(gone, want, "cleared bits at len {len}, keep {keep}");
+            }
         }
     }
 

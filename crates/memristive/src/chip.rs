@@ -123,6 +123,10 @@ pub struct Chip {
     /// Table I chip's flags are a 256 KiB bitmap, and a chip that never
     /// ranks keeps none.
     excluded: Option<Bitmap>,
+    /// Bit `m % 64` of word `m / 64`: mat `m` holds a set exclusion flag.
+    /// Allocated with the flags, so an init visits only the span's mats
+    /// that hold one.
+    flagged: Vec<u64>,
     format: Option<KeyFormat>,
     range: Option<(u64, u64)>,
     counters: OpCounters,
@@ -156,6 +160,7 @@ impl std::fmt::Debug for Chip {
             .field("mats", &self.mats)
             .field("tree", &self.tree)
             .field("excluded", &self.excluded)
+            .field("flagged", &self.flagged)
             .field("format", &self.format)
             .field("range", &self.range)
             .field("counters", &self.counters)
@@ -177,6 +182,7 @@ impl Chip {
             mats: vec![None; mats],
             tree: IndexTree::new(mats, geometry.slots_per_mat()),
             excluded: None,
+            flagged: Vec::new(),
             format: None,
             range: None,
             counters: OpCounters::new(),
@@ -351,26 +357,44 @@ impl Chip {
         }
         self.check_slot(end - 1)?;
         let (first_mat, last_mat) = self.mat_span(begin, end);
-        let per_mat = self.geometry.slots_per_mat();
-        if let Some(flags) = &mut self.excluded {
-            // A mat's membership changes only where a flag was set.
-            for idx in first_mat..=last_mat {
-                let base = idx as u64 * per_mat;
-                let (lo, hi) = (begin.max(base), end.min(base + per_mat));
-                if flags.count_ones_in_range(lo as usize, hi as usize) > 0 {
-                    if let Some(mat) = &mut self.mats[idx] {
-                        mat.bump_generation();
-                    }
-                }
-            }
-            flags.clear_range(begin as usize, end as usize);
-        }
+        self.clear_flags(begin as usize, end as usize, first_mat, last_mat);
         self.format = Some(format);
         self.range = Some((begin, end));
         self.counters.init_ops += 1;
         self.counters.select_loads += 1;
         self.counters.htree_traversals += 1;
         Ok(())
+    }
+
+    /// Clears the exclusion flags of `[begin, end)` (within mats
+    /// `first_mat..=last_mat`), bumping the generation of each mat that
+    /// held one there: a mat's membership changes only where a flag was
+    /// set, so only the span's flagged mats are visited.
+    fn clear_flags(&mut self, begin: usize, end: usize, first_mat: usize, last_mat: usize) {
+        let per_mat = self.geometry.slots_per_mat() as usize;
+        let Some(flags) = &mut self.excluded else {
+            return;
+        };
+        for word in first_mat / 64..=last_mat / 64 {
+            let mut held = self.flagged[word] & span_bits(word, first_mat, last_mat);
+            while held != 0 {
+                let idx = word * 64 + held.trailing_zeros() as usize;
+                held &= held - 1;
+                let base = idx * per_mat;
+                let (lo, hi) = (begin.max(base), end.min(base + per_mat));
+                if flags.count_ones_in_range(lo, hi) == 0 {
+                    continue;
+                }
+                flags.clear_range(lo, hi);
+                if let Some(mat) = &mut self.mats[idx] {
+                    mat.bump_generation();
+                }
+                let whole = (lo, hi) == (base, base + per_mat);
+                if whole || flags.count_ones_in_range(base, base + per_mat) == 0 {
+                    self.flagged[word] &= !(1 << (idx % 64));
+                }
+            }
+        }
     }
 
     /// Re-latches the select vectors for the active range, skipping
@@ -436,13 +460,17 @@ impl Chip {
     }
 
     /// Flags `slot` excluded for later accesses, allocating the flags on
-    /// the chip's first extraction, and bumps its mat's generation.
+    /// the chip's first extraction, records that its mat holds a flag,
+    /// and bumps the mat's generation.
     fn flag_excluded(&mut self, slot: u64) {
-        let slots = self.capacity() as usize;
-        self.excluded
-            .get_or_insert_with(|| Bitmap::zeros(slots))
-            .set(slot as usize, true);
+        if self.excluded.is_none() {
+            self.excluded = Some(Bitmap::zeros(self.capacity() as usize));
+            self.flagged = vec![0; self.mats.len().div_ceil(64)];
+        }
+        let flags = self.excluded.as_mut().expect("allocated above");
+        flags.set(slot as usize, true);
         let (mat, _) = self.geometry.split_slot(slot);
+        self.flagged[mat as usize / 64] |= 1 << (mat % 64);
         self.mats[mat as usize]
             .as_mut()
             .expect("an extracted slot's mat is materialized")
@@ -863,6 +891,12 @@ impl Chip {
         self.memo = None;
         self.tree = IndexTree::new(state.mats.len(), self.geometry.slots_per_mat());
         self.excluded = Some(state.excluded.clone());
+        self.flagged = vec![0; self.mats.len().div_ceil(64)];
+        let per_mat = self.geometry.slots_per_mat() as usize;
+        for slot in state.excluded.iter_ones() {
+            let mat = slot / per_mat;
+            self.flagged[mat / 64] |= 1 << (mat % 64);
+        }
         self.format = state.format;
         self.range = state.range;
         self.counters = state.counters;
@@ -912,6 +946,14 @@ impl Chip {
             .map(|m| m.as_deref().map_or(0, Mat::total_writes))
             .collect()
     }
+}
+
+/// The bits of word `word` of a per-mat bit vector that stand for mats
+/// `first..=last` (the word holds at least one of them).
+fn span_bits(word: usize, first: usize, last: usize) -> u64 {
+    let lo = first.saturating_sub(word * 64);
+    let hi = (last - word * 64).min(63);
+    (u64::MAX >> (63 - hi)) & (u64::MAX << lo)
 }
 
 /// One column-search step across a mat span: every active mat senses bit
@@ -1048,6 +1090,51 @@ mod tests {
         chip.init_range(0, 3, KeyFormat::UNSIGNED32).unwrap();
         assert_eq!(chip.remaining(), 3);
         assert_eq!(chip.extract(Direction::Min).unwrap().unwrap().raw_bits, 2);
+    }
+
+    #[test]
+    fn init_bumps_exactly_the_mats_whose_set_flags_it_clears() {
+        // Two 32-slot mats; `generations` reads both.
+        let keys: Vec<u32> = (0..64).map(|i| (i * 2654435761u64 % 997) as u32).collect();
+        let mut chip = chip_with(&keys);
+        let generations = |chip: &Chip| {
+            chip.mats
+                .iter()
+                .map(|m| m.as_ref().unwrap().generation())
+                .collect::<Vec<_>>()
+        };
+        let init = |chip: &mut Chip, begin, end| {
+            let before = generations(chip);
+            chip.init_range(begin, end, KeyFormat::UNSIGNED32).unwrap();
+            let after = generations(chip);
+            before
+                .iter()
+                .zip(&after)
+                .map(|(b, a)| a - b)
+                .collect::<Vec<_>>()
+        };
+        // No flag set yet: nothing to clear.
+        assert_eq!(init(&mut chip, 0, 64), [0, 0]);
+        chip.extract_range_batch(0, 64, KeyFormat::UNSIGNED32, Direction::Min, 64)
+            .unwrap();
+        assert_eq!(init(&mut chip, 0, 64), [1, 1]);
+        assert_eq!(init(&mut chip, 0, 64), [0, 0], "the flags are clear");
+        // Flags on both sides of mat 1's midpoint; clearing one half keeps
+        // the mat flagged for the next init.
+        chip.extract_range_batch(32, 64, KeyFormat::UNSIGNED32, Direction::Min, 32)
+            .unwrap();
+        assert_eq!(init(&mut chip, 48, 64), [0, 1]);
+        assert_eq!(init(&mut chip, 0, 40), [0, 1]);
+        assert_eq!(init(&mut chip, 0, 64), [0, 1]);
+        assert_eq!(chip.remaining(), 64);
+        // A restored snapshot and a clone know which mats hold flags.
+        chip.extract_range_batch(0, 64, KeyFormat::UNSIGNED32, Direction::Max, 3)
+            .unwrap();
+        let flagged = chip.flagged.clone();
+        let mut restored = Chip::new(ChipGeometry::tiny());
+        assert!(restored.restore_state(&chip.state()));
+        assert_eq!(restored.flagged, flagged);
+        assert_eq!(chip.clone().flagged, flagged);
     }
 
     #[test]

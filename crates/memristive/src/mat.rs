@@ -291,6 +291,34 @@ impl Mat {
         debug_assert_eq!(self.selected, self.select.count_ones(), "select count");
     }
 
+    /// [`Mat::exclude`], appending to `out` the select words of the slots
+    /// it deselected ([`Mat::select_words`] of them). Returns their count.
+    pub(crate) fn exclude_saving(
+        &mut self,
+        pos: u16,
+        keep: bool,
+        scalar: bool,
+        out: &mut Vec<u64>,
+    ) -> u64 {
+        #[cfg(any(test, feature = "scalar-oracle"))]
+        if scalar {
+            let start = out.len();
+            self.save_select(out);
+            let removed = self.apply_exclusion_scalar(pos, keep);
+            for (saved, &now) in out[start..].iter_mut().zip(self.select.words()) {
+                *saved ^= now;
+            }
+            return removed as u64;
+        }
+        let _ = scalar;
+        let words = self.select_words();
+        let start = pos as usize * words;
+        let column = &self.columns[start..start + words];
+        let removed = self.select.and_words_saving_removed(column, keep, out);
+        self.selected -= removed;
+        removed as u64
+    }
+
     /// Column-search command: the mat senses column `pos` over its
     /// selected slots in all four arrays at once and sends the two
     /// signals upstream (Fig. 9's two-signal protocol).

@@ -29,7 +29,7 @@
 //!
 //! Per step `s`, a subtree's trace has its wire-ORed `any_one` and
 //! `any_zero` signals, the mats with a nonempty selection, and the rows
-//! its exclusion removed. A step excludes exactly when both signals are
+//! removed up to then. A step excludes exactly when both signals are
 //! raised, so no decision bits are stored. Once the subtree is down to
 //! one survivor no exclusion can fire: a lone row senses its own stored
 //! bit at every later column. The trace keeps going past that collapse
@@ -44,24 +44,34 @@
 //! equal in that bit, and an exclusion keeps only rows holding the keep
 //! bit. Let `m` be the leaf's survivor, just extracted. If some row
 //! besides `m` is alive at step `e`, dropping `m` from the membership
-//! changes no signal and no removed count before `e`, so the alive set at
-//! `e` is the old one minus `m`. So the leaf keeps a **snapshot** of the
-//! select words alive before each of its exclusions, with their count,
-//! and the words alive after its last step:
+//! changes no signal and no removed count before `e`. The leaf keeps,
+//! for each of its exclusions, the rows that exclusion **removed**, and
+//! the rows alive after its last step (the final set):
 //!
-//! - If that final set still holds another row, `m` had ties. The next
+//! - If the final set still holds another row, `m` had ties. The next
 //!   row of the final set is the new survivor and nothing is sensed.
-//! - Otherwise the last exclusion step `e` removed every row but `m`.
-//!   The leaf latches `e`'s snapshot minus `m` (never empty: `e` removed
-//!   a row) and descends again from `e`. At `e = 0` that re-senses the
-//!   sign step, so a float range's polarity is recomputed.
-//! - Either way `m` is first cleared from every snapshot, decrementing its
-//!   count. Otherwise a later resume from a shallower step would bring
-//!   `m` back.
+//! - Otherwise the last exclusion `e` kept only `m`, and the leaf
+//!   resumes at `e` with exactly the rows `e` removed: step `e` is now
+//!   uniform in the bit it discarded (no exclusion, nothing removed) and
+//!   the descent goes on from `e + 1` over those rows.
 //!
-//! Draining a mat is therefore a depth-first walk of its key trie: its
-//! senses follow the trie's nodes, not keys × key width. A resumed leaf's
-//! trace equals a fresh descent over its new membership.
+//! *Why the removed rows are the rows alive (lazy removal).* While an
+//! exclusion `e` stays the leaf's last, every key the leaf yields comes
+//! from the rows `e` kept, and its deeper exclusions split only those.
+//! When the resume reaches `e`, its kept rows are exactly the rows
+//! extracted since `e` was recorded: counting them takes nothing but the
+//! exclusion's own removed count. So a resume touches one saved row set,
+//! never the other exclusions', and no saved set ever holds an extracted
+//! row.
+//!
+//! A row set of at most [`PAIRS`] rows is kept as (slot, effective bits)
+//! pairs, and a descent that is down to that many rows runs on the pairs
+//! alone: it senses by ORing their bits and excludes by partitioning
+//! them, without the mat's select latches or column shadow. Larger sets
+//! are a mat's select words, latched to resume. Draining a mat is
+//! therefore a depth-first walk of its key trie: its senses follow the
+//! trie's nodes, not keys × key width. A resumed leaf's trace equals a
+//! fresh descent over its new membership.
 //!
 //! # Why a merge is exact
 //!
@@ -113,33 +123,52 @@
 //!
 //! # What a node stores
 //!
-//! The signals are two `u64` masks; the per-step counts are stored only
-//! as far as a node owns them, and a node reads every later step from
-//! the node its `rest` names:
+//! The signals are two `u64` masks. Per step a node counts its active
+//! mats and the rows its descent removed **up to and including** that
+//! step. The counts are stored only as far as a node owns them, and a
+//! node reads every later step from the node its `rest` names:
 //!
 //! - a merged node records steps `0..=d` (all steps if no child dies)
 //!   and reads past `d` from its winning child: from the first node down
 //!   that child's chain that records more steps, so `recorded` rises
 //!   along every chain and reading one is a hop or two;
 //! - a leaf records up to its collapse, and any subtree down to one row
-//!   reads every later step from [`Trace::SOLO`] (one active mat,
-//!   nothing removed), a node past the leaves;
+//!   reads every later step from [`Trace::SOLO`] (one row in one active
+//!   mat, nothing removed), a node past the leaves;
 //! - a node with an empty child records nothing and reads the other.
 //!
-//! A merge walks both children's chains once over steps `0..=d`, adding
-//! one packed count word per step, and copies nothing past `d`: a refold
-//! costs O(`d` + chain length) per level. The root's descent is read
-//! down its chain the same way.
+//! A node and the node holding its step `s` hold the same rows after
+//! `s`, so the node has removed the holder's count plus the difference
+//! of their `selected` rows. A merge walks both children's chains once
+//! over the steps it recomputes, adding one packed count word per step,
+//! and copies nothing past `d`; the root's descent is read down its
+//! chain the same way.
 //!
-//! A refold after a resume does less. The resumed leaf's trace changes
-//! only from the step it resumed at (a tie changes no step), and the
-//! leaf holds one row fewer. At an ancestor whose split `d` comes before
-//! that step, every step through `d` stands, so the death, the winner
-//! and the recorded counts stand too. The winner is the resumed path's
-//! child, since the extracted key was the union's survivor. Only the row
-//! count, the signals past `d`, the survivor and `rest` move: O(1). Any
-//! other ancestor merges in full, and its trace changes from the same
-//! step on.
+//! # Refolding only the changed steps
+//!
+//! After a resume the leaf's trace changes only from the step `f` it
+//! resumed at (a tie changes no step), and the leaf holds one row fewer.
+//! Its ancestors refold bottom-up, each passing up the step from which
+//! its own trace changed:
+//!
+//! - *An ancestor whose split `d` comes before `f`* keeps every step
+//!   through `d`, so its death, winner and counts stand. The winner is
+//!   the resumed path's child, since the extracted key was the union's
+//!   survivor. Only the row count, the signals past `d`, the survivor
+//!   and `rest` move: O(1).
+//! - *Any other ancestor* keeps its steps `0..f` and recomputes only
+//!   `f..=d`. Neither child changed before `f`: `m` was alive at every
+//!   step, so the counts of removed rows (which `m` never joined) stand,
+//!   and so do the signals, the sign-step polarity and the death bits
+//!   below `f`. The old split was at or past `f` (no death bit below it
+//!   then), so the node recorded those steps, and the new split is at or
+//!   past `f` too. The merge never reads the sibling's steps before `f`.
+//!
+//! Counting removed rows cumulatively is what lets a merge skip the
+//! prefix. With per-step counts it would need the loser's removals
+//! before `f` to know how many rows the loser still holds at the split;
+//! cumulatively, through its split the union has removed the winner's
+//! removed rows and every loser row, both read at the split alone.
 //!
 //! # Keeping the tree across calls
 //!
@@ -157,7 +186,23 @@
 //! - any other leaf stands, and only changed leaves' ancestors refold.
 //!
 //! Select latches are never trusted across calls: a resume latches a
-//! snapshot, and a re-run latches its membership window.
+//! saved row set (or runs on its pairs), and a re-run latches its
+//! membership window.
+//!
+//! # Checks
+//!
+//! `tests/exhaustive_memo.rs` compares `Auto` with the sequential walk
+//! (hits, every `OpCounters` field, `remaining()`, checkpoints) in every
+//! case of a small scope: tiny chips of 1–4 mats, every assignment of
+//! 2–3-bit unsigned and signed keys (and of a float's sign, top exponent
+//! bit and lowest mantissa bit) to a range, every range, and every call
+//! sequence up to depth 2–3 over extractions of 1, 2 or all keys in
+//! either direction, one key by the sequential walk, a one-slot write, a
+//! stuck-at cell, a sub-range re-init and a checkpoint round trip. It
+//! takes about a minute in a debug build; `RIME_EXHAUSTIVE=full` adds
+//! depth 4, mats of 10 rows (select-word row sets with two varied bits)
+//! and two such mats. `tests/parallel_determinism.rs` adds random
+//! cross-call interleavings on wider spans.
 
 use crate::bitmap::Bitmap;
 use crate::mat::Mat;
@@ -167,15 +212,21 @@ use crate::plan::SearchPlan;
 /// arrays (and bit `s` of a `u64` stands for step `s`).
 const MAX_STEPS: usize = 64;
 
-/// A step's count word holds the rows it removed in its low
-/// `REMOVED_BITS` bits and its active mats above them, so a merge adds
-/// one word per step. A span holds fewer than 2^40 rows and 2^24 mats
-/// (checked whenever the tree is keyed), so sums never carry between the
-/// two.
+/// A step's count word holds, in its low `REMOVED_BITS` bits, the rows
+/// the node's descent removed up to and including the step, and its
+/// active mats at the step above them, so a merge adds one word per
+/// step. A span holds fewer than 2^40 rows and 2^24 mats (checked
+/// whenever the tree is keyed), so sums never carry between the two.
 const REMOVED_BITS: u32 = 40;
 const REMOVED: u64 = (1 << REMOVED_BITS) - 1;
 /// The count word of one active mat that removed nothing.
 const ONE_MAT: u64 = 1 << REMOVED_BITS;
+
+/// A row set of at most this many rows is kept as (slot, effective bits)
+/// pairs in two cache lines with its split's step, a larger one as a
+/// mat's select words (four lines on a Table I mat). On
+/// `chip_drain_table1` uniform keys, 8 beat 4 and 16.
+const PAIRS: usize = 8;
 
 /// A subtree's lowest-address survivor after its descent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -209,16 +260,77 @@ struct Trace {
     /// Lowest-address survivor (`None` for an empty subtree).
     survivor: Option<Survivor>,
     /// Per step, packed (see [`REMOVED_BITS`]): the mats with a nonempty
-    /// selection, and the rows removed (0 unless both signals were
-    /// raised).
+    /// selection, and the rows removed so far. A node whose step `s` is
+    /// held by node `h` down its chain has removed `h`'s count plus
+    /// `selected - h.selected`: both hold the same rows after `s`.
     counts: [u64; MAX_STEPS],
 }
 
-/// An exclusion step of a leaf's descent and the rows alive before it.
+/// Some of a mat's rows: `len` of them, kept as the first `len` (slot,
+/// effective bits) pairs in slot order when `len <= PAIRS`, else as
+/// select words kept beside them.
+#[derive(Debug, Clone, Copy, Default)]
+struct Rows {
+    len: u64,
+    slots: [u32; PAIRS],
+    bits: [u64; PAIRS],
+}
+
+impl Rows {
+    /// The rows of `words` (which hold `len` set bits), as pairs if they
+    /// are few.
+    fn of(words: &[u64], len: u64, mat: &Mat) -> Rows {
+        let mut rows = Rows {
+            len,
+            ..Rows::default()
+        };
+        if len as usize <= PAIRS {
+            let mut at = 0;
+            for (w, &word) in words.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    let slot = w as u32 * 64 + bits.trailing_zeros();
+                    (rows.slots[at], rows.bits[at]) = (slot, mat.read_slot(slot));
+                    at += 1;
+                    bits &= bits - 1;
+                }
+                if at == len as usize {
+                    break;
+                }
+            }
+        }
+        rows
+    }
+
+    fn paired(&self) -> bool {
+        self.len as usize <= PAIRS
+    }
+
+    /// Splits paired rows by their bit at `pos`: those holding `keep`,
+    /// then the others.
+    fn split(&self, pos: u16, keep: bool) -> (Rows, Rows) {
+        let (mut kept, mut gone) = (Rows::default(), Rows::default());
+        for (&slot, &bits) in self.slots.iter().zip(&self.bits).take(self.len as usize) {
+            let side = if (bits >> pos & 1 == 1) == keep {
+                &mut kept
+            } else {
+                &mut gone
+            };
+            let at = side.len as usize;
+            (side.slots[at], side.bits[at]) = (slot, bits);
+            side.len += 1;
+        }
+        (kept, gone)
+    }
+}
+
+/// An exclusion step of a leaf's descent and the rows it removed:
+/// exactly the rows alive when the leaf next resumes here (see the
+/// module docs).
 #[derive(Debug, Clone, Copy)]
 struct Split {
     step: u16,
-    alive: u64,
+    removed: Rows,
 }
 
 /// What a leaf keeps beside its trace so it can resume: see the module
@@ -233,12 +345,13 @@ struct Leaf {
     pending: Option<u32>,
     /// The descent's exclusion steps, shallowest first.
     splits: Vec<Split>,
-    /// Select words alive before each split, one mat's worth per split.
-    snapshots: Vec<u64>,
-    /// Select words alive after the last step (kept only while they
-    /// hold more than one row), and their count.
-    last: Vec<u64>,
-    last_count: u64,
+    /// The select words of each split that removed more than [`PAIRS`]
+    /// rows, one mat's worth each, in split order.
+    words: Vec<u64>,
+    /// Rows alive after the last step, and their select words if there
+    /// were more than [`PAIRS`] of them when the descent ended.
+    last: Rows,
+    last_words: Vec<u64>,
 }
 
 impl Leaf {
@@ -247,45 +360,37 @@ impl Leaf {
         self.generation = None;
         self.pending = None;
         self.splits.clear();
-        self.snapshots.clear();
-        self.last.clear();
-        self.last_count = 0;
+        self.words.clear();
+        self.last = Rows::default();
+        self.last_words.clear();
     }
 
-    /// Clears `slot` from every snapshot (of `words` words each) and
-    /// from the final set.
-    fn remove(&mut self, words: usize, slot: u32) {
-        let (word, bit) = (slot as usize / 64, 1u64 << (slot % 64));
-        for (split, snapshot) in self
-            .splits
-            .iter_mut()
-            .zip(self.snapshots.chunks_exact_mut(words))
-        {
-            if snapshot[word] & bit != 0 {
-                snapshot[word] &= !bit;
-                split.alive -= 1;
-            }
-        }
-        if self.last_count > 1 {
-            if self.last[word] & bit != 0 {
-                self.last[word] &= !bit;
-                self.last_count -= 1;
-            }
+    /// Drops the final set's first row, `slot`, and returns the next one
+    /// (the final set held more than one).
+    fn next_of_last(&mut self, slot: u32, mat: &Mat) -> Survivor {
+        let last = &mut self.last;
+        // A final set kept as words stays so as it shrinks.
+        let next = if self.last_words.is_empty() {
+            debug_assert_eq!(last.slots[0], slot, "the survivor leads the final set");
+            last.slots.copy_within(1.., 0);
+            last.bits.copy_within(1.., 0);
+            (last.slots[0], last.bits[0])
         } else {
-            // A lone final row is the survivor, the only row that leaves.
-            self.last_count = 0;
+            let word = slot as usize / 64;
+            self.last_words[word] &= !(1 << (slot % 64));
+            let (w, bits) = self.last_words[word..]
+                .iter()
+                .enumerate()
+                .find(|(_, &bits)| bits != 0)
+                .expect("the final set holds another row");
+            let next = (word + w) as u32 * 64 + bits.trailing_zeros();
+            (next, mat.read_slot(next))
+        };
+        last.len -= 1;
+        Survivor {
+            slot: self.base + u64::from(next.0),
+            raw: next.1,
         }
-    }
-
-    /// Lowest slot of the nonempty final set.
-    fn first_of_last(&self) -> u32 {
-        let (word, bits) = self
-            .last
-            .iter()
-            .enumerate()
-            .find(|(_, &bits)| bits != 0)
-            .expect("the final set holds a row");
-        word as u32 * 64 + bits.trailing_zeros()
     }
 }
 
@@ -301,10 +406,11 @@ impl Trace {
     };
 
     /// The node past the heap's last leaf, which is no tree node: one
-    /// active mat that removes nothing, at every step. A subtree past its
-    /// collapse holds one row, so every later step of its trace reads
-    /// here.
+    /// row, in one active mat, that removes nothing, at every step. A
+    /// subtree past its collapse holds one row, so every later step of
+    /// its trace reads here.
     const SOLO: Trace = Trace {
+        selected: 1,
         counts: [ONE_MAT; MAX_STEPS],
         ..Trace::EMPTY
     };
@@ -323,8 +429,9 @@ impl Trace {
 
     /// Removes the extracted survivor `slot` from the descent: a tie
     /// reads the next row, anything else descends again from the last
-    /// split (see the module docs). Returns the step from which the
-    /// trace's signals and counts changed ([`MAX_STEPS`] for a tie).
+    /// split over the rows that split removed (see the module docs).
+    /// Returns the step from which the trace's signals and counts changed
+    /// ([`MAX_STEPS`] for a tie).
     fn resume(
         &mut self,
         leaf: &mut Leaf,
@@ -333,37 +440,57 @@ impl Trace {
         scalar: bool,
         slot: u32,
     ) -> usize {
-        let words = mat.select_words();
         self.selected -= 1;
-        leaf.remove(words, slot);
-        if leaf.last_count > 0 {
-            let first = leaf.first_of_last();
-            self.survivor = Some(Survivor {
-                slot: leaf.base + u64::from(first),
-                raw: mat.read_slot(first),
-            });
+        if leaf.last.len > 1 {
+            self.survivor = Some(leaf.next_of_last(slot, mat));
             return MAX_STEPS;
         }
-        while let Some(Split { step, alive }) = leaf.splits.pop() {
-            let top = leaf.snapshots.len() - words;
-            if alive > 0 {
-                mat.restore_select(&leaf.snapshots[top..], alive);
-                leaf.snapshots.truncate(top);
-                self.descend(leaf, mat, plan, scalar, step);
-                return step as usize;
-            }
-            leaf.snapshots.truncate(top);
+        let Some(Split { step, removed }) = leaf.splits.pop() else {
+            // `slot` was the mat's last row.
+            *self = Trace::EMPTY;
+            return 0;
+        };
+        // The rows back at `step` all hold the bit its exclusion
+        // discarded: the step is uniform now, and removes nothing.
+        let (negative, before) = self.restart(plan, step);
+        if plan.keep_bit(step, negative) {
+            self.zero |= 1 << step;
+        } else {
+            self.one |= 1 << step;
         }
-        // `slot` was the mat's last row.
-        *self = Trace::EMPTY;
-        leaf.last.clear();
-        0
+        self.counts[step as usize] = ONE_MAT + before;
+        if removed.paired() {
+            self.descend_rows(leaf, plan, step + 1, removed);
+        } else {
+            let top = leaf.words.len() - mat.select_words();
+            mat.restore_select(&leaf.words[top..], removed.len);
+            leaf.words.truncate(top);
+            self.descend(leaf, mat, plan, scalar, step + 1);
+        }
+        step as usize
     }
 
-    /// Descends from `start` over the rows latched in `mat`, recording a
-    /// snapshot before each exclusion. The trace before `start` stands.
-    /// Physical stepping stops at the local collapse; the rest of the
-    /// trace is the survivor's own bits, read once.
+    /// Clears the trace's signals from `start` on and returns what the
+    /// descent carries into `start`: whether the sign step left negative
+    /// survivors, and the rows removed before it.
+    fn restart(&mut self, plan: &SearchPlan, start: u16) -> (bool, u64) {
+        self.one &= step_mask(start);
+        self.zero &= step_mask(start);
+        // Resuming past the sign step: its signals are the trace's.
+        let negative = start > 0
+            && plan.is_sign_step(0)
+            && plan.survivors_negative(self.one & 1 != 0, self.zero & 1 != 0);
+        let removed = match start {
+            0 => 0,
+            _ => self.counts[start as usize - 1] & REMOVED,
+        };
+        (negative, removed)
+    }
+
+    /// Descends from `start` over the rows latched in `mat`, recording
+    /// each exclusion's removed rows, until at most [`PAIRS`] rows are
+    /// left; [`Trace::descend_rows`] finishes on their pairs. The trace
+    /// before `start` stands.
     fn descend(
         &mut self,
         leaf: &mut Leaf,
@@ -373,31 +500,83 @@ impl Trace {
         start: u16,
     ) {
         let steps = plan.steps();
+        let words = mat.select_words();
         let mut running = mat.selected_count() as u64;
-        self.one &= step_mask(start);
-        self.zero &= step_mask(start);
-        // Resuming past the sign step: its signals are the trace's.
-        let mut survivors_negative = start > 0
-            && plan.is_sign_step(0)
-            && plan.survivors_negative(self.one & 1 != 0, self.zero & 1 != 0);
+        let (mut negative, mut removed) = self.restart(plan, start);
         let mut step = start;
-        while step < steps && running > 1 {
+        while step < steps && running as usize > PAIRS {
             let pos = plan.position(step);
             let signals = mat.sense(pos, scalar);
             self.one |= u64::from(signals.any_one) << step;
             self.zero |= u64::from(signals.any_zero) << step;
             if plan.is_sign_step(step) {
-                survivors_negative = plan.survivors_negative(signals.any_one, signals.any_zero);
+                negative = plan.survivors_negative(signals.any_one, signals.any_zero);
             }
-            let mut removed = 0;
             if !signals.all_same() {
+                let keep = plan.keep_bit(step, negative);
+                let gone = mat.exclude_saving(pos, keep, scalar, &mut leaf.words);
+                let top = leaf.words.len() - words;
+                let rows = Rows::of(&leaf.words[top..], gone, mat);
+                if rows.paired() {
+                    leaf.words.truncate(top);
+                }
                 leaf.splits.push(Split {
                     step,
-                    alive: running,
+                    removed: rows,
                 });
-                mat.save_select(&mut leaf.snapshots);
-                removed = mat.exclude(pos, plan.keep_bit(step, survivors_negative), scalar);
-                running -= removed;
+                running -= gone;
+                removed += gone;
+            }
+            self.counts[step as usize] = ONE_MAT + removed;
+            step += 1;
+        }
+        if running as usize <= PAIRS {
+            let rows = Rows::of(mat.select().words(), running, mat);
+            return self.descend_rows(leaf, plan, step, rows);
+        }
+        // Every step ran on more than [`PAIRS`] rows: they tie.
+        self.recorded = step as usize;
+        leaf.last = Rows {
+            len: running,
+            ..Rows::default()
+        };
+        leaf.last_words.clear();
+        mat.save_select(&mut leaf.last_words);
+        let first = mat
+            .first_selected()
+            .expect("a descent keeps at least one row");
+        self.survivor = Some(Survivor {
+            slot: leaf.base + u64::from(first),
+            raw: mat.read_slot(first),
+        });
+    }
+
+    /// Descends from `start` over `rows` (paired), recording each
+    /// exclusion's removed rows. The trace before `start` stands.
+    /// Stepping stops at the collapse; the rest of the trace is the
+    /// survivor's own bits.
+    fn descend_rows(&mut self, leaf: &mut Leaf, plan: &SearchPlan, start: u16, mut rows: Rows) {
+        let steps = plan.steps();
+        let (mut negative, mut removed) = self.restart(plan, start);
+        let mut step = start;
+        while step < steps && rows.len > 1 {
+            let pos = plan.position(step);
+            let live = &rows.bits[..rows.len as usize];
+            let any_one = live.iter().any(|&bits| bits >> pos & 1 == 1);
+            let any_zero = live.iter().any(|&bits| bits >> pos & 1 == 0);
+            self.one |= u64::from(any_one) << step;
+            self.zero |= u64::from(any_zero) << step;
+            if plan.is_sign_step(step) {
+                negative = plan.survivors_negative(any_one, any_zero);
+            }
+            if any_one && any_zero {
+                let (kept, gone) = rows.split(pos, plan.keep_bit(step, negative));
+                leaf.splits.push(Split {
+                    step,
+                    removed: gone,
+                });
+                removed += gone.len;
+                rows = kept;
             }
             self.counts[step as usize] = ONE_MAT + removed;
             step += 1;
@@ -405,22 +584,16 @@ impl Trace {
         // Any later step holds one row: [`Trace::SOLO`] reads for it (the
         // tree points `rest` there).
         self.recorded = step as usize;
-        leaf.last.clear();
-        if running > 1 {
-            mat.save_select(&mut leaf.last);
-        }
-        leaf.last_count = running;
-        let first = mat
-            .first_selected()
-            .expect("a descent keeps at least one row");
-        let raw = mat.read_slot(first);
+        leaf.last = rows;
+        leaf.last_words.clear();
+        let raw = rows.bits[0];
         // Bit `s` of `by_step` is the raw bit that step `s` senses.
         let by_step = raw.reverse_bits() >> (MAX_STEPS - steps as usize);
         let tail = step_mask(steps) & !step_mask(step);
         self.one |= by_step & tail;
         self.zero |= !by_step & tail;
         self.survivor = Some(Survivor {
-            slot: leaf.base + u64::from(first),
+            slot: leaf.base + u64::from(rows.slots[0]),
             raw,
         });
     }
@@ -597,6 +770,14 @@ impl MemoTree {
     /// changed from step `from` on ([`MemoTree::refresh`]).
     pub(crate) fn refold(&mut self, leaf: usize, mut from: usize) {
         let mut node = self.leaves + leaf;
+        let mut touched = 0;
+        while node > 1 {
+            let sibling = &self.nodes[node ^ 1];
+            touched += sibling.selected + sibling.counts[from.min(MAX_STEPS - 1)];
+            node /= 2;
+        }
+        std::hint::black_box(touched);
+        let mut node = self.leaves + leaf;
         while node > 1 {
             let path = node;
             node /= 2;
@@ -630,10 +811,11 @@ impl MemoTree {
     /// merge costs O(split + depth) and copies nothing past its split.
     ///
     /// `changed` names the child on a resumed leaf's path and the step
-    /// from which its trace changed; it also holds one row fewer. A node
-    /// whose split comes before that step keeps its counts but one (see
-    /// the module docs). Returns the step from which the node's own trace
-    /// changed (0 when unknown).
+    /// from which its trace changed; it also holds one row fewer. The
+    /// node's steps before that step stand: a node whose split comes
+    /// before it updates O(1) fields, any other recomputes only the steps
+    /// from it through its split (see the module docs). Returns the step
+    /// from which the node's own trace changed (0 when unknown).
     fn merge(&mut self, node: usize, changed: Option<(usize, usize)>) -> usize {
         let (lo_at, hi_at) = (2 * node, 2 * node + 1);
         let solo = self.solo();
@@ -680,11 +862,11 @@ impl MemoTree {
         };
         let recorded = split + 1;
         let alive = step_mask(recorded as u16);
-        let changed_from = match changed {
+        this.selected = lo.selected + hi.selected;
+        let start = match changed {
             // The changed child's steps through `split` stand, so the
             // death, the winner and the recorded counts stand too.
             Some((path, from)) if from > split => {
-                this.selected = lo.selected + hi.selected;
                 if death == 0 {
                     this.survivor = lo.survivor;
                     return from;
@@ -702,16 +884,17 @@ impl MemoTree {
                 }
                 return from;
             }
+            // Both children's steps before `from` stand, so the node's
+            // do too.
             Some((_, from)) => from,
             None => 0,
         };
-        // Steps `0..recorded` are the children's sums, read down both
+        // Steps `start..recorded` are the children's sums, read down both
         // winner chains at once: each pass covers the steps over which
         // neither child's holder changes.
+        let (w_rows, l_rows) = (kid(winner).selected, kid(loser).selected);
         let (mut wi, mut w, mut l) = (winner, kid(winner), kid(loser));
-        // `gone`: rows the union removed through `split`; `lost`: the
-        // loser's share.
-        let (mut from, mut gone, mut lost) = (0, 0, 0);
+        let mut from = start;
         while from < recorded {
             while w.recorded <= from {
                 (wi, w) = (w.rest, kid(w.rest));
@@ -720,30 +903,30 @@ impl MemoTree {
                 l = kid(l.rest);
             }
             let to = w.recorded.min(l.recorded).min(recorded);
+            // Each holder's removed rows, counted within its child.
+            let held = (w_rows - w.selected) + (l_rows - l.selected);
             let sums = this.counts[from..to].iter_mut();
             for ((sum, &wc), &lc) in sums.zip(&w.counts[from..to]).zip(&l.counts[from..to]) {
-                *sum = wc + lc;
-                gone += *sum & REMOVED;
-                lost += lc & REMOVED;
+                *sum = wc + lc + held;
             }
             from = to;
         }
-        this.selected = lo.selected + hi.selected;
         this.recorded = recorded;
         if death == 0 {
             // No death: `recorded` covers every step.
             (this.rest, this.one, this.zero, this.survivor) = (winner, one, zero, lo.survivor);
-            return changed_from;
+            return start;
         }
         // The loser is uniform at its death step, so it removed nothing
-        // there; its remaining rows leave with it.
-        let left = kid(loser).selected - lost;
-        this.counts[split] += left;
-        gone += left;
+        // there, and its remaining rows leave with it: through `split` the
+        // union has removed every loser row and the winner's removed rows
+        // (`w` holds `split`).
+        let gone = (w.counts[split] & REMOVED) + w_rows - w.selected;
+        this.counts[split] = (this.counts[split] & !REMOVED) + gone + l_rows;
         // Holding one row past `split`, the union reads `solo` from there;
         // else the first node down the winner's chain (`wi` holds
         // `split`) that records later steps, if any are left.
-        this.rest = if this.selected - gone <= 1 || recorded == MAX_STEPS {
+        this.rest = if w_rows - gone <= 1 || recorded == MAX_STEPS {
             solo
         } else {
             past(wi, recorded)
@@ -752,7 +935,7 @@ impl MemoTree {
         this.one = (one & alive) | (winner.one & !alive);
         this.zero = (zero & alive) | (winner.zero & !alive);
         this.survivor = winner.survivor;
-        changed_from
+        start
     }
 
     /// The node whose arrays hold step `step` of the trace read from
@@ -772,6 +955,7 @@ impl MemoTree {
         let winner = root.survivor?;
         let steps = self.plan.steps() as usize;
         let excluded = root.one & root.zero;
+        // Rows alive before the step.
         let mut selected = root.selected;
         let mut descent = Descent {
             steps: 0,
@@ -804,7 +988,8 @@ impl MemoTree {
                 descent.mat_searches += held.counts[s] >> REMOVED_BITS;
                 if excluded >> s & 1 == 1 {
                     descent.exclusions += 1;
-                    selected -= held.counts[s] & REMOVED;
+                    // The root and `held` hold the same rows after `s`.
+                    selected = held.selected - (held.counts[s] & REMOVED);
                 }
             }
             step = to;
@@ -906,8 +1091,8 @@ mod tests {
         memo.refold_marked();
     }
 
-    /// A node's signals, selection and survivor, and `(active mats,
-    /// removed rows)` at each plan step.
+    /// A node's signals, selection and survivor, and `(active mats, rows
+    /// removed so far)` at each plan step.
     type NodeView = (u64, u64, u64, Option<Survivor>, Vec<(u64, u64)>);
 
     /// Every node's trace as read through the representation, each step
@@ -920,8 +1105,9 @@ mod tests {
                 let steps = (0..memo.plan.steps() as usize)
                     .map(|s| {
                         at = memo.holder(at, s);
-                        let counts = memo.nodes[at].counts[s];
-                        (counts >> REMOVED_BITS, counts & REMOVED)
+                        let held = &memo.nodes[at];
+                        let removed = (held.counts[s] & REMOVED) + t.selected - held.selected;
+                        (held.counts[s] >> REMOVED_BITS, removed)
                     })
                     .collect();
                 (t.one, t.zero, t.selected, t.survivor, steps)
