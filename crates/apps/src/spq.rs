@@ -32,6 +32,39 @@ pub fn spq_baseline(stream: &PacketStream) -> Vec<u64> {
 }
 
 /// Runs the trace on a [`RimePriorityQueue`]; returns the removed keys.
+/// It loads the initial packets ([`spq_load`]), runs the events
+/// ([`spq_events`]) and frees the queue.
+///
+/// # Errors
+///
+/// Propagates device errors.
+pub fn spq_rime(device: &RimeDevice, stream: &PacketStream) -> Result<Vec<u64>, RimeError> {
+    let mut pq = spq_load(device, stream)?;
+    let removed = spq_events(device, &mut pq, stream)?;
+    pq.destroy(device)?;
+    Ok(removed)
+}
+
+/// A [`RimePriorityQueue`] on `device`, sized for the whole trace and
+/// holding its initial packets.
+///
+/// # Errors
+///
+/// Propagates device errors.
+pub fn spq_load(
+    device: &RimeDevice,
+    stream: &PacketStream,
+) -> Result<RimePriorityQueue, RimeError> {
+    let capacity = (stream.initial.len() + stream.adds()) as u64 + 1;
+    let mut pq = RimePriorityQueue::new(device, capacity.max(4))?;
+    for &k in &stream.initial {
+        pq.push(device, k)?;
+    }
+    Ok(pq)
+}
+
+/// Runs the trace's events on `pq` as [`spq_load`] left it; returns the
+/// removed keys.
 ///
 /// Consecutive removes with no interleaved add are served by one batched
 /// `pop_min_k` access, which amortizes select-vector setup across the
@@ -41,12 +74,11 @@ pub fn spq_baseline(stream: &PacketStream) -> Vec<u64> {
 /// # Errors
 ///
 /// Propagates device errors.
-pub fn spq_rime(device: &RimeDevice, stream: &PacketStream) -> Result<Vec<u64>, RimeError> {
-    let capacity = (stream.initial.len() + stream.adds()) as u64 + 1;
-    let mut pq = RimePriorityQueue::new(device, capacity.max(4))?;
-    for &k in &stream.initial {
-        pq.push(device, k)?;
-    }
+pub fn spq_events(
+    device: &RimeDevice,
+    pq: &mut RimePriorityQueue,
+    stream: &PacketStream,
+) -> Result<Vec<u64>, RimeError> {
     let mut removed = Vec::with_capacity(stream.removes());
     let events = &stream.events;
     let mut idx = 0;
@@ -68,7 +100,6 @@ pub fn spq_rime(device: &RimeDevice, stream: &PacketStream) -> Result<Vec<u64>, 
             }
         }
     }
-    pq.destroy(device)?;
     Ok(removed)
 }
 

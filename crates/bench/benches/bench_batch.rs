@@ -32,8 +32,12 @@
 //! completely by `extract_range_batch(Min, 256)` under `Auto`; every
 //! drain is checked against `slice::sort`. Runs repeat until at least
 //! three have run and a second has passed; the best is printed in ns per
-//! key, then the 128Ki/16Ki ratio of the uniform rows (ungated): the
-//! chip's host cost per key should barely grow with the span.
+//! key. Then the two uniform chips drain in turn, [`RATIO_PAIRS`] pairs
+//! of a 16Ki drain and a 128Ki drain, each checked again, and the median
+//! of the pairs' 128Ki/16Ki ns/key ratios is printed with its quartiles
+//! (ungated): the chip's host cost per key should barely grow with the
+//! span. Pairing times both sides of a ratio in the same stretch of the
+//! host, which best-of rows taken seconds apart do not.
 //!
 //! `device_straddle_table1` is an ungated probe of multi-chip commands.
 //! On a Table I device, 16Ki and 64Ki uniform u64 keys sit in one region
@@ -285,6 +289,10 @@ fn drain_inputs(n: usize, seed: u64) -> [(&'static str, Vec<u64>); 3] {
     ]
 }
 
+/// Uniform 16Ki/128Ki drain pairs behind `chip_drain_table1`'s span
+/// ratio.
+const RATIO_PAIRS: usize = 15;
+
 /// Re-initializes `[0, n)` and drains it by `extract_range_batch(Min,
 /// 256)`, returning the keys in extraction order.
 fn full_drain(chip: &mut Chip, n: u64) -> Vec<u64> {
@@ -301,8 +309,18 @@ fn full_drain(chip: &mut Chip, n: u64) -> Vec<u64> {
     }
 }
 
+/// One [`full_drain`] of `chip`, checked against `want`, and its time.
+fn timed_drain(chip: &mut Chip, want: &[u64], dist: &str) -> Duration {
+    let n = want.len();
+    let t = Instant::now();
+    let got = black_box(full_drain(chip, n as u64));
+    let took = t.elapsed();
+    assert_eq!(got, want, "full drain of {n} {dist} keys");
+    took
+}
+
 fn bench_table1_drain(_c: &mut Criterion) {
-    // Uniform ns/key at 16Ki and 128Ki keys.
+    // The uniform chips and their sorted keys, at 16Ki and 128Ki keys.
     let mut uniform = Vec::new();
     for n in [16usize << 10, 128 << 10] {
         for (dist, keys) in drain_inputs(n, 42) {
@@ -313,22 +331,32 @@ fn bench_table1_drain(_c: &mut Criterion) {
             let mut best = Duration::MAX;
             let (mut spent, mut runs) = (Duration::ZERO, 0);
             while runs < PROBE_RUNS || spent < PROBE_BUDGET {
-                let t = Instant::now();
-                let got = black_box(full_drain(&mut chip, n as u64));
-                let took = t.elapsed();
+                let took = timed_drain(&mut chip, &want, dist);
                 (best, spent, runs) = (best.min(took), spent + took, runs + 1);
-                assert_eq!(got, want, "full drain of {n} {dist} keys");
             }
             let ns = best.as_secs_f64() * 1e9 / n as f64;
             println!("chip_drain_table1/{n}_keys/{dist}: {ns:.0} ns/key (best of {runs})");
             if dist == "uniform" {
-                uniform.push(ns);
+                uniform.push((chip, want));
             }
         }
     }
+    let mut ratios: Vec<f64> = (0..RATIO_PAIRS)
+        .map(|_| {
+            let [small, large] = [0, 1].map(|i| {
+                let (chip, want) = &mut uniform[i];
+                timed_drain(chip, want, "uniform").as_secs_f64() / want.len() as f64
+            });
+            large / small
+        })
+        .collect();
+    ratios.sort_by(f64::total_cmp);
+    let quartile = |q: usize| ratios[(ratios.len() - 1) * q / 4];
     println!(
-        "chip_drain_table1/uniform 128Ki/16Ki: {:.2}× ns/key (ungated)",
-        uniform[1] / uniform[0]
+        "chip_drain_table1/uniform 128Ki/16Ki: median paired ratio {:.2}× ns/key (q1 {:.2}×, q3 {:.2}×, {RATIO_PAIRS} pairs; ungated)",
+        quartile(2),
+        quartile(1),
+        quartile(3)
     );
 }
 

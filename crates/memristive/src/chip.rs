@@ -684,18 +684,15 @@ impl Chip {
             match winner {
                 None => {
                     for leaf in 0..mats {
-                        if self
-                            .refresh_leaf(&mut memo, leaf, first_mat, begin, end)
-                            .is_some()
-                        {
+                        if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
                             memo.mark(leaf);
                         }
                     }
                     memo.refold_marked();
                 }
                 Some(leaf) => {
-                    if let Some(from) = self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
-                        memo.refold(leaf, from);
+                    if self.refresh_leaf(&mut memo, leaf, first_mat, begin, end) {
+                        memo.refold(leaf);
                     }
                 }
             }
@@ -733,8 +730,8 @@ impl Chip {
     }
 
     /// Brings span leaf `leaf` of `memo` up to date with its mat,
-    /// materializing the mat; returns the step from which the leaf's
-    /// trace changed, if it did ([`MemoTree::refresh`]).
+    /// materializing the mat; returns whether the leaf's trace changed
+    /// ([`MemoTree::refresh`]).
     fn refresh_leaf(
         &mut self,
         memo: &mut MemoTree,
@@ -742,7 +739,7 @@ impl Chip {
         first_mat: usize,
         begin: u64,
         end: u64,
-    ) -> Option<usize> {
+    ) -> bool {
         let geometry = self.geometry;
         let per_mat = geometry.slots_per_mat();
         let idx = first_mat + leaf;

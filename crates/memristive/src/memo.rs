@@ -21,21 +21,22 @@
 //!
 //! Extracting a key clears one membership bit, which changes one leaf. It
 //! resumes where the winner split off, and only its `log2(span)`
-//! ancestors re-merge. Steps, active-mat senses, exclusions with their
-//! removed rows, and the winner's slot and raw bits all come from the
-//! root, which is the span's own descent.
+//! ancestors re-merge. Steps, active-mat senses, exclusions, and the
+//! winner's slot and raw bits all come from the root, which is the
+//! span's own descent.
 //!
 //! # A trace
 //!
 //! Per step `s`, a subtree's trace has its wire-ORed `any_one` and
-//! `any_zero` signals, the mats with a nonempty selection, and the rows
-//! removed up to then. A step excludes exactly when both signals are
-//! raised, so no decision bits are stored. Once the subtree is down to
-//! one survivor no exclusion can fire: a lone row senses its own stored
-//! bit at every later column. The trace keeps going past that collapse
-//! anyway, with that row's bits, so every trace covers all `steps` and
-//! has the same shape at a leaf and at the root. The trace also names
-//! its lowest-address survivor after the last step.
+//! `any_zero` signals and the mats holding a row alive at `s`. A step
+//! excludes exactly when both signals are raised, so no decision bits
+//! are stored. Once the subtree is down to one survivor no exclusion can
+//! fire: a lone row senses its own stored bit at every later column. The
+//! trace keeps going past that collapse anyway, with that row's bits, so
+//! every trace covers all of the plan's steps and has the same shape at
+//! a leaf and at the root. The trace also counts the steps its own
+//! descent runs (the walk stops once one row is left) and names its
+//! lowest-address survivor after the last step.
 //!
 //! # Resuming a leaf
 //!
@@ -44,7 +45,7 @@
 //! equal in that bit, and an exclusion keeps only rows holding the keep
 //! bit. Let `m` be the leaf's survivor, just extracted. If some row
 //! besides `m` is alive at step `e`, dropping `m` from the membership
-//! changes no signal and no removed count before `e`. The leaf keeps,
+//! changes no signal before `e`. The leaf keeps,
 //! for each of its exclusions, the rows that exclusion **removed**, and
 //! the rows alive after its last step (the final set):
 //!
@@ -59,8 +60,8 @@
 //! exclusion `e` stays the leaf's last, every key the leaf yields comes
 //! from the rows `e` kept, and its deeper exclusions split only those.
 //! When the resume reaches `e`, its kept rows are exactly the rows
-//! extracted since `e` was recorded: counting them takes nothing but the
-//! exclusion's own removed count. So a resume touches one saved row set,
+//! extracted since `e` was recorded, and the rows alive again are the
+//! ones `e` removed, with their count. So a resume touches one saved row set,
 //! never the other exclusions', and no saved set ever holds an extracted
 //! row.
 //!
@@ -110,10 +111,9 @@
 //!   keep))`, where `mixed` is the union's `one & zero` and `keep` is the
 //!   plan's keep-bit mask for the union's sign-step polarity (two masks
 //!   per plan).
-//! - Up to `d` the union's signals are the children's OR, and its active
-//!   mats and removed rows per step are their sums; at `d` the dying
-//!   child's remaining rows join the removed rows. After `d` the union's
-//!   trace is the surviving child's, which holds every surviving row.
+//! - Up to `d` the union's signals are the children's OR. After `d` the
+//!   union's trace is the surviving child's, which holds every surviving
+//!   row.
 //! - If no child dies, both end on equal bits and the lower child's
 //!   survivor wins (Fig. 10's priority).
 //!
@@ -121,54 +121,38 @@
 //! for any partition into disjoint parts, so the power-of-two tree is
 //! only the shape that makes a changed leaf cost `log2(span)` merges.
 //!
-//! # What a node stores
+//! # What a node stores, and why a merge reads only its children
 //!
-//! The signals are two `u64` masks. Per step a node counts its active
-//! mats and the rows its descent removed **up to and including** that
-//! step. The counts are stored only as far as a node owns them, and a
-//! node reads every later step from the node its `rest` names:
+//! A node keeps its two signal masks, its row count, its survivor,
+//! `steps` (the steps its own descent runs) and `act` (per step, the
+//! mats holding a row alive there): 192 bytes, three cache lines. Both
+//! counts follow from the closed form, so a merge reads its two children
+//! and nothing below them, and needs no record of removed rows:
 //!
-//! - a merged node records steps `0..=d` (all steps if no child dies)
-//!   and reads past `d` from its winning child: from the first node down
-//!   that child's chain that records more steps, so `recorded` rises
-//!   along every chain and reading one is a hop or two;
-//! - a leaf records up to its collapse, and any subtree down to one row
-//!   reads every later step from [`Trace::SOLO`] (one row in one active
-//!   mat, nothing removed), a node past the leaves;
-//! - a node with an empty child records nothing and reads the other.
+//! - **`steps`, from the runner-up.** A descent stops after the step
+//!   that removes its runner-up, the last row to go before the survivor
+//!   is alone; a tie never goes, and its descent runs every step. The
+//!   union's runner-up is either the winner's own runner-up or the
+//!   loser's last row. The winner is in sync with the union, so its
+//!   runner-up leaves the union at the same step it leaves the winner's
+//!   descent, the last that descent runs; the loser's last row leaves at
+//!   `d`. Hence the union runs `max(w.steps, d + 1)` steps, and every
+//!   step if no child dies (both hold a row to the end). A leaf's final
+//!   set is what its last split kept, so it runs every step if that set
+//!   holds a tie, else through its last split, and none without a split.
+//! - **`act`, one 64-lane add.** Through `d` both children are alive
+//!   and in sync with the union, so the rows alive in the union at step
+//!   `s <= d` are the two children's, and its active mats are their sum.
+//!   After `d` only the winner holds rows. So `act[s] = w.act[s] + (s <=
+//!   d ? l.act[s] : 0)`: one branch-free fold over the 64 lanes. An
+//!   exclusion never empties a descent, so a leaf holds a row at every
+//!   step while it holds any, and its `act` is 1 throughout.
 //!
-//! A node and the node holding its step `s` hold the same rows after
-//! `s`, so the node has removed the holder's count plus the difference
-//! of their `selected` rows. A merge walks both children's chains once
-//! over the steps it recomputes, adding one packed count word per step,
-//! and copies nothing past `d`; the root's descent is read down its
-//! chain the same way.
-//!
-//! # Refolding only the changed steps
-//!
-//! After a resume the leaf's trace changes only from the step `f` it
-//! resumed at (a tie changes no step), and the leaf holds one row fewer.
-//! Its ancestors refold bottom-up, each passing up the step from which
-//! its own trace changed:
-//!
-//! - *An ancestor whose split `d` comes before `f`* keeps every step
-//!   through `d`, so its death, winner and counts stand. The winner is
-//!   the resumed path's child, since the extracted key was the union's
-//!   survivor. Only the row count, the signals past `d`, the survivor
-//!   and `rest` move: O(1).
-//! - *Any other ancestor* keeps its steps `0..f` and recomputes only
-//!   `f..=d`. Neither child changed before `f`: `m` was alive at every
-//!   step, so the counts of removed rows (which `m` never joined) stand,
-//!   and so do the signals, the sign-step polarity and the death bits
-//!   below `f`. The old split was at or past `f` (no death bit below it
-//!   then), so the node recorded those steps, and the new split is at or
-//!   past `f` too. The merge never reads the sibling's steps before `f`.
-//!
-//! Counting removed rows cumulatively is what lets a merge skip the
-//! prefix. With per-step counts it would need the loser's removals
-//! before `f` to know how many rows the loser still holds at the split;
-//! cumulatively, through its split the union has removed the winner's
-//! removed rows and every loser row, both read at the split alone.
+//! The root gives the span's descent directly: `steps` column steps,
+//! `act` summed over them active-mat senses, and an exclusion at each of
+//! those steps where both signals are raised. A resumed leaf's ancestors
+//! each re-merge in full, one fold per level, with nothing to remember
+//! about which steps changed.
 //!
 //! # Keeping the tree across calls
 //!
@@ -212,16 +196,6 @@ use crate::plan::SearchPlan;
 /// arrays (and bit `s` of a `u64` stands for step `s`).
 const MAX_STEPS: usize = 64;
 
-/// A step's count word holds, in its low `REMOVED_BITS` bits, the rows
-/// the node's descent removed up to and including the step, and its
-/// active mats at the step above them, so a merge adds one word per
-/// step. A span holds fewer than 2^40 rows and 2^24 mats (checked
-/// whenever the tree is keyed), so sums never carry between the two.
-const REMOVED_BITS: u32 = 40;
-const REMOVED: u64 = (1 << REMOVED_BITS) - 1;
-/// The count word of one active mat that removed nothing.
-const ONE_MAT: u64 = 1 << REMOVED_BITS;
-
 /// A row set of at most this many rows is kept as (slot, effective bits)
 /// pairs in two cache lines with its split's step, a larger one as a
 /// mat's select words (four lines on a Table I mat). On
@@ -237,33 +211,25 @@ pub(crate) struct Survivor {
     pub raw: u64,
 }
 
-/// One subtree's whole descent, run as if its mats were the whole range.
-/// Its fields fill one cache line ahead of `counts`, so a merge that
-/// reads a child's first steps touches few lines.
-#[derive(Debug, Clone)]
+/// One subtree's whole descent, run as if its mats were the whole range
+/// (see the module docs): three cache lines, `act` in the first two.
+#[derive(Debug, Clone, PartialEq, Eq)]
 #[repr(C, align(64))]
 struct Trace {
+    /// Per step, the mats holding a row alive at that step (a span has
+    /// at most `u16::MAX` mats, checked whenever the tree is keyed).
+    act: [u16; MAX_STEPS],
     /// Bit `s`: some selected cell held 1 at step `s`.
     one: u64,
     /// Bit `s`: some selected cell held 0 at step `s`.
     zero: u64,
     /// Rows selected when the descent starts.
     selected: u64,
-    /// `counts` holds steps `0..recorded` (a leaf's up to its collapse,
-    /// a merged node's up to and including its split); every later step
-    /// is node `rest`'s. That is [`Trace::SOLO`] once the subtree is down
-    /// to one row, else the first node down the winning child's chain
-    /// that records more steps than this one, so `recorded` rises along
-    /// every chain.
-    recorded: usize,
-    rest: usize,
     /// Lowest-address survivor (`None` for an empty subtree).
     survivor: Option<Survivor>,
-    /// Per step, packed (see [`REMOVED_BITS`]): the mats with a nonempty
-    /// selection, and the rows removed so far. A node whose step `s` is
-    /// held by node `h` down its chain has removed `h`'s count plus
-    /// `selected - h.selected`: both hold the same rows after `s`.
-    counts: [u64; MAX_STEPS],
+    /// Steps the descent runs before at most one row is left (all of the
+    /// plan's while a tie remains).
+    steps: u16,
 }
 
 /// Some of a mat's rows: `len` of them, kept as the first `len` (slot,
@@ -365,6 +331,16 @@ impl Leaf {
         self.last_words.clear();
     }
 
+    /// The steps this leaf's descent runs: every step while its final set
+    /// holds a tie, else through its last split (none without a split).
+    fn steps(&self, plan: &SearchPlan) -> u16 {
+        if self.last.len > 1 {
+            plan.steps()
+        } else {
+            self.splits.last().map_or(0, |split| split.step + 1)
+        }
+    }
+
     /// Drops the final set's first row, `slot`, and returns the next one
     /// (the final set held more than one).
     fn next_of_last(&mut self, slot: u32, mat: &Mat) -> Survivor {
@@ -396,23 +372,12 @@ impl Leaf {
 
 impl Trace {
     const EMPTY: Trace = Trace {
+        act: [0; MAX_STEPS],
         one: 0,
         zero: 0,
         selected: 0,
-        recorded: MAX_STEPS,
-        rest: 0,
         survivor: None,
-        counts: [0; MAX_STEPS],
-    };
-
-    /// The node past the heap's last leaf, which is no tree node: one
-    /// row, in one active mat, that removes nothing, at every step. A
-    /// subtree past its collapse holds one row, so every later step of
-    /// its trace reads here.
-    const SOLO: Trace = Trace {
-        selected: 1,
-        counts: [ONE_MAT; MAX_STEPS],
-        ..Trace::EMPTY
+        steps: 0,
     };
 
     /// Runs `mat`'s whole descent over the rows its select latches hold.
@@ -424,14 +389,14 @@ impl Trace {
             return;
         }
         self.selected = selected;
+        self.act = [1; MAX_STEPS];
         self.descend(leaf, mat, plan, scalar, 0);
+        self.steps = leaf.steps(plan);
     }
 
     /// Removes the extracted survivor `slot` from the descent: a tie
     /// reads the next row, anything else descends again from the last
     /// split over the rows that split removed (see the module docs).
-    /// Returns the step from which the trace's signals and counts changed
-    /// ([`MAX_STEPS`] for a tie).
     fn resume(
         &mut self,
         leaf: &mut Leaf,
@@ -439,26 +404,26 @@ impl Trace {
         plan: &SearchPlan,
         scalar: bool,
         slot: u32,
-    ) -> usize {
+    ) {
         self.selected -= 1;
         if leaf.last.len > 1 {
             self.survivor = Some(leaf.next_of_last(slot, mat));
-            return MAX_STEPS;
+            self.steps = leaf.steps(plan);
+            return;
         }
         let Some(Split { step, removed }) = leaf.splits.pop() else {
             // `slot` was the mat's last row.
             *self = Trace::EMPTY;
-            return 0;
+            return;
         };
         // The rows back at `step` all hold the bit its exclusion
         // discarded: the step is uniform now, and removes nothing.
-        let (negative, before) = self.restart(plan, step);
+        let negative = self.restart(plan, step);
         if plan.keep_bit(step, negative) {
             self.zero |= 1 << step;
         } else {
             self.one |= 1 << step;
         }
-        self.counts[step as usize] = ONE_MAT + before;
         if removed.paired() {
             self.descend_rows(leaf, plan, step + 1, removed);
         } else {
@@ -467,30 +432,24 @@ impl Trace {
             leaf.words.truncate(top);
             self.descend(leaf, mat, plan, scalar, step + 1);
         }
-        step as usize
+        self.steps = leaf.steps(plan);
     }
 
-    /// Clears the trace's signals from `start` on and returns what the
-    /// descent carries into `start`: whether the sign step left negative
-    /// survivors, and the rows removed before it.
-    fn restart(&mut self, plan: &SearchPlan, start: u16) -> (bool, u64) {
+    /// Clears the trace's signals from `start` on and returns whether the
+    /// sign step left negative survivors before `start`.
+    fn restart(&mut self, plan: &SearchPlan, start: u16) -> bool {
         self.one &= step_mask(start);
         self.zero &= step_mask(start);
         // Resuming past the sign step: its signals are the trace's.
-        let negative = start > 0
+        start > 0
             && plan.is_sign_step(0)
-            && plan.survivors_negative(self.one & 1 != 0, self.zero & 1 != 0);
-        let removed = match start {
-            0 => 0,
-            _ => self.counts[start as usize - 1] & REMOVED,
-        };
-        (negative, removed)
+            && plan.survivors_negative(self.one & 1 != 0, self.zero & 1 != 0)
     }
 
     /// Descends from `start` over the rows latched in `mat`, recording
     /// each exclusion's removed rows, until at most [`PAIRS`] rows are
-    /// left; [`Trace::descend_rows`] finishes on their pairs. The trace
-    /// before `start` stands.
+    /// left; [`Trace::descend_rows`] finishes on their pairs. The signals
+    /// before `start` stand.
     fn descend(
         &mut self,
         leaf: &mut Leaf,
@@ -502,7 +461,7 @@ impl Trace {
         let steps = plan.steps();
         let words = mat.select_words();
         let mut running = mat.selected_count() as u64;
-        let (mut negative, mut removed) = self.restart(plan, start);
+        let mut negative = self.restart(plan, start);
         let mut step = start;
         while step < steps && running as usize > PAIRS {
             let pos = plan.position(step);
@@ -525,9 +484,7 @@ impl Trace {
                     removed: rows,
                 });
                 running -= gone;
-                removed += gone;
             }
-            self.counts[step as usize] = ONE_MAT + removed;
             step += 1;
         }
         if running as usize <= PAIRS {
@@ -535,7 +492,6 @@ impl Trace {
             return self.descend_rows(leaf, plan, step, rows);
         }
         // Every step ran on more than [`PAIRS`] rows: they tie.
-        self.recorded = step as usize;
         leaf.last = Rows {
             len: running,
             ..Rows::default()
@@ -552,12 +508,12 @@ impl Trace {
     }
 
     /// Descends from `start` over `rows` (paired), recording each
-    /// exclusion's removed rows. The trace before `start` stands.
-    /// Stepping stops at the collapse; the rest of the trace is the
+    /// exclusion's removed rows. The signals before `start` stand.
+    /// Stepping stops at the collapse; the rest of the signals are the
     /// survivor's own bits.
     fn descend_rows(&mut self, leaf: &mut Leaf, plan: &SearchPlan, start: u16, mut rows: Rows) {
         let steps = plan.steps();
-        let (mut negative, mut removed) = self.restart(plan, start);
+        let mut negative = self.restart(plan, start);
         let mut step = start;
         while step < steps && rows.len > 1 {
             let pos = plan.position(step);
@@ -575,15 +531,10 @@ impl Trace {
                     step,
                     removed: gone,
                 });
-                removed += gone.len;
                 rows = kept;
             }
-            self.counts[step as usize] = ONE_MAT + removed;
             step += 1;
         }
-        // Any later step holds one row: [`Trace::SOLO`] reads for it (the
-        // tree points `rest` there).
-        self.recorded = step as usize;
         leaf.last = rows;
         leaf.last_words.clear();
         let raw = rows.bits[0];
@@ -598,6 +549,20 @@ impl Trace {
         });
     }
 }
+
+/// `ALIVE[MAX_STEPS - n..][..MAX_STEPS]` is all ones in its first `n`
+/// lanes and zero in the rest. Sliding that window, rather than comparing
+/// each lane's step with `n`, makes a merge's `act` fold a handful of
+/// vector ands and adds.
+const ALIVE: [u16; 2 * MAX_STEPS] = {
+    let mut lanes = [0; 2 * MAX_STEPS];
+    let mut s = 0;
+    while s < MAX_STEPS {
+        lanes[s] = u16::MAX;
+        s += 1;
+    }
+    lanes
+};
 
 /// Bits `0..steps` set.
 fn step_mask(steps: u16) -> u64 {
@@ -642,8 +607,7 @@ pub(crate) struct MemoTree {
     keep: [u64; 2],
     /// Leaves, a power of two ≥ the span's mats.
     leaves: usize,
-    /// Heap-ordered traces; index 0 is unused and the last one, past the
-    /// leaves, is [`Trace::SOLO`].
+    /// Heap-ordered traces; index 0 is unused.
     nodes: Vec<Trace>,
     /// One per span mat.
     cells: Vec<Leaf>,
@@ -660,7 +624,7 @@ impl MemoTree {
     ///
     /// # Panics
     ///
-    /// Panics if the span holds 2^40 rows or 2^24 mats or more.
+    /// Panics if the span holds more than `u16::MAX` mats.
     pub(crate) fn new(range: (u64, u64), plan: SearchPlan, mats: usize, slots: u32) -> MemoTree {
         let mut memo = MemoTree {
             range,
@@ -693,10 +657,9 @@ impl MemoTree {
     }
 
     fn reset(&mut self, mats: usize) {
-        let rows = mats as u64 * self.window.len() as u64;
         assert!(
-            mats < 1 << (64 - REMOVED_BITS) && rows < ONE_MAT,
-            "span too large for packed step counts"
+            mats <= usize::from(u16::MAX),
+            "span too large for per-step mat counts"
         );
         let plan = self.plan;
         self.keep = [false, true].map(|negative| {
@@ -707,7 +670,6 @@ impl MemoTree {
         self.leaves = mats.next_power_of_two();
         self.nodes.clear();
         self.nodes.resize(2 * self.leaves, Trace::EMPTY);
-        self.nodes.push(Trace::SOLO);
         self.cells.truncate(mats);
         self.cells.iter_mut().for_each(Leaf::clear);
         self.cells.resize_with(mats, Leaf::default);
@@ -717,17 +679,16 @@ impl MemoTree {
 
     /// Brings leaf `leaf` up to date with `mat` (see the module docs):
     /// re-runs it from `membership` if the mat changed, or resumes it
-    /// without its pending winner. Returns the step from which its trace
-    /// changed (0 for a re-run), or `None` if it did not; its ancestors
-    /// are stale until [`MemoTree::refold`] or [`MemoTree::refold_marked`].
+    /// without its pending winner. Returns whether its trace changed; its
+    /// ancestors are stale until [`MemoTree::refold`] or
+    /// [`MemoTree::refold_marked`].
     pub(crate) fn refresh(
         &mut self,
         leaf: usize,
         mat: &mut Mat,
         membership: Membership<'_>,
         scalar: bool,
-    ) -> Option<usize> {
-        let solo = self.solo();
+    ) -> bool {
         let trace = &mut self.nodes[self.leaves + leaf];
         let cell = &mut self.cells[leaf];
         if cell.generation != Some(mat.generation()) {
@@ -740,15 +701,13 @@ impl MemoTree {
             mat.load_select_bits(&self.window);
             cell.base = leaf as u64 * u64::from(mat.slots());
             trace.rerun(cell, mat, &self.plan, scalar);
-            trace.rest = solo;
             cell.generation = Some(mat.generation());
-            Some(0)
+            true
         } else if let Some(slot) = cell.pending.take() {
-            let from = trace.resume(cell, mat, &self.plan, scalar, slot);
-            trace.rest = solo;
-            Some(from)
+            trace.resume(cell, mat, &self.plan, scalar, slot);
+            true
         } else {
-            None
+            false
         }
     }
 
@@ -761,27 +720,13 @@ impl MemoTree {
         cell.pending = Some(slot);
     }
 
-    /// The index of [`Trace::SOLO`].
-    fn solo(&self) -> usize {
-        2 * self.leaves
-    }
-
     /// Re-merges the ancestors of `leaf`, bottom-up, after its trace
-    /// changed from step `from` on ([`MemoTree::refresh`]).
-    pub(crate) fn refold(&mut self, leaf: usize, mut from: usize) {
-        let mut node = self.leaves + leaf;
-        let mut touched = 0;
-        while node > 1 {
-            let sibling = &self.nodes[node ^ 1];
-            touched += sibling.selected + sibling.counts[from.min(MAX_STEPS - 1)];
+    /// changed ([`MemoTree::refresh`]).
+    pub(crate) fn refold(&mut self, leaf: usize) {
+        let mut node = (self.leaves + leaf) / 2;
+        while node > 0 {
+            self.merge(node);
             node /= 2;
-        }
-        std::hint::black_box(touched);
-        let mut node = self.leaves + leaf;
-        while node > 1 {
-            let path = node;
-            node /= 2;
-            from = self.merge(node, Some((path, from)));
         }
     }
 
@@ -798,52 +743,22 @@ impl MemoTree {
     pub(crate) fn refold_marked(&mut self) {
         for node in (1..self.leaves).rev() {
             if std::mem::take(&mut self.marked[node]) {
-                self.merge(node, None);
+                self.merge(node);
             }
         }
     }
 
     /// Folds node `node`'s children into their union's descent in closed
-    /// form (see the module docs for why it is exact). The node records
-    /// its steps up to and including the first death and reads the
-    /// winning child past it; with an empty child it reads the other
-    /// child from step 0. Each child's winner chain is walked once, so a
-    /// merge costs O(split + depth) and copies nothing past its split.
-    ///
-    /// `changed` names the child on a resumed leaf's path and the step
-    /// from which its trace changed; it also holds one row fewer. The
-    /// node's steps before that step stand: a node whose split comes
-    /// before it updates O(1) fields, any other recomputes only the steps
-    /// from it through its split (see the module docs). Returns the step
-    /// from which the node's own trace changed (0 when unknown).
-    fn merge(&mut self, node: usize, changed: Option<(usize, usize)>) -> usize {
-        let (lo_at, hi_at) = (2 * node, 2 * node + 1);
-        let solo = self.solo();
-        let (head, kids) = self.nodes.split_at_mut(node + 1);
-        let kids: &[Trace] = kids;
-        let kid = |at: usize| &kids[at - node - 1];
+    /// form, reading the two children alone (see the module docs for why
+    /// it is exact). With an empty child the union is the other child.
+    fn merge(&mut self, node: usize) {
+        let (head, kids) = self.nodes.split_at_mut(2 * node);
         let this = &mut head[node];
-        let (lo, hi) = (kid(lo_at), kid(hi_at));
-        // The first node down `at`'s chain that records more than
-        // `recorded` steps (`recorded` rises along a chain, up to `solo`'s
-        // 64).
-        let past = |mut at: usize, recorded: usize| {
-            while kid(at).recorded <= recorded {
-                at = kid(at).rest;
-            }
-            at
-        };
+        let (lo, hi) = (&kids[0], &kids[1]);
         if lo.selected == 0 || hi.selected == 0 {
-            let only = if hi.selected == 0 { lo_at } else { hi_at };
-            let t = kid(only);
-            (this.one, this.zero, this.selected) = (t.one, t.zero, t.selected);
-            (this.recorded, this.rest, this.survivor) = (0, past(only, 0), t.survivor);
-            return match changed {
-                Some((path, from)) if path == only => from,
-                _ => 0,
-            };
+            this.clone_from(if hi.selected == 0 { lo } else { hi });
+            return;
         }
-        let steps = self.plan.steps() as usize;
         let (one, zero) = (lo.one | hi.one, lo.zero | hi.zero);
         let negative =
             self.plan.is_sign_step(0) && self.plan.survivors_negative(one & 1 != 0, zero & 1 != 0);
@@ -853,148 +768,48 @@ impl MemoTree {
             |kid: &Trace| mixed & ((kid.one & !kid.zero & !keep) | (kid.zero & !kid.one & keep));
         let lo_dies = dies(lo);
         let death = lo_dies | dies(hi);
-        // Both children are alive through step `split`.
-        let split = (death.trailing_zeros() as usize).min(steps - 1);
-        let (winner, loser) = if lo_dies >> split & 1 == 1 {
-            (hi_at, lo_at)
+        // Both children are alive at steps `0..through`: through the
+        // first death, or every step if neither dies. The child dying
+        // there loses.
+        let through = (death.trailing_zeros() as usize + 1).min(MAX_STEPS);
+        let (winner, loser) = if lo_dies & death & death.wrapping_neg() != 0 {
+            (hi, lo)
         } else {
-            (lo_at, hi_at)
+            (lo, hi)
         };
-        let recorded = split + 1;
-        let alive = step_mask(recorded as u16);
+        let shared = step_mask(through as u16);
+        this.one = (one & shared) | (winner.one & !shared);
+        this.zero = (zero & shared) | (winner.zero & !shared);
         this.selected = lo.selected + hi.selected;
-        let start = match changed {
-            // The changed child's steps through `split` stand, so the
-            // death, the winner and the recorded counts stand too.
-            Some((path, from)) if from > split => {
-                if death == 0 {
-                    this.survivor = lo.survivor;
-                    return from;
-                }
-                let w = kid(winner);
-                this.one = (one & alive) | (w.one & !alive);
-                this.zero = (zero & alive) | (w.zero & !alive);
-                this.survivor = w.survivor;
-                // The extracted key was this union's survivor, so its child
-                // won, and still wins.
-                debug_assert_eq!(path, winner, "a resumed path wins");
-                // A union down to one row past `split` stays so.
-                if this.rest != solo {
-                    this.rest = past(winner, recorded);
-                }
-                return from;
-            }
-            // Both children's steps before `from` stand, so the node's
-            // do too.
-            Some((_, from)) => from,
-            None => 0,
-        };
-        // Steps `start..recorded` are the children's sums, read down both
-        // winner chains at once: each pass covers the steps over which
-        // neither child's holder changes.
-        let (w_rows, l_rows) = (kid(winner).selected, kid(loser).selected);
-        let (mut wi, mut w, mut l) = (winner, kid(winner), kid(loser));
-        let mut from = start;
-        while from < recorded {
-            while w.recorded <= from {
-                (wi, w) = (w.rest, kid(w.rest));
-            }
-            while l.recorded <= from {
-                l = kid(l.rest);
-            }
-            let to = w.recorded.min(l.recorded).min(recorded);
-            // Each holder's removed rows, counted within its child.
-            let held = (w_rows - w.selected) + (l_rows - l.selected);
-            let sums = this.counts[from..to].iter_mut();
-            for ((sum, &wc), &lc) in sums.zip(&w.counts[from..to]).zip(&l.counts[from..to]) {
-                *sum = wc + lc + held;
-            }
-            from = to;
-        }
-        this.recorded = recorded;
-        if death == 0 {
-            // No death: `recorded` covers every step.
-            (this.rest, this.one, this.zero, this.survivor) = (winner, one, zero, lo.survivor);
-            return start;
-        }
-        // The loser is uniform at its death step, so it removed nothing
-        // there, and its remaining rows leave with it: through `split` the
-        // union has removed every loser row and the winner's removed rows
-        // (`w` holds `split`).
-        let gone = (w.counts[split] & REMOVED) + w_rows - w.selected;
-        this.counts[split] = (this.counts[split] & !REMOVED) + gone + l_rows;
-        // Holding one row past `split`, the union reads `solo` from there;
-        // else the first node down the winner's chain (`wi` holds
-        // `split`) that records later steps, if any are left.
-        this.rest = if w_rows - gone <= 1 || recorded == MAX_STEPS {
-            solo
-        } else {
-            past(wi, recorded)
-        };
-        let winner = kid(winner);
-        this.one = (one & alive) | (winner.one & !alive);
-        this.zero = (zero & alive) | (winner.zero & !alive);
         this.survivor = winner.survivor;
-        start
-    }
-
-    /// The node whose arrays hold step `step` of the trace read from
-    /// `node`: the first node down its chain that records it.
-    #[cfg(test)]
-    fn holder(&self, mut node: usize, step: usize) -> usize {
-        while step >= self.nodes[node].recorded {
-            node = self.nodes[node].rest;
+        this.steps = if death == 0 {
+            self.plan.steps()
+        } else {
+            winner.steps.max(through as u16)
+        };
+        // act[s] = winner.act[s] + (s < through ? loser.act[s] : 0).
+        let alive = &ALIVE[MAX_STEPS - through..][..MAX_STEPS];
+        let lanes = this.act.iter_mut().zip(&winner.act).zip(&loser.act);
+        for (((act, &w), &l), &alive) in lanes.zip(alive) {
+            *act = w + (l & alive);
         }
-        node
     }
 
-    /// The span's descent, read from the root down its chain. `None` for
-    /// an empty span.
+    /// The span's descent, read from the root. `None` for an empty span.
     pub(crate) fn descent(&self) -> Option<Descent> {
         let root = &self.nodes[1];
         let winner = root.survivor?;
-        let steps = self.plan.steps() as usize;
-        let excluded = root.one & root.zero;
-        // Rows alive before the step.
-        let mut selected = root.selected;
-        let mut descent = Descent {
-            steps: 0,
-            mat_searches: 0,
-            exclusions: 0,
+        let steps = root.steps;
+        Some(Descent {
+            steps,
+            mat_searches: root.act[..steps as usize]
+                .iter()
+                .copied()
+                .map(u64::from)
+                .sum(),
+            exclusions: u64::from((root.one & root.zero & step_mask(steps)).count_ones()),
             winner,
-        };
-        let (mut held, mut step) = (root, 0);
-        'walk: while step < steps {
-            while held.recorded <= step {
-                held = &self.nodes[held.rest];
-            }
-            let to = held.recorded.min(steps);
-            if excluded >> step == 0 {
-                // No exclusion is left, so every remaining step runs.
-                if selected <= 1 {
-                    break;
-                }
-                descent.steps += (to - step) as u16;
-                let counts = held.counts[step..to].iter();
-                descent.mat_searches += counts.map(|c| c >> REMOVED_BITS).sum::<u64>();
-                step = to;
-                continue;
-            }
-            for s in step..to {
-                if selected <= 1 {
-                    break 'walk;
-                }
-                descent.steps += 1;
-                descent.mat_searches += held.counts[s] >> REMOVED_BITS;
-                if excluded >> s & 1 == 1 {
-                    descent.exclusions += 1;
-                    // The root and `held` hold the same rows after `s`.
-                    selected = held.selected - (held.counts[s] & REMOVED);
-                }
-            }
-            step = to;
-        }
-        Some(descent)
+        })
     }
 }
 
@@ -1084,35 +899,30 @@ mod tests {
                 lo: 0,
                 hi: (len.saturating_sub(base)).min(SLOTS) as usize,
             };
-            if memo.refresh(leaf, mat, membership, false).is_some() {
+            if memo.refresh(leaf, mat, membership, false) {
                 memo.mark(leaf);
             }
         }
         memo.refold_marked();
     }
 
-    /// A node's signals, selection and survivor, and `(active mats, rows
-    /// removed so far)` at each plan step.
-    type NodeView = (u64, u64, u64, Option<Survivor>, Vec<(u64, u64)>);
-
-    /// Every node's trace as read through the representation, each step
-    /// followed down the node's winner chain.
-    fn read(memo: &MemoTree) -> Vec<NodeView> {
-        (1..memo.solo())
-            .map(|node| {
-                let t = &memo.nodes[node];
-                let mut at = node;
-                let steps = (0..memo.plan.steps() as usize)
-                    .map(|s| {
-                        at = memo.holder(at, s);
-                        let held = &memo.nodes[at];
-                        let removed = (held.counts[s] & REMOVED) + t.selected - held.selected;
-                        (held.counts[s] >> REMOVED_BITS, removed)
-                    })
-                    .collect();
-                (t.one, t.zero, t.selected, t.survivor, steps)
-            })
-            .collect()
+    /// Extracts `memo`'s winner from `span` the way the chip does: flags
+    /// it in `gone`, bumps its mat, resumes its leaf and refolds.
+    fn take_winner(memo: &mut MemoTree, span: &mut [Mat], gone: &mut Bitmap) {
+        let slot = memo.descent().expect("keys remain").winner.slot;
+        let leaf = (slot / SLOTS) as usize;
+        gone.set(slot as usize, true);
+        span[leaf].bump_generation();
+        memo.extracted(leaf, (slot % SLOTS) as u32, span[leaf].generation());
+        // The winner's leaf resumes (its generation held).
+        let membership = Membership {
+            flags: Some(gone),
+            base: 0,
+            lo: 0,
+            hi: 0,
+        };
+        assert!(memo.refresh(leaf, &mut span[leaf], membership, false));
+        memo.refold(leaf);
     }
 
     /// Key sets with ties across and within mats, an empty mat, a
@@ -1185,31 +995,64 @@ mod tests {
                         refresh_all(&mut fresh, &mut span.clone(), len, &gone);
                         fresh
                     };
-                    assert_eq!(read(&memo), read(&fresh), "{keys:?} {plan:?}");
+                    // Every node: signals, rows, survivor, steps and `act`.
+                    assert_eq!(memo.nodes, fresh.nodes, "{keys:?} {plan:?}");
                     let want = walk(&mut mats(keys), len, &gone, &plan);
-                    let got = memo.descent();
-                    assert_eq!(got, want, "{keys:?} {plan:?}");
-                    let slot = got.expect("keys remain").winner.slot;
-                    let leaf = (slot / SLOTS) as usize;
-                    gone.set(slot as usize, true);
-                    span[leaf].bump_generation();
-                    memo.extracted(leaf, (slot % SLOTS) as u32, span[leaf].generation());
-                    // The winner's leaf resumes (its generation held).
-                    let from = memo.refresh(
-                        leaf,
-                        &mut span[leaf],
-                        Membership {
-                            flags: Some(&gone),
-                            base: 0,
-                            lo: 0,
-                            hi: 0,
-                        },
-                        false,
-                    );
-                    memo.refold(leaf, from.expect("the winner's leaf resumes"));
+                    assert_eq!(memo.descent(), want, "{keys:?} {plan:?}");
+                    take_winner(&mut memo, &mut span, &mut gone);
                 }
                 assert_eq!(memo.descent(), None, "{keys:?} {plan:?} drained");
             }
+        }
+    }
+
+    #[test]
+    fn step_counts_follow_the_last_split_and_the_runner_up() {
+        // Each case: keys (slots holding `GONE` are out of the range
+        // before the first descent), the extractions before the check,
+        // and the steps of leaf 0 and of the root then. u64 minima: bit 2
+        // is step 61, bit 1 step 62, bit 0 step 63.
+        const GONE: u64 = u64::MAX;
+        let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
+        // Mat 0 holds `row` alone; mat 1 holds `other`.
+        let one_row = |row: u64, other: &[u64]| {
+            let mut keys = vec![GONE; SLOTS as usize];
+            keys[0] = row;
+            keys.extend(other);
+            keys
+        };
+        let cases = [
+            // A tie of two 1s after step 62 runs every step ...
+            ("tie", vec![1, 1, 3], 0, 64, 64),
+            // ... and once one 1 is gone, through its split.
+            ("tie, one gone", vec![1, 1, 3], 1, 63, 63),
+            // Splits at 62 (2 goes) and 63 (1 goes); taking 0 resumes 63,
+            // which removed one row, so the split at 62 is the last.
+            ("resumed split", vec![0, 1, 2], 1, 63, 63),
+            // A one-row leaf runs no step; beside {3, 2} (split at 63) it
+            // wins at 62, where the sibling dies: d + 1.
+            ("one row, winning", one_row(0, &[3, 2]), 0, 0, 63),
+            // The runner-up is the winner's: {3, 2} beats a lone 4 at 61.
+            ("one row, losing", one_row(4, &[3, 2]), 0, 0, 64),
+            // Two lone equal rows: no death, every step.
+            ("no death", one_row(5, &[5]), 0, 0, 64),
+        ];
+        for (case, keys, taken, leaf_steps, root_steps) in cases {
+            let len = keys.len() as u64;
+            let mut span = mats(&keys);
+            let mut gone = Bitmap::zeros(span.len() * SLOTS as usize);
+            for (slot, _) in keys.iter().enumerate().filter(|(_, &key)| key == GONE) {
+                gone.set(slot, true);
+            }
+            let mut memo = MemoTree::new((0, len), plan, span.len(), SLOTS as u32);
+            refresh_all(&mut memo, &mut span, len, &gone);
+            for _ in 0..taken {
+                take_winner(&mut memo, &mut span, &mut gone);
+            }
+            assert_eq!(memo.nodes[memo.leaves].steps, leaf_steps, "{case}: leaf 0");
+            let descent = memo.descent();
+            assert_eq!(descent.unwrap().steps, root_steps, "{case}: root");
+            assert_eq!(descent, walk(&mut mats(&keys), len, &gone, &plan), "{case}");
         }
     }
 
@@ -1231,13 +1074,20 @@ mod tests {
                 lo: 0,
                 hi: 0,
             };
-            assert_eq!(memo.refresh(leaf, mat, membership, false), None);
+            assert!(!memo.refresh(leaf, mat, membership, false));
         }
         // A write to mat 0 re-runs its leaf from its window.
         span[0].write_slot(3, 0);
         refresh_all(&mut memo, &mut span, len, &gone);
         let winner = memo.descent().unwrap().winner;
         assert_eq!((winner.slot, winner.raw), (3, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "span too large")]
+    fn a_span_past_u16_max_mats_is_refused() {
+        let plan = SearchPlan::new(KeyFormat::UNSIGNED64, Direction::Min);
+        MemoTree::new((0, 1), plan, usize::from(u16::MAX) + 1, SLOTS as u32);
     }
 
     #[test]
