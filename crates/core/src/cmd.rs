@@ -17,9 +17,10 @@
 //!
 //! Because every path funnels through [`Executor::execute`], the
 //! executor records *all* device activity, one command at a time: its
-//! [`crate::telemetry::Effects`] feed the built-in stats and the metrics
-//! registry once each, and future queueing/sharding/async work is an
-//! executor feature rather than a three-way rewrite.
+//! [`crate::telemetry::Effects`] feed the interface-transfer total and
+//! the metrics registry once each, and future queueing/sharding/async
+//! work is an executor feature rather than a three-way rewrite. Operation
+//! counters live only in the chips; the counter queries sum them.
 //!
 //! Internal locks use poison *recovery* (`PoisonError::into_inner`), not
 //! `expect`: a caller that panics mid-command may leave its own range in
@@ -51,7 +52,7 @@ use crate::journal::{
     self, Journal, JournalConfig, JournalError, JournalRecord, JournalStore, RecoveryReport,
 };
 use crate::metrics::{ChipProbe, MetricsRegistry, MetricsSink, Snapshot};
-use crate::telemetry::{DeviceStats, Effects};
+use crate::telemetry::Effects;
 
 /// Locks a mutex, recovering the guard if a previous holder panicked.
 pub(crate) fn lock_recover<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -236,6 +237,72 @@ fn committed_commands(
     Ok((committed, pending.map(|(ordinal, _)| ordinal)))
 }
 
+fn decode_error(what: String) -> JournalError {
+    JournalError::Decode {
+        what: format!("checkpoint: {what}"),
+    }
+}
+
+/// Refuses decoded allocator and region state the executor could not
+/// have produced, since later commands index chips by these extents:
+/// the reservation fits the device; the free and live extents, each
+/// sorted by start, tile it exactly, with no two free extents adjacent;
+/// and the region table, sorted by id, names each live extent once,
+/// under an id below `next_id`.
+fn check_layout(
+    total_slots: u64,
+    reserved: u64,
+    free: &[(u64, u64)],
+    live: &[(u64, u64)],
+    regions: &[(u64, u64, u64)],
+    next_id: u64,
+) -> Result<(), JournalError> {
+    if reserved > total_slots {
+        return Err(decode_error(format!(
+            "{reserved} slots reserved on a device of {total_slots}"
+        )));
+    }
+    if !free.is_sorted() || !live.is_sorted() {
+        return Err(decode_error("extents out of order".to_string()));
+    }
+    let mut extents: Vec<(u64, u64, bool)> = free
+        .iter()
+        .map(|&(start, len)| (start, len, true))
+        .chain(live.iter().map(|&(start, len)| (start, len, false)))
+        .collect();
+    extents.sort_unstable();
+    let (mut at, mut after_free) = (0u64, false);
+    for (start, len, is_free) in extents {
+        if len == 0 || start != at || (is_free && after_free) {
+            return Err(decode_error(format!(
+                "extent [{start}, +{len}) breaks the tiling at slot {at}"
+            )));
+        }
+        at = start
+            .checked_add(len)
+            .ok_or_else(|| decode_error(format!("extent [{start}, +{len}) overflows")))?;
+        after_free = is_free;
+    }
+    if at != reserved {
+        return Err(decode_error(format!(
+            "extents cover {at} of {reserved} reserved slots"
+        )));
+    }
+    let ids_ok = regions.windows(2).all(|w| w[0].0 < w[1].0)
+        && regions.iter().all(|&(id, _, _)| (1..next_id).contains(&id));
+    let mut extents: Vec<(u64, u64)> = regions
+        .iter()
+        .map(|&(_, start, len)| (start, len))
+        .collect();
+    extents.sort_unstable();
+    if !ids_ok || extents != live {
+        return Err(decode_error(
+            "region table disagrees with the live allocations".to_string(),
+        ));
+    }
+    Ok(())
+}
+
 /// The marshalled result of a successfully executed [`Command`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Outcome {
@@ -259,11 +326,12 @@ struct Session {
     begin: u64,
     end: u64,
     format: KeyFormat,
-    /// Per spanned chip: FIFO of buffered candidates (global slot, raw
-    /// bits), in extraction order. Depth 1 under `Extract`; the batch
-    /// command prefills deeper so one call drains `k` results (Fig. 14's
-    /// buffer, generalized).
-    queues: HashMap<u32, VecDeque<(u64, u64)>>,
+    /// Per spanned chip, in ascending chip order from the chip holding
+    /// `begin`: FIFO of buffered candidates (global slot, raw bits), in
+    /// extraction order. Depth 1 under `Extract`; the batch command
+    /// prefills deeper so one call drains `k` results (Fig. 14's buffer,
+    /// generalized).
+    queues: Vec<VecDeque<(u64, u64)>>,
 }
 
 /// Region/format bookkeeping shared under one lock: a region's extent
@@ -275,21 +343,21 @@ struct Tables {
 }
 
 /// Where each executed command is recorded, once: the event sequence
-/// number, the built-in stats, and the metrics publisher, under one lock
-/// so `seq` order is publication order.
+/// number, the interface-transfer total, and the metrics publisher,
+/// under one lock so `seq` order is publication order.
 #[derive(Debug)]
 struct Ledger {
     seq: u64,
-    stats: DeviceStats,
+    transfers: u64,
     metrics: MetricsSink,
 }
 
 impl Ledger {
-    fn new(config: &RimeConfig, registry: &MetricsRegistry, seq: u64, stats: DeviceStats) -> Self {
+    fn new(config: &RimeConfig, registry: &MetricsRegistry) -> Self {
         let chips = config.total_chips() as usize;
         Ledger {
-            seq,
-            stats,
+            seq: 0,
+            transfers: 0,
             metrics: MetricsSink::new(registry.clone(), config.timing, chips),
         }
     }
@@ -304,7 +372,7 @@ impl Ledger {
         effects: &Effects,
         replayed: bool,
     ) {
-        self.stats.record(effects);
+        self.transfers += effects.interface_transfers();
         if replayed {
             self.metrics.note_replayed();
         } else {
@@ -320,7 +388,8 @@ impl Ledger {
 ///
 /// Owns the chips, the driver allocator, region/format tables, and the
 /// active sessions; validates and dispatches every [`Command`] and
-/// records each one once, into its stats and its metrics registry.
+/// records each one once, into its transfer total and its metrics
+/// registry. Each chip keeps its own operation counters.
 ///
 /// Every method takes `&self`: chips, allocator, and session state sit
 /// behind their own locks, so a shared executor supports the concurrent
@@ -368,7 +437,6 @@ impl Executor {
     /// Brings up an executor with fresh chips for `config`.
     pub fn new(config: RimeConfig) -> Executor {
         let registry = MetricsRegistry::new();
-        let stats = DeviceStats::new(config.total_chips() as usize);
         Executor {
             chips: (0..config.total_chips())
                 .map(|_| Mutex::new(Chip::new(config.chip_geometry)))
@@ -380,7 +448,7 @@ impl Executor {
             tables: RwLock::new(Tables::default()),
             sessions: RwLock::new(HashMap::new()),
             next_id: AtomicU64::new(1),
-            ledger: Mutex::new(Ledger::new(&config, &registry, 0, stats)),
+            ledger: Mutex::new(Ledger::new(&config, &registry)),
             registry,
             journal: Mutex::new(None),
             flight: OnceLock::new(),
@@ -394,7 +462,7 @@ impl Executor {
     }
 
     /// Validates, dispatches, and marshals one command, recording it
-    /// (success or failure) in the stats and metrics.
+    /// (success or failure) in the ledger and metrics.
     /// With a journal attached, the command rides the commit-marker
     /// protocol: intent logged before dispatch, outcome after.
     pub fn execute(&self, command: Command<'_>) -> Result<Outcome, RimeError> {
@@ -553,13 +621,13 @@ impl Executor {
             .regions
             .get(&region.id)
             .ok_or(RimeError::InvalidRegion)?;
-        if offset + n > len {
-            return Err(RimeError::OutOfBounds {
-                offset: offset + n,
+        match offset.checked_add(n) {
+            Some(end) if end <= len => Ok(start + offset),
+            end => Err(RimeError::OutOfBounds {
+                offset: end.unwrap_or(u64::MAX),
                 len,
-            });
+            }),
         }
-        Ok(start + offset)
     }
 
     fn chip_of(&self, slot: u64) -> (u32, u64) {
@@ -637,18 +705,12 @@ impl Executor {
             }
         }
         let end = begin + len;
-        let mut queues = HashMap::new();
-        let per_chip = self.config.chip_slots();
-        let first_chip = (begin / per_chip) as u32;
-        let last_chip = ((end - 1) / per_chip) as u32;
-        for chip_idx in first_chip..=last_chip {
-            let chip_base = chip_idx as u64 * per_chip;
-            let local_begin = begin.saturating_sub(chip_base);
-            let local_end = (end - chip_base).min(per_chip);
+        let mut queues = Vec::new();
+        for (chip_idx, _, local_begin, local_end) in self.spans(begin, end) {
             self.with_chip(chip_idx, fx, |c| {
                 c.init_range(local_begin, local_end, format)
             })?;
-            queues.insert(chip_idx, VecDeque::new());
+            queues.push(VecDeque::new());
         }
         write_recover(&self.sessions).insert(
             region.id,
@@ -676,12 +738,16 @@ impl Executor {
             .ok_or(RimeError::NotInitialized)
     }
 
-    fn chip_local_range(&self, session: &Session, chip_idx: u32) -> (u64, u64, u64) {
+    /// The chips that the nonempty global range `[begin, end)` spans, in
+    /// ascending order, each as `(chip, global base slot, local begin,
+    /// local end)`. A session's queues follow the same order.
+    fn spans(&self, begin: u64, end: u64) -> impl Iterator<Item = (u32, u64, u64, u64)> {
         let per_chip = self.config.chip_slots();
-        let chip_base = chip_idx as u64 * per_chip;
-        let local_begin = session.begin.saturating_sub(chip_base);
-        let local_end = (session.end - chip_base).min(per_chip);
-        (chip_base, local_begin, local_end)
+        (begin / per_chip..=(end - 1) / per_chip).map(move |chip| {
+            let base = chip * per_chip;
+            let local_end = (end - base).min(per_chip);
+            (chip as u32, base, begin.saturating_sub(base), local_end)
+        })
     }
 
     /// Applies the requested direction to the session, re-initializing
@@ -695,15 +761,13 @@ impl Executor {
     ) -> Result<(), RimeError> {
         if let Some(d) = session.direction {
             if d != direction {
-                let mut chip_ids: Vec<u32> = session.queues.keys().copied().collect();
-                chip_ids.sort_unstable();
-                for chip_idx in chip_ids {
-                    let (_, local_begin, local_end) = self.chip_local_range(session, chip_idx);
+                for (chip_idx, _, local_begin, local_end) in self.spans(session.begin, session.end)
+                {
                     self.with_chip(chip_idx, fx, |c| {
                         c.init_range(local_begin, local_end, session.format)
                     })?;
                 }
-                for queue in session.queues.values_mut() {
+                for queue in &mut session.queues {
                     queue.clear();
                 }
             }
@@ -729,16 +793,14 @@ impl Executor {
         depth: usize,
         fx: &mut Effects,
     ) -> Result<(), RimeError> {
-        let mut chip_ids: Vec<u32> = session.queues.keys().copied().collect();
-        chip_ids.sort_unstable();
         let format = session.format;
+        let spans = self.spans(session.begin, session.end);
         let mut first_err = None;
-        for chip_idx in chip_ids {
-            let have = session.queues[&chip_idx].len();
+        for ((chip_idx, chip_base, begin, end), queue) in spans.zip(&mut session.queues) {
+            let have = queue.len();
             if have >= depth {
                 continue;
             }
-            let (chip_base, begin, end) = self.chip_local_range(session, chip_idx);
             let mut chip = lock_recover(&self.chips[chip_idx as usize]);
             let before = *chip.counters();
             let res = chip
@@ -757,7 +819,6 @@ impl Executor {
             fx.record_chip(chip_idx, delta);
             match res {
                 Ok(hits) => {
-                    let queue = session.queues.get_mut(&chip_idx).expect("spanned chip");
                     queue.extend(hits.iter().map(|h| (chip_base + h.slot, h.raw_bits)));
                 }
                 Err(err) => {
@@ -776,8 +837,8 @@ impl Executor {
     /// the lower global slot (stable, like the H-tree's priority rule).
     fn pop_winner(session: &mut Session, direction: Direction) -> Option<(u64, u64)> {
         let format = session.format;
-        let mut best: Option<(u32, u64, u64)> = None; // (chip, slot, raw)
-        for (&chip_idx, queue) in &session.queues {
+        let mut best: Option<(usize, u64, u64)> = None; // (queue, slot, raw)
+        for (idx, queue) in session.queues.iter().enumerate() {
             if let Some(&(slot, raw)) = queue.front() {
                 let better = match best {
                     None => true,
@@ -790,16 +851,12 @@ impl Executor {
                     }
                 };
                 if better {
-                    best = Some((chip_idx, slot, raw));
+                    best = Some((idx, slot, raw));
                 }
             }
         }
-        best.map(|(chip_idx, slot, raw)| {
-            session
-                .queues
-                .get_mut(&chip_idx)
-                .expect("winning chip is spanned")
-                .pop_front();
+        best.map(|(idx, slot, raw)| {
+            session.queues[idx].pop_front();
             (slot, raw)
         })
     }
@@ -853,7 +910,7 @@ impl Executor {
         }
         self.apply_direction(&mut session, direction, fx)?;
         self.prefill_queues(&mut session, direction, k, fx)?;
-        let buffered: usize = session.queues.values().map(VecDeque::len).sum();
+        let buffered: usize = session.queues.iter().map(VecDeque::len).sum();
         let mut out = Vec::with_capacity(k.min(buffered));
         while out.len() < k {
             match Self::pop_winner(&mut session, direction) {
@@ -899,46 +956,49 @@ impl Executor {
         self.config.total_slots()
     }
 
-    /// Aggregated operation counters across all chips, read from the
-    /// built-in stats.
+    /// Aggregated operation counters: the sum of
+    /// [`Executor::per_chip_counters`].
     pub fn counters(&self) -> OpCounters {
-        lock_recover(&self.ledger).stats.counters()
+        self.per_chip_counters()
+            .into_iter()
+            .fold(OpCounters::new(), |total, chip| total + chip)
     }
 
-    /// Per-chip accumulated counters (indexed by chip), read from the
-    /// built-in stats.
+    /// Per-chip accumulated counters, indexed by chip — the inputs to the
+    /// per-chip performance helpers in [`crate::perf`]. Read from the
+    /// chips themselves, one chip lock at a time, so a command running
+    /// concurrently may be counted on some chips and not yet on others.
     pub fn per_chip_counters(&self) -> Vec<OpCounters> {
-        lock_recover(&self.ledger).stats.per_chip().to_vec()
+        self.chips
+            .iter()
+            .map(|c| *lock_recover(c).counters())
+            .collect()
     }
 
     /// Values transferred over the DDR4 interface so far (perf model).
     pub fn interface_transfers(&self) -> u64 {
-        lock_recover(&self.ledger).stats.interface_transfers()
+        lock_recover(&self.ledger).transfers
     }
 
-    /// Resets all chips' counters and the built-in stats.
+    /// Resets all chips' counters and the interface-transfer total.
     pub fn reset_counters(&self) {
         for chip in &self.chips {
             lock_recover(chip).reset_counters();
         }
-        lock_recover(&self.ledger).stats.reset();
+        lock_recover(&self.ledger).transfers = 0;
     }
 
-    /// Modeled array energy of everything done so far (nJ).
+    /// Modeled array energy of everything done so far (nJ): Table I
+    /// per-operation energies applied to the chips' own counters.
     pub fn modeled_energy_nj(&self) -> f64 {
-        crate::perf::modeled_energy_nj(
-            &self.config.timing,
-            lock_recover(&self.ledger).stats.per_chip(),
-        )
+        crate::perf::modeled_energy_nj(&self.config.timing, &self.per_chip_counters())
     }
 
-    /// Modeled busy time of the *busiest* chip (ns) — the device-side
-    /// critical path when chips operate concurrently (Fig. 14).
+    /// Modeled busy time of the *busiest* chip (ns), priced from the
+    /// chips' own counters — the device-side critical path when chips
+    /// operate concurrently (Fig. 14).
     pub fn modeled_busy_ns(&self) -> f64 {
-        crate::perf::modeled_busy_ns(
-            &self.config.timing,
-            lock_recover(&self.ledger).stats.per_chip(),
-        )
+        crate::perf::modeled_busy_ns(&self.config.timing, &self.per_chip_counters())
     }
 
     /// Hottest-block write count across all chips (endurance study).
@@ -964,9 +1024,13 @@ impl Executor {
     }
 
     /// Sets every chip's mat fan-out policy (model-execution knob; see
-    /// [`ParallelPolicy`] — results and counters are unaffected). The
-    /// policy picks how a chip computes a multi-mat descent on the
-    /// calling thread; multi-chip dispatch is independent of it.
+    /// [`ParallelPolicy`] — results and counters are unaffected).
+    /// `Auto` (the default) keeps each mat's resumable descent across
+    /// extraction calls and folds the traces up a tree over the range's
+    /// mats; `Sequential` is the full walk `Auto` is checked against.
+    /// Both run on the calling thread, and so, independent of this knob,
+    /// do a multi-chip batched command's prefills, one chip after
+    /// another in ascending chip order (DESIGN.md §10).
     pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
         for chip in &self.chips {
             lock_recover(chip).set_parallel_policy(policy);
@@ -1094,11 +1158,12 @@ impl Executor {
     }
 
     /// Marshals the full executor state into a checkpoint blob:
-    /// configuration fingerprint, event seq + stats, driver
+    /// configuration fingerprint, event seq + interface transfers, driver
     /// allocator, region/format tables, sessions (with buffered
-    /// candidates), and every chip's raw snapshot. All map-backed state
-    /// is serialized in sorted key order, so equal devices produce
-    /// byte-equal checkpoints.
+    /// candidates, one queue per spanned chip in chip order), and every
+    /// chip's raw snapshot, which carries the chip's counters. All
+    /// map-backed state is serialized in sorted key order, so equal
+    /// devices produce byte-equal checkpoints.
     fn checkpoint_bytes(&self) -> Vec<u8> {
         let mut buf = Vec::new();
         journal::put_u32(&mut buf, self.chips.len() as u32);
@@ -1107,10 +1172,7 @@ impl Executor {
         {
             let ledger = lock_recover(&self.ledger);
             journal::put_u64(&mut buf, ledger.seq);
-            for counters in ledger.stats.per_chip() {
-                journal::put_counters(&mut buf, counters);
-            }
-            journal::put_u64(&mut buf, ledger.stats.interface_transfers());
+            journal::put_u64(&mut buf, ledger.transfers);
         }
         {
             let allocator = lock_recover(&self.allocator);
@@ -1171,12 +1233,8 @@ impl Executor {
                 journal::put_u64(&mut buf, session.begin);
                 journal::put_u64(&mut buf, session.end);
                 journal::put_format(&mut buf, session.format);
-                let mut chips: Vec<u32> = session.queues.keys().copied().collect();
-                chips.sort_unstable();
-                journal::put_u32(&mut buf, chips.len() as u32);
-                for chip in chips {
-                    journal::put_u32(&mut buf, chip);
-                    let queue = &session.queues[&chip];
+                journal::put_u32(&mut buf, session.queues.len() as u32);
+                for queue in &session.queues {
                     journal::put_u32(&mut buf, queue.len() as u32);
                     for &(slot, raw) in queue {
                         journal::put_u64(&mut buf, slot);
@@ -1192,7 +1250,9 @@ impl Executor {
     }
 
     /// Rebuilds an executor from a checkpoint blob, validating the
-    /// configuration fingerprint against `config` first.
+    /// configuration fingerprint against `config` first. Everything later
+    /// commands index chips with is checked against the device before it
+    /// is trusted: see [`check_layout`] and [`Executor::get_session`].
     fn from_checkpoint(config: RimeConfig, bytes: &[u8]) -> Result<Executor, JournalError> {
         let mut d = journal::Dec::new(bytes);
         let chip_count = d.u32()? as usize;
@@ -1215,9 +1275,6 @@ impl Executor {
         }
         let next_id = d.u64()?;
         let seq = d.u64()?;
-        let per_chip: Vec<OpCounters> = (0..chip_count)
-            .map(|_| journal::get_counters(&mut d))
-            .collect::<Result<_, _>>()?;
         let transfers = d.u64()?;
         let total_slots = d.u64()?;
         if total_slots != config.total_slots() {
@@ -1229,72 +1286,53 @@ impl Executor {
             });
         }
         let reserved_slots = d.u64()?;
-        let nfree = d.len_prefix(16)?;
-        let free: Vec<(u64, u64)> = (0..nfree)
-            .map(|_| Ok((d.u64()?, d.u64()?)))
+        let extents = |d: &mut journal::Dec<'_>| -> Result<Vec<(u64, u64)>, JournalError> {
+            let n = d.len_prefix(16)?;
+            (0..n).map(|_| Ok((d.u64()?, d.u64()?))).collect()
+        };
+        let free = extents(&mut d)?;
+        let live = extents(&mut d)?;
+        let nregions = d.len_prefix(24)?;
+        let regions: Vec<(u64, u64, u64)> = (0..nregions)
+            .map(|_| Ok((d.u64()?, d.u64()?, d.u64()?)))
             .collect::<Result<_, JournalError>>()?;
-        let nlive = d.len_prefix(16)?;
-        let live: Vec<(u64, u64)> = (0..nlive)
-            .map(|_| Ok((d.u64()?, d.u64()?)))
-            .collect::<Result<_, JournalError>>()?;
+        check_layout(total_slots, reserved_slots, &free, &live, &regions, next_id)?;
         let allocator =
             ContiguousAllocator::from_parts(config.driver, total_slots, reserved_slots, free, live);
-        let mut tables = Tables::default();
-        let nregions = d.len_prefix(24)?;
-        for _ in 0..nregions {
-            let id = d.u64()?;
-            let start = d.u64()?;
-            let len = d.u64()?;
-            tables.regions.insert(id, (start, len));
-        }
+        let mut tables = Tables {
+            regions: regions
+                .iter()
+                .map(|&(id, start, len)| (id, (start, len)))
+                .collect(),
+            formats: HashMap::new(),
+        };
+        let mut last_id = 0;
         let nformats = d.len_prefix(8)?;
         for _ in 0..nformats {
             let id = d.u64()?;
+            if id <= last_id || !tables.regions.contains_key(&id) {
+                return Err(decode_error(format!(
+                    "format for region {id} out of order or unknown"
+                )));
+            }
+            last_id = id;
             tables.formats.insert(id, journal::get_format(&mut d)?);
         }
+        let mut executor = Executor::new(config);
         let mut sessions = HashMap::new();
+        let mut last_id = 0;
         let nsessions = d.len_prefix(1)?;
         for _ in 0..nsessions {
-            let id = d.u64()?;
-            let direction = match d.u8()? {
-                0 => None,
-                1 => Some(Direction::Min),
-                2 => Some(Direction::Max),
-                tag => {
-                    return Err(JournalError::Decode {
-                        what: format!("invalid direction tag {tag}"),
-                    })
-                }
-            };
-            let begin = d.u64()?;
-            let end = d.u64()?;
-            let format = journal::get_format(&mut d)?;
-            let mut queues = HashMap::new();
-            let nqueues = d.len_prefix(4)?;
-            for _ in 0..nqueues {
-                let chip = d.u32()?;
-                let qlen = d.len_prefix(16)?;
-                let mut queue = VecDeque::with_capacity(qlen);
-                for _ in 0..qlen {
-                    queue.push_back((d.u64()?, d.u64()?));
-                }
-                queues.insert(chip, queue);
+            let (id, session) = executor.get_session(&mut d, &tables)?;
+            if id <= last_id {
+                return Err(decode_error(format!("session {id} out of order")));
             }
-            sessions.insert(
-                id,
-                Arc::new(Mutex::new(Session {
-                    direction,
-                    begin,
-                    end,
-                    format,
-                    queues,
-                })),
-            );
+            last_id = id;
+            sessions.insert(id, Arc::new(Mutex::new(session)));
         }
-        let mut chips = Vec::with_capacity(chip_count);
-        for idx in 0..chip_count {
+        for (idx, chip) in executor.chips.iter_mut().enumerate() {
             let state = journal::get_chip_state(&mut d, chip_slots)?;
-            let mut chip = Chip::new(config.chip_geometry);
+            let chip = chip.get_mut().unwrap_or_else(PoisonError::into_inner);
             if !chip.restore_state(&state) {
                 return Err(JournalError::CheckpointMismatch {
                     what: format!(
@@ -1303,28 +1341,84 @@ impl Executor {
                     ),
                 });
             }
-            chips.push(Mutex::new(chip));
         }
         d.finish("checkpoint")?;
-        let registry = MetricsRegistry::new();
-        let stats = DeviceStats::restore(per_chip, transfers);
-        Ok(Executor {
-            chips,
-            allocator: Mutex::new(allocator),
-            tables: RwLock::new(tables),
-            sessions: RwLock::new(sessions),
-            next_id: AtomicU64::new(next_id),
-            ledger: Mutex::new(Ledger::new(&config, &registry, seq, stats)),
-            registry,
-            journal: Mutex::new(None),
-            flight: OnceLock::new(),
-            replaying: AtomicBool::new(false),
-            #[cfg(feature = "crash-test")]
-            crash: Mutex::new(None),
-            #[cfg(feature = "crash-test")]
-            extract_faults: Mutex::new(Vec::new()),
-            config,
-        })
+        executor.allocator = Mutex::new(allocator);
+        executor.tables = RwLock::new(tables);
+        executor.sessions = RwLock::new(sessions);
+        executor.next_id = AtomicU64::new(next_id);
+        let ledger = executor.ledger.get_mut();
+        let ledger = ledger.unwrap_or_else(PoisonError::into_inner);
+        ledger.seq = seq;
+        ledger.transfers = transfers;
+        Ok(executor)
+    }
+
+    /// Decodes one checkpointed session with its region id, refusing one
+    /// the executor could not have built: it must belong to a region of
+    /// `tables`, cover a nonempty part of it, hold one queue per spanned
+    /// chip, buffer only slots of that queue's chip and range, and buffer
+    /// nothing before its first extraction.
+    fn get_session(
+        &self,
+        d: &mut journal::Dec<'_>,
+        tables: &Tables,
+    ) -> Result<(u64, Session), JournalError> {
+        let id = d.u64()?;
+        let direction = match d.u8()? {
+            0 => None,
+            1 => Some(Direction::Min),
+            2 => Some(Direction::Max),
+            tag => return Err(decode_error(format!("invalid direction tag {tag}"))),
+        };
+        let (begin, end) = (d.u64()?, d.u64()?);
+        let format = journal::get_format(d)?;
+        let &(start, len) = tables
+            .regions
+            .get(&id)
+            .ok_or_else(|| decode_error(format!("session for unknown region {id}")))?;
+        if begin >= end || begin < start || end - start > len {
+            return Err(decode_error(format!(
+                "session range [{begin}, {end}) outside region [{start}, +{len})"
+            )));
+        }
+        let spanned = self.spans(begin, end).count();
+        let nqueues = d.len_prefix(4)?;
+        if nqueues != spanned {
+            return Err(decode_error(format!(
+                "session holds {nqueues} queues, its range spans {spanned} chips"
+            )));
+        }
+        let mut queues = Vec::with_capacity(spanned);
+        for (_, base, local_begin, local_end) in self.spans(begin, end) {
+            let range = base + local_begin..base + local_end;
+            let qlen = d.len_prefix(16)?;
+            if direction.is_none() && qlen > 0 {
+                return Err(decode_error(
+                    "candidates buffered before any extraction".to_string(),
+                ));
+            }
+            let queue = (0..qlen)
+                .map(|_| {
+                    let (slot, raw) = (d.u64()?, d.u64()?);
+                    if !range.contains(&slot) {
+                        return Err(decode_error(format!(
+                            "buffered slot {slot} outside its chip's range {range:?}"
+                        )));
+                    }
+                    Ok((slot, raw))
+                })
+                .collect::<Result<VecDeque<_>, JournalError>>()?;
+            queues.push(queue);
+        }
+        let session = Session {
+            direction,
+            begin,
+            end,
+            format,
+            queues,
+        };
+        Ok((id, session))
     }
 
     /// Reconstructs a bit-identical executor from a journal: loads the
@@ -1781,9 +1875,10 @@ mod tests {
 
     #[test]
     fn stats_match_chip_counters_exactly() {
-        // The telemetry stats are fed from per-command deltas; they must
-        // agree bit-for-bit with summing the chips directly.
-        let exec = exec();
+        // Each command's effects (what the journal and the metrics
+        // record) are chip counter deltas; summed over the log, they
+        // must agree bit-for-bit with the chips' own counters.
+        let (exec, store) = journaled_exec(0);
         let r = region_of(exec.execute(Command::Alloc { len: 100 }).unwrap());
         let keys: Vec<u64> = (0..100).map(|i| (i * 37) % 251).collect();
         exec.execute(Command::Write {
@@ -1809,15 +1904,60 @@ mod tests {
             })
             .unwrap();
         }
-        let mut direct = OpCounters::new();
-        for chip in &exec.chips {
-            direct += *lock_recover(chip).counters();
+        let mut logged = vec![OpCounters::new(); exec.chips.len()];
+        for (_, record) in journal::scan(&store.snapshot()).unwrap().records {
+            if let JournalRecord::Outcome { effects, .. } = record {
+                for &(chip, delta) in effects.chip_deltas() {
+                    logged[chip as usize] += delta;
+                }
+            }
         }
-        assert_eq!(exec.counters(), direct);
-        let per_chip = exec.per_chip_counters();
         for (idx, chip) in exec.chips.iter().enumerate() {
-            assert_eq!(per_chip[idx], *lock_recover(chip).counters(), "chip {idx}");
+            assert_eq!(logged[idx], *lock_recover(chip).counters(), "chip {idx}");
         }
+        assert_eq!(exec.per_chip_counters(), logged);
+        let total = logged.into_iter().fold(OpCounters::new(), |a, c| a + c);
+        assert_eq!(exec.counters(), total);
+    }
+
+    #[test]
+    fn offsets_near_u64_max_are_out_of_bounds() {
+        // `offset + n` must not wrap: a wrapped sum passed the check and
+        // addressed the slot before the region.
+        let exec = exec();
+        region_of(exec.execute(Command::Alloc { len: 8 }).unwrap());
+        let r = region_of(exec.execute(Command::Alloc { len: 4 }).unwrap());
+        let commands = [
+            Command::Read {
+                region: r,
+                offset: u64::MAX,
+                n: 1,
+            },
+            Command::Write {
+                region: r,
+                offset: u64::MAX,
+                raw: Cow::Borrowed(&[1, 2]),
+                format: KeyFormat::UNSIGNED64,
+            },
+            Command::Init {
+                region: r,
+                offset: u64::MAX,
+                len: 2,
+                format: KeyFormat::UNSIGNED64,
+            },
+        ];
+        for command in commands {
+            let kind = command.kind();
+            assert_eq!(
+                exec.execute(command),
+                Err(RimeError::OutOfBounds {
+                    offset: u64::MAX,
+                    len: 4
+                }),
+                "{kind}"
+            );
+        }
+        assert_eq!(exec.counters(), OpCounters::default(), "no chip touched");
     }
 
     // ---- Journal + recovery ----
@@ -2071,6 +2211,68 @@ mod tests {
                 "{range:?}: {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn checkpoint_tables_the_device_could_not_hold_are_refused() {
+        // Region extents, the allocator's lists and session queues all
+        // index chips later: a checkpoint that disagrees with itself or
+        // with the device is a typed decode error, not a deferred panic.
+        let config = RimeConfig::small();
+        let decode = |exec: &Executor| Executor::from_checkpoint(config, &exec.checkpoint_bytes());
+        let refused = |exec: &Executor, want: &str| match decode(exec) {
+            Err(JournalError::Decode { what }) => assert!(what.contains(want), "{what}"),
+            other => panic!("{want}: {:?}", other.map(|_| ())),
+        };
+        // A region over chips 0 and 1, drained so both queues buffer.
+        let setup = || {
+            let exec = exec();
+            let n = config.chip_slots() + 8;
+            let r = region_of(exec.execute(Command::Alloc { len: n }).unwrap());
+            let keys: Vec<u64> = (0..n).map(|i| (i * 7919) % 104_729).collect();
+            exec.write_raw(r, 0, &keys, KeyFormat::UNSIGNED64).unwrap();
+            exec.init_raw(r, 0, n, KeyFormat::UNSIGNED64).unwrap();
+            exec.next_extremes_raw(r, KeyFormat::UNSIGNED64, Direction::Min, 3)
+                .unwrap();
+            let session = exec.session(r).unwrap();
+            (exec, r, session)
+        };
+        let (exec, _, _) = setup();
+        assert!(decode(&exec).is_ok(), "the untouched state decodes");
+
+        let (exec, _, session) = setup();
+        lock_recover(&session).queues.push(VecDeque::new());
+        refused(&exec, "3 queues, its range spans 2 chips");
+
+        let (exec, _, session) = setup();
+        lock_recover(&session).queues[0].push_back((config.chip_slots() + 1, 0));
+        refused(&exec, "buffered slot");
+
+        let (exec, r, session) = setup();
+        lock_recover(&session).end = r.start + r.len + 1;
+        refused(&exec, "outside region");
+
+        let (exec, r, _) = setup();
+        let past_the_end = (config.total_slots() - 4, r.len);
+        write_recover(&exec.tables)
+            .regions
+            .insert(r.id, past_the_end);
+        refused(&exec, "region table disagrees");
+
+        let (exec, _, _) = setup();
+        lock_recover(&exec.allocator).alloc(5).unwrap();
+        refused(&exec, "region table disagrees");
+
+        let (exec, _, _) = setup();
+        let (reserved, live) = exec.allocation_map();
+        *lock_recover(&exec.allocator) = ContiguousAllocator::from_parts(
+            config.driver,
+            config.total_slots(),
+            reserved,
+            vec![(0, 16)],
+            live,
+        );
+        refused(&exec, "breaks the tiling");
     }
 
     #[test]

@@ -13,12 +13,14 @@
 //! | `rime_min`     | [`RimeDevice::rime_min`]               |
 //! | `rime_max`     | [`RimeDevice::rime_max`]               |
 //!
-//! Every public method is a thin *encoder*: it builds the corresponding
-//! typed [`Command`] and hands it to the device's single
-//! [`crate::cmd::Executor`], which owns validation, chip dispatch, and
-//! result marshalling. The MMIO register file ([`crate::mmio`]) and
-//! journal replay ([`Executor::replay`]) lower into the same executor,
-//! so all three front-ends share one semantics and one set of counters.
+//! `RimeDevice` is another name for the command [`Executor`]: this
+//! module adds the Fig. 12 API to it as one `impl Executor` block. Each
+//! method is a thin *encoder* that builds the corresponding typed
+//! [`Command`] and runs it, while the executor owns validation, chip
+//! dispatch, and result marshalling. The MMIO register file
+//! ([`crate::mmio`]) and journal replay ([`Executor::replay`]) lower into
+//! the same executor, so all three front-ends share one semantics and one
+//! set of counters.
 //!
 //! A RIME DIMM forbids fine-grained channel interleaving (§V): contiguous
 //! key ranges map contiguously onto chips, so one region spans as few
@@ -30,14 +32,11 @@
 
 use std::borrow::Cow;
 
-use rime_memristive::{
-    ArrayTiming, ChipGeometry, Direction, KeyFormat, OpCounters, ParallelPolicy, SortableBits,
-};
+use rime_memristive::{ArrayTiming, ChipGeometry, Direction, KeyFormat, SortableBits};
 
 use crate::cmd::{Command, Executor, Outcome};
 use crate::driver::DriverConfig;
 use crate::error::RimeError;
-use crate::metrics::{MetricsRegistry, Snapshot};
 
 /// System-level RIME configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -122,47 +121,18 @@ impl Region {
     }
 }
 
-/// The functional RIME memory device plus API library state.
+/// The functional RIME memory device plus API library state: the
+/// command [`Executor`] itself, under the paper's name.
 ///
-/// A thin encoder over the unified command executor: every method takes
-/// `&self` and lowers into [`RimeDevice::execute`], so a shared
-/// `&RimeDevice` supports the concurrent multi-range operation §III-B.3
-/// requires (e.g. the merge scenario of Fig. 14, one thread per input
-/// run). See [`crate::cmd`] for the locking discipline.
-#[derive(Debug)]
-pub struct RimeDevice {
-    exec: Executor,
-}
+/// The Fig. 12 API below is an `impl Executor` block of thin encoders:
+/// each method builds one [`Command`] and runs it through
+/// [`Executor::execute`]. Every method takes `&self`, so a shared
+/// `&RimeDevice` supports the concurrent multi-range operation
+/// §III-B.3 requires (e.g. the merge scenario of Fig. 14, one thread per
+/// input run). See [`crate::cmd`] for the locking discipline.
+pub type RimeDevice = Executor;
 
-impl RimeDevice {
-    /// Creates a device with the given configuration.
-    pub fn new(config: RimeConfig) -> RimeDevice {
-        RimeDevice {
-            exec: Executor::new(config),
-        }
-    }
-
-    /// Executes one typed command — the general entry point all the
-    /// convenience methods below encode into. Useful directly when
-    /// commands are built programmatically (e.g. trace replay).
-    ///
-    /// # Errors
-    ///
-    /// The command's validation or dispatch error.
-    pub fn execute(&self, command: Command<'_>) -> Result<Outcome, RimeError> {
-        self.exec.execute(command)
-    }
-
-    /// The device configuration.
-    pub fn config(&self) -> &RimeConfig {
-        self.exec.config()
-    }
-
-    /// Total key-slot capacity.
-    pub fn capacity(&self) -> u64 {
-        self.exec.capacity()
-    }
-
+impl Executor {
     /// `rime_malloc`: allocates `len` physically contiguous key slots.
     ///
     /// # Errors
@@ -443,178 +413,10 @@ impl RimeDevice {
         self.next_extreme(region, Direction::Max)
     }
 
-    /// Number of chips a region's initialized range spans (the concurrency
-    /// the performance model exploits).
-    pub fn spanned_chips(&self, region: Region) -> u32 {
-        self.exec.spanned_chips(region)
-    }
-
-    /// Values transferred over the DDR4 interface so far (perf model).
-    pub fn interface_transfers(&self) -> u64 {
-        self.exec.interface_transfers()
-    }
-
-    /// Sets every chip's mat fan-out policy (model-execution knob; see
-    /// [`ParallelPolicy`] — results and counters are unaffected).
-    /// `Auto` (the default) keeps each mat's resumable descent across
-    /// extraction calls and folds the traces up a tree over the range's
-    /// mats; `Sequential` is the full walk `Auto` is checked against.
-    /// Both run on the calling thread, and so, independent of this knob,
-    /// do a multi-chip batched command's prefills, one chip after
-    /// another in ascending chip order (DESIGN.md §10).
-    pub fn set_parallel_policy(&self, policy: ParallelPolicy) {
-        self.exec.set_parallel_policy(policy);
-    }
-
-    /// Aggregated operation counters across all chips, read from the
-    /// executor's built-in stats.
-    pub fn counters(&self) -> OpCounters {
-        self.exec.counters()
-    }
-
-    /// Per-chip accumulated counters, indexed by chip — the inputs to
-    /// the per-chip performance helpers in [`crate::perf`].
-    pub fn per_chip_counters(&self) -> Vec<OpCounters> {
-        self.exec.per_chip_counters()
-    }
-
-    /// Resets all chips' counters (and the built-in stats they feed).
-    pub fn reset_counters(&self) {
-        self.exec.reset_counters();
-    }
-
-    /// Modeled array energy of everything done so far (nJ): Table I
-    /// per-operation energies applied to the aggregated counters.
-    pub fn modeled_energy_nj(&self) -> f64 {
-        self.exec.modeled_energy_nj()
-    }
-
-    /// Modeled busy time of the *busiest* chip (ns) — the device-side
-    /// critical path when chips operate concurrently (Fig. 14).
-    pub fn modeled_busy_ns(&self) -> f64 {
-        self.exec.modeled_busy_ns()
-    }
-
-    /// Hottest-block write count across all chips (endurance study).
-    pub fn max_wear(&self) -> u32 {
-        self.exec.max_wear()
-    }
-
-    /// Largest free contiguous extent (driver diagnostics).
-    pub fn largest_free(&self) -> u64 {
-        self.exec.largest_free()
-    }
-
-    /// The device's built-in metrics registry (see [`crate::metrics`]).
-    /// Per-command metrics are always published; chip phase wall times
-    /// appear after [`RimeDevice::enable_extraction_metrics`].
-    pub fn metrics(&self) -> &MetricsRegistry {
-        self.exec.metrics()
-    }
-
-    /// A consistent point-in-time snapshot of every registered metric,
-    /// exportable as Prometheus text or JSON.
-    pub fn metrics_snapshot(&self) -> Snapshot {
-        self.exec.metrics_snapshot()
-    }
-
-    /// Turns on extraction timing by installing a registry-backed probe
-    /// on every chip: each extraction call reports its rearm and descent
-    /// wall time once. Off by default — the probes read the host clock,
-    /// so benchmarks leave them uninstalled.
+    /// Another name for [`Executor::enable_extraction_probes`], kept for
+    /// callers that say "metrics".
     pub fn enable_extraction_metrics(&self) {
-        self.exec.enable_extraction_probes();
-    }
-
-    /// Cumulative per-mat write counts, indexed `[chip][mat]` — the
-    /// matrix behind wear heatmaps.
-    pub fn wear_matrix(&self) -> Vec<Vec<u64>> {
-        self.exec.wear_matrix()
-    }
-
-    // ---- Durability (see `crate::journal` and DESIGN.md §12) ----
-
-    /// Attaches a write-ahead journal: every subsequent command is
-    /// logged intent-first, outcome-after, with periodic checkpoints.
-    ///
-    /// # Errors
-    ///
-    /// [`RimeError::Journal`] when the store cannot be written or holds
-    /// a foreign file.
-    pub fn attach_journal(
-        &self,
-        store: Box<dyn crate::journal::JournalStore>,
-        config: crate::journal::JournalConfig,
-    ) -> Result<(), RimeError> {
-        self.exec.attach_journal(store, config)
-    }
-
-    /// Detaches the journal. Returns whether one was attached.
-    pub fn detach_journal(&self) -> bool {
-        self.exec.detach_journal()
-    }
-
-    /// Commands committed to the attached journal (`None` without one).
-    pub fn journal_committed(&self) -> Option<u64> {
-        self.exec.journal_committed()
-    }
-
-    /// Forces a checkpoint now; `Ok(false)` when no journal is attached.
-    ///
-    /// # Errors
-    ///
-    /// [`RimeError::Journal`] when the checkpoint cannot be appended.
-    pub fn checkpoint_now(&self) -> Result<bool, RimeError> {
-        self.exec.checkpoint_now()
-    }
-
-    /// Reconstructs a bit-identical device from a journal and reports
-    /// what recovery found (see [`crate::journal::RecoveryReport`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RimeError::Journal`] on store I/O failures, interior
-    /// corruption, a checkpoint for a different device shape, or a
-    /// replay that diverges from the recorded outcomes.
-    pub fn recover(
-        config: RimeConfig,
-        store: Box<dyn crate::journal::JournalStore>,
-        journal_config: crate::journal::JournalConfig,
-    ) -> Result<(RimeDevice, crate::journal::RecoveryReport), RimeError> {
-        let (exec, report) = Executor::recover(config, store, journal_config)?;
-        Ok((RimeDevice { exec }, report))
-    }
-
-    /// Per-chip raw snapshots — what checkpoints marshal, and the
-    /// bit-identity fingerprint recovery is checked against.
-    pub fn chip_states(&self) -> Vec<rime_memristive::ChipState> {
-        self.exec.chip_states()
-    }
-
-    /// The driver allocation map as `(reserved_slots, sorted live
-    /// (start, len) extents)`.
-    pub fn allocation_map(&self) -> (u64, Vec<(u64, u64)>) {
-        self.exec.allocation_map()
-    }
-
-    /// Live region handles, sorted by id — how a process that
-    /// [`RimeDevice::recover`]ed a device rehydrates the handles its
-    /// predecessor allocated and resumes region-scoped work.
-    pub fn regions(&self) -> Vec<Region> {
-        self.exec.regions()
-    }
-
-    /// Installs (or clears) the crash-site fault injector (see
-    /// [`crate::journal::CrashPoint`]).
-    #[cfg(feature = "crash-test")]
-    pub fn install_crash_point(&self, point: Option<std::sync::Arc<crate::journal::CrashPoint>>) {
-        self.exec.install_crash_point(point);
-    }
-
-    /// Queues a one-shot error for `chip`'s next batched extraction.
-    #[cfg(feature = "crash-test")]
-    pub fn inject_extract_fault(&self, chip: u32, error: RimeError) {
-        self.exec.inject_extract_fault(chip, error);
+        self.enable_extraction_probes();
     }
 }
 

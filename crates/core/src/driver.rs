@@ -122,9 +122,9 @@ impl ContiguousAllocator {
         live
     }
 
-    /// Rebuilds an allocator from checkpointed parts. Trusts the parts
-    /// (they were produced by `free_extents`/`live_allocations` and are
-    /// CRC-protected in the journal); `config` comes from the device
+    /// Rebuilds an allocator from checkpointed parts, which the caller
+    /// has checked: the free and live extents tile the reservation,
+    /// which fits `total_slots`. `config` comes from the device
     /// configuration, not the checkpoint.
     pub(crate) fn from_parts(
         config: DriverConfig,

@@ -11,7 +11,7 @@
 //!   [`Effects`] — little-endian, length-prefixed, append-only;
 //! * **framing** with a per-record CRC-32 so torn writes are *detected*,
 //!   never silently half-applied: `[u32 len][u32 crc(len)][kind + body]
-//!   [u32 crc]` under the `RIMEWAL3` magic. The length carries its own
+//!   [u32 crc]` under the `RIMEWAL4` magic. The length carries its own
 //!   checksum, so a corrupt length is never mistaken for a torn tail;
 //! * the **commit-marker protocol**: an [`JournalRecord::Intent`] is
 //!   appended *before* a command dispatches and an
@@ -22,7 +22,8 @@
 //!   per-chip snapshots), bounding replay work. A chip snapshot stores
 //!   only materialized mats and the nonzero words of its exclusion
 //!   flags, so a checkpoint's size tracks the device's live state, not
-//!   its capacity;
+//!   its capacity. It also carries the chip's operation counters, the
+//!   only copy the checkpoint holds;
 //! * [`scan`] — a strict, typed reader that distinguishes a torn *tail*
 //!   (tolerated, truncated on recovery) from interior corruption
 //!   (refused with [`JournalError::BadChecksum`]);
@@ -55,9 +56,11 @@ use crate::telemetry::Effects;
 
 /// Journal file magic: identifies format and version in one probe.
 /// Version 2 stored exclusion flags sparsely; version 3 also checksums
-/// each record's length on its own. An older journal is refused with
-/// [`JournalError::BadMagic`] rather than misread.
-pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL3";
+/// each record's length on its own; version 4 checkpoints store each
+/// chip's counters once (in its snapshot) and no session chip ids. An
+/// older journal is refused with [`JournalError::BadMagic`] rather than
+/// misread.
+pub(crate) const MAGIC: &[u8; 8] = b"RIMEWAL4";
 
 /// Record header: `[u32 len][u32 crc32(len)]`.
 const HEADER: usize = 8;
@@ -91,7 +94,7 @@ pub enum JournalError {
         /// Human-readable OS error text.
         message: String,
     },
-    /// The store's first bytes are not the `RIMEWAL3` magic.
+    /// The store's first bytes are not the `RIMEWAL4` magic.
     BadMagic,
     /// Decoding ran past the end of the buffer at `offset` — a record
     /// or blob was cut short.
@@ -1953,9 +1956,9 @@ mod tests {
             Journal::new(Box::new(store), JournalConfig::default()).err(),
             Some(JournalError::BadMagic)
         );
-        // Older versions frame records differently; they must not be
-        // read as version 3.
-        for old in [b"RIMEWAL1", b"RIMEWAL2"] {
+        // Older versions frame records or checkpoints differently; they
+        // must not be read as version 4.
+        for old in [b"RIMEWAL1", b"RIMEWAL2", b"RIMEWAL3"] {
             let (store, _journal) = journal_with_traffic();
             let mut image = store.snapshot();
             image[..8].copy_from_slice(old);

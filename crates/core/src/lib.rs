@@ -11,16 +11,17 @@
 //!   and the single [`cmd::Executor`] that owns validation, chip
 //!   dispatch, and result marshalling for *every* front-end.
 //! * [`telemetry`] — what each command did (`Effects`: per-chip counter
-//!   deltas and interface transfers) and the executor's running totals
-//!   (`DeviceStats`), which the executor records once per command.
+//!   deltas and interface transfers), which the executor records once
+//!   per command into its transfer total and its metrics. The running
+//!   operation counters live only in the chips.
 //! * [`metrics`] — the metrics registry the executor and the chip probes
 //!   publish into: counters, gauges, and log2-bucket histograms with
 //!   Prometheus/JSON export, deterministic for modeled quantities.
 //! * [`device`] — the full device (channels × DIMMs × chips) plus the
 //!   userspace API library of Fig. 12: `rime_malloc`, `rime_init`,
 //!   `rime_min`, `rime_max`, `rime_free`, and ordinary loads/stores, with
-//!   Fig. 14's multi-chip buffered coordination — thin encoders over
-//!   [`cmd`].
+//!   Fig. 14's multi-chip buffered coordination — thin encoders added to
+//!   the [`cmd::Executor`], which [`RimeDevice`] names.
 //! * [`dimm`] — boot-time DIMM mode configuration and the §V multi-DIMM
 //!   address mapping (bit 2³⁰ selects the DIMM).
 //! * [`mmio`] — the §V memory-mapped register interface: the same

@@ -1,4 +1,4 @@
-//! What one command did, and what all commands have done so far.
+//! What one command did.
 //!
 //! Every command the [`crate::cmd::Executor`] runs — no matter whether it
 //! entered through the typed [`crate::device::RimeDevice`] API, the MMIO
@@ -6,11 +6,12 @@
 //! ([`crate::cmd::Executor::replay`]) — yields one [`Effects`] record:
 //! the per-chip counter deltas and interface transfers it caused. The
 //! executor publishes each record exactly once, under one lock, into its
-//! built-in [`DeviceStats`] (what `RimeDevice::{counters,
-//! per_chip_counters, interface_transfers, modeled_energy_nj,
-//! modeled_busy_ns}` read) and its metrics registry (see
+//! interface-transfer total and its metrics registry (see
 //! [`crate::metrics`]). The journal stores the same `Effects` next to
-//! each command's outcome, so recovery can demand they match.
+//! each command's outcome, so recovery can demand they match. The
+//! running operation counters are not copied here: each chip keeps its
+//! own, and `Executor::{counters, per_chip_counters, modeled_energy_nj,
+//! modeled_busy_ns}` read them from the chips.
 
 use rime_memristive::OpCounters;
 
@@ -53,72 +54,6 @@ impl Effects {
     /// Values transferred over the DDR4 interface by this command.
     pub fn interface_transfers(&self) -> u64 {
         self.interface_transfers
-    }
-}
-
-/// The executor's running totals: per-chip counters plus interface
-/// transfers, accumulated from every command's [`Effects`].
-/// `RimeDevice::counters()` and the modeled time/energy queries read
-/// from it.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DeviceStats {
-    per_chip: Vec<OpCounters>,
-    interface_transfers: u64,
-}
-
-impl DeviceStats {
-    /// A zeroed stats block for `chips` chips.
-    pub fn new(chips: usize) -> DeviceStats {
-        DeviceStats {
-            per_chip: vec![OpCounters::new(); chips],
-            interface_transfers: 0,
-        }
-    }
-
-    /// Per-chip accumulated counters, indexed by chip.
-    pub fn per_chip(&self) -> &[OpCounters] {
-        &self.per_chip
-    }
-
-    /// Device-wide accumulated counters (sum over chips).
-    pub fn counters(&self) -> OpCounters {
-        let mut total = OpCounters::new();
-        for c in &self.per_chip {
-            total += *c;
-        }
-        total
-    }
-
-    /// Values transferred over the DDR4 interface.
-    pub fn interface_transfers(&self) -> u64 {
-        self.interface_transfers
-    }
-
-    /// Zeroes everything.
-    pub fn reset(&mut self) {
-        for c in &mut self.per_chip {
-            c.reset();
-        }
-        self.interface_transfers = 0;
-    }
-
-    /// Adds one command's effects to the totals.
-    pub(crate) fn record(&mut self, effects: &Effects) {
-        for &(chip, delta) in effects.chip_deltas() {
-            if let Some(c) = self.per_chip.get_mut(chip as usize) {
-                *c += delta;
-            }
-        }
-        self.interface_transfers += effects.interface_transfers();
-    }
-
-    /// Rebuilds a stats block from checkpointed values (journal
-    /// recovery); replayed events then re-accumulate on top.
-    pub(crate) fn restore(per_chip: Vec<OpCounters>, interface_transfers: u64) -> DeviceStats {
-        DeviceStats {
-            per_chip,
-            interface_transfers,
-        }
     }
 }
 

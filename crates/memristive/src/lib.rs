@@ -100,7 +100,7 @@ pub use error::Error;
 pub use geometry::ChipGeometry;
 pub use htree::IndexTree;
 pub use lifetime::EnduranceTracker;
-pub use mat::{Mat, MatCommand, MatResponse, MatState};
+pub use mat::{Mat, MatState};
 pub use plan::{Direction, SearchPlan};
 pub use pool::{pool_calibration, PoolCalibration};
 pub use probe::{CallTime, ExtractionProbe, Phase, SharedProbe};

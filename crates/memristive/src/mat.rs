@@ -34,61 +34,6 @@
 
 use crate::array::{Array, ArrayState, ColumnSignals, KEY_BITS};
 use crate::bitmap::Bitmap;
-use crate::error::Error;
-
-/// A command the chip controller sends to a mat (Fig. 8's three access
-/// types plus the RIME-mode select-vector operations).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatCommand {
-    /// Row read: load the key at `slot`.
-    RowRead {
-        /// Slot within the mat.
-        slot: u32,
-    },
-    /// Row write: store `raw` into `slot`.
-    RowWrite {
-        /// Slot within the mat.
-        slot: u32,
-        /// Raw key pattern.
-        raw: u64,
-    },
-    /// Column search at bit `pos`: sense the column, report the
-    /// two-signal outcome upstream (Fig. 9).
-    ColumnSearch {
-        /// Bit position (0 = LSB).
-        pos: u16,
-    },
-    /// Global exclusion ordered by the controller: latch the match
-    /// vector for (`pos`, `keep`) into the select latches.
-    LoadSelect {
-        /// Bit position searched.
-        pos: u16,
-        /// Reference bit to keep.
-        keep: bool,
-    },
-    /// Select-vector initialization for `[start, end)` (Fig. 11 leaves).
-    SetSelectRange {
-        /// First slot (inclusive).
-        start: u32,
-        /// One past the last slot.
-        end: u32,
-        /// Latch value for the range.
-        value: bool,
-    },
-}
-
-/// A mat's response to a [`MatCommand`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum MatResponse {
-    /// Data read by `RowRead`.
-    Data(u64),
-    /// The two upstream signals of a `ColumnSearch`.
-    Signals(ColumnSignals),
-    /// Rows deselected by a `LoadSelect`.
-    Deselected(u32),
-    /// Acknowledgement for writes and select-range commands.
-    Ack,
-}
 
 /// Serializable snapshot of one mat's durable state: its arrays'
 /// [`ArrayState`]s in array order. See [`ArrayState`] for what is (and
@@ -482,79 +427,6 @@ impl Mat {
         self.select.first_one().map(|slot| slot as u32)
     }
 
-    /// Executes one controller command — the explicit protocol form of
-    /// the typed methods, useful for command-level tests and traces.
-    ///
-    /// Unlike the typed methods (which document their panics and are only
-    /// reachable through the chip controller's validated paths), the
-    /// command protocol faces arbitrary traffic, so a malformed command
-    /// degrades into a typed [`Error`] instead of aborting the model.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::AddressOutOfRange`] when a `RowRead`/`RowWrite`
-    /// slot exceeds the mat capacity, [`Error::KeyTooWide`] when a
-    /// `ColumnSearch`/`LoadSelect` bit position exceeds the modelled key
-    /// width, and [`Error::EmptyRange`] when a `SetSelectRange` is
-    /// inverted (`start > end`).
-    pub fn execute(&mut self, command: MatCommand) -> Result<MatResponse, Error> {
-        match command {
-            MatCommand::RowRead { slot } => {
-                self.check_slot(slot)?;
-                Ok(MatResponse::Data(self.read_slot(slot)))
-            }
-            MatCommand::RowWrite { slot, raw } => {
-                self.check_slot(slot)?;
-                self.write_slot(slot, raw);
-                Ok(MatResponse::Ack)
-            }
-            MatCommand::ColumnSearch { pos } => {
-                Self::check_pos(pos)?;
-                Ok(MatResponse::Signals(self.sense_column(pos)))
-            }
-            MatCommand::LoadSelect { pos, keep } => {
-                Self::check_pos(pos)?;
-                Ok(MatResponse::Deselected(
-                    self.apply_exclusion(pos, keep) as u32
-                ))
-            }
-            MatCommand::SetSelectRange { start, end, value } => {
-                if start > end {
-                    return Err(Error::EmptyRange {
-                        begin: u64::from(start),
-                        end: u64::from(end),
-                    });
-                }
-                for slot in start..end.min(self.slots()) {
-                    self.set_select_bit(slot, value);
-                }
-                Ok(MatResponse::Ack)
-            }
-        }
-    }
-
-    fn check_pos(pos: u16) -> Result<(), Error> {
-        if pos < 64 {
-            Ok(())
-        } else {
-            Err(Error::KeyTooWide {
-                bits: pos.saturating_add(1),
-                max: 64,
-            })
-        }
-    }
-
-    fn check_slot(&self, slot: u32) -> Result<(), Error> {
-        if slot < self.slots() {
-            Ok(())
-        } else {
-            Err(Error::AddressOutOfRange {
-                addr: u64::from(slot),
-                capacity: u64::from(self.slots()),
-            })
-        }
-    }
-
     /// Injects a stuck-at fault at `slot`'s cell `bit`.
     pub fn inject_stuck_cell(&mut self, slot: u32, bit: u16, stuck: bool) {
         let (array, row) = self.split(slot);
@@ -678,102 +550,6 @@ mod tests {
         mat.clear_select();
         assert_eq!(mat.selected_count(), 0);
         assert_eq!(mat.first_selected(), None);
-    }
-
-    #[test]
-    fn command_protocol_matches_typed_methods() {
-        // Drive one full min-search step purely through commands.
-        let mut mat = Mat::new(4, 4);
-        for (slot, raw) in [(0u32, 0b10u64), (1, 0b01), (2, 0b11)] {
-            assert_eq!(
-                mat.execute(MatCommand::RowWrite { slot, raw }),
-                Ok(MatResponse::Ack)
-            );
-        }
-        assert_eq!(
-            mat.execute(MatCommand::SetSelectRange {
-                start: 0,
-                end: 3,
-                value: true
-            }),
-            Ok(MatResponse::Ack)
-        );
-        let Ok(MatResponse::Signals(signals)) = mat.execute(MatCommand::ColumnSearch { pos: 1 })
-        else {
-            panic!("column search returns signals");
-        };
-        assert!(signals.any_one && signals.any_zero);
-        // Controller decides: keep rows with 0 at bit 1 (min search).
-        assert_eq!(
-            mat.execute(MatCommand::LoadSelect {
-                pos: 1,
-                keep: false
-            }),
-            Ok(MatResponse::Deselected(2))
-        );
-        assert_eq!(mat.first_selected(), Some(1));
-        assert_eq!(
-            mat.execute(MatCommand::RowRead { slot: 1 }),
-            Ok(MatResponse::Data(0b01))
-        );
-    }
-
-    #[test]
-    fn set_select_range_clamps_to_capacity() {
-        let mut mat = Mat::new(2, 2);
-        mat.execute(MatCommand::SetSelectRange {
-            start: 0,
-            end: 99,
-            value: true,
-        })
-        .unwrap();
-        assert_eq!(mat.selected_count(), 4);
-    }
-
-    #[test]
-    fn malformed_commands_degrade_to_errors() {
-        let mut mat = Mat::new(2, 2); // 4 slots
-        mat.write_slot(1, 42);
-        assert_eq!(
-            mat.execute(MatCommand::RowRead { slot: 4 }),
-            Err(Error::AddressOutOfRange {
-                addr: 4,
-                capacity: 4
-            })
-        );
-        assert_eq!(
-            mat.execute(MatCommand::RowWrite { slot: 9, raw: 1 }),
-            Err(Error::AddressOutOfRange {
-                addr: 9,
-                capacity: 4
-            })
-        );
-        assert_eq!(
-            mat.execute(MatCommand::SetSelectRange {
-                start: 3,
-                end: 1,
-                value: true
-            }),
-            Err(Error::EmptyRange { begin: 3, end: 1 })
-        );
-        // Column positions past the modelled key width degrade too
-        // (previously a debug-build shift panic).
-        assert_eq!(
-            mat.execute(MatCommand::ColumnSearch { pos: 64 }),
-            Err(Error::KeyTooWide { bits: 65, max: 64 })
-        );
-        assert_eq!(
-            mat.execute(MatCommand::LoadSelect {
-                pos: 200,
-                keep: true
-            }),
-            Err(Error::KeyTooWide { bits: 201, max: 64 })
-        );
-        // The mat stays usable after rejecting malformed traffic.
-        assert_eq!(
-            mat.execute(MatCommand::RowRead { slot: 1 }),
-            Ok(MatResponse::Data(42))
-        );
     }
 
     #[test]
