@@ -32,8 +32,7 @@ use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 use rime_core::{
-    Command, Direction, Executor, FlightConfig, KeyFormat, MetricValue, Outcome, Region,
-    RimeConfig, Snapshot,
+    Command, Direction, Executor, FlightConfig, KeyFormat, Outcome, PhaseTag, Region, RimeConfig,
 };
 use rime_service::{Attribution, Completion, RankingService, ServiceConfig, SubmitError};
 use rime_workloads::ArrivalProcess;
@@ -68,12 +67,12 @@ struct RunStats {
     attribution: Option<AttrStats>,
 }
 
-/// Per-phase latency attribution from one traced run: the
-/// `rime_service_attribution_ns` histogram family plus the slowest
-/// request's end-to-end breakdown.
+/// Per-phase latency attribution from one traced run: totals over every
+/// request's [`Attribution`] plus the slowest request's end-to-end
+/// breakdown.
 struct AttrStats {
-    /// `(phase, observations, total_ns)` per attribution phase.
-    phases: Vec<(String, u64, u64)>,
+    /// `(phase, observations, total_ns)` per populated phase.
+    phases: Vec<(PhaseTag, u64, u64)>,
     /// Externally measured submit→reap wall time of the slowest
     /// request, nanoseconds.
     slowest_wall_ns: u64,
@@ -172,6 +171,7 @@ fn run_once(flight: bool) -> RunStats {
                 let check = |got: &[(Completion, Option<Attribution>)],
                              hits: &mut usize,
                              submits: &[Instant],
+                             attributions: &mut Vec<Attribution>,
                              slowest: &mut Option<(u64, Attribution)>| {
                     let mut best: Option<(usize, Attribution)> = None;
                     for (c, attr) in got {
@@ -180,6 +180,7 @@ fn run_once(flight: bool) -> RunStats {
                             other => panic!("tenant {t} completion: {other:?}"),
                         }
                         if let Some(attr) = attr {
+                            attributions.push(*attr);
                             let beats_batch = best
                                 .as_ref()
                                 .is_none_or(|(_, b)| attr.total_ns() > b.total_ns());
@@ -206,6 +207,7 @@ fn run_once(flight: bool) -> RunStats {
                 let mut done = 0usize;
                 let mut hits = 0usize;
                 let mut submits: Vec<Instant> = Vec::with_capacity(per_tenant);
+                let mut attributions: Vec<Attribution> = Vec::with_capacity(per_tenant);
                 let mut slowest: Option<(u64, Attribution)> = None;
                 for &ts in &schedule {
                     loop {
@@ -234,32 +236,37 @@ fn run_once(flight: bool) -> RunStats {
                                 // completion (freeing a slot), retry.
                                 let got = session.wait_reap_attributed(1);
                                 assert!(!got.is_empty(), "service closed mid-run");
-                                check(&got, &mut hits, &submits, &mut slowest);
+                                check(&got, &mut hits, &submits, &mut attributions, &mut slowest);
                                 done += got.len();
                             }
                             Err(SubmitError::Closed) => panic!("service closed mid-run"),
                         }
                     }
                     let got = session.reap_attributed(per_tenant);
-                    check(&got, &mut hits, &submits, &mut slowest);
+                    check(&got, &mut hits, &submits, &mut attributions, &mut slowest);
                     done += got.len();
                 }
                 while done < per_tenant {
                     let got = session.wait_reap_attributed(per_tenant - done);
                     assert!(!got.is_empty(), "service closed before tail drain");
-                    check(&got, &mut hits, &submits, &mut slowest);
+                    check(&got, &mut hits, &submits, &mut attributions, &mut slowest);
                     done += got.len();
                 }
                 assert_eq!(hits, per_tenant, "tenant {t}: every extract hits");
-                (start, Instant::now(), slowest)
+                (start, Instant::now(), slowest, attributions)
             })
         })
         .collect();
 
     barrier.wait();
     // (worker start, worker end, slowest attributed request as
-    // (wall_ns, breakdown)).
-    type WorkerSpan = (Instant, Instant, Option<(u64, Attribution)>);
+    // (wall_ns, breakdown), every attributed request).
+    type WorkerSpan = (
+        Instant,
+        Instant,
+        Option<(u64, Attribution)>,
+        Vec<Attribution>,
+    );
     let spans: Vec<WorkerSpan> = workers
         .into_iter()
         .map(|w| w.join().expect("submitter"))
@@ -276,7 +283,6 @@ fn run_once(flight: bool) -> RunStats {
         .expect("at least one worker");
     let wall_s = last.duration_since(first).as_secs_f64();
 
-    let snap = service.executor().metrics_snapshot();
     service.shutdown();
 
     let attribution = if flight {
@@ -286,7 +292,7 @@ fn run_once(flight: bool) -> RunStats {
             .max_by_key(|(wall, _)| *wall)
             .expect("traced run yields attributions");
         Some(AttrStats {
-            phases: attribution_phases(&snap),
+            phases: phase_totals(spans.iter().flat_map(|s| &s.3)),
             slowest_wall_ns: slowest.0,
             slowest: slowest.1,
         })
@@ -300,24 +306,36 @@ fn run_once(flight: bool) -> RunStats {
     }
 }
 
-/// `(phase, observations, total_ns)` for every populated series of the
-/// `rime_service_attribution_ns` histogram family.
-fn attribution_phases(snap: &Snapshot) -> Vec<(String, u64, u64)> {
-    snap.metrics
-        .iter()
-        .filter(|m| m.name == "rime_service_attribution_ns")
-        .filter_map(|m| {
-            let MetricValue::Histogram(h) = &m.value else {
-                return None;
-            };
-            let phase = m
-                .labels
-                .iter()
-                .find(|(k, _)| k == "phase")
-                .map(|(_, v)| v.clone())?;
-            (h.count > 0).then_some((phase, h.count, h.sum))
-        })
-        .collect()
+/// `(phase, observations, total_ns)` for every phase the attributions
+/// populate, in pipeline order.
+fn phase_totals<'a>(
+    attributions: impl IntoIterator<Item = &'a Attribution>,
+) -> Vec<(PhaseTag, u64, u64)> {
+    let mut totals = [
+        PhaseTag::SqWait,
+        PhaseTag::Drain,
+        PhaseTag::FusionWait,
+        PhaseTag::DrrDefer,
+        PhaseTag::Dispatch,
+        PhaseTag::CqWait,
+    ]
+    .map(|phase| (phase, 0, 0));
+    for a in attributions {
+        for (phase, ns) in [
+            (PhaseTag::SqWait, a.sq_wait_ns),
+            (a.queue_phase, a.queue_wait_ns),
+            (PhaseTag::Dispatch, a.dispatch_ns),
+            (PhaseTag::CqWait, a.cq_wait_ns),
+        ] {
+            let row = totals
+                .iter_mut()
+                .find(|row| row.0 == phase)
+                .expect("a request phase");
+            row.1 += 1;
+            row.2 += ns;
+        }
+    }
+    totals.into_iter().filter(|row| row.1 > 0).collect()
 }
 
 fn main() {
@@ -383,7 +401,7 @@ fn main() {
     );
     println!("attribution ({} phases populated):", attr.phases.len());
     for (phase, n, total_ns) in &attr.phases {
-        println!("  {phase:<12} {n:>7} obs {total_ns:>14} ns total");
+        println!("  {:<12} {n:>7} obs {total_ns:>14} ns total", phase.label());
     }
     let s = &attr.slowest;
     println!(

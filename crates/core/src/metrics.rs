@@ -58,10 +58,8 @@ use crate::telemetry::Effects;
 /// (`+Inf`) bucket.
 pub const HISTOGRAM_BUCKETS: usize = 64;
 
-/// The bucket an observation of `v` lands in — public so callers can
-/// pre-aggregate observations in plain (unsynchronized) shards and
-/// fold them in later via [`Histogram::merge_bucket`].
-pub fn bucket_index(v: u64) -> usize {
+/// The bucket an observation of `v` lands in.
+fn bucket_index(v: u64) -> usize {
     if v == 0 {
         0
     } else {
@@ -148,16 +146,6 @@ impl Histogram {
     pub fn observe(&self, v: u64) {
         self.0.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.0.sum.fetch_add(v, Ordering::Relaxed);
-    }
-
-    /// Folds a pre-aggregated batch in: `count` observations that all
-    /// landed in `bucket` (per [`bucket_index`]), totalling `sum`.
-    /// Exactly equivalent to the individual [`Self::observe`] calls —
-    /// hot paths accumulate in plain integers and merge on a cold
-    /// cadence instead of paying atomic traffic per observation.
-    pub fn merge_bucket(&self, bucket: usize, count: u64, sum: u64) {
-        self.0.buckets[bucket.min(HISTOGRAM_BUCKETS - 1)].fetch_add(count, Ordering::Relaxed);
-        self.0.sum.fetch_add(sum, Ordering::Relaxed);
     }
 
     /// Number of observations so far.

@@ -340,20 +340,6 @@ impl Bitmap {
         self.mask_tail();
     }
 
-    /// Whether any bit is set in both `self` and `other` (early-exits on
-    /// the first overlapping word).
-    ///
-    /// # Panics
-    ///
-    /// Panics if lengths differ.
-    pub fn intersects(&self, other: &Bitmap) -> bool {
-        assert_eq!(self.len, other.len, "bitmap length mismatch");
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & b != 0)
-    }
-
     /// Overwrites `self` with the `self.len()`-bit subrange of `src`
     /// starting at `start` — [`Bitmap::slice`] without the allocation,
     /// which is what lets the extraction engines rearm each mat's
@@ -656,17 +642,6 @@ mod tests {
                 assert_eq!(ones.words.last().unwrap() >> rem, 0, "tail must stay zero");
             }
         }
-    }
-
-    #[test]
-    fn intersects_finds_overlap() {
-        let mut a = Bitmap::zeros(130);
-        let mut b = Bitmap::zeros(130);
-        a.set_range(0, 70);
-        b.set_range(63, 129);
-        assert!(a.intersects(&b)); // bits 63..70 overlap
-        let disjoint: Bitmap = Bitmap::zeros(130);
-        assert!(!a.intersects(&disjoint));
     }
 
     #[test]

@@ -6,8 +6,12 @@
 //! 1; the controller wire-ORs these, decides globally whether an exclusion
 //! is warranted, and orders every mat to latch its match vector (or not).
 //! After the search converges, the data/index H-tree priority-encodes the
-//! winner's address (Fig. 10), the row is read out, and its *exclusion
-//! flag* is set so subsequent sort accesses skip it (§III-B.1).
+//! winner's address (Fig. 10: the lower address wins), the row is read
+//! out, and its *exclusion flag* is set so subsequent sort accesses skip
+//! it (§III-B.1). The H-tree's downward pass (Fig. 11) is the span
+//! membership each rearm latches; its upward pass is the lower-child
+//! priority of the memo engine's merge or the walk's find-first; both
+//! are priced as `htree_traversals`.
 //!
 //! Mats materialize lazily: a full Table I chip models 2 M key slots, but
 //! storage is only allocated for mats that actually hold data.
@@ -30,11 +34,12 @@
 //!   `log2(span)` ancestors, so draining a mat walks its key trie once.
 //!   Each mat's generation (bumped by row writes, stuck-at faults and
 //!   changes to its exclusion flags) tells a call which kept descents
-//!   must re-run; [`Chip::restore_state`] drops them all. Single
-//!   extractions are batches of one, and single-mat spans take the same
-//!   path.
+//!   must re-run; [`Chip::restore_state`] drops them all. Single-mat
+//!   spans take the same path.
 //! - [`ParallelPolicy::Sequential`] walks every span mat at every step:
 //!   the differential oracle `Auto` is checked against.
+//!
+//! Under both policies a single extraction is a batch of one.
 //!
 //! [`Chip::pool_crossover_mats`] still reports a crossover priced from a
 //! one-shot host calibration ([`crate::pool_calibration`], overridable
@@ -46,7 +51,6 @@ use crate::counters::OpCounters;
 use crate::encoding::KeyFormat;
 use crate::error::Error;
 use crate::geometry::ChipGeometry;
-use crate::htree::IndexTree;
 use crate::mat::{Mat, MatState};
 use crate::memo::{Membership, MemoTree};
 use crate::plan::{Direction, SearchPlan};
@@ -117,7 +121,6 @@ pub struct Chip {
     /// One entry per mat, boxed so a chip's unmaterialized mats cost a
     /// pointer each: a Table I chip has 1024 of them.
     mats: Vec<Option<Box<Mat>>>,
-    tree: IndexTree,
     /// Exclusion flags (CMOS latches, §VII-C — not wear-inducing), one
     /// bit per key slot, allocated by the chip's first extraction: a
     /// Table I chip's flags are a 256 KiB bitmap, and a chip that never
@@ -158,7 +161,6 @@ impl std::fmt::Debug for Chip {
         f.debug_struct("Chip")
             .field("geometry", &self.geometry)
             .field("mats", &self.mats)
-            .field("tree", &self.tree)
             .field("excluded", &self.excluded)
             .field("flagged", &self.flagged)
             .field("format", &self.format)
@@ -180,7 +182,6 @@ impl Chip {
         Chip {
             geometry,
             mats: vec![None; mats],
-            tree: IndexTree::new(mats, geometry.slots_per_mat()),
             excluded: None,
             flagged: Vec::new(),
             format: None,
@@ -257,7 +258,6 @@ impl Chip {
     /// Resets the operation counters (not the stored data).
     pub fn reset_counters(&mut self) {
         self.counters.reset();
-        self.tree.reset_visits();
     }
 
     fn mat_mut(&mut self, mat: u32) -> &mut Mat {
@@ -397,39 +397,11 @@ impl Chip {
         }
     }
 
-    /// Re-latches the select vectors for the active range, skipping
-    /// excluded slots. This is what the controller performs between sort
-    /// accesses to rearm the search.
-    ///
-    /// Word-level: the span membership ([`Chip::span_membership`]) is
-    /// assembled with masked word operations, then each touched mat
-    /// latches its window of it in one pass — no per-slot walks. Counter
-    /// semantics are unchanged (one select load, one H-tree traversal).
-    fn load_selection(&mut self, begin: u64, end: u64) {
-        let (first_mat, last_mat) = self.mat_span(begin, end);
-        self.clear_selects_outside(first_mat, last_mat);
-        let membership = self.span_membership(begin, end);
-
-        // The downstream tree walk names the touched mats (and keeps the
-        // node-visit accounting identical); each one latches its window.
-        // Materializing via `mat_mut` keeps select latches available even
-        // before data was stored (normal for sparse test setups).
-        let per_mat = self.geometry.slots_per_mat() as usize;
-        let ranges = self.tree.init_range(begin, end);
-        for range in ranges {
-            let window = (range.mat as usize - first_mat) * per_mat;
-            self.mat_mut(range.mat)
-                .load_select_window(&membership, window);
-        }
-        self.counters.select_loads += 1;
-        self.counters.htree_traversals += 1;
-    }
-
     /// The select membership of `[begin, end)` — the range minus its
     /// exclusion flags — over the range's mat span only: bit `i` stands
-    /// for key slot `first_mat × slots_per_mat + i`. Every extraction
-    /// path (single and batch) latches its select windows from this
-    /// vector, so its host cost follows the span, not the chip.
+    /// for key slot `first_mat × slots_per_mat + i`. The walk latches
+    /// its select windows from this vector, so its host cost follows the
+    /// span, not the chip.
     fn span_membership(&self, begin: u64, end: u64) -> Bitmap {
         let per_mat = self.geometry.slots_per_mat() as usize;
         let (first_mat, last_mat) = self.mat_span(begin, end);
@@ -441,22 +413,6 @@ impl Chip {
             membership.and_not_assign(&flags.slice(span_base, span_slots));
         }
         membership
-    }
-
-    /// Clears the stale select latches of materialized mats outside
-    /// `[first_mat, last_mat]` — the one pass over the chip's mats an
-    /// extraction call makes. In-span mats need no clearing: every rearm
-    /// overwrites their whole select vector. With nothing selected
-    /// outside the span, the span alone decides every step and the
-    /// index reduction ([`IndexTree::reduce_window`]).
-    fn clear_selects_outside(&mut self, first_mat: usize, last_mat: usize) {
-        for (idx, mat) in self.mats.iter_mut().enumerate() {
-            if !(first_mat..=last_mat).contains(&idx) {
-                if let Some(mat) = mat {
-                    mat.clear_select();
-                }
-            }
-        }
     }
 
     /// Flags `slot` excluded for later accesses, allocating the flags on
@@ -527,33 +483,9 @@ impl Chip {
         format: KeyFormat,
         direction: Direction,
     ) -> Result<Option<ExtractHit>, Error> {
-        if begin >= end {
-            return Err(Error::EmptyRange { begin, end });
-        }
-        self.check_slot(end - 1)?;
-        if self.memoized() {
-            return Ok(self
-                .extract_range_batch(begin, end, format, direction, 1)?
-                .pop());
-        }
-        let (first_mat, last_mat) = self.mat_span(begin, end);
-        let plan = SearchPlan::new(format, direction);
-
-        // Rearm the select vectors (range minus exclusion flags).
-        let mut watch = Stopwatch::start(self.probe.clone());
-        self.load_selection(begin, end);
-        watch.rearmed();
-
-        let mut selected: u64 = 0;
-        for mat in self.mats[first_mat..=last_mat].iter().flatten() {
-            selected += mat.selected_count() as u64;
-        }
-        let hit = (selected > 0).then(|| self.converge_host(first_mat, last_mat, &plan, selected));
-        if hit.is_some() {
-            watch.descended();
-        }
-        watch.finish();
-        Ok(hit)
+        Ok(self
+            .extract_range_batch(begin, end, format, direction, 1)?
+            .pop())
     }
 
     /// Extracts up to `k` consecutive extremes from the active range — the
@@ -562,11 +494,10 @@ impl Chip {
     ///
     /// Equivalent to calling `extract` until `k` hits are collected or it
     /// returns `None`: same slots, same raw bits, same stable lowest-
-    /// address tie-breaking, identical [`OpCounters`]. What the batch form
-    /// amortizes is host-side work: the select-vector rearm between
-    /// consecutive extractions latches a word-level membership vector
-    /// (one [`Bitmap::slice`] per mat) instead of re-walking the H-tree
-    /// slot by slot, and range decoding/planning happen once.
+    /// address tie-breaking, identical [`OpCounters`]. A single
+    /// extraction is a batch of one; what a larger batch amortizes is
+    /// host-side work done once per call (range decoding, planning, and
+    /// the span membership the walk latches, or the memo tree's re-key).
     ///
     /// # Errors
     ///
@@ -616,18 +547,17 @@ impl Chip {
         // The call's setup times as part of its first rearm.
         let mut watch = Stopwatch::start(self.probe.clone());
         // Host-side span membership, kept in sync as winners are
-        // extracted so each rearm is a word-parallel latch instead of a
-        // per-slot H-tree walk.
+        // extracted so each rearm is a word-parallel latch.
         let mut membership = self.span_membership(begin, end);
-        self.clear_selects_outside(first_mat, last_mat);
 
         let mut selected = membership.count_ones() as u64;
         let mut hits = Vec::with_capacity(k.min(selected as usize));
         for _ in 0..k {
-            // Rearm: one select-vector load through the H-tree, exactly as
-            // the single-key path counts it. Each mat latches its window of
-            // the membership vector in place — zero allocations per
-            // iteration.
+            // Rearm: one select-vector load through the H-tree (Fig. 11).
+            // Each span mat latches its window of the membership vector in
+            // place — zero allocations per iteration. Latches outside the
+            // span are never read: the steps and the find-first below ask
+            // only span mats.
             for idx in first_mat..=last_mat {
                 self.mat_mut(idx as u32)
                     .load_select_window(&membership, (idx - first_mat) * per_mat);
@@ -806,14 +736,14 @@ impl Chip {
             }
         }
 
-        // Upstream index reduction (Fig. 10) over the span's leaves: the
-        // caller cleared every select outside the span, so no other mat
-        // can raise E.
-        let mats = &self.mats;
-        let slot = self
-            .tree
-            .reduce_window(first_mat..=last_mat, |m| {
-                mats[m].as_deref().and_then(Mat::first_selected)
+        // Upstream index reduction (Fig. 10): the priority encoder
+        // prefers the lower address, so the winner is the first span mat
+        // holding a selected row, at its lowest selected row.
+        let per_mat = self.geometry.slots_per_mat();
+        let slot = (first_mat..=last_mat)
+            .find_map(|m| {
+                let row = self.mats[m].as_deref()?.first_selected()?;
+                Some(m as u64 * per_mat + u64::from(row))
             })
             .expect("non-empty selection must reduce to a winner");
         self.counters.htree_traversals += 1;
@@ -856,8 +786,7 @@ impl Chip {
 
     /// Restores the chip's durable state from a snapshot taken on a chip
     /// of the same geometry. Select latches come up cleared (every
-    /// extraction re-arms them) and the H-tree is rebuilt fresh.
-    /// Scheduling knobs are kept.
+    /// extraction re-arms them). Scheduling knobs are kept.
     ///
     /// Returns `false` — leaving the chip untouched — when the snapshot
     /// disagrees with this chip's geometry or is internally inconsistent
@@ -886,7 +815,6 @@ impl Chip {
         }
         self.mats = mats;
         self.memo = None;
-        self.tree = IndexTree::new(state.mats.len(), self.geometry.slots_per_mat());
         self.excluded = Some(state.excluded.clone());
         self.flagged = vec![0; self.mats.len().div_ceil(64)];
         let per_mat = self.geometry.slots_per_mat() as usize;
@@ -1061,6 +989,64 @@ mod tests {
         let hit = chip.extract(Direction::Min).unwrap().unwrap();
         assert_eq!(hit.slot, 33);
         assert_eq!(hit.raw_bits, 10);
+    }
+
+    /// A chip of `mats` mats with four key slots each.
+    fn four_slot_mats(mats: u16) -> ChipGeometry {
+        ChipGeometry {
+            banks: 1,
+            subbanks_per_bank: 1,
+            mats_per_subbank: mats,
+            arrays_per_mat: 1,
+            rows: 4,
+            cols: 64,
+        }
+    }
+
+    #[test]
+    fn fig10_lowest_address_wins_across_mats() {
+        // Fig. 10: 16 mats, of which 2, 7 and 12 hold the minimum. The
+        // index reduction prefers the lower address, so the tied minima
+        // come out in address order, then the rest, under both policies.
+        let mut keys = vec![9u64; 64];
+        for slot in [2 * 4 + 3, 7 * 4, 12 * 4 + 1] {
+            keys[slot] = 3;
+        }
+        let mut want: Vec<u64> = vec![11, 28, 49];
+        want.extend((0..64).filter(|s| keys[*s as usize] == 9));
+        let mut counters = Vec::new();
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
+            let mut chip = Chip::new(four_slot_mats(16));
+            chip.set_parallel_policy(policy);
+            chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
+            chip.init_range(0, 64, KeyFormat::UNSIGNED64).unwrap();
+            let slots: Vec<u64> =
+                std::iter::from_fn(|| chip.extract(Direction::Min).unwrap().map(|h| h.slot))
+                    .collect();
+            assert_eq!(slots, want, "{policy:?}");
+            counters.push(*chip.counters());
+        }
+        assert_eq!(counters[0], counters[1]);
+    }
+
+    #[test]
+    fn fig11_range_selects_exactly_its_slots() {
+        // Fig. 11: the range [5, 10] over 4 mats × 4 slots touches mats 1
+        // and 2 only; a drain returns exactly its slots, whichever keys
+        // lie outside it.
+        let keys: Vec<u64> = (0..16).map(|i| (i * 7 + 3) % 16).collect();
+        for policy in [ParallelPolicy::Sequential, ParallelPolicy::Auto] {
+            let mut chip = Chip::new(four_slot_mats(4));
+            chip.set_parallel_policy(policy);
+            chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
+            chip.init_range(5, 11, KeyFormat::UNSIGNED64).unwrap();
+            let mut slots: Vec<u64> =
+                std::iter::from_fn(|| chip.extract(Direction::Max).unwrap().map(|h| h.slot))
+                    .collect();
+            slots.sort_unstable();
+            assert_eq!(slots, (5..11).collect::<Vec<_>>(), "{policy:?}");
+            assert_eq!(chip.remaining(), 0);
+        }
     }
 
     #[test]

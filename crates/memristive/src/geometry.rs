@@ -108,17 +108,6 @@ impl ChipGeometry {
         let per_mat = self.slots_per_mat();
         ((slot / per_mat) as u32, (slot % per_mat) as u32)
     }
-
-    /// Depth of the data/index H-tree over the chip's mats (Fig. 10):
-    /// `ceil(log2(mats))` levels of pairwise reduction nodes.
-    pub fn htree_depth(&self) -> u32 {
-        let mats = self.mats();
-        if mats <= 1 {
-            0
-        } else {
-            (mats as u64).next_power_of_two().trailing_zeros()
-        }
-    }
 }
 
 impl fmt::Display for ChipGeometry {
@@ -147,7 +136,6 @@ mod tests {
         assert_eq!(g.capacity_bits(), 1 << 30);
         assert_eq!(g.mats(), 1024);
         assert_eq!(g.capacity_slots(), 1024 * 4 * 512);
-        assert_eq!(g.htree_depth(), 10);
     }
 
     #[test]
@@ -158,14 +146,6 @@ mod tests {
         assert_eq!(g.split_slot(31), (0, 31));
         assert_eq!(g.split_slot(32), (1, 0));
         assert_eq!(g.split_slot(63), (1, 31));
-    }
-
-    #[test]
-    fn htree_depth_degenerate() {
-        let mut g = ChipGeometry::tiny();
-        g.mats_per_subbank = 1;
-        assert_eq!(g.mats(), 1);
-        assert_eq!(g.htree_depth(), 0);
     }
 
     #[test]

@@ -20,12 +20,11 @@
 //!   controller (Fig. 8): one select vector and one bit-sliced column
 //!   shadow per mat, column search, match-vector generation, and the
 //!   *all-0-or-1* load gate.
-//! * [`htree`] — the bidirectional data/index H-tree: priority-encoded
-//!   index reduction (Fig. 10) and select-vector initialization by address
-//!   range (Fig. 11).
 //! * [`chip`] — banks, subbanks, and mats under a chip controller that
 //!   coordinates multi-mat exclusion with the two-signal protocol (Fig. 9)
-//!   and streams ranked values.
+//!   and streams ranked values. The data/index H-tree is the chip's rearm
+//!   (Fig. 11: each span mat latches its window of the range) and its
+//!   lower-address priority in the index reduction (Fig. 10).
 //! * `memo` — the memoized descent engine behind
 //!   [`ParallelPolicy::Auto`]: one resumable descent per mat, kept across
 //!   calls and folded up a binary tree over the range's mats, so host work
@@ -78,7 +77,6 @@ pub mod counters;
 pub mod encoding;
 pub mod error;
 pub mod geometry;
-pub mod htree;
 pub mod lifetime;
 pub mod mat;
 mod memo;
@@ -98,7 +96,6 @@ pub use counters::OpCounters;
 pub use encoding::{KeyFormat, SortableBits};
 pub use error::Error;
 pub use geometry::ChipGeometry;
-pub use htree::IndexTree;
 pub use lifetime::EnduranceTracker;
 pub use mat::{Mat, MatState};
 pub use plan::{Direction, SearchPlan};

@@ -1,13 +1,14 @@
 //! Property-based tests for the memristive substrate: the bit-serial
 //! hardware model must agree with ordinary comparison-based ranking for
-//! every format, and the H-tree must behave as a priority encoder.
+//! every format, and the walk's index reduction must behave as a
+//! priority encoder.
 
 use proptest::prelude::*;
 use rime_memristive::reference::{
     algorithm1_unsigned_min, extreme_row, extreme_row_by_compare, run_plan,
 };
 use rime_memristive::{
-    Bitmap, Chip, ChipGeometry, Direction, IndexTree, KeyFormat, SearchPlan, SortableBits,
+    Bitmap, Chip, ChipGeometry, Direction, KeyFormat, ParallelPolicy, SearchPlan, SortableBits,
 };
 
 fn full(n: usize) -> Bitmap {
@@ -99,40 +100,23 @@ proptest! {
     }
 
     #[test]
-    fn htree_reduce_is_priority_encoder(
-        hits in prop::collection::vec(prop::option::of(0u32..16), 1..32),
+    fn walk_reduction_is_priority_encoder(
+        keys in prop::collection::vec(0u64..4, 1..64),
     ) {
-        let mut tree = IndexTree::new(hits.len(), 16);
-        let got = tree.reduce(&hits);
-        let want = hits
-            .iter()
-            .enumerate()
-            .find_map(|(mat, h)| h.map(|row| mat as u64 * 16 + row as u64));
-        prop_assert_eq!(got, want);
-    }
-
-    #[test]
-    fn htree_init_range_covers_exactly_the_range(
-        n_mats in 1usize..16,
-        spm in 1u64..32,
-        a in 0u64..400,
-        len in 1u64..120,
-    ) {
-        let cap = n_mats as u64 * spm;
-        let begin = a % cap;
-        let end = (begin + len).min(cap);
-        prop_assume!(begin < end);
-        let mut tree = IndexTree::new(n_mats, spm);
-        let ranges = tree.init_range(begin, end);
-        let mut covered: Vec<u64> = Vec::new();
-        for r in &ranges {
-            for local in r.start..r.end {
-                covered.push(r.mat as u64 * spm + local as u64);
-            }
+        // The walk's index reduction (Fig. 10) over a two-mat chip: every
+        // extraction returns the lowest-addressed of the remaining
+        // minima, so ties across mats resolve to the lower mat.
+        let mut chip = Chip::new(ChipGeometry::tiny());
+        chip.set_parallel_policy(ParallelPolicy::Sequential);
+        chip.store_keys(0, &keys, KeyFormat::UNSIGNED64).unwrap();
+        chip.init_range(0, keys.len() as u64, KeyFormat::UNSIGNED64).unwrap();
+        let mut left: Vec<(u64, u64)> = keys.iter().copied().zip(0..).collect();
+        left.sort_unstable();
+        for (key, slot) in left {
+            let hit = chip.extract(Direction::Min).unwrap().unwrap();
+            prop_assert_eq!((hit.raw_bits, hit.slot), (key, slot));
         }
-        covered.sort_unstable();
-        let want: Vec<u64> = (begin..end).collect();
-        prop_assert_eq!(covered, want);
+        prop_assert_eq!(chip.extract(Direction::Min).unwrap(), None);
     }
 
     #[test]

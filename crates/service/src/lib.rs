@@ -286,10 +286,6 @@ impl RankingService {
             .unwrap_or_else(PoisonError::into_inner)
             .clone();
         for session in sessions {
-            // Fold any attribution observations still sitting in the
-            // tenant's shard, so post-shutdown snapshots are exact even
-            // for handles the tenant never drops.
-            session.lock().attr_shard.flush(&self.inner.metrics);
             session.cv.notify_all();
         }
     }

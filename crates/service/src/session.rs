@@ -15,7 +15,7 @@ use rime_core::flight::dur_ns as ns;
 use rime_core::{Command, Outcome, PhaseTag, RimeError, TraceCtx};
 
 use crate::admission;
-use crate::metrics::{AttrShard, TenantMetrics};
+use crate::metrics::TenantMetrics;
 use crate::ServiceInner;
 
 /// Why a submission was not accepted.
@@ -157,8 +157,6 @@ pub(crate) struct SessionState {
     pub(crate) in_flight: usize,
     /// Next ordinal to assign at submit.
     pub(crate) next_ordinal: u64,
-    /// Pre-aggregated attribution observations; see [`AttrShard`].
-    pub(crate) attr_shard: AttrShard,
 }
 
 impl SessionState {
@@ -199,11 +197,14 @@ impl SessionHandle {
     /// command's ordinal; completions carry it back. Fails `Busy` when
     /// the tenant is at queue depth and `Closed` after shutdown.
     pub fn submit(&self, command: Command<'static>) -> Result<u64, SubmitError> {
-        if self.service.is_closed() {
-            return Err(SubmitError::Closed);
-        }
         let ordinal = {
             let mut state = self.shared.lock();
+            // Checked under the session lock: `shutdown` sets `closed`
+            // before its final pass locks every session, so a command
+            // pushed here is either drained by that pass or refused.
+            if self.service.is_closed() {
+                return Err(SubmitError::Closed);
+            }
             admission::try_admit(&state, self.service.config.queue_depth).inspect_err(|_| {
                 self.shared.metrics.busy.inc();
             })?;
@@ -252,19 +253,13 @@ impl SessionHandle {
     /// Finishes drained CQ entries: records each trace's phase spans
     /// from the carried breakdown — `sq_wait`, the queue-wait phase,
     /// `dispatch`, and the terminal `cq_wait` (exactly one per
-    /// completion — reaping is the only exit) — folds the per-phase
-    /// attribution observations into the tenant's [`AttrShard`], and
-    /// builds the public [`Attribution`]. All of this runs on the
-    /// reaping tenant's thread, keeping the dispatcher's critical path
-    /// trace-free. Untraced entries pass through without a clock read.
-    ///
-    /// Runs with the session lock still held from the CQ drain, so the
-    /// shard observations cost plain adds with no extra lock cycle.
-    /// (Lock order is session → recorder ring; the recorder never
-    /// calls back into the service, so this cannot invert.)
+    /// completion — reaping is the only exit) — and builds the public
+    /// [`Attribution`]. All of this runs on the reaping tenant's thread,
+    /// after the session lock is released, keeping the dispatcher's
+    /// critical path trace-free. Untraced entries pass through without a
+    /// clock read.
     fn finish(
         &self,
-        state: &mut SessionState,
         drained: Vec<(Completion, Option<CqTrace>)>,
     ) -> Vec<(Completion, Option<Attribution>)> {
         let now = if drained.iter().any(|(_, t)| t.is_some()) {
@@ -274,7 +269,7 @@ impl SessionHandle {
         };
         let flight = self.service.flight.as_deref();
         let tenant = self.shared.tenant as u32;
-        let out: Vec<(Completion, Option<Attribution>)> = drained
+        drained
             .into_iter()
             .map(|(completion, trace)| {
                 let attribution = trace.map(|t| {
@@ -307,22 +302,7 @@ impl SessionHandle {
                 });
                 (completion, attribution)
             })
-            .collect();
-        // Attribution lands in the tenant's shard as plain adds
-        // instead of global atomics, folding into the registry
-        // histograms on the shard's cadence (and exactly at teardown).
-        for (_, attribution) in &out {
-            if let Some(a) = attribution {
-                state.attr_shard.observe(PhaseTag::SqWait, a.sq_wait_ns);
-                state.attr_shard.observe(a.queue_phase, a.queue_wait_ns);
-                state.attr_shard.observe(PhaseTag::Dispatch, a.dispatch_ns);
-                state.attr_shard.observe(PhaseTag::CqWait, a.cq_wait_ns);
-            }
-        }
-        if state.attr_shard.due() {
-            state.attr_shard.flush(&self.service.metrics);
-        }
-        out
+            .collect()
     }
 
     /// Drains up to `max` completions from the completion queue without
@@ -342,8 +322,8 @@ impl SessionHandle {
         let mut state = self.shared.lock();
         let n = max.min(state.cq.len());
         let drained: Vec<(Completion, Option<CqTrace>)> = state.cq.drain(..n).collect();
-        let out = self.finish(&mut state, drained);
         drop(state);
+        let out = self.finish(drained);
         if !out.is_empty() {
             // Reaping frees admission slots; wake blocked submitters.
             self.shared.cv.notify_all();
@@ -373,8 +353,8 @@ impl SessionHandle {
         }
         let take = n.min(state.cq.len());
         let drained: Vec<(Completion, Option<CqTrace>)> = state.cq.drain(..take).collect();
-        let out = self.finish(&mut state, drained);
         drop(state);
+        let out = self.finish(drained);
         if !out.is_empty() {
             self.shared.cv.notify_all();
         }
@@ -412,14 +392,5 @@ impl SessionHandle {
     /// Commands currently counted against the tenant's queue depth.
     pub fn outstanding(&self) -> usize {
         self.shared.lock().outstanding()
-    }
-}
-
-impl Drop for SessionHandle {
-    /// Folds the tenant's remaining sharded attribution observations
-    /// into the global histograms, so a snapshot taken after the
-    /// handle is gone (the bench and exporter pattern) is exact.
-    fn drop(&mut self) {
-        self.shared.lock().attr_shard.flush(&self.service.metrics);
     }
 }

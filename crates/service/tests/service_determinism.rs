@@ -12,14 +12,15 @@
 //!    reaping;
 //! 5. completions always arrive in per-tenant ordinal order;
 //! 6. the executor runs a pass's work units one after another in DRR
-//!    pass order, whatever chips they touch.
+//!    pass order, whatever chips they touch;
+//! 7. a submit that races `shutdown` either completes or is refused.
 //!
 //! All multi-arm tests drive the service in *manual* mode
 //! (`process_pending`), where the pass composition is a pure function
 //! of the submission history.
 
 use std::borrow::Cow;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use rime_core::metrics::MetricValue;
 use rime_core::{
@@ -578,4 +579,60 @@ fn a_pass_executes_its_units_in_drr_pass_order() {
     assert_eq!(checked, pass_order.len(), "every command completed");
     assert_eq!(exec.per_chip_counters(), serial.per_chip_counters());
     assert_eq!(exec.allocation_map(), serial.allocation_map());
+}
+
+#[test]
+fn submits_racing_shutdown_either_complete_or_are_refused() {
+    // Submitters loop while another thread shuts the started service
+    // down, all released by one barrier. Every accepted ordinal must
+    // come back on its session's CQ once `shutdown` has returned, and no
+    // session may keep a queue-depth slot after its CQ is drained.
+    const SUBMITTERS: usize = 3;
+    for round in 0..16 {
+        let service = RankingService::with_device(RimeConfig::small(), ServiceConfig::default());
+        let admin = service.session();
+        admin.submit(Command::Alloc { len: 4 }).expect("alloc");
+        assert_eq!(service.process_pending(), 1);
+        let region = region_of(&admin.reap(1)[0]);
+        service.start();
+        let sessions: Vec<SessionHandle> = (0..SUBMITTERS).map(|_| service.session()).collect();
+        let barrier = Barrier::new(SUBMITTERS + 1);
+        let runs: Vec<(Vec<u64>, Vec<u64>)> = std::thread::scope(|scope| {
+            let submitters: Vec<_> = sessions
+                .iter()
+                .map(|session| {
+                    let barrier = &barrier;
+                    scope.spawn(move || {
+                        let read = Command::Read {
+                            region,
+                            offset: 0,
+                            n: 1,
+                        };
+                        let (mut accepted, mut reaped) = (Vec::new(), Vec::new());
+                        barrier.wait();
+                        loop {
+                            match session.submit(read.clone()) {
+                                Ok(ordinal) => accepted.push(ordinal),
+                                Err(SubmitError::Busy) => reaped
+                                    .extend(session.reap(usize::MAX).iter().map(|c| c.ordinal)),
+                                Err(SubmitError::Closed) => break,
+                            }
+                        }
+                        (accepted, reaped)
+                    })
+                })
+                .collect();
+            barrier.wait();
+            service.shutdown();
+            submitters
+                .into_iter()
+                .map(|t| t.join().expect("submitter"))
+                .collect()
+        });
+        for (session, (accepted, mut reaped)) in sessions.iter().zip(runs) {
+            reaped.extend(session.reap(usize::MAX).iter().map(|c| c.ordinal));
+            assert_eq!(reaped, accepted, "round {round}: accepted == completed");
+            assert_eq!(session.outstanding(), 0, "round {round}");
+        }
+    }
 }

@@ -9,15 +9,11 @@
 //! across identical runs and across both [`ParallelPolicy`] values, and
 //! the modeled chip-op metrics agree with the device's counters.
 
-use std::borrow::Cow;
-use std::sync::Arc;
-
 use rime_core::{
-    Command, Direction, DriverConfig, Executor, FlightConfig, KeyFormat, MetricValue, OpCounters,
-    ParallelPolicy, RimeConfig, RimeDevice,
+    Direction, DriverConfig, KeyFormat, MetricValue, OpCounters, ParallelPolicy, RimeConfig,
+    RimeDevice,
 };
 use rime_memristive::{ArrayTiming, ChipGeometry};
-use rime_service::{RankingService, ServiceConfig, SessionHandle};
 
 /// Four chips of 16 mats each, 1024 slots per chip.
 fn config() -> RimeConfig {
@@ -203,96 +199,6 @@ fn extraction_lands_nonzero_wall_clock_metrics() {
             _ => {}
         }
     }
-}
-
-/// Sums the observation counts of the whole
-/// `rime_service_attribution_ns` histogram family.
-fn attribution_observations(service: &RankingService) -> u64 {
-    service
-        .executor()
-        .metrics_snapshot()
-        .metrics
-        .iter()
-        .filter(|m| m.name == "rime_service_attribution_ns")
-        .map(|m| match &m.value {
-            MetricValue::Histogram(h) => h.count,
-            other => panic!("attribution is not a histogram: {other:?}"),
-        })
-        .sum()
-}
-
-/// Attribution observations are buffered in a per-session shard and
-/// only merged into the shared histograms every 128 observations, when
-/// a [`SessionHandle`] drops, or at service shutdown — so the exported
-/// family is exact only once the handles are gone. Pin both halves:
-/// a small session stays invisible until dropped, and dropping every
-/// handle accounts for exactly four phase observations per command.
-#[test]
-fn attribution_histograms_flush_on_session_drop() {
-    let exec = Arc::new(Executor::new(RimeConfig::small()));
-    let service =
-        RankingService::with_flight(exec, ServiceConfig::default(), FlightConfig::default());
-    let session = service.session();
-    let total = 5u64;
-    let region = {
-        let mut got = None;
-        session
-            .submit(Command::Alloc { len: total })
-            .expect("alloc");
-        service.process_pending();
-        for c in session.reap(1) {
-            if let Ok(rime_core::Outcome::Region(r)) = c.result {
-                got = Some(r);
-            }
-        }
-        got.expect("alloc outcome")
-    };
-    let sync = |session: &SessionHandle, command: Command<'static>| {
-        session.submit(command).expect("submit");
-        service.process_pending();
-        assert_eq!(session.reap(1).len(), 1);
-    };
-    sync(
-        &session,
-        Command::Write {
-            region,
-            offset: 0,
-            raw: Cow::Owned(keys(total)),
-            format: KeyFormat::UNSIGNED64,
-        },
-    );
-    sync(
-        &session,
-        Command::Init {
-            region,
-            offset: 0,
-            len: total,
-            format: KeyFormat::UNSIGNED64,
-        },
-    );
-    for _ in 0..total {
-        sync(
-            &session,
-            Command::Extract {
-                region,
-                format: KeyFormat::UNSIGNED64,
-                direction: Direction::Min,
-            },
-        );
-    }
-    // 8 commands × 4 phase observations = 32 buffered — far below the
-    // 128-observation flush threshold, so nothing has been merged yet.
-    assert_eq!(
-        attribution_observations(&service),
-        0,
-        "attribution shard leaked before the session ended"
-    );
-    drop(session);
-    assert_eq!(
-        attribution_observations(&service),
-        (3 + total) * 4,
-        "dropping the handle must flush four phase observations per command"
-    );
 }
 
 #[test]
